@@ -4,6 +4,20 @@ and the construction of Sarkisov 3-links and 6-links from closed points.
 Maps are triples of homogeneous polynomials, stored with gcd 1 and the
 grlex-least nonzero coefficient scaled to 1, so projective equality is
 representation equality up to the stored normalisation.
+
+Every `RationalMap` keeps that invariant, and the gcd over the tower, the
+costly part, runs only where it is not already known to hold:
+
+- `compose`, and construction from arbitrary coordinates, run the full gcd;
+- `apply_matrix` and `subst_linear` with an invertible 3x3 matrix, and the
+  conic maps sigma o phi for invertible phi, only rescale: an invertible
+  linear change keeps a coprime triple coprime, and the products of
+  pairwise independent linear forms share no factor;
+- `is_equivariant` and the round-trip check of `Link` compare raw
+  coordinate triples by 2x2 cross products, which needs no normal form.
+
+`normalize=False` means the caller guarantees coordinates that are already
+coprime and canonically scaled, as `identity`, `lift_to` and `galois` do.
 """
 
 from __future__ import annotations
@@ -15,6 +29,7 @@ from .errors import (
     EquivariantBasisNotFound,
     IdenticallyZero,
     NonFiniteBaseLocus,
+    NotEquivariant,
     BaseLocusNotSplit,
     SblinksError,
     SpecialPosition,
@@ -106,14 +121,7 @@ class RationalMap:
 
     @staticmethod
     def from_matrix(tower: TowerField, m) -> "RationalMap":
-        coords = []
-        for row in m:
-            p = MPoly.zero(3)
-            for j, c in enumerate(row):
-                if not c.is_zero():
-                    p = p + MPoly.variable(3, j, c)
-            coords.append(p)
-        return RationalMap(tower, coords)
+        return RationalMap(tower, _linear_forms(m))
 
     # -- queries --------------------------------------------------------------
 
@@ -233,6 +241,11 @@ def _normalize_coords(coords):
         coords = tuple(
             c if c.is_zero() else exact_div(c, g) for c in coords
         )
+    return _scale_canonical(coords)
+
+
+def _scale_canonical(coords):
+    """Scale so that the grlex-least nonzero coefficient is 1."""
     best = None
     for i, c in enumerate(coords):
         for e in c.terms:
@@ -241,6 +254,52 @@ def _normalize_coords(coords):
                 best = (key, c.terms[e])
     scale = best[1].inverse()
     return tuple(c.scale(scale) for c in coords)
+
+
+def _from_coprime(tower: TowerField, coords) -> RationalMap:
+    """A map from coordinates known to be coprime: rescale only."""
+    return RationalMap(tower, _scale_canonical(coords), normalize=False)
+
+
+def _proportional(a, b) -> bool:
+    """Whether two nonzero coordinate triples agree projectively: every 2x2
+    cross product vanishes.  Any representatives give the same answer."""
+    if all(p.is_zero() for p in a) or all(p.is_zero() for p in b):
+        return False
+    for i in range(3):
+        for j in range(i + 1, 3):
+            if not (a[i] * b[j] - a[j] * b[i]).is_zero():
+                return False
+    return True
+
+
+def _linear_forms(m):
+    """The rows of a matrix as linear forms in len(m[0]) variables."""
+    n = len(m[0])
+    forms = []
+    for row in m:
+        p = MPoly.zero(n)
+        for k, c in enumerate(row):
+            if not c.is_zero():
+                p = p + MPoly.variable(n, k, c)
+        forms.append(p)
+    return forms
+
+
+def _mat_times(m, coords):
+    """The raw triple m . coords."""
+    out = []
+    for row in m:
+        p = MPoly.zero(coords[0].nvars)
+        for c, fj in zip(row, coords):
+            if not c.is_zero():
+                p = p + fj.scale(c)
+        out.append(p)
+    return out
+
+
+def _invertible3(m) -> bool:
+    return len(m) == 3 and all(len(r) == 3 for r in m) and not det3(m).is_zero()
 
 
 def equals(f: RationalMap, g: RationalMap) -> bool:
@@ -257,15 +316,11 @@ def equals(f: RationalMap, g: RationalMap) -> bool:
                 g = g.lift_to(f.tower)
         except SblinksError:
             return False
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if not (f.coords[i] * g.coords[j] - f.coords[j] * g.coords[i]).is_zero():
-                return False
-    return True
+    return _proportional(f.coords, g.coords)
 
 
-def compose(f: RationalMap, h: RationalMap) -> RationalMap:
-    """f after h: substitute the coordinates of h into f and reduce."""
+def _substituted(f: RationalMap, h: RationalMap):
+    """The raw coordinates of f after h, before any common factor is removed."""
     if f.nsrc != 3:
         raise SblinksError("outer map must be a plane map")
     if f.tower != h.tower:
@@ -275,34 +330,28 @@ def compose(f: RationalMap, h: RationalMap) -> RationalMap:
         raise IdenticallyZero(
             "composition collapses: the inner map lands in the base locus"
         )
-    return RationalMap(f.tower, coords)
+    return coords
+
+
+def compose(f: RationalMap, h: RationalMap) -> RationalMap:
+    """f after h: substitute the coordinates of h into f and reduce."""
+    return RationalMap(f.tower, _substituted(f, h))
 
 
 def apply_matrix(m, f: RationalMap) -> RationalMap:
     """The map x -> m . f(x)."""
-    coords = []
-    for row in m:
-        p = MPoly.zero(f.nsrc)
-        for c, fj in zip(row, f.coords):
-            if not c.is_zero():
-                p = p + fj.scale(c)
-        coords.append(p)
+    coords = _mat_times(m, f.coords)
+    if _invertible3(m):
+        return _from_coprime(f.tower, coords)
     return RationalMap(f.tower, coords)
 
 
 def subst_linear(f: RationalMap, m) -> RationalMap:
     """The map x -> f(m x)."""
-    one = f.tower.one()
-    linear = []
-    n = len(m[0])
-    for j in range(n):
-        p = MPoly.zero(n)
-        for k in range(n):
-            c = m[j][k]
-            if not c.is_zero():
-                p = p + MPoly.variable(n, k, c)
-        linear.append(p)
-    coords = tuple(c.subst(linear) for c in f.coords)
+    forms = _linear_forms(m)
+    coords = tuple(c.subst(forms) for c in f.coords)
+    if _invertible3(m):
+        return _from_coprime(f.tower, coords)
     return RationalMap(f.tower, coords)
 
 
@@ -317,24 +366,27 @@ def is_equivariant(f: RationalMap, src: SBSurface, tgt: SBSurface) -> bool:
     for rad in tower.radicals:
         exps = {rad.name: 1}
         act = GaloisAction(tower, exps)
-        A_src = src.twist_matrix(exps, tower)
-        A_tgt = tgt.twist_matrix(exps, tower)
-        lhs = subst_linear(f, A_src)
-        rhs = apply_matrix(A_tgt, f.galois(act))
-        if not equals(lhs, rhs):
+        forms = _linear_forms(src.twist_matrix(exps, tower))
+        lhs = [c.subst(forms) for c in f.coords]
+        moved = [c.map_coeffs(act.apply) for c in f.coords]
+        rhs = _mat_times(tgt.twist_matrix(exps, tower), moved)
+        if not _proportional(lhs, rhs):
             return False
     return True
 
 
 @dataclass(frozen=True)
 class TwistedMap:
+    """A map with its source and target surfaces; construction checks that
+    it is equivariant and raises NotEquivariant otherwise."""
+
     map: RationalMap
     source: SBSurface
     target: SBSurface
 
     def __post_init__(self):
         if not is_equivariant(self.map, self.source, self.target):
-            raise SblinksError("map is not equivariant for the given twists")
+            raise NotEquivariant("map is not equivariant for the given twists")
 
     def to_json(self):
         return {
@@ -362,8 +414,9 @@ class Link:
             raise SblinksError(
                 f"a {self.degree_class}-link must have forward degree {expected}"
             )
-        round_trip = compose(self.backward.map, self.forward.map)
-        if not equals(round_trip, RationalMap.identity(self.forward.map.tower)):
+        round_trip = _substituted(self.backward.map, self.forward.map)
+        identity = RationalMap.identity(self.forward.map.tower)
+        if not _proportional(round_trip, identity.coords):
             raise SblinksError("backward o forward is not the identity")
 
     def inverse(self) -> "Link":
@@ -478,29 +531,9 @@ class _TripleSpace:
         return tuple(out)
 
 
-def _subst_matrix_poly(p: MPoly, m, tower: TowerField):
-    """p(m . x) without any normalisation."""
-    n = len(m[0])
-    linear = []
-    for j in range(len(m)):
-        q = MPoly.zero(n)
-        for k in range(n):
-            c = m[j][k]
-            if not c.is_zero():
-                q = q + MPoly.variable(n, k, c)
-        linear.append(q)
-    return p.subst(linear)
-
-
-def _triple_operator(triple, A_src, A_tgt_inv, act_inv, tower):
-    sub = [_subst_matrix_poly(p, A_src, tower) for p in triple]
-    mixed = []
-    for row in A_tgt_inv:
-        q = MPoly.zero(3)
-        for c, pj in zip(row, sub):
-            if not c.is_zero():
-                q = q + pj.scale(c)
-        mixed.append(q)
+def _triple_operator(triple, src_forms, A_tgt_inv, act_inv):
+    sub = [p.subst(src_forms) for p in triple]
+    mixed = _mat_times(A_tgt_inv, sub)
     return tuple(q.map_coeffs(act_inv.apply) for q in mixed)
 
 
@@ -509,7 +542,7 @@ def _semilinear_operator(space: _TripleSpace, src: SBSurface, tgt: SBSurface, ex
     tower = space.tower
     inv_exps = {n: -k for n, k in exps.items()}
     act_inv = GaloisAction(tower, inv_exps)
-    A_src = src.twist_matrix(exps, tower)
+    src_forms = _linear_forms(src.twist_matrix(exps, tower))
     A_tgt_inv = inverse3(tgt.twist_matrix(exps, tower))
     cols = []
     k = space.dim
@@ -517,7 +550,7 @@ def _semilinear_operator(space: _TripleSpace, src: SBSurface, tgt: SBSurface, ex
         e = [tower.zero()] * k
         e[j] = tower.one()
         triple = space.to_triple(e)
-        out = _triple_operator(triple, A_src, A_tgt_inv, act_inv, tower)
+        out = _triple_operator(triple, src_forms, A_tgt_inv, act_inv)
         vec = space.from_triple(out)
         if vec is None:
             raise EquivariantBasisNotFound(
@@ -869,14 +902,15 @@ def _univariate_roots(p: MPoly, tower: TowerField):
 
 def _factor_over_base(p: MPoly, tower: TowerField):
     """Factor a univariate polynomial into K-irreducible pieces when all its
-    coefficients lie in the base field; otherwise return [p]."""
+    coefficients lie in the base field; otherwise return [p].  Raises
+    BaseLocusNotSplit when the factorisation cannot be done."""
     coeffs = list(p.terms.values())
     if not all(c.in_base() for c in coeffs):
         return [p]
     try:
         from .sympy_bridge import factor_univariate_over_k
-    except ImportError:  # pragma: no cover
-        return [p]
+    except ImportError as e:  # pragma: no cover
+        raise BaseLocusNotSplit("sympy is needed to factor over the base field") from e
     return factor_univariate_over_k(p, tower)
 
 
@@ -938,22 +972,13 @@ def _roots_of_irreducible(p: MPoly, tower: TowerField):
 # links
 
 
-def _conic_map_at(tower: TowerField, components) -> RationalMap:
-    """The bare quadratic map sigma o phi for phi sending the components to
-    the coordinate points (no equivariance normalisation)."""
-    m = mat([[components[0][i], components[1][i], components[2][i]] for i in range(3)])
-    if det3(m).is_zero():
-        raise Collinear("components are collinear")
-    phi = inverse3(m)
-    rows = []
-    one = tower.one()
-    for i in range(3):
-        p = MPoly.zero(3)
-        for j in range(3):
-            if not phi[i][j].is_zero():
-                p = p + MPoly.variable(3, j, phi[i][j])
-        rows.append(p)
-    return RationalMap(tower, (rows[1] * rows[2], rows[0] * rows[2], rows[0] * rows[1]))
+def _sigma_after(tower: TowerField, phi) -> RationalMap:
+    """The quadratic map sigma o phi = [l1 l2 : l0 l2 : l0 l1], l_i the rows
+    of phi.  phi must be invertible: its rows are then pairwise independent
+    linear forms, whose products share no factor, so only the scaling is
+    redone."""
+    l0, l1, l2 = _linear_forms(phi)
+    return _from_coprime(tower, (l1 * l2, l0 * l2, l0 * l1))
 
 
 def _absorb_linear(b0: RationalMap, forward: RationalMap) -> RationalMap:
@@ -994,7 +1019,7 @@ def link_from_3point(surface: SBSurface, point: ClosedPoint) -> Link:
             raise EquivariantBasisNotFound(
                 "normalized twist parameter leaves the base field"
             )
-        fwd_map = _sigma_after_matrix(tower, phi)
+        fwd_map = _sigma_after(tower, phi)
         xi_target = surface.tower.from_rf(xi_p.base_rf()).inverse()
     else:
         basis, _ = curves_through(tower, point.components, 2)
@@ -1008,8 +1033,7 @@ def link_from_3point(surface: SBSurface, point: ClosedPoint) -> Link:
         fwd_map = RationalMap(tower, triple)
 
     target = SBSurface(surface.ext, xi_target, -surface.side)
-    if not is_equivariant(fwd_map, surface, target):
-        raise EquivariantBasisNotFound("forward map failed the equivariance check")
+    forward = _checked_forward(fwd_map, surface, target)
 
     q_comps = _line_images(fwd_map, point.components)
     q = make_closed_point(target, q_comps, tower)
@@ -1018,23 +1042,26 @@ def link_from_3point(surface: SBSurface, point: ClosedPoint) -> Link:
             "inverse base point has a different splitting field than the base point"
         )
 
-    b0 = _conic_map_at(tower, q.components)
+    m = mat([[c[i] for c in q.components] for i in range(3)])
+    if det3(m).is_zero():
+        raise Collinear("components are collinear")
+    # phi = m^-1 sends the components to the coordinate points
+    b0 = _sigma_after(tower, inverse3(m))
     bwd_map = _absorb_linear(b0, fwd_map)
 
-    forward = TwistedMap(fwd_map, surface, target)
     backward = TwistedMap(bwd_map, target, surface)
     return Link(forward, backward, point, q, 3)
 
 
-def _sigma_after_matrix(tower: TowerField, phi) -> RationalMap:
-    rows = []
-    for i in range(3):
-        p = MPoly.zero(3)
-        for j in range(3):
-            if not phi[i][j].is_zero():
-                p = p + MPoly.variable(3, j, phi[i][j])
-        rows.append(p)
-    return RationalMap(tower, (rows[1] * rows[2], rows[0] * rows[2], rows[0] * rows[1]))
+def _checked_forward(fwd_map: RationalMap, surface: SBSurface, target: SBSurface):
+    """The forward twisted map of a link; its one equivariance check runs
+    here, before the rest of the link is built."""
+    try:
+        return TwistedMap(fwd_map, surface, target)
+    except NotEquivariant as e:
+        raise EquivariantBasisNotFound(
+            "forward map failed the equivariance check"
+        ) from e
 
 
 def _no_three_collinear(components) -> bool:
@@ -1069,9 +1096,10 @@ def link_from_6point(surface: SBSurface, point: ClosedPoint) -> Link:
         raise SpecialPosition("the six components lie on a conic")
 
     basis, rows = curves_through(tower, comps, 5, double=True)
-    if rank(rows) != 18 or len(basis) != 3:
+    r = rank(rows)
+    if r != 18 or len(basis) != 3:
         raise SpecialPosition(
-            f"quintic double-point system has rank {rank(rows)} and "
+            f"quintic double-point system has rank {r} and "
             f"dimension {len(basis)}; expected 18 and 3"
         )
 
@@ -1080,8 +1108,7 @@ def link_from_6point(surface: SBSurface, point: ClosedPoint) -> Link:
     fwd_map = RationalMap(tower, triple)
     if fwd_map.degree != 5:
         raise SblinksError("equivariant quintic system lost degree 5")
-    if not is_equivariant(fwd_map, surface, target):
-        raise EquivariantBasisNotFound("forward map failed the equivariance check")
+    forward = _checked_forward(fwd_map, surface, target)
 
     q_comps = []
     for i in range(6):
@@ -1100,7 +1127,6 @@ def link_from_6point(surface: SBSurface, point: ClosedPoint) -> Link:
     b0 = RationalMap(tower, tuple(b_basis))
     bwd_map = _absorb_linear(b0, fwd_map)
 
-    forward = TwistedMap(fwd_map, surface, target)
     backward = TwistedMap(bwd_map, target, surface)
     return Link(forward, backward, point, q, 6)
 

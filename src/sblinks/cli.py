@@ -62,12 +62,12 @@ class Report:
 
 
 def _timed(check, params, fn):
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         status, payload = fn()
     except SblinksError as e:
         status, payload = "fail", {"error": f"{type(e).__name__}: {e}"}
-    return Report(check, params, status, payload, time.time() - t0)
+    return Report(check, params, status, payload, time.perf_counter() - t0)
 
 
 def _base(args) -> TowerField:

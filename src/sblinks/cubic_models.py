@@ -22,14 +22,15 @@ from .birational import (
     apply_matrix,
     compose,
     equals,
-    is_equivariant,
     link_from_3point,
+    subst_linear,
     transport_point,
 )
 from .errors import (
     DegenerateTower,
     IdentityFails,
     LambdaIsCube,
+    NotEquivariant,
     SblinksError,
     SectionNotFound,
     XiZero,
@@ -42,10 +43,11 @@ from .field_tower import (
     is_cube,
     is_norm,
 )
-from .linalg import mat_vec, nullspace, rank
-from .multipoly import MPoly, exact_div, gcd_many, mod_reduce
+from .linalg import inverse3, mat_vec, nullspace, rank
+from .multipoly import MPoly, NotDivisible, exact_div, gcd_many, mod_reduce
 from .severi_brauer import (
     SBSurface,
+    _fresh_name,
     coordinate_3point,
     make_closed_point,
     normalize_point,
@@ -154,7 +156,7 @@ def build_singular_model(lam: FieldElement, xi: FieldElement) -> SingularCubicMo
     if xi.is_zero():
         raise XiZero("xi must be nonzero")
     base = lam.tower
-    L = base.extend(_fresh(base, "u"), 3, lam)
+    L = base.extend(_fresh_name(base, "u"), 3, lam)
     ext = CubicExtension(L, L.radicals[-1].name)
     lamL = lam.lift_to(L)
     xiL = xi.lift_to(L)
@@ -212,14 +214,6 @@ def _to4(p3: MPoly) -> MPoly:
     for e, c in p3.terms.items():
         terms[(0,) + e] = c
     return MPoly(4, terms)
-
-
-def _fresh(tower: TowerField, prefix: str) -> str:
-    names = {r.name for r in tower.radicals}
-    k = 1
-    while f"{prefix}{k}" in names:
-        k += 1
-    return f"{prefix}{k}"
 
 
 def verify_singular_model(model: SingularCubicModel) -> dict:
@@ -365,9 +359,9 @@ def build_smooth_model(
                 f"(got {res.status})"
             )
 
-    L1 = base.extend(_fresh(base, "u"), 3, lam)
+    L1 = base.extend(_fresh_name(base, "u"), 3, lam)
     lam_name = L1.radicals[-1].name
-    Lh = L1.extend(_fresh(L1, "m"), 3, mu.lift_to(L1))
+    Lh = L1.extend(_fresh_name(L1, "m"), 3, mu.lift_to(L1))
     mu_name = Lh.radicals[-1].name
     ext = CubicExtension(Lh, lam_name)
 
@@ -667,7 +661,7 @@ def section_of_contraction(model: SmoothCubicModel):
     try:
         rest = exact_div(cubic5, l1)
         rest = exact_div(rest, l2)
-    except Exception as e:
+    except NotDivisible as e:
         raise SectionNotFound(f"spurious roots do not divide the fibre cubic: {e}")
     # rest = a s + b r: the residual root (s : r) = (b : -a)
     a = MPoly.zero(NV)
@@ -722,8 +716,10 @@ def order3_selfmap(model: SmoothCubicModel):
     cube = compose(rho_hat, compose(rho_hat, rho_hat))
     if not equals(cube, ident):
         raise IdentityFails("rho-hat does not have order 3")
-    if not is_equivariant(rho_hat, surface, surface):
-        raise IdentityFails("rho-hat is not defined over K")
+    try:
+        rho_twisted = TwistedMap(rho_hat, surface, surface)
+    except NotEquivariant as e:
+        raise IdentityFails("rho-hat is not defined over K") from e
 
     # first link: at the images of E0,E1,E2, which are the coordinate points
     p = coordinate_3point(surface)
@@ -744,9 +740,6 @@ def order3_selfmap(model: SmoothCubicModel):
         )
     alpha = m2.matrix()
     new_fwd = apply_matrix(alpha, chi2.forward.map)
-    from .birational import subst_linear
-    from .linalg import inverse3
-
     new_bwd = subst_linear(chi2.backward.map, inverse3(alpha))
     new_q = make_closed_point(
         surface,
@@ -763,7 +756,6 @@ def order3_selfmap(model: SmoothCubicModel):
     if not equals(compose(chi2.forward.map, chi1.forward.map), rho_hat):
         raise IdentityFails("rho-hat != chi2 o chi1 after alignment")
 
-    rho_twisted = TwistedMap(rho_hat, surface, surface)
     return rho_twisted, chi1, chi2
 
 

@@ -79,13 +79,18 @@ class EquivariantBasisNotFound(SblinksError):
     pass
 
 
+class NotEquivariant(SblinksError):
+    """A map does not intertwine the twisted actions of its surfaces."""
+
+
 class SpecialPosition(SblinksError):
     pass
 
 
 class BaseLocusNotSplit(SblinksError):
     """The base locus is finite but its points cannot be expressed in the
-    decidable radical fragment this library works in."""
+    decidable radical fragment this library works in, or the factorisation
+    over the base field that the solver needs failed."""
 
 
 # cubic models

@@ -623,7 +623,7 @@ def normalize_3point(surface: SBSurface, point: ClosedPoint):
         ]
     )
     phi = mat_mul(D, phi0)
-    A_new = mat_mul(phi, mat_mul(A_tau, mat_galois(_mat_inv(phi), act)))
+    A_new = mat_mul(phi, mat_mul(A_tau, mat_galois(inverse3(phi), act)))
     xi_p = A_new[0][2]
     if not (A_new[1][0].is_one() and A_new[2][1].is_one()):
         raise SblinksError("normal form scaling failed")
@@ -633,10 +633,6 @@ def normalize_3point(surface: SBSurface, point: ClosedPoint):
     if act.apply(xi_p) != xi_p:
         raise SblinksError("normalized twist parameter is not fixed by the cycle")
     return phi, xi_p, tower
-
-
-def _mat_inv(m):
-    return inverse3(m)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 import sympy
+from sympy.polys.polyerrors import BasePolynomialError
 
+from .errors import BaseLocusNotSplit
 from .field_tower import RationalFunction, TowerField
 from .multipoly import MPoly
 from .scalars import QZeta
@@ -38,7 +40,8 @@ def _expr_to_qzeta(expr) -> QZeta:
 
 def factor_univariate_over_k(p: MPoly, tower: TowerField):
     """Factor a univariate polynomial whose coefficients are base-field tower
-    elements into K-irreducible monic factors (over the tower again)."""
+    elements into K-irreducible monic factors (over the tower again).
+    Raises BaseLocusNotSplit, chained from sympy's error, when sympy fails."""
     nvars = tower.nvars
     coeffs = {}
     den = None
@@ -57,8 +60,8 @@ def factor_univariate_over_k(p: MPoly, tower: TowerField):
         expr += _mpoly_qzeta_to_expr(num, tsyms) * x ** k
     try:
         _, factors = sympy.factor_list(expr, x, *tsyms, extension=[_ZETA_EXPR])
-    except Exception:
-        return [p]
+    except (BasePolynomialError, NotImplementedError) as e:
+        raise BaseLocusNotSplit(f"sympy could not factor over K: {e}") from e
     out = []
     for fac, mult in factors:
         pf = sympy.Poly(fac, x, *tsyms, domain="EX")

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .birational import Link, RationalMap, TwistedMap, apply_matrix, compose, equals, is_equivariant, link_from_3point, subst_linear, transport_point
+from .birational import Link, RationalMap, TwistedMap, apply_matrix, compose, equals, link_from_3point, subst_linear, transport_point
 from .errors import (
     DegeneratePair,
     NotComposable,
+    NotEquivariant,
     SblinksError,
     UnclassifiablePoint,
 )
@@ -347,15 +348,17 @@ def _absorb_into_link(link: Link, composite: RationalMap, home: SBSurface) -> Li
     eta_inv = inverse3(eta)
     new_fwd_map = apply_matrix(eta_inv, link.forward.map)
     new_bwd_map = subst_linear(link.backward.map, eta)
-    if not is_equivariant(new_fwd_map, link.forward.source, home):
-        raise SblinksError("closing isomorphism is not defined over K")
+    try:
+        new_fwd = TwistedMap(new_fwd_map, link.forward.source, home)
+    except NotEquivariant as e:
+        raise SblinksError("closing isomorphism is not defined over K") from e
     comps = [
         normalize_point(mat_vec(eta_inv, v))
         for v in link.inverse_base_point.components
     ]
     new_q = make_closed_point(home, comps, link.inverse_base_point.tower)
     return Link(
-        TwistedMap(new_fwd_map, link.forward.source, home),
+        new_fwd,
         TwistedMap(new_bwd_map, home, link.backward.target),
         link.base_point,
         new_q,

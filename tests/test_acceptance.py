@@ -10,6 +10,7 @@ import sys
 import time
 from fractions import Fraction
 
+from sblinks.errors import SblinksError
 from sblinks.birational import (
     RationalMap,
     compose,
@@ -48,6 +49,8 @@ from sblinks.word_algebra import (
 )
 
 SEED = 20240611
+# seeds tried before a randomised loop fails instead of running on
+ATTEMPTS = 40
 
 
 class Criterion:
@@ -58,11 +61,11 @@ class Criterion:
         self.t0 = None
 
     def __enter__(self):
-        self.t0 = time.time()
+        self.t0 = time.perf_counter()
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        elapsed = time.time() - self.t0
+        elapsed = time.perf_counter() - self.t0
         status = "PASS" if exc_type is None else "FAIL"
         line = f"ACCEPTANCE {self.number} ({self.name}): {status} [{elapsed:.2f}s]\n"
         sys.stdout.write(line)
@@ -163,18 +166,21 @@ def test_criterion_6_link_roundtrips():
         rng = random.Random(SEED + 2)
         ident = RationalMap.identity(L)
         made = 0
-        while made < 5:
+        for _ in range(ATTEMPTS):
             seed = tuple(L.scalar(rng.randint(1, 9)) for _ in range(3))
             try:
                 pt = closed_point_from_seed(surface, seed, L)
                 if pt.degree != 3:
                     continue
                 link = link_from_3point(surface, pt)
-            except Exception:
+            except SblinksError:
                 continue
             assert link.forward.map.degree == 2
             assert equals(compose(link.backward.map, link.forward.map), ident)
             made += 1
+            if made == 5:
+                break
+        assert made == 5, f"only {made} of 5 links in {ATTEMPTS} seeds"
         p6 = sixpoint_from_sqrt(surface, K.t_var(1))
         _, rows = curves_through(p6.tower, p6.components, 5, double=True)
         assert rank(rows) == 18

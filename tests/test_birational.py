@@ -1,11 +1,20 @@
 import random
 
 import pytest
+import sympy
 
-from sblinks.errors import IdenticallyZero, NonFiniteBaseLocus, SpecialPosition
+from sblinks.errors import (
+    BaseLocusNotSplit,
+    IdenticallyZero,
+    NonFiniteBaseLocus,
+    SblinksError,
+    SpecialPosition,
+)
 from sblinks.birational import (
+    Link,
     RationalMap,
     TwistedMap,
+    _sigma_after,
     apply_matrix,
     base_points,
     compose,
@@ -14,9 +23,10 @@ from sblinks.birational import (
     is_equivariant,
     link_from_3point,
     link_from_6point,
+    subst_linear,
     transport_point,
 )
-from sblinks.linalg import rank
+from sblinks.linalg import det3, rank
 from sblinks.multipoly import MPoly
 from sblinks.severi_brauer import (
     auto_between_3points,
@@ -126,22 +136,29 @@ def test_base_points_rejects_common_factor(L):
         base_points(f)
 
 
+# seeds tried before a randomised loop fails instead of running on
+ATTEMPTS = 40
+
+
 def test_random_3links_roundtrip(surface, L):
     rng = random.Random(12345)
     made = 0
-    while made < 5:
+    for _ in range(ATTEMPTS):
         seed = tuple(L.scalar(rng.randint(1, 9)) for _ in range(3))
         try:
             pt = closed_point_from_seed(surface, seed, L)
             if pt.degree != 3:
                 continue
             link = link_from_3point(surface, pt)
-        except Exception:
+        except SblinksError:
             continue
         rt = compose(link.backward.map, link.forward.map)
         assert equals(rt, RationalMap.identity(L))
         assert link.forward.map.degree == 2
         made += 1
+        if made == 5:
+            break
+    assert made == 5, f"only {made} of 5 links in {ATTEMPTS} seeds"
 
 
 def test_transport_preserves_degree(surface, link_at_coords, unit_point):
@@ -220,3 +237,121 @@ def test_link_at_second_point(surface, L):
     assert equals(rt, RationalMap.identity(sp.tower))
     assert link.base_point.descriptor == sp.descriptor
     assert is_equivariant(link.forward.map, surface, link.forward.target)
+
+
+# ---------------------------------------------------------------------------
+# maps whose coordinates are known to be coprime are only rescaled
+
+
+def _diag(L, *entries):
+    z = L.zero()
+    return tuple(
+        tuple(L.scalar(e) if i == j else z for j in range(3)) for i, e in enumerate(entries)
+    )
+
+
+def _random_invertible(rng, L, radical=True):
+    """Small integers, some shifted by t2 or by the radical u.  Without u
+    the entries lie in K: after a substitution with u in it, the reference
+    gcd over L takes minutes."""
+    extras = (L.zero(), L.zero(), L.t_var(1)) + ((L.gen("u"),) if radical else ())
+
+    def entry():
+        return L.scalar(rng.randint(-3, 3)) + rng.choice(extras)
+
+    while True:
+        m = tuple(tuple(entry() for _ in range(3)) for _ in range(3))
+        if not det3(m).is_zero():
+            return m
+
+
+def _raw_apply(m, coords):
+    return [
+        sum((p.scale(c) for c, p in zip(row, coords)), MPoly.zero(coords[0].nvars))
+        for row in m
+    ]
+
+
+def _raw_forms(m):
+    return [
+        sum((MPoly.variable(3, k, c) for k, c in enumerate(row) if not c.is_zero()), MPoly.zero(3))
+        for row in m
+    ]
+
+
+def test_coprime_paths_match_full_gcd(L, link_at_coords, link_at_unit):
+    """apply_matrix, subst_linear and sigma o phi skip the gcd for invertible
+    matrices; the result must be the map the full gcd gives."""
+    rng = random.Random(20240612)
+    maps = [
+        link_at_coords.forward.map,
+        link_at_unit.forward.map,
+        link_at_unit.backward.map,
+    ]
+    for f in maps:
+        m = _random_invertible(rng, L)
+        assert apply_matrix(m, f) == RationalMap(L, _raw_apply(m, f.coords))
+        m = _random_invertible(rng, L, radical=False)
+        forms = _raw_forms(m)
+        assert subst_linear(f, m) == RationalMap(L, [c.subst(forms) for c in f.coords])
+    for _ in range(3):
+        m = _random_invertible(rng, L)
+        l0, l1, l2 = _raw_forms(m)
+        assert _sigma_after(L, m) == RationalMap(L, (l1 * l2, l0 * l2, l0 * l1))
+
+
+def test_singular_matrix_takes_full_gcd(L):
+    sig = RationalMap.standard_involution(L)
+    one, zero = L.one(), L.zero()
+    # (yz, xz, xz): the common factor z must still be removed
+    m = ((one, zero, zero), (zero, one, zero), (zero, one, zero))
+    g = apply_matrix(m, sig)
+    assert g.degree == 1
+    assert g == RationalMap(L, _raw_apply(m, sig.coords))
+    # sigma(x, x, z) = (xz, xz, x^2): the common factor x must be removed
+    m = ((one, zero, zero), (one, zero, zero), (zero, zero, one))
+    h = subst_linear(sig, m)
+    assert h.degree == 1
+    forms = _raw_forms(m)
+    assert h == RationalMap(L, [c.subst(forms) for c in sig.coords])
+
+
+def _unchecked_twisted(m, source, target):
+    """A TwistedMap built without its equivariance check, so that the link's
+    own round-trip check is what a test exercises."""
+    tm = object.__new__(TwistedMap)
+    for name, value in (("map", m), ("source", source), ("target", target)):
+        object.__setattr__(tm, name, value)
+    return tm
+
+
+def test_tampered_maps_fail_checks(surface, L, link_at_unit):
+    link = link_at_unit
+    bad = apply_matrix(_diag(L, 1, 1, 2), link.backward.map)
+    assert bad != link.backward.map
+
+    def rebuilt(bwd_map):
+        return Link(
+            link.forward,
+            _unchecked_twisted(bwd_map, link.backward.source, link.backward.target),
+            link.base_point,
+            link.inverse_base_point,
+            3,
+        )
+
+    rebuilt(link.backward.map)
+    with pytest.raises(SblinksError):
+        rebuilt(bad)
+    fwd = link.forward
+    assert is_equivariant(fwd.map, fwd.source, fwd.target)
+    assert not is_equivariant(apply_matrix(_diag(L, 1, 1, 2), fwd.map), fwd.source, fwd.target)
+
+
+def test_base_points_sympy_failure_is_loud(monkeypatch, link_at_unit):
+    def fail(*args, **kwargs):
+        raise NotImplementedError("factorisation unavailable")
+
+    monkeypatch.setattr(sympy, "factor_list", fail)
+    with pytest.raises(BaseLocusNotSplit) as info:
+        base_points(link_at_unit.forward.map)
+    assert isinstance(info.value.__cause__, NotImplementedError)
