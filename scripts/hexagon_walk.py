@@ -30,9 +30,9 @@ def main():
     )
     print(f"p  = coordinate points, splitting {p.descriptor}")
     print(f"p' = orbit of {coords}, splitting {q.descriptor}")
-    t0 = time.time()
+    t0 = time.perf_counter()
     links, report = hexagon(surface, p, q)
-    print(f"built {len(links)} links in {time.time() - t0:.1f}s")
+    print(f"built {len(links)} links in {time.perf_counter() - t0:.1f}s")
     for i, link in enumerate(links, 1):
         print(
             f"  chi_{i}: {link.forward.source.xi!r} -> {link.forward.target.xi!r}"

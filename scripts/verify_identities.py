@@ -33,9 +33,9 @@ from sblinks.word_algebra import hexagon, psi_compose
 
 
 def stage(name, fn):
-    t0 = time.time()
+    t0 = time.perf_counter()
     result = fn()
-    print(f"[{time.time() - t0:6.2f}s] {name}: {result}")
+    print(f"[{time.perf_counter() - t0:6.2f}s] {name}: {result}")
 
 
 def main():

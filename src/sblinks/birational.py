@@ -125,9 +125,6 @@ class RationalMap:
 
     # -- queries --------------------------------------------------------------
 
-    def is_linear(self) -> bool:
-        return self.degree == 1
-
     def matrix(self):
         """Coefficient matrix of a linear map."""
         if self.degree != 1:

@@ -70,35 +70,12 @@ def _lin4(tower, coeffs):
     return p
 
 
-def _poly_str4(p: MPoly) -> str:
-    names = ["w", "x", "y", "z"]
-    if p.is_zero():
-        return "0"
-    bits = []
-    for e, c in p.sorted_terms():
-        mono = "*".join(
-            f"{names[i]}^{k}" if k > 1 else names[i] for i, k in enumerate(e) if k
-        )
-        cs = repr(c)
-        bits.append(f"({cs})*{mono}" if mono else f"({cs})")
-    return " + ".join(bits)
-
-
 def reduce_mod_cubic(p: MPoly, cubic: MPoly) -> MPoly:
     """Normal form modulo the single cubic relation, eliminating w^3."""
     lead = (3, 0, 0, 0)
     if lead not in cubic.terms:
         raise SblinksError("cubic relation must contain w^3")
     return mod_reduce(p, cubic, lead)
-
-
-def _maps_equal_mod(m1_coords, m2_coords, cubic) -> bool:
-    for i in range(3):
-        for j in range(i + 1, 3):
-            r = m1_coords[i] * m2_coords[j] - m1_coords[j] * m2_coords[i]
-            if not reduce_mod_cubic(r, cubic).is_zero():
-                return False
-    return True
 
 
 def _residue_mod(m1_coords, m2_coords, cubic):

@@ -1,19 +1,25 @@
 """Radical towers L = K[r1][r2]... over K = Q(zeta)(t1,...,tn).
 
-Elements are coordinate vectors over the power basis of each radical,
-recursively down to reduced rational functions.  Every radicand is required
-to be a nonzero element of the base field K, which keeps the per-radical
-Galois generators honest automorphisms of the whole tower (a radical never
-appears inside the radicand of a later one).
+An element is one flat map from radical exponents to coefficients: the key
+(e_1, ..., e_h), with 0 <= e_j < degree_j, stands for r_1^e_1 ... r_h^e_h,
+and its value is a nonzero reduced rational function of K.  Zero is the
+empty map and the key (0, ..., 0) holds the base-field part.  Every radicand
+is required to be a nonzero element of the base field K, so a product
+reduces with r_j^degree_j = radicand_j alone and each per-radical Galois
+generator scales a monomial by a root of unity: the generators are honest
+automorphisms of the whole tower (a radical never appears inside the
+radicand of a later one).
 
 Arithmetic is exact and canonical: equal values have identical
-representations, so equality is structural.
+representations, so equality is structural.  JSON and repr keep the nested
+layout, one list per radical with the last radical outermost.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .errors import (
     ActionMismatch,
@@ -164,13 +170,6 @@ class RationalFunction:
         ci = c.inverse()
         return RationalFunction(self.num.scale(ci), self.den.scale(ci), reduce=False)
 
-    def conj_zeta(self) -> "RationalFunction":
-        """zeta -> zeta^2 on all coefficients."""
-        return RationalFunction(
-            self.num.map_coeffs(lambda c: c.conj()),
-            self.den.map_coeffs(lambda c: c.conj()),
-        )
-
     # -- comparisons --------------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -204,6 +203,10 @@ class RationalFunction:
 
 def _one_poly(nvars: int) -> MPoly:
     return MPoly.const(nvars, QZeta.one())
+
+
+def _zero_rf(nvars: int) -> RationalFunction:
+    return RationalFunction(MPoly.zero(nvars), _one_poly(nvars), reduce=False)
 
 
 def _reduce_pair(num: MPoly, den: MPoly):
@@ -278,7 +281,7 @@ class Radical:
 class TowerField:
     """K = Q(zeta)(t1..tn) extended by an ordered list of radicals."""
 
-    __slots__ = ("nvars", "radicals", "_hash", "_one", "_zero")
+    __slots__ = ("nvars", "radicals", "degrees", "origin", "_hash", "_one", "_zero")
 
     def __init__(self, nvars: int, radicals=()):
         self.nvars = nvars
@@ -286,6 +289,8 @@ class TowerField:
         names = [r.name for r in self.radicals]
         if len(set(names)) != len(names):
             raise SblinksError("duplicate radical names in tower")
+        self.degrees = tuple(r.degree for r in self.radicals)
+        self.origin = (0,) * len(self.radicals)  # exponents of the base field
         self._hash = None
         self._one = None
         self._zero = None
@@ -328,17 +333,14 @@ class TowerField:
 
     # -- element constructors ----------------------------------------------
 
-    def _wrap(self, data) -> "FieldElement":
-        return FieldElement(self, data)
-
     def from_rf(self, rf: RationalFunction) -> "FieldElement":
         if rf.nvars != self.nvars:
             raise SblinksError("rational function arity does not match the tower")
-        return self._wrap(_embed_base(self, rf))
+        return FieldElement(self, {} if rf.is_zero() else {self.origin: rf})
 
     def zero(self) -> "FieldElement":
         if self._zero is None:
-            self._zero = self._wrap(_zero_data(self.nvars, self.radicals))
+            self._zero = FieldElement(self, {})
         return self._zero
 
     def one(self) -> "FieldElement":
@@ -357,26 +359,13 @@ class TowerField:
 
     def gen(self, name: str) -> "FieldElement":
         """The radical generator as an element of the tower."""
-        j = self.radical_index(name)
-        level = [
-            _zero_data(self.nvars, self.radicals[:j])
-            for _ in range(self.radicals[j].degree)
-        ]
-        level[1] = _one_data(self.nvars, self.radicals[:j])
-        data = tuple(level)
-        for k in range(j + 1, self.height()):
-            zero_below = _zero_data(self.nvars, self.radicals[:k])
-            data = (data,) + tuple(
-                zero_below for _ in range(self.radicals[k].degree - 1)
-            )
-        return self._wrap(data)
+        e = list(self.origin)
+        e[self.radical_index(name)] = 1
+        return FieldElement(self, {tuple(e): RationalFunction.const(self.nvars, 1)})
 
     def galois_generator(self, name: str) -> "GaloisAction":
         r = self.radical(name)
         return GaloisAction(self, {name: 1}, order=r.degree)
-
-    def galois_generators(self):
-        return [self.galois_generator(r.name) for r in self.radicals]
 
     def group_elements(self):
         """All elements of the Galois group as exponent dicts name -> k."""
@@ -386,10 +375,6 @@ class TowerField:
                 {**e, r.name: k} for e in elems for k in range(r.degree)
             ]
         return elems
-
-    def apply_group_element(self, exps: dict, e: "FieldElement") -> "FieldElement":
-        act = GaloisAction(self, exps, order=0)
-        return act.apply(e)
 
     # -- comparisons ---------------------------------------------------------
 
@@ -440,163 +425,150 @@ class TowerField:
         return TowerField(nvars, rads)
 
 
-def _zero_data(nvars: int, radicals):
-    if not radicals:
-        return RationalFunction(MPoly.zero(nvars), _one_poly(nvars), reduce=False)
-    below = _zero_data(nvars, radicals[:-1])
-    return tuple(below for _ in range(radicals[-1].degree))
+# -- arithmetic on exponent-keyed coefficient maps ------------------------------
 
 
-def _one_data(nvars: int, radicals):
-    if not radicals:
-        return RationalFunction.const(nvars, 1)
-    below_one = _one_data(nvars, radicals[:-1])
-    below_zero = _zero_data(nvars, radicals[:-1])
-    return (below_one,) + tuple(below_zero for _ in range(radicals[-1].degree - 1))
-
-
-def _embed_base(tower: TowerField, rf: RationalFunction):
-    data = rf
-    for j, r in enumerate(tower.radicals):
-        zero_below = _zero_data(tower.nvars, tower.radicals[:j])
-        data = (data,) + tuple(zero_below for _ in range(r.degree - 1))
-    return data
-
-
-# -- recursive data helpers ---------------------------------------------------
-
-
-def _d_add(a, b):
-    if isinstance(a, RationalFunction):
-        return a + b
-    return tuple(_d_add(x, y) for x, y in zip(a, b))
-
-
-def _d_neg(a):
-    if isinstance(a, RationalFunction):
-        return -a
-    return tuple(_d_neg(x) for x in a)
-
-
-def _d_is_zero(a) -> bool:
-    if isinstance(a, RationalFunction):
-        return a.is_zero()
-    return all(_d_is_zero(x) for x in a)
-
-
-def _d_scale_rf(a, c: RationalFunction):
-    if isinstance(a, RationalFunction):
-        return a * c
-    return tuple(_d_scale_rf(x, c) for x in a)
-
-
-def _d_mul(tower: TowerField, level: int, a, b):
-    if level == 0:
-        return a * b
-    rad = tower.radicals[level - 1]
-    d = rad.degree
-    conv = [None] * (2 * d - 1)
-    for i in range(d):
-        if _d_is_zero(a[i]):
-            continue
-        for j in range(d):
-            if _d_is_zero(b[j]):
-                continue
-            p = _d_mul(tower, level - 1, a[i], b[j])
-            conv[i + j] = p if conv[i + j] is None else _d_add(conv[i + j], p)
-    zero = _zero_data(tower.nvars, tower.radicals[: level - 1])
-    out = [c if c is not None else zero for c in conv[:d]]
-    radicand = _embed_base(tower.prefix(level - 1), rad.radicand)
-    for k in range(d, 2 * d - 1):
-        if conv[k] is None:
-            continue
-        extra = _d_mul(tower, level - 1, conv[k], radicand)
-        out[k - d] = _d_add(out[k - d], extra)
-    return tuple(out)
-
-
-def _d_galois(tower: TowerField, level: int, images: dict, a):
-    if level == 0:
+def _add(a: dict, b: dict) -> dict:
+    if not a:
+        return b
+    if not b:
         return a
-    rad = tower.radicals[level - 1]
-    k = images.get(rad.name, 0) % rad.degree
-    entries = [_d_galois(tower, level - 1, images, x) for x in a]
-    if k == 0:
-        return tuple(entries)
-    out = []
-    for i, x in enumerate(entries):
-        if rad.degree == 3:
-            factor = QZeta.zeta_pow(k * i)
-            if factor.is_one():
-                out.append(x)
-            else:
-                out.append(_d_scale_rf(x, RationalFunction.const(tower.nvars, factor)))
+    out = dict(a)
+    for e, c in b.items():
+        s = out.get(e)
+        if s is None:
+            out[e] = c
+            continue
+        s = s + c
+        if s.is_zero():
+            del out[e]
         else:
-            if (k * i) % 2 == 0:
-                out.append(x)
+            out[e] = s
+    return out
+
+
+def _neg(a: dict) -> dict:
+    return {e: -c for e, c in a.items()}
+
+
+def _mul(tower: TowerField, a: dict, b: dict) -> dict:
+    raw = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(map(add, ea, eb))
+            p = ca * cb
+            q = raw.get(e)
+            raw[e] = p if q is None else q + p
+    out = {}
+    for e, c in raw.items():
+        if c.is_zero():
+            continue
+        # r_j^(d + k) = radicand_j * r_j^k
+        for j, d in enumerate(tower.degrees):
+            if e[j] >= d:
+                e = e[:j] + (e[j] - d,) + e[j + 1:]
+                c = c * tower.radicals[j].radicand
+        q = out.get(e)
+        out[e] = c if q is None else q + c
+    return {e: c for e, c in out.items() if not c.is_zero()}
+
+
+def _galois(weights, a: dict) -> dict:
+    """Scale each term by the root of unity the action gives its radical
+    monomial; weights lists (position, exponent k, degree) per moved radical."""
+    out = {}
+    for e, c in a.items():
+        z = s = 0
+        for j, k, d in weights:
+            if d == 3:
+                z += k * e[j]
             else:
-                out.append(_d_neg(x))
-    return tuple(out)
+                s += k * e[j]
+        factor = QZeta.zeta_pow(z)
+        if s % 2:
+            factor = -factor
+        if factor.is_one():
+            out[e] = c
+        else:
+            out[e] = RationalFunction(c.num.scale(factor), c.den, reduce=False)
+    return out
 
 
-def _d_inverse(tower: TowerField, level: int, a):
-    if level == 0:
-        return a.inverse()
-    rad = tower.radicals[level - 1]
-    if _d_is_zero(a):
+def _inverse(tower: TowerField, a: dict) -> dict:
+    """Multiply by the conjugates under each radical's generator, from the
+    top radical down, until the product (the norm) lies in K."""
+    if not a:
         raise ZeroInverse("0 has no inverse")
-    if rad.degree == 2:
-        conj = (a[0], _d_neg(a[1]))
-    else:
-        g = {rad.name: 1}
-        a1 = _d_galois(tower, level, g, a)
-        a2 = _d_galois(tower, level, g, a1)
-        conj = _d_mul(tower, level, a1, a2)
-    n = _d_mul(tower, level, a, conj)
-    # the norm lies one floor down
-    for i in range(1, rad.degree):
-        if not _d_is_zero(n[i]):
+    n, conj = a, None
+    for j in reversed(range(tower.height())):
+        if not any(e[j] for e in n):
+            continue
+        d = tower.degrees[j]
+        c = _galois(((j, 1, d),), n)
+        if d == 3:
+            c = _mul(tower, c, _galois(((j, 2, d),), n))
+        n = _mul(tower, n, c)
+        if any(e[j] for e in n):
             raise ZeroInverse(
                 "norm with radical coordinates; tower is not a field "
                 "(reducible radicand?)"
             )
-    if _d_is_zero(n[0]):
-        raise ZeroInverse(
-            "nonzero element with zero norm; tower is not a field "
-            "(reducible radicand?)"
-        )
-    n_inv = _d_inverse(tower, level - 1, n[0])
-    lifted = (n_inv,) + tuple(
-        _zero_data(tower.nvars, tower.radicals[: level - 1]) for _ in range(rad.degree - 1)
+        if not n:
+            raise ZeroInverse(
+                "nonzero element with zero norm; tower is not a field "
+                "(reducible radicand?)"
+            )
+        conj = c if conj is None else _mul(tower, conj, c)
+    inv = {tower.origin: n[tower.origin].inverse()}
+    return inv if conj is None else _mul(tower, conj, inv)
+
+
+def _lift_positions(src: TowerField, dst: TowerField):
+    """Position in dst of each radical of src, matched from the top: a
+    radical of dst that is not the topmost unmatched radical of src is new."""
+    if src.nvars != dst.nvars:
+        raise SblinksError("cannot lift between different base fields")
+    pos = [0] * src.height()
+    i = src.height() - 1
+    for j in reversed(range(dst.height())):
+        if i >= 0 and _same_radical(src.radicals[i], dst.radicals[j]):
+            pos[i] = j
+            i -= 1
+    if i >= 0:
+        raise SblinksError("element tower is not contained in the target tower")
+    return pos
+
+
+def _same_radical(a: Radical, b: Radical) -> bool:
+    return a.name == b.name and a.degree == b.degree and a.radicand == b.radicand
+
+
+def _fold(a: dict, degrees, leaf, node):
+    """Fold a coefficient map over the nested coordinate layout, the last
+    radical outermost: leaf(coefficient or None) at each base coordinate,
+    node(level, children) at each radical level."""
+    if not degrees:
+        return leaf(a.get(()))
+    parts = [{} for _ in range(degrees[-1])]
+    for e, c in a.items():
+        parts[e[-1]][e[:-1]] = c
+    return node(
+        len(degrees) - 1, [_fold(p, degrees[:-1], leaf, node) for p in parts]
     )
-    return _d_mul(tower, level, conj, lifted)
 
 
-def _d_in_base(a) -> bool:
-    if isinstance(a, RationalFunction):
-        return True
-    return _d_in_base(a[0]) and all(_d_is_zero(x) for x in a[1:])
-
-
-def _d_base_rf(a) -> RationalFunction:
-    while not isinstance(a, RationalFunction):
-        a = a[0]
-    return a
-
-
-def _d_to_json(a):
-    if isinstance(a, RationalFunction):
-        return a.to_json()
-    return [_d_to_json(x) for x in a]
-
-
-def _d_from_json(data, nvars: int, radicals):
+def _unfold(data, nvars: int, radicals) -> dict:
+    """Inverse of the JSON fold: nested coordinate lists to a coefficient map."""
     if not radicals:
-        return RationalFunction.from_json(data, nvars)
-    d = radicals[-1].degree
-    if len(data) != d:
+        rf = RationalFunction.from_json(data, nvars)
+        return {} if rf.is_zero() else {(): rf}
+    if len(data) != radicals[-1].degree:
         raise SblinksError("coordinate arity mismatch in serialized element")
-    return tuple(_d_from_json(x, nvars, radicals[:-1]) for x in data)
+    out = {}
+    for i, x in enumerate(data):
+        for e, c in _unfold(x, nvars, radicals[:-1]).items():
+            out[e + (i,)] = c
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -610,7 +582,7 @@ class GaloisAction:
     radicals and -1 for quadratic ones.  The base K is fixed pointwise.
     """
 
-    __slots__ = ("tower", "images", "order")
+    __slots__ = ("tower", "images", "order", "_weights")
 
     def __init__(self, tower: TowerField, images: dict, order: int | None = None):
         for name in images:
@@ -625,6 +597,10 @@ class GaloisAction:
             d = tower.radical(name).degree
             o = o * d // _gcd_int(o, d)
         self.order = o
+        self._weights = tuple(
+            (tower.radical_index(n), k, tower.radical(n).degree)
+            for n, k in self.images.items()
+        )
 
     def apply(self, e: "FieldElement") -> "FieldElement":
         if e.tower != self.tower:
@@ -633,18 +609,10 @@ class GaloisAction:
                     "action references radicals absent from the element's tower"
                 )
             raise ActionMismatch("element belongs to a different tower")
-        return FieldElement(
-            self.tower, _d_galois(self.tower, self.tower.height(), self.images, e.data)
-        )
+        return FieldElement(self.tower, _galois(self._weights, e.data))
 
     def __call__(self, e: "FieldElement") -> "FieldElement":
         return self.apply(e)
-
-    def compose_with(self, other: "GaloisAction") -> "GaloisAction":
-        images = dict(self.images)
-        for n, k in other.images.items():
-            images[n] = images.get(n, 0) + k
-        return GaloisAction(self.tower, images)
 
     def __repr__(self):
         if not self.images:
@@ -668,9 +636,12 @@ def _gcd_int(a, b):
 
 
 class FieldElement:
+    """An element of a tower: data maps radical exponents to nonzero
+    rational functions of K, as the module docstring describes."""
+
     __slots__ = ("tower", "data", "_hash")
 
-    def __init__(self, tower: TowerField, data):
+    def __init__(self, tower: TowerField, data: dict):
         self.tower = tower
         self.data = data
         self._hash = None
@@ -683,26 +654,21 @@ class FieldElement:
 
     def __add__(self, other: "FieldElement") -> "FieldElement":
         self._check(other)
-        return FieldElement(self.tower, _d_add(self.data, other.data))
+        return FieldElement(self.tower, _add(self.data, other.data))
 
     def __sub__(self, other: "FieldElement") -> "FieldElement":
         self._check(other)
-        return FieldElement(self.tower, _d_add(self.data, _d_neg(other.data)))
+        return FieldElement(self.tower, _add(self.data, _neg(other.data)))
 
     def __neg__(self) -> "FieldElement":
-        return FieldElement(self.tower, _d_neg(self.data))
+        return FieldElement(self.tower, _neg(self.data))
 
     def __mul__(self, other: "FieldElement") -> "FieldElement":
         self._check(other)
-        return FieldElement(
-            self.tower,
-            _d_mul(self.tower, self.tower.height(), self.data, other.data),
-        )
+        return FieldElement(self.tower, _mul(self.tower, self.data, other.data))
 
     def inverse(self) -> "FieldElement":
-        return FieldElement(
-            self.tower, _d_inverse(self.tower, self.tower.height(), self.data)
-        )
+        return FieldElement(self.tower, _inverse(self.tower, self.data))
 
     def __truediv__(self, other: "FieldElement") -> "FieldElement":
         return self * other.inverse()
@@ -720,10 +686,10 @@ class FieldElement:
         return r
 
     def is_zero(self) -> bool:
-        return _d_is_zero(self.data)
+        return not self.data
 
     def is_one(self) -> bool:
-        return _d_in_base(self.data) and _d_base_rf(self.data).is_one()
+        return self.in_base() and self.base_rf().is_one()
 
     def zero(self) -> "FieldElement":
         return self.tower.zero()
@@ -734,32 +700,42 @@ class FieldElement:
     # -- structure ------------------------------------------------------------
 
     def in_base(self) -> bool:
-        return _d_in_base(self.data)
+        return all(not any(e) for e in self.data)
 
     def base_rf(self) -> RationalFunction:
         if not self.in_base():
             raise NotInExtension("element has radical coordinates")
-        return _d_base_rf(self.data)
+        c = self.data.get(self.tower.origin)
+        return _zero_rf(self.tower.nvars) if c is None else c
 
     def lift_to(self, tower: TowerField) -> "FieldElement":
         if tower == self.tower:
             return self
-        return FieldElement(tower, _lift_data(self.tower, tower, self.data))
+        pos = _lift_positions(self.tower, tower)
+        out = {}
+        for e, c in self.data.items():
+            k = list(tower.origin)
+            for i, x in zip(pos, e):
+                k[i] = x
+            out[tuple(k)] = c
+        return FieldElement(tower, out)
 
     def galois(self, action: GaloisAction) -> "FieldElement":
         return action.apply(self)
 
-    def coords(self):
-        """Top-level coordinates as elements of the prefix tower."""
-        h = self.tower.height()
-        if h == 0:
-            return (self,)
-        sub = self.tower.prefix(h - 1)
-        return tuple(FieldElement(sub, x) for x in self.data)
-
     def denominator_poly(self) -> MPoly:
         """lcm of the denominators of all rational-function coordinates."""
-        return _d_denominator(self.data, self.tower.nvars)
+        out = _one_poly(self.tower.nvars)
+        for c in self.data.values():
+            d = c.den
+            if d.is_const():
+                continue
+            if out.is_const():
+                out = d
+                continue
+            g = gcd(out, d)
+            out = out * (d if g.is_const() else exact_div(d, g))
+        return out
 
     # -- comparisons -------------------------------------------------------------
 
@@ -772,87 +748,43 @@ class FieldElement:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.tower, _hashable(self.data)))
+            self._hash = hash((self.tower, frozenset(self.data.items())))
         return self._hash
 
     def __repr__(self):
-        return _d_repr(self.data, [r.name for r in self.tower.radicals])
+        names = [r.name for r in self.tower.radicals]
+
+        def node(level, parts):
+            name = names[level]
+            bits = [
+                x if i == 0 else f"({x})*{name if i == 1 else f'{name}^{i}'}"
+                for i, x in enumerate(parts)
+                if x != "0"
+            ]
+            return " + ".join(bits) if bits else "0"
+
+        return _fold(
+            self.data, self.tower.degrees, lambda c: "0" if c is None else repr(c), node
+        )
 
     # -- json ------------------------------------------------------------------
 
     def to_json(self):
-        return {"tower": self.tower.to_json(), "coords": _d_to_json(self.data)}
+        zero = _zero_rf(self.tower.nvars)
+        coords = _fold(
+            self.data,
+            self.tower.degrees,
+            lambda c: (zero if c is None else c).to_json(),
+            lambda _, parts: parts,
+        )
+        return {"tower": self.tower.to_json(), "coords": coords}
 
     @staticmethod
     def from_json(data) -> "FieldElement":
         tower = TowerField.from_json(data["tower"])
         return FieldElement(
-            tower, _d_from_json(data["coords"], tower.nvars, tower.radicals)
+            tower, _unfold(data["coords"], tower.nvars, tower.radicals)
         )
-
-
-def _hashable(data):
-    if isinstance(data, RationalFunction):
-        return data
-    return tuple(_hashable(x) for x in data)
-
-
-def _d_denominator(data, nvars: int) -> MPoly:
-    if isinstance(data, RationalFunction):
-        return data.den
-    out = _one_poly(nvars)
-    for x in data:
-        d = _d_denominator(x, nvars)
-        if d.is_const():
-            continue
-        if out.is_const():
-            out = d
-            continue
-        g = gcd(out, d)
-        out = out * (d if g.is_const() else exact_div(d, g))
-    return out
-
-
-def _d_repr(data, names):
-    if isinstance(data, RationalFunction):
-        return repr(data)
-    name = names[-1]
-    bits = []
-    for i, x in enumerate(data):
-        if _d_is_zero(x):
-            continue
-        inner = _d_repr(x, names[:-1])
-        if i == 0:
-            bits.append(inner)
-        else:
-            power = name if i == 1 else f"{name}^{i}"
-            bits.append(f"({inner})*{power}")
-    return " + ".join(bits) if bits else "0"
-
-
-def _lift_data(src: TowerField, dst: TowerField, data):
-    if src.nvars != dst.nvars:
-        raise SblinksError("cannot lift between different base fields")
-    return _lift_rec(src.radicals, dst.radicals, data, dst.nvars)
-
-
-def _lift_rec(src_rads, dst_rads, data, nvars):
-    if not dst_rads:
-        if src_rads:
-            raise SblinksError("element tower is not contained in the target tower")
-        return data
-    top = dst_rads[-1]
-    if src_rads and _same_radical(src_rads[-1], top):
-        return tuple(
-            _lift_rec(src_rads[:-1], dst_rads[:-1], x, nvars) for x in data
-        )
-    lifted = _lift_rec(src_rads, dst_rads[:-1], data, nvars)
-    zero = _zero_data(nvars, dst_rads[:-1])
-    return (lifted,) + tuple(zero for _ in range(top.degree - 1))
-
-
-def _same_radical(a: Radical, b: Radical) -> bool:
-    return a.name == b.name and a.degree == b.degree and a.radicand == b.radicand
 
 
 # ---------------------------------------------------------------------------
@@ -860,8 +792,8 @@ def _same_radical(a: Radical, b: Radical) -> bool:
 
 
 def normalize(e: FieldElement) -> FieldElement:
-    """Re-canonicalise an element (arithmetic already keeps canonical forms,
-    so this is a validation pass that rebuilds the representation)."""
+    """The canonical form of e; arithmetic already keeps every element
+    canonical, so this returns an element equal to e."""
     return e + e.tower.zero()
 
 
@@ -1231,8 +1163,10 @@ def sqrt_in_tower(e: FieldElement):
     top = tower.radicals[-1]
     if top.degree == 2:
         sub = tower.prefix(h - 1)
-        a = FieldElement(sub, e.data[0])
-        b = FieldElement(sub, e.data[1])
+        a, b = (
+            FieldElement(sub, {k[:-1]: c for k, c in e.data.items() if k[-1] == i})
+            for i in (0, 1)
+        )
         alpha = sub.from_rf(top.radicand)
         if not b.is_zero():
             disc = a * a - b * b * alpha
@@ -1244,8 +1178,11 @@ def sqrt_in_tower(e: FieldElement):
                     x = sqrt_in_tower(xx)
                     if x is not None and not x.is_zero():
                         y = b * half / x
-                        cand_data = (x.data, y.data)
-                        cand = FieldElement(tower, cand_data)
+                        cand = FieldElement(
+                            tower,
+                            {k + (i,): c for i, part in enumerate((x, y))
+                             for k, c in part.data.items()},
+                        )
                         if cand * cand == e:
                             return cand
     return None

@@ -41,10 +41,6 @@ def mat_vec(a, v):
     return tuple(out)
 
 
-def mat_scale(a, c):
-    return tuple(tuple(x * c for x in row) for row in a)
-
-
 def mat_galois(a, action: GaloisAction):
     return tuple(tuple(action.apply(x) for x in row) for row in a)
 

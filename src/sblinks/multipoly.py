@@ -385,16 +385,6 @@ def _coeffs_in(f: MPoly, v: int):
     return {k: MPoly(f.nvars, t) for k, t in out.items()}
 
 
-def _from_coeffs(nvars: int, v: int, coeffs: dict) -> MPoly:
-    terms: dict = {}
-    for k, p in coeffs.items():
-        for e, c in p.terms.items():
-            ee = list(e)
-            ee[v] += k
-            terms[tuple(ee)] = c
-    return MPoly(nvars, terms)
-
-
 def lc_in(f: MPoly, v: int) -> MPoly:
     d = f.deg_in(v)
     terms = {}

@@ -58,29 +58,8 @@ def normalize_point(v):
     return tuple(x * c for x in v)
 
 
-def points_equal(v, w) -> bool:
-    return normalize_point(v) == normalize_point(w)
-
-
 # ---------------------------------------------------------------------------
 # canonical class strings for radicands modulo n-th powers
-
-
-def _squarefree_int(n: int) -> int:
-    if n == 0:
-        return 0
-    out = 1
-    n = abs(n)
-    d = 2
-    while d * d <= n:
-        cnt = 0
-        while n % d == 0:
-            n //= d
-            cnt += 1
-        if cnt % 2:
-            out *= d
-        d += 1
-    return out * n if n > 1 else out
 
 
 def _power_free_rational(q: Fraction, n: int) -> Fraction:

@@ -240,43 +240,109 @@ def test_concurrent_arithmetic(L):
         assert r == e * e + e
 
 
-# hypothesis coverage for the tower field axioms
+# hypothesis coverage of the tower field axioms, over the single-cubic tower L
+# and two two-radical towers: K[cbrt t1][sqrt t2] (the shape of the 6-link
+# towers) and K[cbrt t1][cbrt((t2 - 1)/(27 t1))] (the shape of the smooth
+# cubic model, a radicand with a denominator)
 
 from hypothesis import given, settings, strategies as st
 
 _K_h = TowerField.rational(2)
-_L_h = _K_h.extend("u", 3, _K_h.t_var(0))
-_g_h = _L_h.galois_generator("u")
+_t1_h, _t2_h = _K_h.t_var(0), _K_h.t_var(1)
+_mu_h = (_t2_h - _K_h.one()) / (_K_h.scalar(27) * _t1_h)
+_L_h = _K_h.extend("u", 3, _t1_h)
+_S_h = _K_h.extend("s", 2, _t2_h)
+_V_h = _K_h.extend("v", 3, _mu_h)
+_TWO_RADICALS = [_L_h.extend("s", 2, _t2_h), _L_h.extend("v", 3, _mu_h)]
+# subtowers lifted into each two-radical tower: the base, the prefix L and
+# the subtower of the top radical alone, which is not a prefix
+_SUBTOWERS = {
+    _TWO_RADICALS[0]: (_K_h, _L_h, _S_h),
+    _TWO_RADICALS[1]: (_K_h, _L_h, _V_h),
+}
 
 _small = st.integers(-4, 4)
+_towers = st.sampled_from([_L_h] + _TWO_RADICALS)
+_two_radical_towers = st.sampled_from(_TWO_RADICALS)
 
 
 @st.composite
-def tower_elements(draw):
-    u = _L_h.gen("u")
-    t1 = _K_h.t_var(0).lift_to(_L_h)
-    t2 = _K_h.t_var(1).lift_to(_L_h)
-    e = _L_h.scalar(draw(_small))
-    for basis in (u, t1, t2, u * u):
-        c = draw(_small)
-        if c:
-            e = e + basis * _L_h.scalar(c)
+def elements_of(draw, tower, max_terms=3):
+    """Sums of up to max_terms monomials c * t^a * r^e with small c."""
+    e = tower.zero()
+    for _ in range(draw(st.integers(1, max_terms))):
+        term = tower.scalar(draw(_small))
+        for i in range(tower.nvars):
+            term = term * tower.t_var(i) ** draw(st.integers(0, 1))
+        for r in tower.radicals:
+            term = term * tower.gen(r.name) ** draw(st.integers(0, r.degree - 1))
+        e = e + term
     return e
 
 
-@given(tower_elements(), tower_elements(), tower_elements())
-@settings(max_examples=25, deadline=None)
-def test_tower_field_axioms(a, b, c):
+@given(st.data())
+@settings(max_examples=45, deadline=None)
+def test_tower_field_axioms(data):
+    M = data.draw(_towers)
+    a, c = data.draw(elements_of(M)), data.draw(elements_of(M))
+    # a divisor of three terms in K[cbrt t1][cbrt mu] can take 40 s to invert
+    b = data.draw(elements_of(M, max_terms=2))
     assert a * (b + c) == a * b + a * c
     assert (a * b) * c == a * (b * c)
+    assert a * b == b * a
     assert a + b == b + a
+    assert (a - b) + b == a
     if not b.is_zero():
         assert (a / b) * b == a
 
 
-@given(tower_elements(), tower_elements())
-@settings(max_examples=25, deadline=None)
-def test_galois_is_field_homomorphism(a, b):
-    assert _g_h.apply(a + b) == _g_h.apply(a) + _g_h.apply(b)
-    assert _g_h.apply(a * b) == _g_h.apply(a) * _g_h.apply(b)
-    assert _g_h.apply(_g_h.apply(_g_h.apply(a))) == a
+@given(st.data())
+@settings(max_examples=45, deadline=None)
+def test_galois_is_field_homomorphism(data):
+    M = data.draw(_towers)
+    a, b = (data.draw(elements_of(M)) for _ in range(2))
+    for rad in M.radicals:
+        g = M.galois_generator(rad.name)
+        assert g.apply(a + b) == g.apply(a) + g.apply(b)
+        assert g.apply(a * b) == g.apply(a) * g.apply(b)
+        # order exactly the degree: g^k moves the radical for 0 < k < degree
+        x, r = a, M.gen(rad.name)
+        for _ in range(rad.degree - 1):
+            x, r = g.apply(x), g.apply(r)
+            assert r != M.gen(rad.name)
+        assert g.apply(x) == a and g.apply(r) == M.gen(rad.name)
+
+
+@given(st.data())
+@settings(max_examples=20, deadline=None)
+def test_lift_is_a_ring_map(data):
+    M = data.draw(_two_radical_towers)
+    for sub in _SUBTOWERS[M]:
+        a, b = (data.draw(elements_of(sub)) for _ in range(2))
+        assert (a + b).lift_to(M) == a.lift_to(M) + b.lift_to(M)
+        assert (a * b).lift_to(M) == a.lift_to(M) * b.lift_to(M)
+        for rad in sub.radicals:
+            assert sub.gen(rad.name).lift_to(M) == M.gen(rad.name)
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_two_radical_json_roundtrip(data):
+    M = data.draw(_two_radical_towers)
+    top = M.gen(M.radicals[-1].name)
+    # coordinates with denominators, from the radicand and from the divisor
+    a = data.draw(elements_of(M)) * top * top / (M.t_var(0) + M.scalar(2))
+    back = FieldElement.from_json(json.loads(json.dumps(a.to_json())))
+    assert back == a and hash(back) == hash(a) and repr(back) == repr(a)
+
+
+@pytest.mark.parametrize("degree, radicand, root", [(3, 8, 2), (2, 4, 2)])
+def test_zero_norm_in_reducible_tower(degree, radicand, root):
+    # K[cbrt 8] and K[sqrt 4] are not fields: a - 2 divides zero
+    K = TowerField.rational(1)
+    R = K.extend("a", degree, K.scalar(radicand))
+    a = R.gen("a")
+    with pytest.raises(ZeroInverse):
+        (a - R.scalar(root)).inverse()
+    unit = a + R.one()  # norm radicand + 1 or 1 - radicand, nonzero
+    assert (unit * unit.inverse()).is_one()
