@@ -129,14 +129,7 @@ class RationalMap:
         """Coefficient matrix of a linear map."""
         if self.degree != 1:
             raise SblinksError("matrix extraction needs a linear map")
-        zero = self.tower.zero()
-        rows = []
-        for c in self.coords:
-            row = [zero, zero, zero]
-            for e, coeff in c.terms.items():
-                row[e.index(1)] = coeff
-            rows.append(tuple(row))
-        return tuple(rows)
+        return _coefficient_rows(self.tower, self.coords)
 
     def lift_to(self, tower: TowerField) -> "RationalMap":
         if tower == self.tower:
@@ -283,6 +276,18 @@ def _linear_forms(m):
     return forms
 
 
+def _coefficient_rows(tower: TowerField, forms):
+    """The coefficient rows of linear forms: the inverse of _linear_forms."""
+    zero = tower.zero()
+    rows = []
+    for f in forms:
+        row = [zero] * f.nvars
+        for e, c in f.terms.items():
+            row[e.index(1)] = c
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
 def _mat_times(m, coords):
     """The raw triple m . coords."""
     out = []
@@ -424,6 +429,21 @@ class Link:
             self.base_point,
             self.degree_class,
         )
+
+
+def _followed_by_linear(link: Link, m, target: SBSurface) -> Link:
+    """The link followed by the linear isomorphism m onto target: forward
+    m . f, backward b o m^-1, and the inverse base point moved by m.  Raises
+    NotEquivariant when m is not defined over K."""
+    forward = TwistedMap(apply_matrix(m, link.forward.map), link.forward.source, target)
+    q = link.inverse_base_point
+    moved = make_closed_point(
+        target, [normalize_point(mat_vec(m, v)) for v in q.components], q.tower
+    )
+    backward = TwistedMap(
+        subst_linear(link.backward.map, inverse3(m)), target, link.backward.target
+    )
+    return Link(forward, backward, link.base_point, moved, link.degree_class)
 
 
 # ---------------------------------------------------------------------------

@@ -18,12 +18,14 @@ from dataclasses import dataclass
 from .birational import (
     RationalMap,
     TwistedMap,
-    Link,
-    apply_matrix,
+    _coefficient_rows,
+    _constant_direction,
+    _followed_by_linear,
+    _linear_forms,
+    _mat_times,
     compose,
     equals,
     link_from_3point,
-    subst_linear,
     transport_point,
 )
 from .errors import (
@@ -43,7 +45,7 @@ from .field_tower import (
     is_cube,
     is_norm,
 )
-from .linalg import inverse3, mat_vec, nullspace, rank
+from .linalg import nullspace, rank
 from .multipoly import MPoly, NotDivisible, exact_div, gcd_many, mod_reduce
 from .severi_brauer import (
     SBSurface,
@@ -55,19 +57,6 @@ from .severi_brauer import (
 
 # variable order in the ambient P^3: (w, x, y, z)
 W, X, Y, Z = range(4)
-
-
-def _var4(tower, i):
-    return MPoly.variable(4, i, tower.one())
-
-
-def _lin4(tower, coeffs):
-    """Linear form sum coeffs[i] * var_i in P^3."""
-    p = MPoly.zero(4)
-    for i, c in enumerate(coeffs):
-        if not c.is_zero():
-            p = p + MPoly.variable(4, i, c)
-    return p
 
 
 def reduce_mod_cubic(p: MPoly, cubic: MPoly) -> MPoly:
@@ -146,19 +135,6 @@ def build_singular_model(lam: FieldElement, xi: FieldElement) -> SingularCubicMo
     factors = tuple(
         x3.scale(lam_i[i]) + y3 + z3.scale(lam_i[i].inverse()) for i in range(3)
     )
-    prod = factors[0] * factors[1] * factors[2]
-    expected = (
-        MPoly.monomial(3, (3, 0, 0), lamL)
-        + MPoly.monomial(3, (0, 3, 0), one)
-        + MPoly.monomial(3, (0, 0, 3), lamL.inverse())
-        + MPoly.monomial(3, (1, 1, 1), L.scalar(-3))
-    )
-    if prod != expected:
-        raise IdentityFails(
-            "F0 F1 F2 does not expand to lam x^3 + y^3 + lam^-1 z^3 - 3xyz",
-            residue=prod - expected,
-        )
-
     equation = (
         MPoly.monomial(4, (3, 0, 0, 0), xiL)
         - MPoly.monomial(4, (0, 3, 0, 0), lamL)
@@ -171,18 +147,38 @@ def build_singular_model(lam: FieldElement, xi: FieldElement) -> SingularCubicMo
     sing = tuple(
         normalize_point((zero, one, lam_i[k], lam_i[k] ** 2)) for k in range(3)
     )
-    for pt in sing:
+    _check_singular_identities(lamL, factors, equation, sing)
+
+    f0_4 = _to4(factors[0])
+    f1_4 = _to4(factors[1])
+    w = MPoly.variable(4, W, one)
+    psi = (w * w, w * f0_4, f0_4 * f1_4)
+    return SingularCubicModel(ext, lamL, xiL, equation, factors, sing, psi)
+
+
+def _check_singular_identities(lam, factors, equation, points):
+    """F0 F1 F2 = lam x^3 + y^3 + lam^-1 z^3 - 3xyz, and the cubic and its
+    four partials vanish at each point; raises IdentityFails otherwise."""
+    L = lam.tower
+    one, zero = L.one(), L.zero()
+    prod = factors[0] * factors[1] * factors[2]
+    expected = (
+        MPoly.monomial(3, (3, 0, 0), lam)
+        + MPoly.monomial(3, (0, 3, 0), one)
+        + MPoly.monomial(3, (0, 0, 3), lam.inverse())
+        + MPoly.monomial(3, (1, 1, 1), L.scalar(-3))
+    )
+    if prod != expected:
+        raise IdentityFails(
+            "F0 F1 F2 does not expand to lam x^3 + y^3 + lam^-1 z^3 - 3xyz",
+            residue=prod - expected,
+        )
+    for pt in points:
         vals = [equation.eval_zero_ok(list(pt), zero)]
         for v in range(4):
             vals.append(equation.derivative(v).eval_zero_ok(list(pt), zero))
         if not all(x.is_zero() for x in vals):
             raise IdentityFails("singular point check failed", residue=vals)
-
-    f0_4 = _to4(factors[0])
-    f1_4 = _to4(factors[1])
-    w = _var4(L, W)
-    psi = (w * w, w * f0_4, f0_4 * f1_4)
-    return SingularCubicModel(ext, lamL, xiL, equation, factors, sing, psi)
 
 
 def _to4(p3: MPoly) -> MPoly:
@@ -197,35 +193,16 @@ def verify_singular_model(model: SingularCubicModel) -> dict:
     """Exact verification of the model's identities; raises IdentityFails on
     the first failure and returns a per-check report otherwise."""
     L = model.tower
-    ext = model.ext
-    g = ext.generator
-    one, zero = L.one(), L.zero()
-    report = {}
-
-    prod = model.factors[0] * model.factors[1] * model.factors[2]
-    lamL = model.lam
-    expected = (
-        MPoly.monomial(3, (3, 0, 0), lamL)
-        + MPoly.monomial(3, (0, 3, 0), one)
-        + MPoly.monomial(3, (0, 0, 3), lamL.inverse())
-        + MPoly.monomial(3, (1, 1, 1), L.scalar(-3))
+    g = model.ext.generator
+    _check_singular_identities(
+        model.lam, model.factors, model.equation, model.singular_points
     )
-    if prod != expected:
-        raise IdentityFails("factorization fails", residue=prod - expected)
-    report["factorization"] = True
-
-    for pt in model.singular_points:
-        checks = [model.equation.eval_zero_ok(list(pt), zero)]
-        for v in range(4):
-            checks.append(model.equation.derivative(v).eval_zero_ok(list(pt), zero))
-        if not all(x.is_zero() for x in checks):
-            raise IdentityFails("singular point fails", residue=pt)
-    report["singular_points"] = True
+    report = {"factorization": True, "singular_points": True}
 
     # equivariance: psi = mu . nu_{xi^-1} . g(psi) modulo the cubic
     nu_inv_xi = _nu_matrix(L, model.xi.inverse())
     gpsi = tuple(p.map_coeffs(g.apply) for p in model.psi)
-    rhs = _matrix_times_triple(nu_inv_xi, gpsi)
+    rhs = _mat_times(nu_inv_xi, gpsi)
     residue = _residue_mod(model.psi, rhs, model.equation)
     if residue is not None:
         raise IdentityFails(
@@ -241,7 +218,7 @@ def verify_singular_model(model: SingularCubicModel) -> dict:
     )
     nu_xi = _nu_matrix(L, model.xi)
     g_sig_psi = tuple(p.map_coeffs(g.apply) for p in sig_psi)
-    rhs2 = _matrix_times_triple(nu_xi, g_sig_psi)
+    rhs2 = _mat_times(nu_xi, g_sig_psi)
     residue = _residue_mod(sig_psi, rhs2, model.equation)
     if residue is not None:
         raise IdentityFails(
@@ -259,17 +236,6 @@ def _nu_matrix(tower: TowerField, xi: FieldElement):
         (one, zero, zero),
         (zero, one, zero),
     )
-
-
-def _matrix_times_triple(m, triple):
-    out = []
-    for row in m:
-        p = MPoly.zero(triple[0].nvars)
-        for c, q in zip(row, triple):
-            if not c.is_zero():
-                p = p + q.scale(c)
-        out.append(p)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -354,20 +320,10 @@ def build_smooth_model(
     lam_i = [zeta ** i * ul for i in range(3)]
     mu_i = [zeta ** i * um for i in range(3)]
 
-    A = tuple(
-        _lin4(Lh, [one, zero, -(third * lam_i[i].inverse()), zero]) for i in range(3)
-    )
-    B = tuple(
-        _lin4(Lh, [zero, lam_i[i], -(nuh * third * lam_i[i].inverse()), one])
-        for i in range(3)
-    )
-    C = tuple(
-        _lin4(Lh, [one, -(third * mu_i[i].inverse()), zero, zero]) for i in range(3)
-    )
-    D = tuple(
-        _lin4(Lh, [zero, -(nuh * third * mu_i[i].inverse()), mu_i[i], one])
-        for i in range(3)
-    )
+    A = tuple(_linear_forms([[one, zero, -(third / r), zero] for r in lam_i]))
+    B = tuple(_linear_forms([[zero, r, -(nuh * third / r), one] for r in lam_i]))
+    C = tuple(_linear_forms([[one, -(third / r), zero, zero] for r in mu_i]))
+    D = tuple(_linear_forms([[zero, -(nuh * third / r), r, one] for r in mu_i]))
 
     cubic = (
         MPoly.monomial(4, (3, 0, 0, 0), xih)
@@ -414,21 +370,9 @@ def build_smooth_model(
     )
 
 
-def _line_matrix(tower, forms):
-    """Coefficient rows of several linear forms in (w, x, y, z)."""
-    zero = tower.zero()
-    rows = []
-    for f in forms:
-        row = [zero] * 4
-        for e, c in f.terms.items():
-            row[e.index(1)] = c
-        rows.append(tuple(row))
-    return rows
-
-
 def _line_on_cubic(tower, pair, cubic) -> bool:
     """Whether the line {f1 = f2 = 0} lies on the cubic surface."""
-    basis = nullspace(_line_matrix(tower, pair), tower)
+    basis = nullspace(_coefficient_rows(tower, pair), tower)
     if len(basis) != 2:
         return False
     a, b = basis
@@ -441,7 +385,7 @@ def _line_on_cubic(tower, pair, cubic) -> bool:
 
 def _lines_meet(tower, pair1, pair2):
     """0 or 1: intersection count of two distinct lines in P^3."""
-    rows = _line_matrix(tower, list(pair1) + list(pair2))
+    rows = _coefficient_rows(tower, pair1 + pair2)
     rk = rank(rows)
     if rk <= 2:
         raise SblinksError("the two lines coincide")
@@ -520,7 +464,7 @@ def verify_smooth_model(model: SmoothCubicModel) -> dict:
     # contraction equivariance modulo the cubic: f = mu . nu_xi . g(f)
     nu_xi = _nu_matrix(Lh, model.xi)
     gf = tuple(p.map_coeffs(g.apply) for p in model.contraction)
-    rhs = _matrix_times_triple(nu_xi, gf)
+    rhs = _mat_times(nu_xi, gf)
     residue = _residue_mod(model.contraction, rhs, model.cubic)
     if residue is not None:
         raise IdentityFails("contraction is not g-equivariant", residue=residue)
@@ -550,18 +494,9 @@ def section_of_contraction(model: SmoothCubicModel):
     # variables: (s, r, u0, u1, u2)
     NV = 5
 
-    def lift_lin(f4):
-        # linear form in (w,x,y,z) -> coefficient vector
-        zero = Lh.zero()
-        row = [zero] * 4
-        for e, c in f4.terms.items():
-            row[e.index(1)] = c
-        return row
-
-    a1 = lift_lin(model.A[1])
-    a2 = lift_lin(model.A[2])
-    b0 = lift_lin(model.B[0])
-    b2 = lift_lin(model.B[2])
+    a1, a2, b0, b2 = _coefficient_rows(
+        Lh, (model.A[1], model.A[2], model.B[0], model.B[2])
+    )
 
     def u_mono(i):
         e = [0] * NV
@@ -622,19 +557,10 @@ def section_of_contraction(model: SmoothCubicModel):
 
     cubic5 = model.cubic.subst(line)
 
-    def linear_root_form(lin4):
-        c = lift_lin(lin4)
-        val_p = MPoly.zero(NV)
-        val_q = MPoly.zero(NV)
-        for k in range(4):
-            if not c[k].is_zero():
-                val_p = val_p + P[k].scale(c[k])
-                val_q = val_q + Q[k].scale(c[k])
-        return s * val_p + r * val_q
-
     # the fibre line meets the two auxiliary conic-lines where A1 resp. A2 vanish
-    l1 = _strip_sr_content(linear_root_form(model.A[1]))
-    l2 = _strip_sr_content(linear_root_form(model.A[2]))
+    at_p = _mat_times((a1, a2), P)
+    at_q = _mat_times((a1, a2), Q)
+    l1, l2 = (_strip_sr_content(s * vp + r * vq) for vp, vq in zip(at_p, at_q))
     try:
         rest = exact_div(cubic5, l1)
         rest = exact_div(rest, l2)
@@ -715,21 +641,7 @@ def order3_selfmap(model: SmoothCubicModel):
         raise IdentityFails(
             f"rho-hat does not factor through the two links (degree {m2.degree})"
         )
-    alpha = m2.matrix()
-    new_fwd = apply_matrix(alpha, chi2.forward.map)
-    new_bwd = subst_linear(chi2.backward.map, inverse3(alpha))
-    new_q = make_closed_point(
-        surface,
-        [normalize_point(mat_vec(alpha, v)) for v in chi2.inverse_base_point.components],
-        chi2.inverse_base_point.tower,
-    )
-    chi2 = Link(
-        TwistedMap(new_fwd, chi2.forward.source, surface),
-        TwistedMap(new_bwd, surface, chi2.backward.target),
-        chi2.base_point,
-        new_q,
-        3,
-    )
+    chi2 = _followed_by_linear(chi2, m2.matrix(), surface)
     if not equals(compose(chi2.forward.map, chi1.forward.map), rho_hat):
         raise IdentityFails("rho-hat != chi2 o chi1 after alignment")
 
@@ -761,7 +673,7 @@ def _image_of_contracted_line(model: SmoothCubicModel, pair):
     """Image point of a contracted line of the smooth model under the
     contraction (f0 : f1 : f2)."""
     Lh = model.tower
-    basis = nullspace(_line_matrix(Lh, pair), Lh)
+    basis = nullspace(_coefficient_rows(Lh, pair), Lh)
     if len(basis) != 2:
         raise SblinksError("line is degenerate")
     a, b = basis
@@ -769,6 +681,4 @@ def _image_of_contracted_line(model: SmoothCubicModel, pair):
     s = MPoly.variable(1, 0, one)
     param = [MPoly.const(1, x) + s.scale(y) for x, y in zip(a, b)]
     vals = [f.subst(param) for f in model.contraction]
-    from .birational import _constant_direction
-
     return _constant_direction(vals, Lh)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from operator import add
 
 from .errors import (
@@ -964,23 +965,22 @@ def _is_nth_power_rf(c: RationalFunction, n: int) -> TriState:
     return TriState("yes", witness)
 
 
-def is_cube(c: FieldElement) -> TriState:
-    """Decide whether c in K is a cube in K (decidable fragment)."""
-    rf = c.base_rf()
-    res = _is_nth_power_rf(rf, 3)
+def _is_nth_power(c: FieldElement, n: int) -> TriState:
+    res = _is_nth_power_rf(c.base_rf(), n)
     if res.status == "yes":
         res.witness = c.tower.from_rf(res.witness)
-        assert (res.witness ** 3) == c
+        if res.witness ** n != c:  # pragma: no cover - sanity
+            raise SblinksError("power witness failed re-verification")
     return res
+
+
+def is_cube(c: FieldElement) -> TriState:
+    """Decide whether c in K is a cube in K (decidable fragment)."""
+    return _is_nth_power(c, 3)
 
 
 def is_square(c: FieldElement) -> TriState:
-    rf = c.base_rf()
-    res = _is_nth_power_rf(rf, 2)
-    if res.status == "yes":
-        res.witness = c.tower.from_rf(res.witness)
-        assert (res.witness ** 2) == c
-    return res
+    return _is_nth_power(c, 2)
 
 
 def recheck_power_certificate(c: FieldElement, cert: dict) -> bool:
@@ -1101,8 +1101,27 @@ def nth_root_in_k(c: FieldElement, n: int):
     res = _is_nth_power_rf(c.base_rf(), n)
     if res.status == "yes":
         return c.tower.from_rf(res.witness)
-    if res.status == "no":
-        return None
+    return None
+
+
+def _base_root_in_tower(e: FieldElement, n: int):
+    """An n-th root of the base element e of the form w * prod r_j^a_j, with
+    w in K and r_j the tower's degree-n radicals, or None."""
+    tower = e.tower
+    rads = [r for r in tower.radicals if r.degree == n]
+    for exps in product(range(n), repeat=len(rads)):
+        denom = tower.one()
+        for r, a in zip(rads, exps):
+            if a:
+                denom = denom * tower.from_rf(r.radicand) ** a
+        w = nth_root_in_k(e / denom, n)
+        if w is not None:
+            root = w
+            for r, a in zip(rads, exps):
+                if a:
+                    root = root * tower.gen(r.name) ** a
+            if root ** n == e:
+                return root
     return None
 
 
@@ -1110,27 +1129,10 @@ def cbrt_in_tower(e: FieldElement):
     """A cube root of e inside its own tower, if one is visible in the
     fragment: base candidates are searched across products of the tower's
     cubic radicals."""
-    tower = e.tower
     if e.is_zero():
-        return tower.zero()
+        return e.tower.zero()
     if e.in_base():
-        cubic = [r for r in tower.radicals if r.degree == 3]
-        from itertools import product
-
-        for exps in product(range(3), repeat=len(cubic)):
-            denom = tower.one()
-            for r, a in zip(cubic, exps):
-                if a:
-                    denom = denom * tower.from_rf(r.radicand) ** a
-            w = nth_root_in_k(e / denom, 3)
-            if w is not None:
-                root = w
-                for r, a in zip(cubic, exps):
-                    if a:
-                        root = root * tower.gen(r.name) ** a
-                if root ** 3 == e:
-                    return root
-        return None
+        return _base_root_in_tower(e, 3)
     return None
 
 
@@ -1140,23 +1142,7 @@ def sqrt_in_tower(e: FieldElement):
     if e.is_zero():
         return tower.zero()
     if e.in_base():
-        quad = [r for r in tower.radicals if r.degree == 2]
-        from itertools import product
-
-        for exps in product(range(2), repeat=len(quad)):
-            denom = tower.one()
-            for r, a in zip(quad, exps):
-                if a:
-                    denom = denom * tower.from_rf(r.radicand)
-            w = nth_root_in_k(e / denom, 2)
-            if w is not None:
-                root = w
-                for r, a in zip(quad, exps):
-                    if a:
-                        root = root * tower.gen(r.name)
-                if root ** 2 == e:
-                    return root
-        return None
+        return _base_root_in_tower(e, 2)
     # quadratic-extension shape a + b*s with s^2 = alpha, both a, b in the
     # fixed part: solve (x + y s)^2 = e
     h = tower.height()

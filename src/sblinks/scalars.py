@@ -6,6 +6,7 @@ minimal polynomial zeta^2 + zeta + 1 = 0.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -178,24 +179,21 @@ def rational_nth_root(x: Fraction, n: int):
 
 
 def _int_nth_root(m: int, n: int):
+    """The n-th root of the integer m >= 0, or None when m is not an n-th
+    power; integer arithmetic only."""
     if m in (0, 1):
         return m
-    r = round(m ** (1.0 / n))
-    for c in (r - 1, r, r + 1):
-        if c >= 0 and c ** n == m:
-            return c
-    # float guess can be off for big ints; fall back to bisection
-    lo, hi = 0, 1 << ((m.bit_length() + n - 1) // n + 1)
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        v = mid ** n
-        if v == m:
-            return mid
-        if v < m:
-            lo = mid + 1
-        else:
-            hi = mid - 1
-    return None
+    if n == 2:
+        r = math.isqrt(m)
+    else:
+        # Newton's method from r >= m^(1/n) decreases to floor(m^(1/n))
+        r = 1 << -(-m.bit_length() // n)
+        while True:
+            s = ((n - 1) * r + m // r ** (n - 1)) // n
+            if s >= r:
+                break
+            r = s
+    return r if r ** n == m else None
 
 
 def qzeta_nth_root(x: QZeta, n: int):

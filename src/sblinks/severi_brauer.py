@@ -36,7 +36,7 @@ from .field_tower import (
     is_norm,
     is_square,
 )
-from .linalg import det3, inverse3, mat, mat_identity, mat_mul, mat_vec
+from .linalg import det3, inverse3, mat, mat_galois, mat_identity, mat_mul, mat_vec
 from .multipoly import MPoly, squarefree_decomposition
 from .scalars import QZeta
 
@@ -262,8 +262,6 @@ class SBSurface:
 
     def _check_cocycle(self):
         g = self.ext.generator
-        from .linalg import mat_galois
-
         prod = mat_mul(
             self.nu, mat_mul(mat_galois(self.nu, g), mat_galois(mat_galois(self.nu, g), g))
         )
@@ -583,8 +581,6 @@ def normalize_3point(surface: SBSurface, point: ClosedPoint):
     tau = point.cycle_element
     act = GaloisAction(tower, tau)
     A_tau = surface.twist_matrix(tau, tower)
-    from .linalg import mat_galois
-
     A_raw = mat_mul(phi0, mat_mul(A_tau, mat_galois(M, act)))
     for (i, j) in ((0, 0), (0, 1), (1, 1), (1, 2), (2, 0), (2, 2)):
         if not A_raw[i][j].is_zero():
@@ -683,23 +679,9 @@ def _auto_directed(surface, p, q) -> TwistedAutomorphism:
     M = mat([[v1[i], v2[i], v3[i]] for i in range(3)])
     if det3(M).is_zero():
         raise DegenerateConfiguration("transport matrix is singular")
-    # M . A = A . tau(M) exactly, by construction; verify
-    left = mat_mul(M, A)
-    from .linalg import mat_galois
-
-    right = mat_mul(A, mat_galois(M, act))
-    scale = None
-    for i in range(3):
-        for j in range(3):
-            if not right[i][j].is_zero():
-                scale = left[i][j] / right[i][j]
-                break
-        if scale is not None:
-            break
-    for i in range(3):
-        for j in range(3):
-            if left[i][j] != right[i][j] * scale:
-                raise SblinksError("transport matrix fails the twist commutation")
+    # M . A = A . tau(M) up to a scalar, by construction; verify
+    if not _proportional_matrices(mat_mul(M, A), mat_mul(A, mat_galois(M, act))):
+        raise SblinksError("transport matrix fails the twist commutation")
     matrix = mat_mul(inverse3(phi), mat_mul(M, phi))
     autom = TwistedAutomorphism(matrix, surface, tower)
     # all remaining Galois generators must commute projectively as well

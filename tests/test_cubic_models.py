@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 import random
 
 import pytest
@@ -136,8 +138,18 @@ def test_section(smooth):
     assert smooth.cubic.subst(list(section)).is_zero()
 
 
-def test_order3_selfmap(smooth):
+# SHA-256 of the JSON of rho-hat, chi1 and chi2 for the `smooth` model
+ORDER3_PINS = (
+    "5b8335f52731bc879c4fa111603f4376c2228f99aa054d1defd9881aa3a686cc",
+    "294d47d8bffa8eb18c52b78e03b6870117293039f27f2b3b3f55f1919b7ddcb9",
+    "4b3f2c6ee503e3f2f12089035dc1e67c4f133edcf60f3f2315cd4f2df8516fe8",
+)
+
+
+def test_order3_selfmap(smooth, link_sha):
     rho, chi1, chi2 = order3_selfmap(smooth)
+    rho_sha = hashlib.sha256(json.dumps(rho.to_json(), sort_keys=True).encode())
+    assert (rho_sha.hexdigest(), link_sha(chi1), link_sha(chi2)) == ORDER3_PINS
     from sblinks.birational import RationalMap, compose, equals
 
     Lh = smooth.tower

@@ -63,3 +63,17 @@ def test_qzeta_roots():
     # zeta = (zeta^2)^2 is a square
     r = qzeta_nth_root(QZeta.zeta(), 2)
     assert r is not None and r * r == QZeta.zeta()
+
+
+def test_nth_root_of_large_rationals():
+    """Roots of numbers past the float range (2^1024) are found exactly."""
+    assert rational_nth_root(Fraction(7 ** 999), 3) == 7 ** 333
+    assert rational_nth_root(Fraction(-(7 ** 999), 11 ** 600), 3) == Fraction(
+        -(7 ** 333), 11 ** 200
+    )
+    assert rational_nth_root(Fraction(3 ** 1300, 5 ** 700), 2) == Fraction(
+        3 ** 650, 5 ** 350
+    )
+    assert rational_nth_root(Fraction(7 ** 999 + 1), 3) is None
+    assert rational_nth_root(Fraction(7 ** 1000), 3) is None
+    assert rational_nth_root(Fraction(3 ** 1301), 2) is None

@@ -21,16 +21,6 @@ def _digests(json_data, text):
     return _sha(json.dumps(json_data, sort_keys=True)), _sha(text)
 
 
-def _link_json(link):
-    return {
-        "forward": link.forward.to_json(),
-        "backward": link.backward.to_json(),
-        "base_point": link.base_point.to_json(),
-        "inverse_base_point": link.inverse_base_point.to_json(),
-        "degree_class": link.degree_class,
-    }
-
-
 def two_radical_elements():
     """Elements of K[cbrt t1][sqrt t2] and K[cbrt t1][cbrt((t2-1)/(27 t1))],
     with zero coordinates, denominators and a lift from K[sqrt t2]."""
@@ -115,9 +105,9 @@ ELEMENT_PINS = {
 
 
 @pytest.mark.parametrize("name", sorted(LINK_PINS))
-def test_link_bytes_pinned(name, request):
+def test_link_bytes_pinned(name, request, link_json):
     link = request.getfixturevalue(name)
-    assert _digests(_link_json(link), repr(link)) == LINK_PINS[name]
+    assert _digests(link_json(link), repr(link)) == LINK_PINS[name]
 
 
 def test_two_radical_element_bytes_pinned():

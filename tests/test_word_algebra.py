@@ -121,13 +121,26 @@ def test_psi_homomorphism_on_random_chains(surface, link_at_coords, link_at_unit
         assert w_uv == w_u * w_v
 
 
-def test_hexagon_acceptance_pair(surface, coord_point, unit_point):
+# SHA-256 of the JSON of the six links of the coordinate/unit hexagon
+HEXAGON_LINK_PINS = [
+    "9ed5cc9a0ed30f36a7bfccdf28f440e4428b329354d53617d9096aabb50b5d56",
+    "1bb8be4128abc82c23ed5e9ec050e854455e4bfa82b7b9528a4151254bfc26c8",
+    "b0eada36b0bb7930c7799efc2d810203bf04319fe6256a41b516f11cb714093a",
+    "229cb1393874991c23f7cc4b1fac9017c973326d64a43e00536273e980777106",
+    "9ed5cc9a0ed30f36a7bfccdf28f440e4428b329354d53617d9096aabb50b5d56",
+    "9d916c94e7216738ed33a8e0de420ef933ab126928faf8f200f55d083d17a52f",
+]
+
+
+def test_hexagon_acceptance_pair(surface, coord_point, unit_point, link_sha):
     links, report = hexagon(surface, coord_point, unit_point)
     assert len(links) == 6
     assert report.composite_identity
     assert report.word.is_empty()
     assert report.warm_equivalent and report.cold_equivalent
     assert report.merged_square  # this pair merges two hexagon vertices
+    assert not report.closing_was_trivial
+    assert [link_sha(link) for link in links] == HEXAGON_LINK_PINS
 
 
 def test_hexagon_general_position(surface, coord_point, L):
