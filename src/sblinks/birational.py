@@ -42,6 +42,7 @@ from .field_tower import (
     sqrt_in_tower,
 )
 from .linalg import (
+    _row_echelon,
     det3,
     inverse3,
     mat,
@@ -631,7 +632,7 @@ def equivariant_triple(
                 if any(not a.is_zero() for a in acc):
                     new_vectors.append(tuple(acc))
                     break
-        current = _independent_subset(new_vectors, tower)
+        current = _independent_subset(new_vectors)
         if not current:
             raise EquivariantBasisNotFound(
                 f"no equivariant vector survives the descent at {rad.name}"
@@ -659,16 +660,11 @@ def _unity_roots(tower: TowerField, rho: FieldElement, d: int):
     return [theta, -theta]
 
 
-def _independent_subset(vectors, tower: TowerField):
-    out = []
-    rows = []
-    for v in vectors:
-        if all(x.is_zero() for x in v):
-            continue
-        if rank(rows + [v]) > len(out):
-            out.append(v)
-            rows.append(v)
-    return out
+def _independent_subset(vectors):
+    """The vectors, in order, that are independent of those before them:
+    the pivot columns of the matrix whose columns they are."""
+    _, pivots = _row_echelon(list(zip(*vectors)))
+    return [vectors[c] for c in pivots]
 
 
 def _triple_independent(triple, tower: TowerField) -> bool:
@@ -1112,11 +1108,11 @@ def link_from_6point(surface: SBSurface, point: ClosedPoint) -> Link:
     if full_conics:
         raise SpecialPosition("the six components lie on a conic")
 
-    basis, rows = curves_through(tower, comps, 5, double=True)
-    r = rank(rows)
-    if r != 18 or len(basis) != 3:
+    # the basis spans the nullspace of the 18x21 system: rank 21 - len(basis)
+    basis, _ = curves_through(tower, comps, 5, double=True)
+    if len(basis) != 3:
         raise SpecialPosition(
-            f"quintic double-point system has rank {r} and "
+            f"quintic double-point system has rank {21 - len(basis)} and "
             f"dimension {len(basis)}; expected 18 and 3"
         )
 
@@ -1138,9 +1134,11 @@ def link_from_6point(surface: SBSurface, point: ClosedPoint) -> Link:
             "inverse base point has a different splitting field than the base point"
         )
 
-    b_basis, b_rows = curves_through(tower, q.components, 5, double=True)
-    if rank(b_rows) != 18 or len(b_basis) != 3:
-        raise SpecialPosition("inverse quintic system is degenerate")
+    b_basis, _ = curves_through(tower, q.components, 5, double=True)
+    if len(b_basis) != 3:
+        raise SpecialPosition(
+            f"inverse quintic system has rank {21 - len(b_basis)}, not 18"
+        )
     b0 = RationalMap(tower, tuple(b_basis))
     bwd_map = _absorb_linear(b0, fwd_map)
 

@@ -225,16 +225,18 @@ def qzeta_nth_root(x: QZeta, n: int):
     rn = rational_nth_root(nx, n)
     if rn is None:
         return None
-    # search small candidates y = u + v zeta with u^2 - uv + v^2 = rn
+    # candidates y = (U + V zeta)/den of norm rn: U^2 - UV + V^2 = num*den,
+    # so V = (U +- s)/2 with s^2 = 4 num den - 3 U^2
     den = rn.denominator
-    num = rn.numerator
-    bound = _int_nth_root(4 * num * den * den // 3 + 1, 2) or 0
-    bound += 2
-    for u_num in range(-bound, bound + 1):
-        for v_num in range(-bound, bound + 1):
-            y = QZeta(Fraction(u_num, den), Fraction(v_num, den))
-            if y.norm_rational() != rn:
-                continue
-            if y ** n == x:
-                return y
+    m = 4 * rn.numerator * den
+    bound = math.isqrt(m // 3)
+    for u in range(-bound, bound + 1):
+        s = _int_nth_root(m - 3 * u * u, 2)
+        if s is None:
+            continue
+        for v2 in (u - s, u + s):
+            if v2 % 2 == 0:
+                y = QZeta(Fraction(u, den), Fraction(v2 // 2, den))
+                if y ** n == x:
+                    return y
     return None

@@ -398,7 +398,9 @@ class ClosedPoint:
         }
 
 
-def _orbit_closure(surface: SBSurface, seed, tower: TowerField, cap: int = 30):
+def _orbit_closure(surface: SBSurface, seed, tower: TowerField):
+    # an orbit has at most as many points as the Galois group has elements
+    cap = tower.extension_degree()
     gens = [{r.name: 1} for r in tower.radicals]
     seen = [normalize_point(seed)]
     frontier = [seen[0]]

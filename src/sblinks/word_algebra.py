@@ -232,10 +232,10 @@ def hexagon(surface: SBSurface, p: ClosedPoint, p_prime: ClosedPoint):
     orbit untouched so far and blows down the next one.  When a component of
     one point is collinear with two components of the other, two opposite
     vertices of the hexagon merge and the relation core shortens to a
-    square; the chain is then completed to six links by one more closed
-    pair, which is a product of trivial relations.  Returns (links, report);
-    the last link of each closing step absorbs a twisted isomorphism so the
-    chain ends on the original chart.
+    square; the chain is then completed to six links by the first link and
+    its inverse, a trivial relation.  Returns (links, report); the last link
+    of each closing step absorbs a twisted isomorphism so the chain ends on
+    the original chart.
     """
     if p.degree != 3 or p_prime.degree != 3:
         raise DegeneratePair("hexagon needs two degree-3 points")
@@ -270,25 +270,25 @@ def hexagon(surface: SBSurface, p: ClosedPoint, p_prime: ClosedPoint):
         base = nxt
         current = link.forward.target
 
+    closed = False
     if merged:
         links = _close_merged_square(surface, p, links)
-
-    composite = links[0].forward.map
-    for link in links[1:]:
-        composite = compose(link.forward.map, composite)
-    if composite.degree != 1:
-        raise SblinksError(
-            f"hexagon composite has degree {composite.degree}, expected 1"
-        )
-
-    closed = equals(
-        composite, RationalMap.identity(composite.tower)
-    ) and links[-1].forward.target == surface
-    if not closed:
-        # compose certified the composite as the linear map eta by exact
-        # division; following the last link by eta^-1 closes the chain on
-        # the original chart with the identity as composite
-        links[-1] = _absorb_into_link(links[-1], composite, surface)
+    else:
+        composite = links[0].forward.map
+        for link in links[1:]:
+            composite = compose(link.forward.map, composite)
+        if composite.degree != 1:
+            raise SblinksError(
+                f"hexagon composite has degree {composite.degree}, expected 1"
+            )
+        closed = equals(
+            composite, RationalMap.identity(composite.tower)
+        ) and links[-1].forward.target == surface
+        if not closed:
+            # compose certified the composite as the linear map eta by exact
+            # division; following the last link by eta^-1 closes the chain
+            # on the original chart with the identity as composite
+            links[-1] = _absorb_into_link(links[-1], composite, surface)
 
     word = psi_compose(links)
     descriptors = [lk.base_point.descriptor for lk in links]
@@ -300,7 +300,7 @@ def hexagon(surface: SBSurface, p: ClosedPoint, p_prime: ClosedPoint):
         descriptors=descriptors,
         warm_equivalent=warm,
         cold_equivalent=cold,
-        closing_was_trivial=closed and not merged,
+        closing_was_trivial=closed,
         merged_square=merged,
     )
     return links, report
@@ -311,8 +311,10 @@ def _close_merged_square(surface: SBSurface, p: ClosedPoint, links):
 
     The collision means the relation core has length four: the fourth link
     blows up the images of the lines through the pairs of p under the
-    running composite.  The remaining two links are a closed pair at p, a
-    product of trivial relations.
+    running composite, and the exact division of its compose certifies the
+    four links as the identity.  The remaining two links are the first link
+    and its inverse, the trivial relation chi^-1 o chi = id, which the first
+    link's own round-trip check certifies.
     """
     if len(links) != 3:
         raise DegeneratePair(
@@ -336,11 +338,7 @@ def _close_merged_square(surface: SBSurface, p: ClosedPoint, links):
     if comp4.degree != 1:
         raise DegeneratePair("square closure failed to reach a linear map")
     link4 = _absorb_into_link(link4, comp4, surface)
-    link5 = link_from_3point(surface, p)
-    link6 = link_from_3point(link5.forward.target, link5.inverse_base_point)
-    pair = compose(link6.forward.map, link5.forward.map)
-    link6 = _absorb_into_link(link6, pair, surface)
-    return [links[0], links[1], links[2], link4, link5, link6]
+    return [links[0], links[1], links[2], link4, links[0], links[0].inverse()]
 
 
 def _absorb_into_link(link: Link, composite: RationalMap, home: SBSurface) -> Link:

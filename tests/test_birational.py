@@ -16,6 +16,7 @@ from sblinks.birational import (
     RationalMap,
     TwistedMap,
     _followed_by_linear,
+    _independent_subset,
     _sigma_after,
     apply_matrix,
     base_points,
@@ -373,3 +374,30 @@ def test_followed_by_linear_needs_a_k_map(L, link_at_coords):
     link = link_at_coords
     with pytest.raises(NotEquivariant):
         _followed_by_linear(link, m, link.forward.target)
+
+
+def test_independent_subset_is_the_greedy_subset(L):
+    """One elimination keeps the same vectors, in the same order, as adding
+    each vector that raises the rank."""
+
+    def greedy(vectors):
+        out = []
+        for v in vectors:
+            if rank(out + [v]) > len(out):
+                out.append(v)
+        return out
+
+    rng = random.Random(7)
+    u = L.gen("u")
+
+    def entry():
+        return L.scalar(rng.randint(-3, 3)) + L.scalar(rng.randint(-3, 3)) * u
+
+    assert _independent_subset([]) == []
+    for dim in (2, 3, 4, 4, 4):
+        vectors = [tuple(entry() for _ in range(dim)) for _ in range(3)]
+        a, b = entry(), entry()
+        vectors.append(tuple(a * x + b * y for x, y in zip(vectors[0], vectors[1])))
+        vectors += [(L.zero(),) * dim, vectors[1], tuple(entry() for _ in range(dim))]
+        rng.shuffle(vectors)
+        assert _independent_subset(vectors) == greedy(vectors)

@@ -77,3 +77,19 @@ def test_nth_root_of_large_rationals():
     assert rational_nth_root(Fraction(7 ** 999 + 1), 3) is None
     assert rational_nth_root(Fraction(7 ** 1000), 3) is None
     assert rational_nth_root(Fraction(3 ** 1301), 2) is None
+
+
+def test_qzeta_roots_of_mixed_elements():
+    """Roots with coordinates past 2 are found; a non-power gives None."""
+    for base, n in ((QZeta(3, 5), 2), (QZeta(7, -4), 2), (QZeta(3, 5), 3)):
+        x = base ** n
+        r = qzeta_nth_root(x, n)
+        assert r is not None and r ** n == x
+    # a = 3 + 5 zeta and its conjugate are non-associate primes of norm 19,
+    # and -1 is not a square: each x below has a norm that is an n-th power
+    a = QZeta(3, 5)
+    a_bar = QZeta(-2, -5)
+    assert a_bar.norm_rational() == a.norm_rational() == 19
+    assert qzeta_nth_root(-(a ** 2), 2) is None
+    assert qzeta_nth_root(a ** 3 * a_bar, 2) is None
+    assert qzeta_nth_root(a ** 2 * a_bar, 3) is None

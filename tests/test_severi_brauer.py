@@ -312,3 +312,18 @@ def coordinate_3point_local(surface):
     from sblinks.severi_brauer import coordinate_3point
 
     return coordinate_3point(surface)
+
+
+def test_orbit_closure_stops_at_the_group_order(surface, L, monkeypatch):
+    """A twisted action that never closes an orbit raises NotAnOrbit once
+    there are more points than Galois group elements."""
+    made = []
+
+    def fresh_point(self, exps, v, tower):
+        made.append(v)
+        return (L.scalar(len(made) + 1), L.one(), L.one())
+
+    monkeypatch.setattr(SBSurface, "twisted_apply", fresh_point)
+    with pytest.raises(NotAnOrbit):
+        closed_point_from_seed(surface, (L.one(), L.one(), L.one()), L)
+    assert len(made) + 1 <= L.extension_degree() + 1

@@ -140,6 +140,9 @@ def test_hexagon_acceptance_pair(surface, coord_point, unit_point, link_sha):
     assert report.warm_equivalent and report.cold_equivalent
     assert report.merged_square  # this pair merges two hexagon vertices
     assert not report.closing_was_trivial
+    # the merged square closes with the trivial pair chi, chi^-1
+    assert links[4] == links[0]
+    assert links[5] == links[0].inverse()
     assert [link_sha(link) for link in links] == HEXAGON_LINK_PINS
 
 
