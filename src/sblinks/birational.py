@@ -13,8 +13,15 @@ costly part, runs only where it is not already known to hold:
   conic maps sigma o phi for invertible phi, only rescale: an invertible
   linear change keeps a coprime triple coprime, and the products of
   pairwise independent linear forms share no factor;
-- `is_equivariant` and the round-trip check of `Link` compare raw
+- `is_equivariant` and the round-trip check of `Link` compare unnormalised
   coordinate triples by 2x2 cross products, which needs no normal form.
+
+Stored coefficients carry t-denominators from the canonical scaling, so
+substitution (`compose`, the round trip, `is_equivariant`, the images of
+contracted curves) runs on cleared triples: `_cleared` scales a triple by
+one lcm of its coefficients' denominators, common to all three coordinates
+(clearing each one alone would change the map), and `subst` then does
+polynomial arithmetic, not a rational-function gcd per add and multiply.
 
 `normalize=False` means the caller guarantees coordinates that are already
 coprime and canonically scaled, as `identity`, `lift_to` and `galois` do.
@@ -37,6 +44,7 @@ from .errors import (
 from .field_tower import (
     FieldElement,
     GaloisAction,
+    RationalFunction,
     TowerField,
     cbrt_in_tower,
     sqrt_in_tower,
@@ -200,34 +208,32 @@ def _poly_str_xyz(p: MPoly) -> str:
     return " + ".join(bits)
 
 
-def _clear_denominators(p: MPoly):
-    """Scale a polynomial over a tower by the lcm of its coefficients'
-    rational-function denominators (a base-field scalar, so gcds and
-    projective classes are unchanged, but later arithmetic stays
-    denominator-free)."""
-    from .field_tower import RationalFunction
-    from .multipoly import gcd as base_gcd, exact_div as base_div
-
-    tower = None
-    den = None
-    for c in p.terms.values():
-        tower = c.tower
-        d = c.denominator_poly()
-        if d.is_const():
-            continue
-        if den is None or den.is_const():
-            den = d
-            continue
-        g = base_gcd(den, d)
-        den = den * (d if g.is_const() else base_div(d, g))
-    if den is None or den.is_const():
-        return p
-    return p.scale(tower.from_rf(RationalFunction.from_poly(den)))
+def _cleared(coords):
+    """The triple scaled by one lcm of the t-denominators of all its
+    coefficients: a base-field scale common to the three coordinates, so the
+    map and its gcd are unchanged and substitution stays denominator-free."""
+    den = tower = None
+    for p in coords:
+        for c in p.terms.values():
+            tower = c.tower
+            for rf in c.data.values():
+                d = rf.den
+                if d.is_const() or d == den:
+                    continue
+                if den is None:
+                    den = d
+                    continue
+                g = gcd(den, d)
+                den = den * (d if g.is_const() else exact_div(d, g))
+    if den is None:
+        return tuple(coords)
+    scale = tower.from_rf(RationalFunction.from_poly(den))
+    return tuple(p.scale(scale) for p in coords)
 
 
 def _normalize_coords(coords):
-    nonzero = [_clear_denominators(c) for c in coords if not c.is_zero()]
-    g = gcd_many_homogeneous(nonzero)
+    coords = _cleared(coords)
+    g = gcd_many_homogeneous([c for c in coords if not c.is_zero()])
     if not g.is_const():
         coords = tuple(
             c if c.is_zero() else exact_div(c, g) for c in coords
@@ -323,12 +329,15 @@ def equals(f: RationalMap, g: RationalMap) -> bool:
 
 
 def _substituted(f: RationalMap, h: RationalMap):
-    """The raw coordinates of f after h, before any common factor is removed."""
+    """The coordinates of f after h, before any common factor is removed,
+    up to one base-field scalar: both maps are substituted as cleared
+    triples."""
     if f.nsrc != 3:
         raise SblinksError("outer map must be a plane map")
     if f.tower != h.tower:
         raise SblinksError("compose needs maps over the same tower")
-    coords = tuple(c.subst(list(h.coords)) for c in f.coords)
+    inner = list(_cleared(h.coords))
+    coords = tuple(c.subst(inner) for c in _cleared(f.coords))
     if all(c.is_zero() for c in coords):
         raise IdenticallyZero(
             "composition collapses: the inner map lands in the base locus"
@@ -366,12 +375,13 @@ def is_equivariant(f: RationalMap, src: SBSurface, tgt: SBSurface) -> bool:
     """Whether f intertwines the twisted Galois actions of src and tgt,
     checked for every radical generator of the map's tower."""
     tower = f.tower
+    coords = _cleared(f.coords)
     for rad in tower.radicals:
         exps = {rad.name: 1}
         act = GaloisAction(tower, exps)
         forms = _linear_forms(src.twist_matrix(exps, tower))
-        lhs = [c.subst(forms) for c in f.coords]
-        moved = [c.map_coeffs(act.apply) for c in f.coords]
+        lhs = [c.subst(forms) for c in coords]
+        moved = [c.map_coeffs(act.apply) for c in coords]
         rhs = _mat_times(tgt.twist_matrix(exps, tower), moved)
         if not _proportional(lhs, rhs):
             return False
@@ -680,14 +690,16 @@ def _triple_independent(triple, tower: TowerField) -> bool:
 
 def image_of_line(f: RationalMap, va, vb):
     """Image point of the line spanned by va, vb, assuming f contracts it."""
-    tower = f.tower
-    one = tower.one()
-    param = []
-    for a, b in zip(va, vb):
-        p = MPoly.const(1, a) + MPoly.variable(1, 0, one).scale(b)
-        param.append(p)
-    vals = [c.subst(param) for c in f.coords]
-    return _constant_direction(vals, tower)
+    s = MPoly.variable(1, 0, f.tower.one())
+    param = [MPoly.const(1, a) + s.scale(b) for a, b in zip(va, vb)]
+    return _contracted_image(f, param)
+
+
+def _contracted_image(f: RationalMap, param):
+    """Image point of the parametrised curve param, assuming f contracts it;
+    both triples are substituted cleared."""
+    inner = list(_cleared(param))
+    return _constant_direction([c.subst(inner) for c in _cleared(f.coords)], f.tower)
 
 
 def _constant_direction(vals, tower: TowerField):
@@ -749,9 +761,7 @@ def parametrize_conic(conic: MPoly, v, tower: TowerField):
 
 
 def image_of_conic(f: RationalMap, conic: MPoly, through, tower: TowerField):
-    param = parametrize_conic(conic, through, tower)
-    vals = [c.subst(param) for c in f.coords]
-    return _constant_direction(vals, tower)
+    return _contracted_image(f, parametrize_conic(conic, through, tower))
 
 
 # ---------------------------------------------------------------------------

@@ -142,7 +142,8 @@ def cmd_cocycle(args):
     from .severi_brauer import make_surface
 
     base, ext = _extension(args)
-    rng = random.Random(_seed(args))
+    seed = _seed(args)
+    rng = random.Random(seed)
 
     def run():
         # each surface checks its cocycle on construction and raises
@@ -151,7 +152,8 @@ def cmd_cocycle(args):
             make_surface(ext, _random_base_monomial(rng, base).lift_to(ext.tower))
         return "pass", {"count": args.count}
 
-    return [_timed("cocycle", {"lambda": args.lam, "count": args.count}, run)]
+    params = {"lambda": args.lam, "count": args.count, "seed": seed}
+    return [_timed("cocycle", params, run)]
 
 
 def cmd_surface_iso(args):
@@ -388,7 +390,8 @@ def cmd_psi(args):
         word_from_list,
     )
 
-    rng = random.Random(_seed(args))
+    seed = _seed(args)
+    rng = random.Random(seed)
     classes = [LinkClass(3, (f"3:c{i}",)) for i in range(4)] + [
         LinkClass(6, (f"6:q{i}",), invariant_only=True) for i in range(3)
     ]
@@ -415,7 +418,7 @@ def cmd_psi(args):
             return "fail", {"case": "projection"}
         return "pass", {"count": args.count}
 
-    return [_timed("psi", {"count": args.count}, run)]
+    return [_timed("psi", {"count": args.count, "seed": seed}, run)]
 
 
 def cmd_bound(args):

@@ -724,20 +724,6 @@ class FieldElement:
     def galois(self, action: GaloisAction) -> "FieldElement":
         return action.apply(self)
 
-    def denominator_poly(self) -> MPoly:
-        """lcm of the denominators of all rational-function coordinates."""
-        out = _one_poly(self.tower.nvars)
-        for c in self.data.values():
-            d = c.den
-            if d.is_const():
-                continue
-            if out.is_const():
-                out = d
-                continue
-            g = gcd(out, d)
-            out = out * (d if g.is_const() else exact_div(d, g))
-        return out
-
     # -- comparisons -------------------------------------------------------------
 
     def __eq__(self, other) -> bool:

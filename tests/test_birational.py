@@ -15,8 +15,10 @@ from sblinks.birational import (
     Link,
     RationalMap,
     TwistedMap,
+    _cleared,
     _followed_by_linear,
     _independent_subset,
+    _proportional,
     _sigma_after,
     apply_matrix,
     base_points,
@@ -317,6 +319,58 @@ def test_singular_matrix_takes_full_gcd(L):
     assert h.degree == 1
     forms = _raw_forms(m)
     assert h == RationalMap(L, [c.subst(forms) for c in sig.coords])
+
+
+def _denominators(coords):
+    return [rf.den for p in coords for c in p.terms.values() for rf in c.data.values()]
+
+
+def _matrix_with_denominators(rng, tower):
+    """An invertible matrix over K whose entries carry t2-denominators."""
+    t2 = tower.t_var(1)
+
+    def entry():
+        shift = t2 + tower.scalar(rng.randint(1, 4))
+        return tower.scalar(rng.randint(-3, 3)) + tower.scalar(rng.randint(1, 3)) / shift
+
+    while True:
+        m = tuple(tuple(entry() for _ in range(3)) for _ in range(3))
+        if not det3(m).is_zero():
+            return m
+
+
+def _assert_cleared_compose(f, h):
+    """_cleared scales a whole triple by one base-field denominator: no
+    coefficient keeps a t-denominator and the map stays the same; compose,
+    which substitutes cleared triples, gives the map of the raw substitution."""
+    assert not all(d.is_const() for d in _denominators(f.coords + h.coords))
+    for g in (f, h):
+        cleared = _cleared(g.coords)
+        assert all(d.is_const() for d in _denominators(cleared))
+        assert _proportional(cleared, g.coords)
+    raw = [c.subst(list(h.coords)) for c in f.coords]
+    assert compose(f, h) == RationalMap(f.tower, raw)
+
+
+def test_cleared_compose_over_L(L, link_at_coords, link_at_unit):
+    rng = random.Random(20240614)
+    # denominators in the outer map, then in the inner one; maps over L with
+    # the radical in their coefficients and a composite of degree above 1
+    # take minutes to normalise, so the first composite is linear
+    m = _matrix_with_denominators(rng, L)
+    _assert_cleared_compose(
+        apply_matrix(m, link_at_unit.backward.map), link_at_unit.forward.map
+    )
+    m = _matrix_with_denominators(rng, L)
+    _assert_cleared_compose(
+        link_at_coords.backward.map, apply_matrix(m, link_at_coords.forward.map)
+    )
+
+
+def test_cleared_compose_over_two_radicals(six_link):
+    # the round trip over K[cbrt t1][sqrt t2]; the forward map carries
+    # t-denominators in 11 of its 18 coefficients
+    _assert_cleared_compose(six_link.backward.map, six_link.forward.map)
 
 
 def _unchecked_twisted(m, source, target):

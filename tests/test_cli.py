@@ -65,8 +65,14 @@ def test_parse_error_exit_65(capsys):
     assert run(["norm-test", "--xi", "cbrt(t2)", "--lambda", "t1"]) == 65
 
 
-def test_cocycle(capsys):
-    assert run(["cocycle", "--count", "5", "--seed", "7"]) == 0
+def _seed_of_report(capsys):
+    return json.loads(capsys.readouterr().out)["parameters"]["seed"]
+
+
+def test_cocycle(monkeypatch, capsys):
+    monkeypatch.setenv("SBK_SEED", "12345")
+    assert run(["cocycle", "--json", "--count", "5", "--seed", "7"]) == 0
+    assert _seed_of_report(capsys) == 7
 
 
 def test_surface_iso(capsys):
@@ -81,8 +87,10 @@ def test_point_second(capsys):
     assert "degree=3" in out
 
 
-def test_psi(capsys):
-    assert run(["psi", "--count", "100", "--seed", "3"]) == 0
+def test_psi(monkeypatch, capsys):
+    monkeypatch.setenv("SBK_SEED", "12345")
+    assert run(["psi", "--json", "--count", "100", "--seed", "3"]) == 0
+    assert _seed_of_report(capsys) == 3
 
 
 def test_link3(capsys):
@@ -114,6 +122,9 @@ def test_reports_sorted_and_valid_json(capsys):
 
 def test_sbk_seed_env(monkeypatch, capsys):
     monkeypatch.setenv("SBK_SEED", "12345")
-    assert run(["cocycle", "--count", "3"]) == 0
+    assert run(["cocycle", "--json", "--count", "3"]) == 0
+    assert _seed_of_report(capsys) == 12345
     monkeypatch.setenv("SBK_SEED", "999")
-    assert run(["psi", "--count", "50"]) == 0
+    assert run(["psi", "--json", "--count", "50"]) == 0
+    assert _seed_of_report(capsys) == 999
+
