@@ -844,37 +844,6 @@ class TriState:
         raise TypeError("TriState is not a boolean; inspect .status")
 
 
-def _constant_nth_root(c: QZeta, n: int):
-    r = qzeta_nth_root(c, n)
-    if r is not None:
-        return r
-    if c.is_rational():
-        return None  # exact non-existence for rationals
-    return _sympy_constant_root(c, n)
-
-
-def _sympy_constant_root(c: QZeta, n: int):
-    import sympy
-
-    z = sympy.Rational(-1, 2) + sympy.sqrt(-3) / 2
-    X = sympy.symbols("X")
-    expr = sympy.Rational(c.re) + sympy.Rational(c.zc) * z
-    poly = sympy.Poly(X**n - expr, X, extension=[sympy.sqrt(-3)])
-    for fac, _ in poly.factor_list()[1]:
-        if fac.degree() == 1:
-            coeffs = fac.all_coeffs()
-            root = sympy.expand(-coeffs[1] / coeffs[0])
-            # a + b sqrt(-3) = (a + b) + 2b zeta
-            a = root.coeff(sympy.sqrt(-3), 0)
-            b = root.coeff(sympy.sqrt(-3), 1)
-            qa = Fraction(str(sympy.nsimplify(a)))
-            qb = Fraction(str(sympy.nsimplify(b)))
-            cand = QZeta(qa + qb, 2 * qb)
-            if cand ** n == c:
-                return cand
-    return None
-
-
 def _nth_power_free_data(p: MPoly, n: int):
     """(ok, witness_poly, bad_factor, bad_mult): multiplicity structure mod n."""
     const, parts = squarefree_decomposition(p)
@@ -891,7 +860,7 @@ def _is_nth_power_rf(c: RationalFunction, n: int) -> TriState:
         raise SblinksError("power test on 0")
     if c.is_constant():
         v = c.constant_value()
-        r = _constant_nth_root(v, n)
+        r = qzeta_nth_root(v, n)
         if r is not None:
             return TriState("yes", RationalFunction.const(c.nvars, r))
         if v.is_rational():
@@ -935,7 +904,7 @@ def _is_nth_power_rf(c: RationalFunction, n: int) -> TriState:
                 "n": n,
             },
         )
-    cr = _constant_nth_root(cn * cd.inverse(), n)
+    cr = qzeta_nth_root(cn * cd.inverse(), n)
     if cr is None:
         if (cn * cd.inverse()).is_rational():
             return TriState(

@@ -1,33 +1,42 @@
 """Exact arithmetic in Q(zeta), zeta a primitive cube root of unity.
 
-Elements are stored as a + b*zeta with rational a, b, reduced against the
-minimal polynomial zeta^2 + zeta + 1 = 0.
+An element is stored as integers (a, b, d) standing for (a + b*zeta)/d,
+reduced against the minimal polynomial zeta^2 + zeta + 1 = 0, with d > 0
+and gcd(a, b, d) = 1: each element has one representation, so equality
+compares integers.  Arithmetic works on the integers; a result over the
+denominator 1 is not reduced, any other costs one gcd.  The rational
+coordinates `re` and `zc` are `Fraction`s made on request.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-
-
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(x)
+from math import gcd, isqrt, lcm
 
 
 class QZeta:
-    """An element a + b*zeta of Q(zeta)."""
+    """re + zc*zeta in Q(zeta), built from ints, `Fraction`s or strings and
+    held as (a + b*zeta)/d."""
 
-    __slots__ = ("re", "zc", "_hash")
+    __slots__ = ("a", "b", "d")
 
-    def __init__(self, re=0, zc=0):
-        object.__setattr__(self, "re", _frac(re))
-        object.__setattr__(self, "zc", _frac(zc))
-        object.__setattr__(self, "_hash", None)
+    def __new__(cls, re=0, zc=0):
+        if type(re) is int and type(zc) is int:
+            return _qz(re, zc, 1)
+        re, zc = Fraction(re), Fraction(zc)
+        d = lcm(re.denominator, zc.denominator)
+        return _qz(int(re * d), int(zc * d), d)
 
     def __setattr__(self, name, value):
         raise AttributeError("QZeta is immutable")
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def zc(self) -> Fraction:
+        return Fraction(self.b, self.d)
 
     # -- constructors ---------------------------------------------------
 
@@ -50,50 +59,56 @@ class QZeta:
             return _ONE
         if k == 1:
             return _ZETA
-        return QZeta(-1, -1)  # zeta^2 = -1 - zeta
+        return _qz(-1, -1, 1)  # zeta^2 = -1 - zeta
 
     # -- predicates ------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.re and not self.zc
+        return not self.a and not self.b
 
     def is_one(self) -> bool:
-        return self.re == 1 and not self.zc
+        return self.a == 1 and not self.b and self.d == 1
 
     def is_rational(self) -> bool:
-        return not self.zc
+        return not self.b
 
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other: "QZeta") -> "QZeta":
-        return QZeta(self.re + other.re, self.zc + other.zc)
+        d, e = self.d, other.d
+        if d == e:
+            return _reduced(self.a + other.a, self.b + other.b, d)
+        return _reduced(self.a * e + other.a * d, self.b * e + other.b * d, d * e)
 
     def __sub__(self, other: "QZeta") -> "QZeta":
-        return QZeta(self.re - other.re, self.zc - other.zc)
+        d, e = self.d, other.d
+        if d == e:
+            return _reduced(self.a - other.a, self.b - other.b, d)
+        return _reduced(self.a * e - other.a * d, self.b * e - other.b * d, d * e)
 
     def __neg__(self) -> "QZeta":
-        return QZeta(-self.re, -self.zc)
+        return _qz(-self.a, -self.b, self.d)
 
     def __mul__(self, other: "QZeta") -> "QZeta":
-        # (a + b z)(c + d z) = ac + (ad + bc) z + bd z^2,  z^2 = -1 - z
-        a, b, c, d = self.re, self.zc, other.re, other.zc
+        # (a + b z)(c + e z) = ac + (ae + bc) z + be z^2,  z^2 = -1 - z
+        a, b, c, e = self.a, self.b, other.a, other.b
+        d = self.d * other.d
         if not b:
-            if not d:
-                return QZeta(a * c, 0)
-            return QZeta(a * c, a * d)
-        if not d:
-            return QZeta(a * c, b * c)
-        bd = b * d
-        return QZeta(a * c - bd, a * d + b * c - bd)
+            return _reduced(a * c, a * e, d)
+        if not e:
+            return _reduced(a * c, b * c, d)
+        be = b * e
+        return _reduced(a * c - be, a * e + b * c - be, d)
 
     def inverse(self) -> "QZeta":
-        n = self.norm_rational()
+        a, b, d = self.a, self.b, self.d
+        n = a * a - a * b + b * b
         if not n:
             from .errors import ZeroInverse
 
             raise ZeroInverse("0 has no inverse in Q(zeta)")
-        # (a + b z)^-1 = conj / norm, conj = (a - b) - b z
-        return QZeta((self.re - self.zc) / n, -self.zc / n)
+        # (a + b z)^-1 = d conj / n, conj = (a - b) - b z, and n > 0
+        return _reduced((a - b) * d, -b * d, n)
 
     def __truediv__(self, other: "QZeta") -> "QZeta":
         return self * other.inverse()
@@ -112,40 +127,33 @@ class QZeta:
 
     def conj(self) -> "QZeta":
         """Complex conjugation zeta -> zeta^2."""
-        return QZeta(self.re - self.zc, -self.zc)
+        return _qz(self.a - self.b, -self.b, self.d)
 
     def norm_rational(self) -> Fraction:
-        """Norm down to Q: a^2 - a b + b^2."""
-        a, b = self.re, self.zc
-        return a * a - a * b + b * b
+        """Norm down to Q: (a^2 - a b + b^2)/d^2."""
+        a, b, d = self.a, self.b, self.d
+        return Fraction(a * a - a * b + b * b, d * d)
 
     # -- comparison --------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, QZeta)
-            and self.re == other.re
-            and self.zc == other.zc
-        )
+        return isinstance(other, QZeta) and (self.a, self.b, self.d) == (other.a, other.b, other.d)
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.re, self.zc))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash((self.re, self.zc))
 
     # -- io ------------------------------------------------------------------
 
     def __repr__(self) -> str:
-        if not self.zc:
-            return str(self.re)
-        if not self.re:
-            return f"{self.zc}*zeta" if self.zc != 1 else "zeta"
-        sign = "+" if self.zc > 0 else "-"
-        z = abs(self.zc)
+        re, zc = self.re, self.zc
+        if not zc:
+            return str(re)
+        if not re:
+            return f"{zc}*zeta" if zc != 1 else "zeta"
+        sign = "+" if zc > 0 else "-"
+        z = abs(zc)
         ztxt = "zeta" if z == 1 else f"{z}*zeta"
-        return f"({self.re} {sign} {ztxt})"
+        return f"({re} {sign} {ztxt})"
 
     def to_json(self) -> dict:
         return {"re": str(self.re), "zeta": str(self.zc)}
@@ -155,14 +163,35 @@ class QZeta:
         return QZeta(Fraction(data["re"]), Fraction(data["zeta"]))
 
 
-_ZERO = QZeta(0, 0)
-_ONE = QZeta(1, 0)
-_ZETA = QZeta(0, 1)
+_set_a, _set_b, _set_d = (QZeta.__dict__[k].__set__ for k in QZeta.__slots__)
+
+
+def _qz(a: int, b: int, d: int) -> QZeta:
+    """(a + b*zeta)/d, for integers that already satisfy the invariant."""
+    r = object.__new__(QZeta)
+    _set_a(r, a)
+    _set_b(r, b)
+    _set_d(r, d)
+    return r
+
+
+def _reduced(a: int, b: int, d: int) -> QZeta:
+    """(a + b*zeta)/d for d > 0, divided by gcd(a, b, d)."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
+    return _qz(a, b, d)
+
+
+_ZERO = _qz(0, 0, 1)
+_ONE = _qz(1, 0, 1)
+_ZETA = _qz(0, 1, 1)
 
 
 def rational_nth_root(x: Fraction, n: int):
     """Exact n-th root of a rational, or None if no rational root exists."""
-    x = _frac(x)
+    x = Fraction(x)
     if x == 0:
         return Fraction(0)
     if x < 0:
@@ -184,7 +213,7 @@ def _int_nth_root(m: int, n: int):
     if m in (0, 1):
         return m
     if n == 2:
-        r = math.isqrt(m)
+        r = isqrt(m)
     else:
         # Newton's method from r >= m^(1/n) decreases to floor(m^(1/n))
         r = 1 << -(-m.bit_length() // n)
@@ -199,11 +228,12 @@ def _int_nth_root(m: int, n: int):
 def qzeta_nth_root(x: QZeta, n: int):
     """n-th root of x inside Q(zeta) for n in {2, 3}, or None.
 
-    Rational inputs are handled exactly; for mixed a + b*zeta the candidate
-    roots are reconstructed from the rational norm, so the answer is exact
-    whenever it is returned (a None is "not found in this fragment" for
-    mixed elements, but is a proof of non-existence for rational ones only
-    up to multiplication by powers of zeta).
+    A returned root is exact, and None proves there is none.  A rational x
+    has one only if it is a rational n-th power, or for n = 2 minus 3 times
+    a rational square.  For x = (a + b zeta)/d and a root y, c y lies in the
+    integrally closed Z[zeta] for every integer c with d | c^n; only 3
+    ramifies, so d = 3^k r^n with 3 not dividing r, and c = 3^ceil(k/n) r.
+    Every element of Z[zeta] with the norm of c y is tried.
     """
     if x.is_zero():
         return QZeta.zero()
@@ -211,32 +241,33 @@ def qzeta_nth_root(x: QZeta, n: int):
         r = rational_nth_root(x.re, n)
         if r is not None:
             return QZeta(r)
-        if n == 2 and x.re < 0:
+        if n == 2 and x.a < 0:
             # sqrt(-3 m^2) = (1 + 2 zeta) m since (1 + 2 zeta)^2 = -3
             r = rational_nth_root(-x.re / 3, 2)
             if r is not None:
                 return QZeta(r) * QZeta(1, 2)
-        if n == 3:
-            # cube roots may pick up a zeta factor: (zeta^k c)^3 = c^3
-            return None
         return None
-    # mixed element: norm(root)^n = norm(x)
-    nx = x.norm_rational()
-    rn = rational_nth_root(nx, n)
-    if rn is None:
+    k, rest = 0, x.d
+    while rest % 3 == 0:
+        k, rest = k + 1, rest // 3
+    r = _int_nth_root(rest, n)
+    if r is None:
         return None
-    # candidates y = (U + V zeta)/den of norm rn: U^2 - UV + V^2 = num*den,
-    # so V = (U +- s)/2 with s^2 = 4 num den - 3 U^2
-    den = rn.denominator
-    m = 4 * rn.numerator * den
-    bound = math.isqrt(m // 3)
+    c = 3 ** -(-k // n) * r
+    scale = c ** n // x.d
+    a, b = x.a * scale, x.b * scale
+    m = _int_nth_root(a * a - a * b + b * b, n)
+    if m is None:
+        return None
+    # Y = U + V zeta of norm m: U^2 - UV + V^2 = m, so V = (U +- s)/2 with
+    # s^2 = 4m - 3U^2
+    target = _qz(a, b, 1)
+    bound = isqrt(4 * m // 3)
     for u in range(-bound, bound + 1):
-        s = _int_nth_root(m - 3 * u * u, 2)
+        s = _int_nth_root(4 * m - 3 * u * u, 2)
         if s is None:
             continue
         for v2 in (u - s, u + s):
-            if v2 % 2 == 0:
-                y = QZeta(Fraction(u, den), Fraction(v2 // 2, den))
-                if y ** n == x:
-                    return y
+            if v2 % 2 == 0 and _qz(u, v2 // 2, 1) ** n == target:
+                return _reduced(u, v2 // 2, c)
     return None

@@ -2,6 +2,7 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import settings
 
 from sblinks.field_tower import CubicExtension, TowerField
 from sblinks.severi_brauer import (
@@ -10,6 +11,11 @@ from sblinks.severi_brauer import (
     sixpoint_from_sqrt,
     unit_3point,
 )
+
+# Every run draws the same examples: each test's seed is derived from the
+# test itself (and no example database is replayed).
+settings.register_profile("seeded", derandomize=True)
+settings.load_profile("seeded")
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,8 @@
+import math
+import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, strategies as st
 
 from sblinks.scalars import QZeta, qzeta_nth_root, rational_nth_root
@@ -93,3 +96,129 @@ def test_qzeta_roots_of_mixed_elements():
     assert qzeta_nth_root(-(a ** 2), 2) is None
     assert qzeta_nth_root(a ** 3 * a_bar, 2) is None
     assert qzeta_nth_root(a ** 2 * a_bar, 3) is None
+
+
+def test_qzeta_roots_with_denominators():
+    """A root need not have the denominator of its norm: y = (3 + zeta) /
+    (3 + zeta^2) = (8 + 5 zeta)/7 has norm 1."""
+    y = QZeta(3, 1) / QZeta(3, 1).conj()
+    assert y == QZeta(Fraction(8, 7), Fraction(5, 7))
+    assert y.norm_rational() == 1
+    for n in (2, 3):
+        r = qzeta_nth_root(y ** n, n)
+        assert r is not None and r ** n == y ** n
+
+
+def test_qzeta_roots_of_seeded_powers():
+    """Every n-th power y^n, n in {2, 3}, of a seeded y has a root found."""
+    rng = random.Random(20240611)
+
+    def coordinate():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+
+    for _ in range(300):
+        y = QZeta(coordinate(), coordinate())
+        if y.is_zero():
+            continue
+        if rng.random() < 0.3:
+            y = y / y.conj()  # norm 1, denominator the norm of y
+        n = rng.choice((2, 3))
+        r = qzeta_nth_root(y ** n, n)
+        assert r is not None and r ** n == y ** n, (y, n)
+
+
+class _TwoFractions:
+    """Reference for QZeta: a + b*zeta held as two Fractions a, b."""
+
+    def __init__(self, re, zc):
+        self.re, self.zc = Fraction(re), Fraction(zc)
+
+    def __add__(self, other):
+        return _TwoFractions(self.re + other.re, self.zc + other.zc)
+
+    def __sub__(self, other):
+        return _TwoFractions(self.re - other.re, self.zc - other.zc)
+
+    def __mul__(self, other):
+        a, b, c, d = self.re, self.zc, other.re, other.zc
+        return _TwoFractions(a * c - b * d, a * d + b * c - b * d)
+
+    def inverse(self):
+        a, b = self.re, self.zc
+        n = a * a - a * b + b * b
+        return _TwoFractions((a - b) / n, -b / n)
+
+    def __pow__(self, k):
+        base = self.inverse() if k < 0 else self
+        r = _TwoFractions(1, 0)
+        for _ in range(abs(k)):
+            r = r * base
+        return r
+
+    def __repr__(self):
+        if not self.zc:
+            return str(self.re)
+        if not self.re:
+            return f"{self.zc}*zeta" if self.zc != 1 else "zeta"
+        sign = "+" if self.zc > 0 else "-"
+        z = abs(self.zc)
+        ztxt = "zeta" if z == 1 else f"{z}*zeta"
+        return f"({self.re} {sign} {ztxt})"
+
+
+wide_rationals = st.fractions(min_value=-200, max_value=200, max_denominator=60)
+
+
+def _assert_matches(x, ref):
+    assert (x.re, x.zc) == (ref.re, ref.zc)
+    assert x.d > 0 and math.gcd(x.a, x.b, x.d) == 1
+    assert x == QZeta(ref.re, ref.zc)
+    assert hash(x) == hash((ref.re, ref.zc))
+    assert repr(x) == repr(ref)
+
+
+@given(wide_rationals, wide_rationals, wide_rationals, wide_rationals)
+def test_arithmetic_matches_two_fraction_reference(p, q, r, s):
+    x, y = QZeta(p, q), QZeta(r, s)
+    rx, ry = _TwoFractions(p, q), _TwoFractions(r, s)
+    _assert_matches(x, rx)
+    _assert_matches(x + y, rx + ry)
+    _assert_matches(x - y, rx - ry)
+    _assert_matches(x - x, rx - rx)
+    _assert_matches(-x, _TwoFractions(-p, -q))
+    _assert_matches(x * y, rx * ry)
+    _assert_matches(x.conj(), _TwoFractions(p - q, -q))
+    assert x.norm_rational() == p * p - p * q + q * q
+    assert (x == y) == ((p, q) == (r, s))
+    assert x + y - y == x and hash(x + y - y) == hash(x)
+    if not x.is_zero():
+        _assert_matches(x.inverse(), rx.inverse())
+        _assert_matches(y / x, ry * rx.inverse())
+
+
+@given(wide_rationals, wide_rationals, st.integers(-5, 5))
+def test_powers_match_two_fraction_reference(p, q, k):
+    x = QZeta(p, q)
+    if k < 0 and x.is_zero():
+        return
+    _assert_matches(x ** k, _TwoFractions(p, q) ** k)
+
+
+@given(wide_rationals, wide_rationals)
+def test_construction_and_json_round_trip(p, q):
+    x = QZeta(p, q)
+    assert x.to_json() == {"re": str(p), "zeta": str(q)}
+    assert QZeta.from_json(x.to_json()) == x
+    assert QZeta(str(p), str(q)) == x
+    if p.denominator == q.denominator == 1:
+        assert QZeta(p.numerator, q.numerator) == x
+        assert QZeta(p.numerator, q.numerator).d == 1
+
+
+@given(wide_rationals, wide_rationals)
+def test_qzeta_is_immutable(p, q):
+    x = QZeta(p, q)
+    for name in ("a", "b", "d", "re", "zc", "other"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, 1)
+    assert (x.re, x.zc) == (p, q)
