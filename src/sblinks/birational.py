@@ -46,6 +46,7 @@ from .field_tower import (
     GaloisAction,
     RationalFunction,
     TowerField,
+    _lcm,
     cbrt_in_tower,
     sqrt_in_tower,
 )
@@ -212,20 +213,12 @@ def _cleared(coords):
     """The triple scaled by one lcm of the t-denominators of all its
     coefficients: a base-field scale common to the three coordinates, so the
     map and its gcd are unchanged and substitution stays denominator-free."""
-    den = tower = None
-    for p in coords:
-        for c in p.terms.values():
-            tower = c.tower
-            for rf in c.data.values():
-                d = rf.den
-                if d.is_const() or d == den:
-                    continue
-                if den is None:
-                    den = d
-                    continue
-                g = gcd(den, d)
-                den = den * (d if g.is_const() else exact_div(d, g))
-    if den is None:
+    coeffs = [c for p in coords for c in p.terms.values()]
+    if not coeffs:
+        return tuple(coords)
+    tower = coeffs[0].tower
+    den = _lcm((c.den for c in coeffs), tower.unit)
+    if den is tower.unit:
         return tuple(coords)
     scale = tower.from_rf(RationalFunction.from_poly(den))
     return tuple(p.scale(scale) for p in coords)

@@ -1,24 +1,35 @@
 """Radical towers L = K[r1][r2]... over K = Q(zeta)(t1,...,tn).
 
-An element is one flat map from radical exponents to coefficients: the key
-(e_1, ..., e_h), with 0 <= e_j < degree_j, stands for r_1^e_1 ... r_h^e_h,
-and its value is a nonzero reduced rational function of K.  Zero is the
-empty map and the key (0, ..., 0) holds the base-field part.  Every radicand
-is required to be a nonzero element of the base field K, so a product
-reduces with r_j^degree_j = radicand_j alone and each per-radical Galois
-generator scales a monomial by a root of unity: the generators are honest
-automorphisms of the whole tower (a radical never appears inside the
+An element is stored over one shared t-denominator: nums maps radical
+exponents to nonzero numerators in Q(zeta)[t], the key (e_1, ..., e_h), with
+0 <= e_j < degree_j, standing for r_1^e_1 ... r_h^e_h, and den is one monic
+polynomial with gcd(den, all nums) = 1.  The element is
+sum_e (nums[e] / den) r^e; zero is ({}, 1) and the key (0, ..., 0) holds the
+base-field part.  Every denominator 1 is one shared object per number of
+variables, so the denominator-free case is an identity test and a product
+of denominator-free elements is polynomial arithmetic alone.  A product
+with denominators reduces once per element (one gcd chain over den and the
+numerators), not once per pair of coefficients; a product of two one-term
+elements cancels crosswise, as for rational functions.
+
+Every radicand is required to be a nonzero element of the base field K, so a
+product reduces with r_j^degree_j = radicand_j alone and each per-radical
+Galois generator scales a monomial by a root of unity: the generators are
+honest automorphisms of the whole tower (a radical never appears inside the
 radicand of a later one).
 
 Arithmetic is exact and canonical: equal values have identical
-representations, so equality is structural.  JSON and repr keep the nested
-layout, one list per radical with the last radical outermost.
+representations, so equality is structural.  JSON and repr keep the
+per-coefficient layout, each coordinate a reduced rational function of K,
+nested one list per radical with the last radical outermost;
+FieldElement.coefficients() is that derived view.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from operator import add
 
@@ -134,15 +145,10 @@ class RationalFunction:
     def __mul__(self, other: "RationalFunction") -> "RationalFunction":
         if self.is_zero() or other.is_zero():
             return self.zero() if self.is_zero() else other.zero()
-        if self.den.is_const() and other.den.is_const():
-            return RationalFunction(self.num * other.num, self.den, reduce=False)
-        g1 = gcd(self.num, other.den)
-        g2 = gcd(other.num, self.den)
-        n1 = self.num if g1.is_const() else exact_div(self.num, g1)
-        d2 = other.den if g1.is_const() else exact_div(other.den, g1)
-        n2 = other.num if g2.is_const() else exact_div(other.num, g2)
-        d1 = self.den if g2.is_const() else exact_div(self.den, g2)
-        return RationalFunction(n1 * n2, d1 * d2, reduce=False)._monic_den()
+        num, den = _cross(
+            self.num, self.den, other.num, other.den, _one_poly(self.nvars)
+        )
+        return RationalFunction(num, den, reduce=False)
 
     def inverse(self) -> "RationalFunction":
         if self.is_zero():
@@ -202,7 +208,10 @@ class RationalFunction:
         )
 
 
+@cache
 def _one_poly(nvars: int) -> MPoly:
+    """The polynomial 1 in nvars variables, one shared object per nvars: an
+    element's denominator is 1 exactly when it is this object."""
     return MPoly.const(nvars, QZeta.one())
 
 
@@ -282,7 +291,10 @@ class Radical:
 class TowerField:
     """K = Q(zeta)(t1..tn) extended by an ordered list of radicals."""
 
-    __slots__ = ("nvars", "radicals", "degrees", "origin", "_hash", "_one", "_zero")
+    __slots__ = (
+        "nvars", "radicals", "degrees", "origin", "unit", "_radicands",
+        "_hash", "_one", "_zero",
+    )
 
     def __init__(self, nvars: int, radicals=()):
         self.nvars = nvars
@@ -292,6 +304,11 @@ class TowerField:
             raise SblinksError("duplicate radical names in tower")
         self.degrees = tuple(r.degree for r in self.radicals)
         self.origin = (0,) * len(self.radicals)  # exponents of the base field
+        self.unit = _one_poly(nvars)  # the denominator of t-polynomial elements
+        # (numerator, denominator) of each radicand, the denominator 1 shared
+        self._radicands = tuple(
+            (r.radicand.num, _den(r.radicand.den, self.unit)) for r in self.radicals
+        )
         self._hash = None
         self._one = None
         self._zero = None
@@ -337,11 +354,13 @@ class TowerField:
     def from_rf(self, rf: RationalFunction) -> "FieldElement":
         if rf.nvars != self.nvars:
             raise SblinksError("rational function arity does not match the tower")
-        return FieldElement(self, {} if rf.is_zero() else {self.origin: rf})
+        if rf.is_zero():
+            return self.zero()
+        return FieldElement(self, {self.origin: rf.num}, _den(rf.den, self.unit))
 
     def zero(self) -> "FieldElement":
         if self._zero is None:
-            self._zero = FieldElement(self, {})
+            self._zero = FieldElement(self, {}, self.unit)
         return self._zero
 
     def one(self) -> "FieldElement":
@@ -362,7 +381,7 @@ class TowerField:
         """The radical generator as an element of the tower."""
         e = list(self.origin)
         e[self.radical_index(name)] = 1
-        return FieldElement(self, {tuple(e): RationalFunction.const(self.nvars, 1)})
+        return FieldElement(self, {tuple(e): self.unit}, self.unit)
 
     def galois_generator(self, name: str) -> "GaloisAction":
         r = self.radical(name)
@@ -426,59 +445,186 @@ class TowerField:
         return TowerField(nvars, rads)
 
 
-# -- arithmetic on exponent-keyed coefficient maps ------------------------------
+# -- arithmetic on (numerators, shared denominator) pairs ----------------------
 
 
-def _add(a: dict, b: dict) -> dict:
-    if not a:
+def _den(d: MPoly, unit: MPoly) -> MPoly:
+    """A monic denominator, the shared unit when it is constant."""
+    if d is unit or (len(d.terms) == 1 and not any(next(iter(d.terms)))):
+        return unit
+    return d
+
+
+def _den_mul(a: MPoly, b: MPoly, unit: MPoly) -> MPoly:
+    if a is unit:
         return b
-    if not b:
+    if b is unit:
         return a
+    return a * b
+
+
+def _sum(a: dict, b: dict) -> dict:
+    """Termwise sum of two numerator maps over one denominator, zeros dropped."""
     out = dict(a)
-    for e, c in b.items():
-        s = out.get(e)
-        if s is None:
-            out[e] = c
+    for e, p in b.items():
+        q = out.get(e)
+        if q is None:
+            out[e] = p
             continue
-        s = s + c
-        if s.is_zero():
-            del out[e]
+        q = q + p
+        if q.terms:
+            out[e] = q
         else:
-            out[e] = s
+            del out[e]
     return out
 
 
-def _neg(a: dict) -> dict:
-    return {e: -c for e, c in a.items()}
+def _scaled(nums: dict, d: MPoly, unit: MPoly) -> dict:
+    if d is unit:
+        return nums
+    return {e: p * d for e, p in nums.items()}
 
 
-def _mul(tower: TowerField, a: dict, b: dict) -> dict:
+def _reduced(tower: TowerField, nums: dict, den: MPoly) -> "FieldElement":
+    """The element nums/den in canonical form, den monic: one gcd chain over
+    den and the numerators, then one exact division of each."""
+    unit = tower.unit
+    if not nums:
+        return tower.zero()
+    if den is unit:
+        return FieldElement(tower, nums, unit)
+    g = den
+    for p in sorted(nums.values(), key=lambda p: len(p.terms)):
+        g = gcd(g, p)
+        if g.is_const():
+            return FieldElement(tower, nums, den)
+    return FieldElement(
+        tower,
+        {e: exact_div(p, g) for e, p in nums.items()},
+        _den(exact_div(den, g), unit),
+    )
+
+
+def _lcm(dens, unit: MPoly) -> MPoly:
+    """The lcm of monic denominators, the shared unit when every one is 1."""
+    out = unit
+    for d in dens:
+        if d is unit or d == out:
+            continue
+        if out is unit:
+            out = d
+            continue
+        g = gcd(out, d)
+        out = out * (d if g.is_const() else exact_div(d, g))
+    return out
+
+
+def _over_lcm(tower: TowerField, pieces) -> "FieldElement":
+    """The sum of reduced pieces (nums, den) with disjoint exponents over the
+    lcm of their denominators, which is already canonical: a factor of the
+    lcm is missing from some numerator of the piece it comes from."""
+    unit = tower.unit
+    den = _lcm((d for _, d in pieces), unit)
+    nums = {}
+    for part, d in pieces:
+        if d is not den:
+            part = _scaled(part, _den(exact_div(den, d), unit), unit)
+        nums.update(part)
+    return FieldElement(tower, nums, den) if nums else tower.zero()
+
+
+def _add(a: "FieldElement", b: "FieldElement") -> "FieldElement":
+    if not a.nums:
+        return b
+    if not b.nums:
+        return a
+    tower, unit = a.tower, a.tower.unit
+    da, db = a.den, b.den
+    if da is db or da == db:
+        return _reduced(tower, _sum(a.nums, b.nums), da)
+    g = unit if da is unit or db is unit else gcd(da, db)
+    coprime = g.is_const()
+    if not coprime:
+        da, db = _den(exact_div(da, g), unit), _den(exact_div(db, g), unit)
+    nums = _sum(_scaled(a.nums, db, unit), _scaled(b.nums, da, unit))
+    den = _den_mul(da, b.den, unit)
+    # over coprime denominators nothing cancels: a factor of da is missing
+    # from db and from some numerator of a
+    return FieldElement(tower, nums, den) if coprime else _reduced(tower, nums, den)
+
+
+def _neg(a: "FieldElement") -> "FieldElement":
+    return FieldElement(a.tower, {e: -p for e, p in a.nums.items()}, a.den)
+
+
+def _cross(n1: MPoly, d1: MPoly, n2: MPoly, d2: MPoly, unit: MPoly):
+    """(n1/d1) * (n2/d2) for reduced fractions, cancelled crosswise: the
+    common factors are gcd(n1, d2) and gcd(n2, d1)."""
+    if d2 is not unit:
+        g = gcd(n1, d2)
+        if not g.is_const():
+            n1, d2 = exact_div(n1, g), _den(exact_div(d2, g), unit)
+    if d1 is not unit:
+        g = gcd(n2, d1)
+        if not g.is_const():
+            n2, d1 = exact_div(n2, g), _den(exact_div(d1, g), unit)
+    return n1 * n2, _den_mul(d1, d2, unit)
+
+
+def _mul(tower: TowerField, a: "FieldElement", b: "FieldElement") -> "FieldElement":
+    if not a.nums or not b.nums:
+        return tower.zero()
+    unit = tower.unit
+    degrees, radicands = tower.degrees, tower._radicands
+    if len(a.nums) == 1 and len(b.nums) == 1:
+        # one term each: cancel crosswise, then once per radicand taken
+        ((ea, na),), ((eb, nb),) = a.nums.items(), b.nums.items()
+        n, d = _cross(na, a.den, nb, b.den, unit)
+        e = list(map(add, ea, eb))
+        for j, k in enumerate(degrees):
+            if e[j] >= k:
+                e[j] -= k
+                rn, rd = radicands[j]
+                n, d = _cross(n, d, rn, rd, unit)
+        return FieldElement(tower, {tuple(e): n}, d)
     raw = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
+    for ea, pa in a.nums.items():
+        for eb, pb in b.nums.items():
             e = tuple(map(add, ea, eb))
-            p = ca * cb
+            p = pa * pb
             q = raw.get(e)
             raw[e] = p if q is None else q + p
+    # radicals whose radicand has a denominator that some term takes: the
+    # other terms are brought over it too
+    over = {
+        j for j, k in enumerate(degrees)
+        if radicands[j][1] is not unit
+        and any(e[j] >= k for e, p in raw.items() if p.terms)
+    }
     out = {}
-    for e, c in raw.items():
-        if c.is_zero():
+    for e, p in raw.items():
+        if not p.terms:
             continue
-        # r_j^(d + k) = radicand_j * r_j^k
-        for j, d in enumerate(tower.degrees):
-            if e[j] >= d:
-                e = e[:j] + (e[j] - d,) + e[j + 1:]
-                c = c * tower.radicals[j].radicand
+        for j, k in enumerate(degrees):
+            if e[j] >= k:
+                # r_j^(d + k) = radicand_j * r_j^k
+                e = e[:j] + (e[j] - k,) + e[j + 1:]
+                p = p * radicands[j][0]
+            elif j in over:
+                p = p * radicands[j][1]
         q = out.get(e)
-        out[e] = c if q is None else q + c
-    return {e: c for e, c in out.items() if not c.is_zero()}
+        out[e] = p if q is None else q + p
+    den = _den_mul(a.den, b.den, unit)
+    for j in over:
+        den = _den_mul(den, radicands[j][1], unit)
+    return _reduced(tower, {e: p for e, p in out.items() if p.terms}, den)
 
 
-def _galois(weights, a: dict) -> dict:
+def _galois(weights, a: "FieldElement") -> "FieldElement":
     """Scale each term by the root of unity the action gives its radical
     monomial; weights lists (position, exponent k, degree) per moved radical."""
-    out = {}
-    for e, c in a.items():
+    nums = {}
+    for e, p in a.nums.items():
         z = s = 0
         for j, k, d in weights:
             if d == 3:
@@ -488,39 +634,41 @@ def _galois(weights, a: dict) -> dict:
         factor = QZeta.zeta_pow(z)
         if s % 2:
             factor = -factor
-        if factor.is_one():
-            out[e] = c
-        else:
-            out[e] = RationalFunction(c.num.scale(factor), c.den, reduce=False)
-    return out
+        nums[e] = p if factor.is_one() else p.scale(factor)
+    return FieldElement(a.tower, nums, a.den)
 
 
-def _inverse(tower: TowerField, a: dict) -> dict:
+def _inverse(tower: TowerField, a: "FieldElement") -> "FieldElement":
     """Multiply by the conjugates under each radical's generator, from the
     top radical down, until the product (the norm) lies in K."""
-    if not a:
+    if not a.nums:
         raise ZeroInverse("0 has no inverse")
     n, conj = a, None
     for j in reversed(range(tower.height())):
-        if not any(e[j] for e in n):
+        if not any(e[j] for e in n.nums):
             continue
         d = tower.degrees[j]
         c = _galois(((j, 1, d),), n)
         if d == 3:
             c = _mul(tower, c, _galois(((j, 2, d),), n))
         n = _mul(tower, n, c)
-        if any(e[j] for e in n):
+        if any(e[j] for e in n.nums):
             raise ZeroInverse(
                 "norm with radical coordinates; tower is not a field "
                 "(reducible radicand?)"
             )
-        if not n:
+        if not n.nums:
             raise ZeroInverse(
                 "nonzero element with zero norm; tower is not a field "
                 "(reducible radicand?)"
             )
         conj = c if conj is None else _mul(tower, conj, c)
-    inv = {tower.origin: n[tower.origin].inverse()}
+    # 1/n = n.den / n.nums[origin], the new denominator made monic
+    num, den = n.nums[tower.origin], n.den
+    ci = num.lc().inverse()
+    if not ci.is_one():
+        num, den = num.scale(ci), den.scale(ci)
+    inv = FieldElement(tower, {tower.origin: den}, _den(num, tower.unit))
     return inv if conj is None else _mul(tower, conj, inv)
 
 
@@ -610,7 +758,7 @@ class GaloisAction:
                     "action references radicals absent from the element's tower"
                 )
             raise ActionMismatch("element belongs to a different tower")
-        return FieldElement(self.tower, _galois(self._weights, e.data))
+        return _galois(self._weights, e)
 
     def __call__(self, e: "FieldElement") -> "FieldElement":
         return self.apply(e)
@@ -637,39 +785,43 @@ def _gcd_int(a, b):
 
 
 class FieldElement:
-    """An element of a tower: data maps radical exponents to nonzero
-    rational functions of K, as the module docstring describes."""
+    """An element of a tower, sum_e (nums[e] / den) r^e: nums maps radical
+    exponents to nonzero numerators in Q(zeta)[t] and den is one monic
+    denominator coprime to them all, the tower's shared unit when it is 1,
+    as the module docstring describes.  coefficients() gives the reduced
+    rational function of each coordinate, the layout of JSON and repr."""
 
-    __slots__ = ("tower", "data", "_hash")
+    __slots__ = ("tower", "nums", "den", "_hash")
 
-    def __init__(self, tower: TowerField, data: dict):
+    def __init__(self, tower: TowerField, nums: dict, den: MPoly):
         self.tower = tower
-        self.data = data
+        self.nums = nums
+        self.den = den
         self._hash = None
 
     # -- ring/field structure ---------------------------------------------
 
     def _check(self, other: "FieldElement"):
-        if self.tower != other.tower:
+        if self.tower is not other.tower and self.tower != other.tower:
             raise SblinksError("tower mismatch in field arithmetic")
 
     def __add__(self, other: "FieldElement") -> "FieldElement":
         self._check(other)
-        return FieldElement(self.tower, _add(self.data, other.data))
+        return _add(self, other)
 
     def __sub__(self, other: "FieldElement") -> "FieldElement":
         self._check(other)
-        return FieldElement(self.tower, _add(self.data, _neg(other.data)))
+        return _add(self, _neg(other))
 
     def __neg__(self) -> "FieldElement":
-        return FieldElement(self.tower, _neg(self.data))
+        return _neg(self)
 
     def __mul__(self, other: "FieldElement") -> "FieldElement":
         self._check(other)
-        return FieldElement(self.tower, _mul(self.tower, self.data, other.data))
+        return _mul(self.tower, self, other)
 
     def inverse(self) -> "FieldElement":
-        return FieldElement(self.tower, _inverse(self.tower, self.data))
+        return _inverse(self.tower, self)
 
     def __truediv__(self, other: "FieldElement") -> "FieldElement":
         return self * other.inverse()
@@ -687,10 +839,13 @@ class FieldElement:
         return r
 
     def is_zero(self) -> bool:
-        return not self.data
+        return not self.nums
 
     def is_one(self) -> bool:
-        return self.in_base() and self.base_rf().is_one()
+        if self.den is not self.tower.unit or len(self.nums) != 1:
+            return False
+        p = self.nums.get(self.tower.origin)
+        return p is not None and p == self.den
 
     def zero(self) -> "FieldElement":
         return self.tower.zero()
@@ -701,25 +856,33 @@ class FieldElement:
     # -- structure ------------------------------------------------------------
 
     def in_base(self) -> bool:
-        return all(not any(e) for e in self.data)
+        return all(not any(e) for e in self.nums)
 
     def base_rf(self) -> RationalFunction:
         if not self.in_base():
             raise NotInExtension("element has radical coordinates")
-        c = self.data.get(self.tower.origin)
-        return _zero_rf(self.tower.nvars) if c is None else c
+        p = self.nums.get(self.tower.origin)
+        if p is None:
+            return _zero_rf(self.tower.nvars)
+        return RationalFunction(p, self.den, reduce=False)
+
+    def coefficients(self) -> dict:
+        """Radical exponents to the reduced rational function of K at each."""
+        den = self.den
+        reduce = den is not self.tower.unit
+        return {e: RationalFunction(p, den, reduce) for e, p in self.nums.items()}
 
     def lift_to(self, tower: TowerField) -> "FieldElement":
         if tower == self.tower:
             return self
         pos = _lift_positions(self.tower, tower)
-        out = {}
-        for e, c in self.data.items():
+        nums = {}
+        for e, p in self.nums.items():
             k = list(tower.origin)
             for i, x in zip(pos, e):
                 k[i] = x
-            out[tuple(k)] = c
-        return FieldElement(tower, out)
+            nums[tuple(k)] = p
+        return FieldElement(tower, nums, self.den)
 
     def galois(self, action: GaloisAction) -> "FieldElement":
         return action.apply(self)
@@ -729,13 +892,14 @@ class FieldElement:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FieldElement)
-            and self.tower == other.tower
-            and self.data == other.data
+            and (self.tower is other.tower or self.tower == other.tower)
+            and self.nums == other.nums
+            and self.den == other.den
         )
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.tower, frozenset(self.data.items())))
+            self._hash = hash((self.tower, self.den, frozenset(self.nums.items())))
         return self._hash
 
     def __repr__(self):
@@ -751,7 +915,10 @@ class FieldElement:
             return " + ".join(bits) if bits else "0"
 
         return _fold(
-            self.data, self.tower.degrees, lambda c: "0" if c is None else repr(c), node
+            self.coefficients(),
+            self.tower.degrees,
+            lambda c: "0" if c is None else repr(c),
+            node,
         )
 
     # -- json ------------------------------------------------------------------
@@ -759,7 +926,7 @@ class FieldElement:
     def to_json(self):
         zero = _zero_rf(self.tower.nvars)
         coords = _fold(
-            self.data,
+            self.coefficients(),
             self.tower.degrees,
             lambda c: (zero if c is None else c).to_json(),
             lambda _, parts: parts,
@@ -769,8 +936,10 @@ class FieldElement:
     @staticmethod
     def from_json(data) -> "FieldElement":
         tower = TowerField.from_json(data["tower"])
-        return FieldElement(
-            tower, _unfold(data["coords"], tower.nvars, tower.radicals)
+        unit = tower.unit
+        coeffs = _unfold(data["coords"], tower.nvars, tower.radicals)
+        return _over_lcm(
+            tower, [({e: c.num}, _den(c.den, unit)) for e, c in coeffs.items()]
         )
 
 
@@ -1105,7 +1274,7 @@ def sqrt_in_tower(e: FieldElement):
     if top.degree == 2:
         sub = tower.prefix(h - 1)
         a, b = (
-            FieldElement(sub, {k[:-1]: c for k, c in e.data.items() if k[-1] == i})
+            _reduced(sub, {k[:-1]: p for k, p in e.nums.items() if k[-1] == i}, e.den)
             for i in (0, 1)
         )
         alpha = sub.from_rf(top.radicand)
@@ -1119,10 +1288,10 @@ def sqrt_in_tower(e: FieldElement):
                     x = sqrt_in_tower(xx)
                     if x is not None and not x.is_zero():
                         y = b * half / x
-                        cand = FieldElement(
+                        cand = _over_lcm(
                             tower,
-                            {k + (i,): c for i, part in enumerate((x, y))
-                             for k, c in part.data.items()},
+                            [({k + (i,): p for k, p in part.nums.items()}, part.den)
+                             for i, part in enumerate((x, y))],
                         )
                         if cand * cand == e:
                             return cand

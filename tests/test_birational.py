@@ -322,7 +322,7 @@ def test_singular_matrix_takes_full_gcd(L):
 
 
 def _denominators(coords):
-    return [rf.den for p in coords for c in p.terms.values() for rf in c.data.values()]
+    return [c.den for p in coords for c in p.terms.values()]
 
 
 def _matrix_with_denominators(rng, tower):
