@@ -48,9 +48,11 @@ from .field_tower import (
     TowerField,
     _lcm,
     cbrt_in_tower,
+    poly_to_json,
     sqrt_in_tower,
 )
 from .linalg import (
+    _proportional,
     _row_echelon,
     det3,
     inverse3,
@@ -185,13 +187,7 @@ class RationalMap:
         return {
             "tower": self.tower.to_json(),
             "degree": self.degree,
-            "coords": [
-                [
-                    {"monomial": list(e), "coeff": c.to_json()}
-                    for e, c in p.sorted_terms()
-                ]
-                for p in self.coords
-            ],
+            "coords": [poly_to_json(p) for p in self.coords],
         }
 
 
@@ -249,18 +245,6 @@ def _scale_canonical(coords):
 def _from_coprime(tower: TowerField, coords) -> RationalMap:
     """A map from coordinates known to be coprime: rescale only."""
     return RationalMap(tower, _scale_canonical(coords), normalize=False)
-
-
-def _proportional(a, b) -> bool:
-    """Whether two nonzero coordinate triples agree projectively: every 2x2
-    cross product vanishes.  Any representatives give the same answer."""
-    if all(p.is_zero() for p in a) or all(p.is_zero() for p in b):
-        return False
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if not (a[i] * b[j] - a[j] * b[i]).is_zero():
-                return False
-    return True
 
 
 def _linear_forms(m):
@@ -509,17 +493,7 @@ def _express_in_span(p: MPoly, basis, tower: TowerField):
     for e in monos:
         rows.append(tuple(q.terms.get(e, zero) for q in basis))
     rhs = tuple(p.terms.get(e, zero) for e in monos)
-    sol = solve(rows, rhs, tower)
-    if sol is None:
-        return None
-    # solve() returns one solution; verify (the system may be overdetermined)
-    for e, r in zip(monos, rhs):
-        acc = zero
-        for c, q in zip(sol, basis):
-            acc = acc + c * q.terms.get(e, zero)
-        if acc != r:
-            return None
-    return sol
+    return solve(rows, rhs, tower)
 
 
 class _TripleSpace:
@@ -683,19 +657,23 @@ def _triple_independent(triple, tower: TowerField) -> bool:
 
 def image_of_line(f: RationalMap, va, vb):
     """Image point of the line spanned by va, vb, assuming f contracts it."""
-    s = MPoly.variable(1, 0, f.tower.one())
+    return _line_image(f.coords, va, vb, f.tower)
+
+
+def _line_image(coords, va, vb, tower: TowerField):
+    """Image point of the line spanned by va, vb under the coordinate
+    triple, assuming the triple contracts it."""
+    s = MPoly.variable(1, 0, tower.one())
     param = [MPoly.const(1, a) + s.scale(b) for a, b in zip(va, vb)]
-    return _contracted_image(f, param)
+    return _contracted_image(coords, param, tower)
 
 
-def _contracted_image(f: RationalMap, param):
-    """Image point of the parametrised curve param, assuming f contracts it;
-    both triples are substituted cleared."""
+def _contracted_image(coords, param, tower: TowerField):
+    """Image point of the parametrised curve param under the coordinate
+    triple, assuming the triple contracts it; both are substituted
+    cleared."""
     inner = list(_cleared(param))
-    return _constant_direction([c.subst(inner) for c in _cleared(f.coords)], f.tower)
-
-
-def _constant_direction(vals, tower: TowerField):
+    vals = [c.subst(inner) for c in _cleared(coords)]
     nonzero = [v for v in vals if not v.is_zero()]
     if not nonzero:
         raise SblinksError("curve lies in the base locus")
@@ -754,7 +732,8 @@ def parametrize_conic(conic: MPoly, v, tower: TowerField):
 
 
 def image_of_conic(f: RationalMap, conic: MPoly, through, tower: TowerField):
-    return _contracted_image(f, parametrize_conic(conic, through, tower))
+    param = parametrize_conic(conic, through, tower)
+    return _contracted_image(f.coords, param, f.tower)
 
 
 # ---------------------------------------------------------------------------

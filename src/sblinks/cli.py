@@ -1,8 +1,9 @@
 """Command-line front end: named verification suites with machine-readable
 reports.
 
-Exit codes: 0 all checks pass, 1 some check fails, 2 some check is
-undecided, 64 usage error, 65 literal parse error.
+Each invocation runs one check and prints one report.  Exit codes: 0 the
+check passes, 1 it fails, 2 it is undecided, 64 usage error, 65 literal
+parse error.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ def _parse_base_element(text: str, tower: TowerField):
 
 
 def _seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         return args.seed
     return int(os.environ.get("SBK_SEED", "20240611"))
 
@@ -135,7 +136,7 @@ def cmd_norm_test(args):
             return ("pass" if ok else "fail"), payload
         return "unknown", payload
 
-    return [_timed("norm-test", {"lambda": args.lam, "xi": args.xi}, run)]
+    return _timed("norm-test", {"lambda": args.lam, "xi": args.xi}, run)
 
 
 def cmd_cocycle(args):
@@ -153,7 +154,7 @@ def cmd_cocycle(args):
         return "pass", {"count": args.count}
 
     params = {"lambda": args.lam, "count": args.count, "seed": seed}
-    return [_timed("cocycle", params, run)]
+    return _timed("cocycle", params, run)
 
 
 def cmd_surface_iso(args):
@@ -171,11 +172,9 @@ def cmd_surface_iso(args):
             return "unknown", {"result": "unknown"}
         return "pass", {"result": res.status}
 
-    return [
-        _timed(
-            "surface-iso", {"lambda": args.lam, "xi": args.xi, "xi2": args.xi2}, run
-        )
-    ]
+    return _timed(
+        "surface-iso", {"lambda": args.lam, "xi": args.xi, "xi2": args.xi2}, run
+    )
 
 
 def cmd_point(args):
@@ -204,13 +203,11 @@ def cmd_point(args):
             "components": len(pt.components),
         }
 
-    return [
-        _timed(
-            "point",
-            {"lambda": args.lam, "xi": args.xi, "kind": args.kind},
-            run,
-        )
-    ]
+    return _timed(
+        "point",
+        {"lambda": args.lam, "xi": args.xi, "kind": args.kind},
+        run,
+    )
 
 
 def cmd_link3(args):
@@ -244,11 +241,9 @@ def cmd_link3(args):
             ok = ok and payload["base_points_match"]
         return ("pass" if ok else "fail"), payload
 
-    return [
-        _timed(
-            "link3", {"lambda": args.lam, "xi": args.xi, "point": args.point}, run
-        )
-    ]
+    return _timed(
+        "link3", {"lambda": args.lam, "xi": args.xi, "point": args.point}, run
+    )
 
 
 def cmd_link6(args):
@@ -272,11 +267,9 @@ def cmd_link6(args):
             "splitting": list(pt.descriptor),
         }
 
-    return [
-        _timed(
-            "link6", {"lambda": args.lam, "xi": args.xi, "alpha": args.alpha}, run
-        )
-    ]
+    return _timed(
+        "link6", {"lambda": args.lam, "xi": args.xi, "alpha": args.alpha}, run
+    )
 
 
 def cmd_hexagon(args):
@@ -298,7 +291,7 @@ def cmd_hexagon(args):
             "descriptors": [list(d) for d in report.descriptors],
         }
 
-    return [_timed("hexagon", {"lambda": args.lam, "xi": args.xi}, run)]
+    return _timed("hexagon", {"lambda": args.lam, "xi": args.xi}, run)
 
 
 def cmd_model_singular(args):
@@ -315,7 +308,7 @@ def cmd_model_singular(args):
         payload["equation"] = model.equation_string()
         return "pass", payload
 
-    return [_timed("model-singular", {"lambda": args.lam, "xi": args.xi}, run)]
+    return _timed("model-singular", {"lambda": args.lam, "xi": args.xi}, run)
 
 
 def _smooth_model_from_args(args, base):
@@ -343,13 +336,11 @@ def cmd_model_smooth(args):
         report = verify_smooth_model(model)
         return "pass", report
 
-    return [
-        _timed(
-            "model-smooth",
-            {"lambda": args.lam, "mu": args.mu, "nu": args.nu, "xi": args.xi},
-            run,
-        )
-    ]
+    return _timed(
+        "model-smooth",
+        {"lambda": args.lam, "mu": args.mu, "nu": args.nu, "xi": args.xi},
+        run,
+    )
 
 
 def cmd_order3(args):
@@ -373,13 +364,11 @@ def cmd_order3(args):
             "psi_word": word.to_json(),
         }
 
-    return [
-        _timed(
-            "order3",
-            {"lambda": args.lam, "nu": args.nu, "xi": args.xi, "mu": args.mu},
-            run,
-        )
-    ]
+    return _timed(
+        "order3",
+        {"lambda": args.lam, "nu": args.nu, "xi": args.xi, "mu": args.mu},
+        run,
+    )
 
 
 def cmd_psi(args):
@@ -418,7 +407,7 @@ def cmd_psi(args):
             return "fail", {"case": "projection"}
         return "pass", {"count": args.count}
 
-    return [_timed("psi", {"count": args.count, "seed": seed}, run)]
+    return _timed("psi", {"count": args.count, "seed": seed}, run)
 
 
 def cmd_bound(args):
@@ -432,7 +421,7 @@ def cmd_bound(args):
         return "pass", {"e": e, "bound": str(b)}
 
     params = {"m": args.m, "d": args.d, "n": args.n, "a": args.a}
-    return [_timed("bound", params, run)]
+    return _timed("bound", params, run)
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +444,6 @@ def build_parser() -> _Parser:
         if xi:
             sp.add_argument("--xi", default="t2")
         sp.add_argument("--n-vars", type=int, default=2)
-        sp.add_argument("--seed", type=int, default=None)
 
     sp = sub.add_parser("norm-test", help="norm membership with certificates")
     common(sp)
@@ -464,6 +452,7 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("cocycle", help="cocycle condition on random twists")
     common(sp, xi=False)
     sp.add_argument("--count", type=int, default=20)
+    sp.add_argument("--seed", type=int, default=None)
     sp.set_defaults(fn=cmd_cocycle)
 
     sp = sub.add_parser("surface-iso", help="twist isomorphism test")
@@ -533,24 +522,15 @@ def run(argv=None) -> int:
         print(f"usage error: {e}", file=sys.stderr)
         return 64
     try:
-        reports = args.fn(args)
+        report = args.fn(args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 64
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 65
-    reports.sort(key=lambda r: r.check)
-    for r in reports:
-        if args.json:
-            print(json.dumps(r.to_json(), default=str))
-        else:
-            print(r.human())
-    if any(r.status == "fail" for r in reports):
-        return 1
-    if any(r.status == "unknown" for r in reports):
-        return 2
-    return 0
+    print(json.dumps(report.to_json(), default=str) if args.json else report.human())
+    return {"fail": 1, "unknown": 2}.get(report.status, 0)
 
 
 def main():

@@ -19,8 +19,8 @@ from .birational import (
     RationalMap,
     TwistedMap,
     _coefficient_rows,
-    _constant_direction,
     _followed_by_linear,
+    _line_image,
     _linear_forms,
     _mat_times,
     compose,
@@ -45,7 +45,7 @@ from .field_tower import (
     is_cube,
     is_norm,
 )
-from .linalg import nullspace, rank
+from .linalg import _proportional, nullspace, rank
 from .multipoly import MPoly, NotDivisible, exact_div, gcd_many, mod_reduce
 from .severi_brauer import (
     SBSurface,
@@ -67,14 +67,15 @@ def reduce_mod_cubic(p: MPoly, cubic: MPoly) -> MPoly:
     return mod_reduce(p, cubic, lead)
 
 
-def _residue_mod(m1_coords, m2_coords, cubic):
+def _check_equivariant_mod(triple, nu, g: GaloisAction, cubic: MPoly, message):
+    """Raise IdentityFails(message) with the first nonzero residue unless
+    triple = nu . g(triple) projectively modulo the cubic relation."""
+    rhs = _mat_times(nu, tuple(p.map_coeffs(g.apply) for p in triple))
     for i in range(3):
         for j in range(i + 1, 3):
-            r = m1_coords[i] * m2_coords[j] - m1_coords[j] * m2_coords[i]
-            rr = reduce_mod_cubic(r, cubic)
-            if not rr.is_zero():
-                return rr
-    return None
+            r = reduce_mod_cubic(triple[i] * rhs[j] - triple[j] * rhs[i], cubic)
+            if not r.is_zero():
+                raise IdentityFails(message, residue=r)
 
 
 # ---------------------------------------------------------------------------
@@ -200,14 +201,13 @@ def verify_singular_model(model: SingularCubicModel) -> dict:
     report = {"factorization": True, "singular_points": True}
 
     # equivariance: psi = mu . nu_{xi^-1} . g(psi) modulo the cubic
-    nu_inv_xi = _nu_matrix(L, model.xi.inverse())
-    gpsi = tuple(p.map_coeffs(g.apply) for p in model.psi)
-    rhs = _mat_times(nu_inv_xi, gpsi)
-    residue = _residue_mod(model.psi, rhs, model.equation)
-    if residue is not None:
-        raise IdentityFails(
-            "psi is not equivariant towards S_{xi^-1}", residue=residue
-        )
+    _check_equivariant_mod(
+        model.psi,
+        _nu_matrix(L, model.xi.inverse()),
+        g,
+        model.equation,
+        "psi is not equivariant towards S_{xi^-1}",
+    )
     report["psi_equivariant_to_op"] = True
 
     # the composite sigma o psi is equivariant towards S_xi
@@ -216,14 +216,13 @@ def verify_singular_model(model: SingularCubicModel) -> dict:
         model.psi[0] * model.psi[2],
         model.psi[0] * model.psi[1],
     )
-    nu_xi = _nu_matrix(L, model.xi)
-    g_sig_psi = tuple(p.map_coeffs(g.apply) for p in sig_psi)
-    rhs2 = _mat_times(nu_xi, g_sig_psi)
-    residue = _residue_mod(sig_psi, rhs2, model.equation)
-    if residue is not None:
-        raise IdentityFails(
-            "sigma o psi is not equivariant towards S_xi", residue=residue
-        )
+    _check_equivariant_mod(
+        sig_psi,
+        _nu_matrix(L, model.xi),
+        g,
+        model.equation,
+        "sigma o psi is not equivariant towards S_xi",
+    )
     report["sigma_psi_equivariant"] = True
     report["fibration_specialization"] = model.is_fibration_specialization()
     return report
@@ -462,12 +461,13 @@ def verify_smooth_model(model: SmoothCubicModel) -> dict:
     report["galois_orbits"] = True
 
     # contraction equivariance modulo the cubic: f = mu . nu_xi . g(f)
-    nu_xi = _nu_matrix(Lh, model.xi)
-    gf = tuple(p.map_coeffs(g.apply) for p in model.contraction)
-    rhs = _mat_times(nu_xi, gf)
-    residue = _residue_mod(model.contraction, rhs, model.cubic)
-    if residue is not None:
-        raise IdentityFails("contraction is not g-equivariant", residue=residue)
+    _check_equivariant_mod(
+        model.contraction,
+        _nu_matrix(Lh, model.xi),
+        g,
+        model.cubic,
+        "contraction is not g-equivariant",
+    )
     hf = tuple(p.map_coeffs(h.apply) for p in model.contraction)
     if hf != model.contraction:
         raise IdentityFails("contraction is not h-invariant")
@@ -535,17 +535,7 @@ def section_of_contraction(model: SmoothCubicModel):
             cand = _strip_vector_content(cand)
             if P is None:
                 P = cand
-                continue
-            # independence: some 2x2 minor of (P | cand) in two coordinates
-            indep = False
-            for i in range(4):
-                for j in range(i + 1, 4):
-                    if not (P[i] * cand[j] - P[j] * cand[i]).is_zero():
-                        indep = True
-                        break
-                if indep:
-                    break
-            if indep:
+            elif not _proportional(P, cand):
                 Q = cand
                 break
     if P is None or Q is None:
@@ -587,20 +577,14 @@ def section_of_contraction(model: SmoothCubicModel):
             terms[e[2:]] = c
         return MPoly(3, terms)
 
-    section = [drop_sr(p) for p in section5]
-    g = gcd_many([p for p in section if not p.is_zero()])
-    if not g.is_const():
-        section = [p if p.is_zero() else exact_div(p, g) for p in section]
+    section = _strip_vector_content([drop_sr(p) for p in section5])
 
     # sanity: the section lands on the cubic and splits the contraction
     if not model.cubic.subst(section).is_zero():
         raise SectionNotFound("section does not satisfy the cubic equation")
     u_vars = [MPoly.variable(3, i, one) for i in range(3)]
-    fs = [f.subst(section) for f in model.contraction]
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if not (fs[i] * u_vars[j] - fs[j] * u_vars[i]).is_zero():
-                raise SectionNotFound("section is not a right inverse")
+    if not _proportional([f.subst(section) for f in model.contraction], u_vars):
+        raise SectionNotFound("section is not a right inverse")
     return tuple(section)
 
 
@@ -676,9 +660,4 @@ def _image_of_contracted_line(model: SmoothCubicModel, pair):
     basis = nullspace(_coefficient_rows(Lh, pair), Lh)
     if len(basis) != 2:
         raise SblinksError("line is degenerate")
-    a, b = basis
-    one = Lh.one()
-    s = MPoly.variable(1, 0, one)
-    param = [MPoly.const(1, x) + s.scale(y) for x, y in zip(a, b)]
-    vals = [f.subst(param) for f in model.contraction]
-    return _constant_direction(vals, Lh)
+    return _line_image(model.contraction, *basis, Lh)

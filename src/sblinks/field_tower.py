@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import product
+from math import lcm
 from operator import add
 
 from .errors import (
@@ -42,6 +43,7 @@ from .errors import (
 )
 from .multipoly import (
     MPoly,
+    _power,
     exact_div,
     gcd,
     squarefree_decomposition,
@@ -161,14 +163,7 @@ class RationalFunction:
     def __pow__(self, k: int) -> "RationalFunction":
         if k < 0:
             return self.inverse() ** (-k)
-        r = self.one()
-        b = self
-        while k:
-            if k & 1:
-                r = r * b
-            b = b * b if k > 1 else b
-            k >>= 1
-        return r
+        return _power(self, k) if k else self.one()
 
     def _monic_den(self) -> "RationalFunction":
         c = self.den.lc()
@@ -741,11 +736,7 @@ class GaloisAction:
             name: k % tower.radical(name).degree for name, k in images.items()
         }
         self.images = {n: k for n, k in reduced.items() if k}
-        o = 1
-        for name in self.images:
-            d = tower.radical(name).degree
-            o = o * d // _gcd_int(o, d)
-        self.order = o
+        self.order = lcm(*(tower.radical(n).degree for n in self.images))
         self._weights = tuple(
             (tower.radical_index(n), k, tower.radical(n).degree)
             for n, k in self.images.items()
@@ -772,12 +763,6 @@ class GaloisAction:
             unity = f"zeta^{k}" if d == 3 else "-1"
             bits.append(f"{n} -> {unity}*{n}")
         return "GaloisAction(" + ", ".join(bits) + ")"
-
-
-def _gcd_int(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # ---------------------------------------------------------------------------
@@ -829,14 +814,7 @@ class FieldElement:
     def __pow__(self, k: int) -> "FieldElement":
         if k < 0:
             return self.inverse() ** (-k)
-        r = self.one()
-        b = self
-        while k:
-            if k & 1:
-                r = r * b
-            b = b * b if k > 1 else b
-            k >>= 1
-        return r
+        return _power(self, k) if k else self.one()
 
     def is_zero(self) -> bool:
         return not self.nums

@@ -85,6 +85,21 @@ def inverse3(a):
     return tuple(tuple(x * di for x in row) for row in cof)
 
 
+def _proportional(a, b) -> bool:
+    """Whether two vectors of one length, of field elements or polynomials,
+    are nonzero and agree projectively: every 2x2 cross product
+    a_i b_j - a_j b_i vanishes.  Those against the first nonzero a_k
+    suffice, since they give b = (b_k / a_k) a.  Any representatives give
+    the same answer."""
+    k = next((i for i, x in enumerate(a) if not x.is_zero()), None)
+    if k is None or b[k].is_zero():
+        return False
+    ak, bk = a[k], b[k]
+    return all(
+        (ak * y - x * bk).is_zero() for i, (x, y) in enumerate(zip(a, b)) if i != k
+    )
+
+
 def _row_echelon(rows):
     """In-place style Gaussian elimination; returns (echelon rows, pivots)."""
     m = [list(r) for r in rows]
@@ -140,14 +155,12 @@ def nullspace(rows, tower):
 
 
 def solve(rows, rhs, tower):
-    """One solution of A x = b, or None if inconsistent."""
+    """One solution of A x = b, or None if inconsistent: the reduced
+    augmented matrix then has a pivot in its last column."""
     n = len(rows)
     aug = [list(rows[i]) + [rhs[i]] for i in range(n)]
     m, pivots = _row_echelon(aug)
     ncols = len(rows[0])
-    for row in m:
-        if all(x.is_zero() for x in row[:-1]) and not row[-1].is_zero():
-            return None
     zero = tower.zero()
     x = [zero] * ncols
     for ri, pc in enumerate(pivots):

@@ -160,26 +160,14 @@ class MPoly:
             if c is None:
                 raise ValueError("0^0 of polynomials without coefficient context")
             return MPoly.const(self.nvars, c.one())
-        r = None
-        b = self
-        while k:
-            if k & 1:
-                r = b if r is None else r * b
-            k >>= 1
-            if k:
-                b = b * b
-        return r
+        return _power(self, k)
 
     def derivative(self, i: int) -> "MPoly":
         terms = {}
         for e, c in self.terms.items():
             if e[i] == 0:
                 continue
-            cf = c
-            n = e[i]
-            # n * c via repeated addition is wasteful; coeff types support
-            # integer scaling through repeated doubling
-            cf = _int_scale(c, n)
+            cf = _int_scale(c, e[i])
             if cf.is_zero():
                 continue
             ee = list(e)
@@ -268,17 +256,7 @@ class MPoly:
                     continue
                 cache = pow_cache[i]
                 if k not in cache:
-                    p = values[i]
-                    r = None
-                    kk = k
-                    b = p
-                    while kk:
-                        if kk & 1:
-                            r = b if r is None else r * b
-                        kk >>= 1
-                        if kk:
-                            b = b * b
-                    cache[k] = r
+                    cache[k] = _power(values[i], k)
                 v = v * cache[k]
             acc = v if acc is None else acc + v
         return acc
@@ -297,6 +275,19 @@ def _int_scale(c, n: int):
         n >>= 1
         if n:
             b = b + b
+    return r
+
+
+def _power(b, k: int):
+    """b^k for a positive integer k, by repeated squaring; b may be any
+    type with an associative *."""
+    r = None
+    while k:
+        if k & 1:
+            r = b if r is None else r * b
+        k >>= 1
+        if k:
+            b = b * b
     return r
 
 
@@ -372,16 +363,9 @@ def _coeffs_in(f: MPoly, v: int):
     """
     out: dict = {}
     for e, c in f.terms.items():
-        k = e[v]
         ee = list(e)
         ee[v] = 0
-        ee = tuple(ee)
-        bucket = out.setdefault(k, {})
-        bucket[ee] = bucket.get(ee, None)
-        if bucket[ee] is None:
-            bucket[ee] = c
-        else:  # pragma: no cover - exponent tuples are unique per bucket
-            bucket[ee] = bucket[ee] + c
+        out.setdefault(e[v], {})[tuple(ee)] = c
     return {k: MPoly(f.nvars, t) for k, t in out.items()}
 
 

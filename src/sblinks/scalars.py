@@ -13,6 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
+from .multipoly import _power
+
 
 class QZeta:
     """re + zc*zeta in Q(zeta), built from ints, `Fraction`s or strings and
@@ -116,14 +118,7 @@ class QZeta:
     def __pow__(self, k: int) -> "QZeta":
         if k < 0:
             return self.inverse() ** (-k)
-        r = _ONE
-        b = self
-        while k:
-            if k & 1:
-                r = r * b
-            b = b * b
-            k >>= 1
-        return r
+        return _power(self, k) if k else _ONE
 
     def conj(self) -> "QZeta":
         """Complex conjugation zeta -> zeta^2."""

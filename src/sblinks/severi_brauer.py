@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 
 from .errors import (
     AlphaIsSquare,
@@ -36,7 +37,16 @@ from .field_tower import (
     is_norm,
     is_square,
 )
-from .linalg import det3, inverse3, mat, mat_galois, mat_identity, mat_mul, mat_vec
+from .linalg import (
+    _proportional,
+    det3,
+    inverse3,
+    mat,
+    mat_galois,
+    mat_identity,
+    mat_mul,
+    mat_vec,
+)
 from .multipoly import MPoly, squarefree_decomposition
 from .scalars import QZeta
 
@@ -146,59 +156,15 @@ def radicand_class_string(rf: RationalFunction, n: int) -> str:
 # splitting descriptors
 
 
-def _gf_nullspace(vectors, dim, p):
-    """Basis of {a in GF(p)^dim : a . v = 0 for all v}."""
-    rows = [list(v) for v in vectors if any(x % p for x in v)]
-    if not rows:
-        rows = []
-    # row echelon mod p
-    pivots = []
-    r = 0
-    for c in range(dim):
-        piv = None
-        for i in range(r, len(rows)):
-            if rows[i][c] % p:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][c], -1, p)
-        rows[r] = [(x * inv) % p for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] % p:
-                f = rows[i][c]
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(dim) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [0] * dim
-        v[fc] = 1
-        for ri, pc in enumerate(pivots):
-            v[pc] = (-rows[ri][fc]) % p
-        basis.append(v)
-    return basis
-
-
-def _span_nonzero(basis, p):
-    """All nonzero vectors in the GF(p)-span of the basis."""
-    vecs = {tuple([0] * len(basis[0]))} if basis else set()
-    out = set()
-    if not basis:
-        return []
-    dim = len(basis[0])
-    from itertools import product
-
-    for coeffs in product(range(p), repeat=len(basis)):
-        v = [0] * dim
-        for c, b in zip(coeffs, basis):
-            for i in range(dim):
-                v[i] = (v[i] + c * b[i]) % p
-        if any(v):
-            out.add(tuple(v))
-    return sorted(out)
+def _fixed_exponents(vectors, dim, p):
+    """The nonzero a in GF(p)^dim with a . v = 0 (mod p) for every v, in
+    sorted order.  dim counts the radicals of degree p, so at most 27
+    candidates are tried."""
+    return [
+        a
+        for a in product(range(p), repeat=dim)
+        if any(a) and all(sum(x * y for x, y in zip(a, v)) % p == 0 for v in vectors)
+    ]
 
 
 def splitting_descriptor(tower: TowerField, stabilizer: list) -> tuple:
@@ -214,9 +180,8 @@ def splitting_descriptor(tower: TowerField, stabilizer: list) -> tuple:
         if not rads:
             continue
         dim = len(rads)
-        vectors = [[h.get(r.name, 0) % p for r in rads] for h in stabilizer]
-        basis = _gf_nullspace(vectors, dim, p)
-        for a in _span_nonzero(basis, p):
+        vectors = [[h.get(r.name, 0) for r in rads] for h in stabilizer]
+        for a in _fixed_exponents(vectors, dim, p):
             rad = RationalFunction.const(tower.nvars, 1)
             for k, r in zip(a, rads):
                 if k:
@@ -682,7 +647,8 @@ def _auto_directed(surface, p, q) -> TwistedAutomorphism:
     if det3(M).is_zero():
         raise DegenerateConfiguration("transport matrix is singular")
     # M . A = A . tau(M) up to a scalar, by construction; verify
-    if not _proportional_matrices(mat_mul(M, A), mat_mul(A, mat_galois(M, act))):
+    lhs, rhs = mat_mul(M, A), mat_mul(A, mat_galois(M, act))
+    if not _proportional(_flat(lhs), _flat(rhs)):
         raise SblinksError("transport matrix fails the twist commutation")
     matrix = mat_mul(inverse3(phi), mat_mul(M, phi))
     autom = TwistedAutomorphism(matrix, surface, tower)
@@ -693,7 +659,7 @@ def _auto_directed(surface, p, q) -> TwistedAutomorphism:
         A_s = surface.twist_matrix(exps, tower)
         lhs = mat_mul(matrix, A_s)
         rhs = mat_mul(A_s, mat_galois(matrix, gact))
-        if not _proportional_matrices(lhs, rhs):
+        if not _proportional(_flat(lhs), _flat(rhs)):
             raise SblinksError(
                 "transport automorphism is not defined over K "
                 f"(fails commutation with {rad.name})"
@@ -705,17 +671,6 @@ def _auto_directed(surface, p, q) -> TwistedAutomorphism:
     return autom
 
 
-def _proportional_matrices(a, b) -> bool:
-    scale = None
-    for i in range(3):
-        for j in range(3):
-            x, y = a[i][j], b[i][j]
-            if x.is_zero() != y.is_zero():
-                return False
-            if not x.is_zero():
-                r = x / y
-                if scale is None:
-                    scale = r
-                elif r != scale:
-                    return False
-    return scale is not None
+def _flat(m):
+    """The entries of a matrix, row by row."""
+    return [x for row in m for x in row]

@@ -17,8 +17,8 @@ from sblinks.birational import (
     TwistedMap,
     _cleared,
     _followed_by_linear,
+    _express_in_span,
     _independent_subset,
-    _proportional,
     _sigma_after,
     apply_matrix,
     base_points,
@@ -31,7 +31,7 @@ from sblinks.birational import (
     subst_linear,
     transport_point,
 )
-from sblinks.linalg import det3, mat_identity, rank
+from sblinks.linalg import _proportional, det3, mat_identity, rank
 from sblinks.multipoly import MPoly
 from sblinks.severi_brauer import (
     auto_between_3points,
@@ -455,3 +455,11 @@ def test_independent_subset_is_the_greedy_subset(L):
         vectors += [(L.zero(),) * dim, vectors[1], tuple(entry() for _ in range(dim))]
         rng.shuffle(vectors)
         assert _independent_subset(vectors) == greedy(vectors)
+
+
+def test_express_in_span(L):
+    one, u = L.one(), L.gen("u")
+    x, y, z = (MPoly.variable(3, i, one) for i in range(3))
+    basis = [x * y, y * z]
+    assert _express_in_span(x * z, basis, L) is None
+    assert _express_in_span((x * y).scale(u) - y * z, basis, L) == (u, -one)

@@ -128,3 +128,6 @@ def test_sbk_seed_env(monkeypatch, capsys):
     assert run(["psi", "--json", "--count", "50"]) == 0
     assert _seed_of_report(capsys) == 999
 
+
+def test_seed_only_on_randomized_suites(capsys):
+    assert run(["link3", "--seed", "1"]) == 64

@@ -76,8 +76,21 @@ def test_singular_negative_control(singular):
     # tampering with psi breaks the equivariance identity
     bad_psi = (singular.psi[0], singular.psi[1], singular.psi[0])
     bad2 = dataclasses.replace(singular, psi=bad_psi)
-    with pytest.raises(IdentityFails):
+    with pytest.raises(IdentityFails, match="psi is not equivariant") as e:
         verify_singular_model(bad2)
+    residue = e.value.residue
+    assert not residue.is_zero()
+    assert reduce_mod_cubic(residue, singular.equation) == residue
+
+
+def test_smooth_negative_control(smooth):
+    f = smooth.contraction
+    bad = dataclasses.replace(smooth, contraction=(f[0], f[1], f[0]))
+    with pytest.raises(IdentityFails, match="contraction is not g-equivariant") as e:
+        verify_smooth_model(bad)
+    residue = e.value.residue
+    assert not residue.is_zero()
+    assert reduce_mod_cubic(residue, smooth.cubic) == residue
 
 
 def test_singular_rejects_cube_lambda(K2m):

@@ -27,6 +27,7 @@ from sblinks.severi_brauer import (
     opposite,
     second_3point,
     sixpoint_from_sqrt,
+    splitting_descriptor,
     _is_scalar_matrix,
 )
 
@@ -327,3 +328,20 @@ def test_orbit_closure_stops_at_the_group_order(surface, L, monkeypatch):
     with pytest.raises(NotAnOrbit):
         closed_point_from_seed(surface, (L.one(), L.one(), L.one()), L)
     assert len(made) + 1 <= L.extension_degree() + 1
+
+
+def test_splitting_descriptor_of_two_cube_roots(K2, t_vars):
+    """The radical exponents fixed by a stabilizer are solved modulo p: in
+    K[cbrt t1][cbrt t2] the diagonal subgroup fixes u v^2 and u^2 v, whose
+    exponents sum to 3."""
+    t1, t2 = t_vars
+    T = K2.extend("u", 3, t1).extend("v", 3, t2)
+    diagonal = [{}, {"u": 1, "v": 1}, {"u": 2, "v": 2}]
+    assert splitting_descriptor(T, diagonal) == ("3:(1)*t1*t2^2", "3:(1)*t1^2*t2")
+    assert splitting_descriptor(T, [{}, {"u": 1}, {"u": 2}]) == (
+        "3:(1)*t2",
+        "3:(1)*t2^2",
+    )
+    assert len(splitting_descriptor(T, [{}])) == 8
+    S = K2.extend("u", 3, t1).extend("s", 2, t2)
+    assert splitting_descriptor(S, [{}, {"u": 1, "s": 1}]) == ()
