@@ -663,9 +663,13 @@ def image_of_line(f: RationalMap, va, vb):
 def _line_image(coords, va, vb, tower: TowerField):
     """Image point of the line spanned by va, vb under the coordinate
     triple, assuming the triple contracts it."""
+    return _contracted_image(coords, _line_param(va, vb, tower), tower)
+
+
+def _line_param(va, vb, tower: TowerField):
+    """The line va + s vb in the parameter s."""
     s = MPoly.variable(1, 0, tower.one())
-    param = [MPoly.const(1, a) + s.scale(b) for a, b in zip(va, vb)]
-    return _contracted_image(coords, param, tower)
+    return [MPoly.const(1, a) + s.scale(b) for a, b in zip(va, vb)]
 
 
 def _contracted_image(coords, param, tower: TowerField):
@@ -714,9 +718,7 @@ def parametrize_conic(conic: MPoly, v, tower: TowerField):
     def ev(vec):
         return conic.eval(list(vec))
 
-    # d(s) = u1 + s u2 with s the parameter
-    s_var = MPoly.variable(1, 0, one)
-    d = [MPoly.const(1, a) + s_var.scale(b) for a, b in zip(u1, u2)]
+    d = _line_param(u1, u2, tower)
     # C(d(s)) and the polar B(v, d(s)) = C(v + d) - C(v) - C(d)
     c_d = conic.subst(d)
     vd = [MPoly.const(1, a) + p for a, p in zip(v, d)]

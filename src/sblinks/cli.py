@@ -225,20 +225,19 @@ def cmd_link3(args):
         link = link_from_3point(surface, pt)
         rt = compose(link.backward.map, link.forward.map)
         roundtrip = equals(rt, RationalMap.identity(link.forward.map.tower))
+        bp_match = set(base_points(link.forward.map)) == link.base_point.component_set()
         ok = (
             link.forward.map.degree == 2
             and roundtrip
+            and bp_match
             and link.base_point.descriptor == link.inverse_base_point.descriptor
         )
         payload = {
             "forward_degree": link.forward.map.degree,
             "roundtrip_identity": roundtrip,
             "splitting": list(link.base_point.descriptor),
+            "base_points_match": bp_match,
         }
-        if args.check_base_points:
-            bp = base_points(link.forward.map)
-            payload["base_points_match"] = set(bp) == link.base_point.component_set()
-            ok = ok and payload["base_points_match"]
         return ("pass" if ok else "fail"), payload
 
     return _timed(
@@ -469,7 +468,6 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("link3", help="Sarkisov 3-link construction and checks")
     common(sp)
     sp.add_argument("--point", choices=["coords", "unit"], default="unit")
-    sp.add_argument("--check-base-points", action="store_true")
     sp.set_defaults(fn=cmd_link3)
 
     sp = sub.add_parser("link6", help="Sarkisov 6-link construction and checks")

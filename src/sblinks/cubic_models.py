@@ -50,6 +50,7 @@ from .multipoly import MPoly, NotDivisible, exact_div, gcd_many, mod_reduce
 from .severi_brauer import (
     SBSurface,
     _fresh_name,
+    _nu_matrix,
     coordinate_3point,
     make_closed_point,
     normalize_point,
@@ -226,15 +227,6 @@ def verify_singular_model(model: SingularCubicModel) -> dict:
     report["sigma_psi_equivariant"] = True
     report["fibration_specialization"] = model.is_fibration_specialization()
     return report
-
-
-def _nu_matrix(tower: TowerField, xi: FieldElement):
-    zero, one = tower.zero(), tower.one()
-    return (
-        (zero, zero, xi),
-        (one, zero, zero),
-        (zero, one, zero),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,16 @@ A surface S_xi is presented on a chart P^2 over the splitting tower; the
 Galois group acts through the twisted action v -> A_sigma . sigma(v), where
 A_sigma is the cocycle matrix nu_xi raised to the exponent with which sigma
 moves the distinguished cube root.
+
+A closed point is built from one table, g -> g . v0 over
+tower.group_elements(), for its first component v0.  The twisted action is
+a projective group action, since nu_xi has entries in K and nu_xi^3 = xi I,
+and the Galois group is abelian, since every radicand of a tower lies in K.
+So the orbit is the table's image, the cycling element and the ordered
+components come from adding exponents (v0, c v0, 2c v0, then f v0,
+(f + c) v0, (f + 2c) v0 for a degree-6 point), and Stab(v0) is the
+pointwise stabiliser of the whole orbit: if g v0 = v0 then
+g (h v0) = h (g v0) = h v0.  Its fixed field is the splitting field.
 """
 
 from __future__ import annotations
@@ -190,10 +200,6 @@ def splitting_descriptor(tower: TowerField, stabilizer: list) -> tuple:
     return tuple(sorted(set(entries)))
 
 
-def splitting_degree(tower: TowerField, stabilizer: list) -> int:
-    return tower.extension_degree() // max(1, len(stabilizer))
-
-
 # ---------------------------------------------------------------------------
 # the surfaces
 
@@ -213,15 +219,7 @@ class SBSurface:
         self.ext = ext
         self.xi = xi
         self.side = side
-        tower = ext.tower
-        zero, one = tower.zero(), tower.one()
-        self.nu = mat(
-            [
-                [zero, zero, xi],
-                [one, zero, zero],
-                [zero, one, zero],
-            ]
-        )
+        self.nu = _nu_matrix(ext.tower, xi)
         self._hash = None
         self._check_cocycle()
 
@@ -286,6 +284,12 @@ class SBSurface:
         ext = CubicExtension(tower, data["extension"]["radical"])
         xi = FieldElement.from_json(data["xi"])
         return SBSurface(ext, xi.lift_to(tower), data.get("side", 1))
+
+
+def _nu_matrix(tower: TowerField, xi: FieldElement):
+    """The cocycle matrix nu_xi, whose cube is xi times the identity."""
+    zero, one = tower.zero(), tower.one()
+    return mat([[zero, zero, xi], [one, zero, zero], [zero, one, zero]])
 
 
 def _is_scalar_matrix(m) -> bool:
@@ -363,40 +367,22 @@ class ClosedPoint:
         }
 
 
-def _orbit_closure(surface: SBSurface, seed, tower: TowerField):
-    # an orbit has at most as many points as the Galois group has elements
-    cap = tower.extension_degree()
-    gens = [{r.name: 1} for r in tower.radicals]
-    seen = [normalize_point(seed)]
-    frontier = [seen[0]]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for gexp in gens:
-                w = surface.twisted_apply(gexp, v, tower)
-                if w not in seen:
-                    seen.append(w)
-                    nxt.append(w)
-                    if len(seen) > cap:
-                        raise NotAnOrbit("orbit closure exceeded expected size")
-        frontier = nxt
-    return seen
+def _orbit_table(surface: SBSurface, v0, tower: TowerField) -> dict:
+    """g -> g . v0 under the twisted action, for every g in
+    tower.group_elements() order, keyed by its exponent tuple; the identity
+    keeps v0 without an application."""
+    table = {}
+    for g in tower.group_elements():
+        key = tuple(g.values())
+        table[key] = surface.twisted_apply(g, v0, tower) if any(key) else v0
+    return table
 
 
-def _stabilizer(surface: SBSurface, comps, tower: TowerField):
-    stab = []
-    for exps in tower.group_elements():
-        if all(
-            surface.twisted_apply(exps, v, tower) == v for v in comps
-        ):
-            stab.append(exps)
-    return stab
-
-
-def make_closed_point(surface: SBSurface, components, tower: TowerField) -> ClosedPoint:
-    comps = [normalize_point(tuple(x.lift_to(tower) for x in v)) for v in components]
-    if len(set(comps)) != len(comps):
-        raise NotAnOrbit("components are not pairwise distinct")
+def _closed_point(surface: SBSurface, tower: TowerField, comps, table=None):
+    """The closed point on comps, which must be the image of the orbit table
+    of v0 = comps[0], built here unless given.  The components are ordered
+    v0, c v0, 2c v0 for the first cycling element c, then for degree 6
+    f v0, (f + c) v0, (f + 2c) v0 for the first f off that cycle."""
     d = len(comps)
     if d % 3 != 0:
         raise BadDegree(
@@ -405,59 +391,54 @@ def make_closed_point(surface: SBSurface, components, tower: TowerField) -> Clos
         )
     if d not in (3, 6):
         raise BadDegree(f"only degrees 3 and 6 are supported here; got {d}")
-    orbit = _orbit_closure(surface, comps[0], tower)
-    if set(orbit) != set(comps):
+    v0 = comps[0]
+    if table is None:
+        table = _orbit_table(surface, v0, tower)
+    if set(table.values()) != set(comps):
         raise NotAnOrbit(
             "components do not form a single orbit of the twisted Galois action"
         )
-    ordered, cyc = _order_orbit(surface, comps, tower, d)
-    stab = _stabilizer(surface, ordered, tower)
+    names = [r.name for r in tower.radicals]
+    degrees = [r.degree for r in tower.radicals]
+
+    def shift(g, h, k=1):
+        """The exponents of g + k h."""
+        return tuple((a + k * b) % n for a, b, n in zip(g, h, degrees))
+
+    cycle = next(
+        (
+            g
+            for g, w in table.items()
+            if w != v0 and table[shift(g, g)] not in (v0, w)
+        ),
+        None,
+    )
+    if cycle is None:
+        raise NotAnOrbit("no group element cycles the components")
+    cycle_element = dict(zip(names, cycle))
+    ordered = [v0, table[cycle], table[shift(cycle, cycle)]]
+    # c (2c v0) = v0: the one place the table is checked against the action
+    if surface.twisted_apply(cycle_element, ordered[2], tower) != v0:
+        raise NotAnOrbit("twisted action does not cycle the components")
+    if d == 6:
+        flip = next(g for g, w in table.items() if w not in ordered)
+        ordered += [table[shift(flip, cycle, k)] for k in range(3)]
+    # Stab(v0) fixes the whole orbit, because the group is abelian
+    stab = [dict(zip(names, g)) for g, w in table.items() if w == v0]
     desc = splitting_descriptor(tower, stab)
-    return ClosedPoint(surface, tower, tuple(ordered), d, desc, cyc)
+    return ClosedPoint(surface, tower, tuple(ordered), d, desc, cycle_element)
+
+
+def make_closed_point(surface: SBSurface, components, tower: TowerField) -> ClosedPoint:
+    comps = [normalize_point(tuple(x.lift_to(tower) for x in v)) for v in components]
+    if len(set(comps)) != len(comps):
+        raise NotAnOrbit("components are not pairwise distinct")
+    return _closed_point(surface, tower, comps)
 
 
 def closed_point_from_seed(surface: SBSurface, seed, tower: TowerField) -> ClosedPoint:
-    orbit = _orbit_closure(surface, seed, tower)
-    return make_closed_point(surface, orbit, tower)
-
-
-def _order_orbit(surface, comps, tower, d):
-    v0 = comps[0]
-    comp_set = set(comps)
-    cycle = None
-    for exps in tower.group_elements():
-        if not exps or not any(exps.values()):
-            continue
-        w = surface.twisted_apply(exps, v0, tower)
-        if w != v0:
-            w2 = surface.twisted_apply(exps, w, tower)
-            if w2 != v0 and w2 != w:
-                cycle = exps
-                break
-    if cycle is None:
-        raise NotAnOrbit("no group element cycles the components")
-    a = [v0]
-    cur = v0
-    for _ in range(2):
-        cur = surface.twisted_apply(cycle, cur, tower)
-        a.append(cur)
-    if len(set(a)) != 3 or not set(a) <= comp_set:
-        raise NotAnOrbit("twisted action does not cycle the components")
-    if d == 3:
-        return a, cycle
-    rest = comp_set - set(a)
-    flip = None
-    for exps in tower.group_elements():
-        w = surface.twisted_apply(exps, v0, tower)
-        if w in rest:
-            flip = exps
-            break
-    if flip is None:  # pragma: no cover - orbit validation guarantees this
-        raise NotAnOrbit("cannot reach the second half of the orbit")
-    b = [surface.twisted_apply(flip, x, tower) for x in a]
-    if set(a) | set(b) != comp_set or len(set(b)) != 3:
-        raise NotAnOrbit("orbit does not split into two twisted 3-cycles")
-    return a + b, cycle
+    table = _orbit_table(surface, normalize_point(seed), tower)
+    return _closed_point(surface, tower, list(dict.fromkeys(table.values())), table)
 
 
 def coordinate_3point(surface: SBSurface) -> ClosedPoint:
@@ -522,10 +503,9 @@ def sixpoint_from_sqrt(surface: SBSurface, alpha: FieldElement) -> ClosedPoint:
     s = big.gen(name)
     zero, one = big.zero(), big.one()
     point = closed_point_from_seed(surface, (zero, one, s), big)
+    # the orbit has |G| / |Stab| points, so its splitting field has degree 6
     if point.degree != 6:
         raise SblinksError("six-point construction produced the wrong degree")
-    if splitting_degree(big, _stabilizer(surface, point.components, big)) != 6:
-        raise SblinksError("six-point splitting field does not have degree 6")
     return point
 
 
@@ -609,14 +589,7 @@ def _auto_directed(surface, p, q) -> TwistedAutomorphism:
     phi, xi_p, _ = normalize_3point(surface, p)
     tau = p.cycle_element
     act = GaloisAction(tower, tau)
-    zero, one = tower.zero(), tower.one()
-    A = mat(
-        [
-            [zero, zero, xi_p],
-            [one, zero, zero],
-            [zero, one, zero],
-        ]
-    )
+    A = _nu_matrix(tower, xi_p)
     # align q's orbit to the same cycling element
     q1 = q.components[0]
     q_tilde = normalize_point(mat_vec(phi, q1))

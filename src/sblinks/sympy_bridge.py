@@ -12,7 +12,7 @@ import sympy
 from sympy.polys.polyerrors import BasePolynomialError
 
 from .errors import BaseLocusNotSplit
-from .field_tower import RationalFunction, TowerField
+from .field_tower import RationalFunction, TowerField, _lcm
 from .multipoly import MPoly
 from .scalars import QZeta
 
@@ -43,13 +43,8 @@ def factor_univariate_over_k(p: MPoly, tower: TowerField):
     elements into K-irreducible monic factors (over the tower again).
     Raises BaseLocusNotSplit, chained from sympy's error, when sympy fails."""
     nvars = tower.nvars
-    coeffs = {}
-    den = None
-    for e, c in p.terms.items():
-        rf = c.base_rf()
-        coeffs[e[0]] = rf
-        d = rf.den
-        den = d if den is None else _lcm_poly(den, d)
+    coeffs = {e[0]: c.base_rf() for e, c in p.terms.items()}
+    den = _lcm((rf.den for rf in coeffs.values()), tower.unit)
     x = sympy.Symbol("x")
     tsyms = [sympy.Symbol(f"t{i+1}") for i in range(nvars)]
     expr = sympy.Integer(0)
@@ -73,13 +68,6 @@ def factor_univariate_over_k(p: MPoly, tower: TowerField):
     if not out:
         return [p]
     return out
-
-
-def _lcm_poly(a: MPoly, b: MPoly) -> MPoly:
-    from .multipoly import exact_div, gcd
-
-    g = gcd(a, b)
-    return exact_div(a * b, g).monic()
 
 
 def _mpoly_qzeta_to_expr(m: MPoly, tsyms):

@@ -16,9 +16,9 @@ from .birational import (
     RationalMap,
     TwistedMap,
     _followed_by_linear,
+    _line_images,
     compose,
     equals,
-    image_of_line,
     link_from_3point,
     transport_point,
 )
@@ -326,11 +326,7 @@ def _close_merged_square(surface: SBSurface, p: ClosedPoint, links):
         comp3 = compose(link.forward.map, comp3)
     if comp3.degree != 2:
         raise DegeneratePair("merged walk did not shorten to a quadratic map")
-    comps = list(p.components)
-    images = []
-    for i in range(3):
-        j, k = [a for a in range(3) if a != i]
-        images.append(image_of_line(comp3, comps[j], comps[k]))
+    images = _line_images(comp3, p.components)
     cur = links[-1].forward.target
     r4 = make_closed_point(cur, images, p.tower)
     link4 = link_from_3point(cur, r4)

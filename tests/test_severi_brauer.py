@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -345,3 +347,83 @@ def test_splitting_descriptor_of_two_cube_roots(K2, t_vars):
     assert len(splitting_descriptor(T, [{}])) == 8
     S = K2.extend("u", 3, t1).extend("s", 2, t2)
     assert splitting_descriptor(S, [{}, {"u": 1, "s": 1}]) == ()
+
+
+def _closed_points(surface, L, t_vars):
+    """Closed points built through every construction path: seeded orbits
+    over L, the two six-points, the second 3-point and the two points of
+    the order-3 self-map over the smooth model's tower."""
+    from sblinks.cubic_models import _image_of_contracted_line, build_smooth_model
+    from sblinks.severi_brauer import coordinate_3point
+
+    t1, t2 = t_vars
+    K = t1.tower
+    u, one, zero = L.gen("u"), L.one(), L.zero()
+    seeds = {
+        "unit": (one, one, one),
+        "zero_one_one": (zero, one, one),
+        "one_two_three": (one, L.scalar(2), L.scalar(3)),
+        "u_one_zero": (u, one, zero),
+        "u_u2_one": (u, u * u, one),
+    }
+    points = {k: closed_point_from_seed(surface, v, L) for k, v in seeds.items()}
+    points["six_t2"] = sixpoint_from_sqrt(surface, t2)
+    points["six_t1t2"] = sixpoint_from_sqrt(surface, t1 * t2)
+    points["second"] = second_3point(surface)
+    model = build_smooth_model(t1, (t2 - K.one()) / (K.scalar(27) * t1), K.one())
+    lines = [_image_of_contracted_line(model, model.lines[i]) for i in range(3, 6)]
+    points["models_p"] = coordinate_3point(model.surface())
+    points["models_q0"] = make_closed_point(model.surface(), lines, model.tower)
+    return points
+
+
+# SHA-256 of the JSON of each closed point together with its cycle element
+CLOSED_POINT_PINS = {
+    "unit": "770cabc3fe9528850e6cbfd7a45b8497d63ed941d06e20aab077ad9fd57aa215",
+    "zero_one_one": "f2e53d14223a43d983ec0cf1af1cde8a99c0a257bc2421e04f7a482465ad0758",
+    "one_two_three": "51ae577994eb2b6a32792a7f8b2a395c9e306fb9cb76cb0c2a17f3486ead4ae8",
+    "u_one_zero": "49710dd41952b459cbb9564fb6c1d34e4268c4f54957f2caed4994619c74cb6c",
+    "u_u2_one": "0a2ec6da41b6dc84dfec7c8951459580875c0ea0401cf0198d8828f7a14cd375",
+    "six_t2": "904d31447b689b8322edb360c054491f42d51b0a402f81c5cad226ba5e6dc861",
+    "six_t1t2": "43d8be0c103fa6da91dc4b3cee9ab1f371b8e95360e6650f50dc946305a58cd9",
+    "second": "389ff906eb77715fbc4938ad633dbfdf5409f05bb73dca3700ac134e47ceb4f7",
+    "models_p": "51d88eef72f363b21d4ca4a9145f2b1a3fd270df4b67ccd401a2b1c4cda9919f",
+    "models_q0": "053d8ae3fd3f95264d14e4034c371d4b06c2d2a4a15b04dcd977cd83b5aa00f0",
+}
+
+
+def test_closed_point_pins(surface, L, t_vars):
+    got = {}
+    for name, pt in _closed_points(surface, L, t_vars).items():
+        text = json.dumps(
+            {"point": pt.to_json(), "cycle_element": pt.cycle_element}, sort_keys=True
+        )
+        got[name] = hashlib.sha256(text.encode()).hexdigest()
+    assert got == CLOSED_POINT_PINS
+
+
+def test_one_twisted_application_per_group_element(surface, L, t_vars, monkeypatch):
+    """A closed point is read off one table of the twisted action over the
+    Galois group: at most |G| twisted applications per point."""
+    calls = []
+    apply = SBSurface.twisted_apply
+
+    def counted(self, exps, v, tower):
+        calls.append(tower)
+        return apply(self, exps, v, tower)
+
+    monkeypatch.setattr(SBSurface, "twisted_apply", counted)
+    t1, t2 = t_vars
+    T = L.extend("s", 2, (t1 * t2).lift_to(L))
+    one, zero, s = T.one(), T.zero(), T.gen("s")
+    six = closed_point_from_seed(surface, (zero, one, s), T)
+    assert six.degree == 6 and len(calls) <= T.extension_degree() == 6
+    for pt in (six, second_3point(surface)):
+        del calls[:]
+        again = make_closed_point(surface, pt.components[::-1], pt.tower)
+        assert again.component_set() == pt.component_set()
+        assert len(calls) <= pt.tower.extension_degree()
+    del calls[:]
+    u = L.gen("u")
+    assert closed_point_from_seed(surface, (u, L.one(), L.zero()), L).degree == 3
+    assert len(calls) <= L.extension_degree() == 3
