@@ -68,7 +68,6 @@ from .multipoly import (
     gcd,
     gcd_many,
     gcd_many_homogeneous,
-    grlex_key,
     resultant,
     squarefree_part,
 )
@@ -235,7 +234,7 @@ def _scale_canonical(coords):
     best = None
     for i, c in enumerate(coords):
         for e in c.terms:
-            key = (grlex_key(e), i)
+            key = (e, i)
             if best is None or key < best[0]:
                 best = (key, c.terms[e])
     scale = best[1].inverse()
@@ -266,7 +265,7 @@ def _coefficient_rows(tower: TowerField, forms):
     rows = []
     for f in forms:
         row = [zero] * f.nvars
-        for e, c in f.terms.items():
+        for e, c in f.tuple_terms().items():
             row[e.index(1)] = c
         rows.append(tuple(row))
     return tuple(rows)
@@ -448,28 +447,53 @@ def _monomials(nvars: int, degree: int):
     return out
 
 
+def _point_rows(tower: TowerField, v, monos, degree: int, double: bool):
+    """The values at the point v of the monomials of the given degree and,
+    when double, of their partials in the two variables off a coordinate
+    where v is nonzero: each a product of entries of one table of powers."""
+    one, zero = tower.one(), tower.zero()
+    pows = []
+    for c in v:
+        p = [one, c]
+        while len(p) <= degree:
+            p.append(p[-1] * c)
+        pows.append(p)
+    values = {}
+
+    def value(e):
+        x = values.get(e)
+        if x is None:
+            for i, k in enumerate(e):
+                if k:
+                    x = pows[i][k] if x is None else x * pows[i][k]
+            x = values[e] = one if x is None else x
+        return x
+
+    rows = [tuple(value(e) for e in monos)]
+    if double:
+        # two affine partials suffice by Euler's relation, provided they
+        # avoid a coordinate where the point is nonzero
+        pivot = max(i for i in range(3) if not v[i].is_zero())
+        for var in (i for i in range(3) if i != pivot):
+            row = []
+            for e in monos:
+                k = e[var]
+                if k == 0:
+                    row.append(zero)
+                    continue
+                x = value(e[:var] + (k - 1,) + e[var + 1:])
+                row.append(x if k == 1 else tower.scalar(k) * x)
+            rows.append(tuple(row))
+    return rows
+
+
 def curves_through(tower: TowerField, components, degree: int, double: bool = False):
     """Basis of forms of the given degree vanishing at the components
     (to order 2 when double=True)."""
     monos = _monomials(3, degree)
     rows = []
-    zero = tower.zero()
     for v in components:
-        row = []
-        for e in monos:
-            val = MPoly.monomial(3, e, tower.one()).eval(list(v))
-            row.append(val)
-        rows.append(tuple(row))
-        if double:
-            # two affine partials suffice by Euler's relation, provided they
-            # avoid a coordinate where the point is nonzero
-            pivot = max(i for i in range(3) if not v[i].is_zero())
-            for var in (i for i in range(3) if i != pivot):
-                row = []
-                for e in monos:
-                    d = MPoly.monomial(3, e, tower.one()).derivative(var)
-                    row.append(d.eval_zero_ok(list(v), zero))
-                rows.append(tuple(row))
+        rows.extend(_point_rows(tower, v, monos, degree, double))
     basis = nullspace(rows, tower)
     out = []
     for vec in basis:
@@ -487,7 +511,7 @@ def curves_through(tower: TowerField, components, degree: int, double: bool = Fa
 
 def _express_in_span(p: MPoly, basis, tower: TowerField):
     """Coefficients of p over the basis, or None when outside the span."""
-    monos = sorted({e for q in basis for e in q.terms} | set(p.terms), key=grlex_key)
+    monos = sorted({e for q in basis for e in q.terms} | set(p.terms))
     zero = tower.zero()
     rows = []
     for e in monos:
@@ -645,7 +669,7 @@ def _independent_subset(vectors):
 
 
 def _triple_independent(triple, tower: TowerField) -> bool:
-    monos = sorted({e for p in triple for e in p.terms}, key=grlex_key)
+    monos = sorted({e for p in triple for e in p.terms})
     zero = tower.zero()
     rows = [tuple(p.terms.get(e, zero) for e in monos) for p in triple]
     return rank(rows) == 3
@@ -916,7 +940,7 @@ def _roots_of_irreducible(p: MPoly, tower: TowerField):
     if d == 0:
         return []
     p = p.monic()
-    cs = {e[0]: c for e, c in p.terms.items()}
+    cs = {e[0]: c for e, c in p.tuple_terms().items()}
     zero = tower.zero()
     if d == 1:
         return [-cs.get(0, zero)]

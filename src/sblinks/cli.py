@@ -85,7 +85,11 @@ def _parse_base_element(text: str, tower: TowerField):
 def _seed(args) -> int:
     if args.seed is not None:
         return args.seed
-    return int(os.environ.get("SBK_SEED", "20240611"))
+    text = os.environ.get("SBK_SEED", "20240611")
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"SBK_SEED must be an integer, not {text!r}") from None
 
 
 def _random_base_monomial(rng, tower: TowerField):

@@ -63,7 +63,7 @@ W, X, Y, Z = range(4)
 def reduce_mod_cubic(p: MPoly, cubic: MPoly) -> MPoly:
     """Normal form modulo the single cubic relation, eliminating w^3."""
     lead = (3, 0, 0, 0)
-    if lead not in cubic.terms:
+    if lead not in cubic.tuple_terms():
         raise SblinksError("cubic relation must contain w^3")
     return mod_reduce(p, cubic, lead)
 
@@ -186,7 +186,7 @@ def _check_singular_identities(lam, factors, equation, points):
 def _to4(p3: MPoly) -> MPoly:
     """Embed a form in (x, y, z) as a form in (w, x, y, z)."""
     terms = {}
-    for e, c in p3.terms.items():
+    for e, c in p3.tuple_terms().items():
         terms[(0,) + e] = c
     return MPoly(4, terms)
 
@@ -551,7 +551,7 @@ def section_of_contraction(model: SmoothCubicModel):
     # rest = a s + b r: the residual root (s : r) = (b : -a)
     a = MPoly.zero(NV)
     b = MPoly.zero(NV)
-    for e, c in rest.terms.items():
+    for e, c in rest.tuple_terms().items():
         if e[0] == 1 and e[1] == 0:
             a = a + MPoly.monomial(NV, (0, 0) + e[2:], c)
         elif e[0] == 0 and e[1] == 1:
@@ -563,7 +563,7 @@ def section_of_contraction(model: SmoothCubicModel):
     # drop the (now unused) s, r slots: results live in u only
     def drop_sr(p5):
         terms = {}
-        for e, c in p5.terms.items():
+        for e, c in p5.tuple_terms().items():
             if e[0] or e[1]:
                 raise SectionNotFound("section still depends on the fibre parameter")
             terms[e[2:]] = c
@@ -627,7 +627,7 @@ def order3_selfmap(model: SmoothCubicModel):
 def _strip_sr_content(p: MPoly) -> MPoly:
     """Remove the u-content of a polynomial in (s, r, u0, u1, u2)."""
     buckets = {}
-    for e, c in p.terms.items():
+    for e, c in p.tuple_terms().items():
         key = e[:2]
         buckets.setdefault(key, {})[(0, 0) + e[2:]] = c
     polys = [MPoly(p.nvars, t) for t in buckets.values()]

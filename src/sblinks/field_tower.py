@@ -445,7 +445,7 @@ class TowerField:
 
 def _den(d: MPoly, unit: MPoly) -> MPoly:
     """A monic denominator, the shared unit when it is constant."""
-    if d is unit or (len(d.terms) == 1 and not any(next(iter(d.terms)))):
+    if d is unit or (len(d.terms) == 1 and d.is_const()):
         return unit
     return d
 
@@ -1188,7 +1188,7 @@ def _single_variable_index(rf: RationalFunction):
         return None
     if len(rf.num.terms) != 1:
         return None
-    (exps, _), = rf.num.terms.items()
+    (exps, _), = rf.num.tuple_terms().items()
     if sum(exps) != 1:
         return None
     return exps.index(1)

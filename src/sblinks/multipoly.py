@@ -5,49 +5,129 @@ The coefficient type must provide +, -, *, unary -, .inverse(), .is_zero(),
 and tower field elements) satisfy this, so one engine serves the t-variable
 layer and the projective x,y,z(,w) layer.
 
-Monomials are exponent tuples; the canonical order is graded lexicographic
-with the first variable largest, which fixes leading terms, monic
-normalisation and hence representation-level equality.
+Each monomial is stored as one packed integer, the key of `MPoly.terms`.
+For n variables with exponents (e_1, ..., e_n) and total degree d,
+
+    key = d << 16n | e_1 << 16(n-1) | ... | e_(n-1) << 16 | e_n,
+
+sixteen bits per field, the first variable most significant and the total
+degree in a field above them all.  Every field stays below 2^15, so integer
+order on keys is the canonical order, graded lexicographic with the first
+variable largest: it compares d first, then e_1, e_2, ...  That order fixes
+leading terms, monic normalisation and hence representation-level equality.
+
+A product of monomials is one integer addition and a quotient one
+subtraction, since no field can carry into the next.  The top bit of each
+field is a guard: with G the mask of the guard bits, a divides b exactly
+when ((b | G) - a) & G == G, because a field of b | G borrows out of its
+guard only when that field of a is larger.  Total degrees of 2^15 or more
+would reach a guard bit, so packing such an exponent vector, or a product
+whose total degree reaches 2^15, raises OverflowError; nothing wraps.
+
+The public surface speaks exponent tuples: the constructor
+`MPoly(nvars, {exps: c})`, `monomial`, `leading`, `min_exps`,
+`shift_down`, `mul_monomial`, `mod_reduce`'s lead, `sorted_terms()` and
+`tuple_terms()`.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 
-def grlex_key(exps):
-    return (sum(exps), exps)
+_BITS = 16
+_MASK = (1 << _BITS) - 1
+_BOUND = 1 << (_BITS - 1)  # exponents and total degrees stay below this
+
+
+def _pack(nvars: int, exps) -> int:
+    if len(exps) != nvars:
+        raise ValueError(f"monomial {tuple(exps)} does not have {nvars} exponents")
+    key = deg = 0
+    for x in exps:
+        if x < 0:
+            raise ValueError(f"negative exponent in monomial {tuple(exps)}")
+        key = key << _BITS | x
+        deg += x
+    if deg >= _BOUND:
+        raise OverflowError(f"monomial {tuple(exps)} has total degree >= 2^15")
+    return deg << (_BITS * nvars) | key
+
+
+def _unpack(nvars: int, key: int) -> tuple:
+    return tuple(key >> (_BITS * i) & _MASK for i in range(nvars - 1, -1, -1))
+
+
+def _var_key(nvars: int, i: int, k: int) -> int:
+    """The key of the monomial (variable i)^k."""
+    return k << (_BITS * nvars) | k << (_BITS * (nvars - 1 - i))
+
+
+def _guard(nvars: int) -> int:
+    """The mask of the top bit of every field, the degree field included."""
+    return ((1 << (_BITS * (nvars + 1))) - 1) // _MASK << (_BITS - 1)
+
+
+def _min_key(nvars: int, keys) -> int:
+    """The key of the fieldwise minimum of the monomials with the given
+    (nonempty) keys."""
+    if 0 in keys:
+        return 0
+    out = deg = 0
+    for f in range(nvars):
+        s = _BITS * f
+        x = min(k >> s & _MASK for k in keys)
+        out |= x << s
+        deg += x
+    return deg << (_BITS * nvars) | out
+
+
+def _check_degree(d: int):
+    if d >= _BOUND:
+        raise OverflowError(f"product of total degree {d} >= 2^15")
+
+
+_new = object.__new__
+
+
+def _poly(nvars: int, terms: dict) -> "MPoly":
+    """The polynomial with the given packed terms, taken as they are."""
+    p = _new(MPoly)
+    p.nvars = nvars
+    p.terms = terms
+    p._hash = None
+    return p
 
 
 class MPoly:
     __slots__ = ("nvars", "terms", "_hash")
 
     def __init__(self, nvars: int, terms: dict):
+        """A polynomial from {exponent tuple: nonzero coefficient}."""
         self.nvars = nvars
-        self.terms = terms
+        self.terms = {_pack(nvars, e): c for e, c in terms.items()}
         self._hash = None
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero(nvars: int) -> "MPoly":
-        return MPoly(nvars, {})
+        return _poly(nvars, {})
 
     @staticmethod
     def const(nvars: int, c) -> "MPoly":
         if c.is_zero():
-            return MPoly(nvars, {})
-        return MPoly(nvars, {(0,) * nvars: c})
+            return _poly(nvars, {})
+        return _poly(nvars, {0: c})
 
     @staticmethod
     def variable(nvars: int, i: int, one) -> "MPoly":
-        e = [0] * nvars
-        e[i] = 1
-        return MPoly(nvars, {tuple(e): one})
+        return _poly(nvars, {_var_key(nvars, i, 1): one})
 
     @staticmethod
     def monomial(nvars: int, exps, c) -> "MPoly":
         if c.is_zero():
-            return MPoly(nvars, {})
-        return MPoly(nvars, {tuple(exps): c})
+            return _poly(nvars, {})
+        return _poly(nvars, {_pack(nvars, exps): c})
 
     def map_coeffs(self, fn) -> "MPoly":
         terms = {}
@@ -55,7 +135,7 @@ class MPoly:
             v = fn(c)
             if not v.is_zero():
                 terms[e] = v
-        return MPoly(self.nvars, terms)
+        return _poly(self.nvars, terms)
 
     # -- basic queries -------------------------------------------------------
 
@@ -63,37 +143,46 @@ class MPoly:
         return not self.terms
 
     def is_const(self) -> bool:
-        return all(not any(e) for e in self.terms)
+        return not any(self.terms)
 
     def const_coeff(self):
         """Coefficient of the constant monomial (requires is_const or explicit use)."""
-        return self.terms.get((0,) * self.nvars)
+        return self.terms.get(0)
 
     def total_degree(self) -> int:
         if not self.terms:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(self.terms) >> (_BITS * self.nvars)
 
     def deg_in(self, i: int) -> int:
         if not self.terms:
             return -1
-        return max(e[i] for e in self.terms)
+        s = _BITS * (self.nvars - 1 - i)
+        return max(e >> s & _MASK for e in self.terms)
 
     def weighted_degree(self, weights) -> int:
         if not self.terms:
             return -1
-        return max(sum(w * x for w, x in zip(weights, e)) for e in self.terms)
+        n = self.nvars
+        return max(
+            sum(w * x for w, x in zip(weights, _unpack(n, e))) for e in self.terms
+        )
 
     def leading(self):
-        """(exponent, coeff) of the grlex-leading term."""
-        e = max(self.terms, key=grlex_key)
-        return e, self.terms[e]
+        """(exponent tuple, coeff) of the grlex-leading term."""
+        e = max(self.terms)
+        return _unpack(self.nvars, e), self.terms[e]
 
     def lc(self):
-        return self.leading()[1]
+        return self.terms[max(self.terms)]
 
     def some_coeff(self):
         return next(iter(self.terms.values()))
+
+    def tuple_terms(self) -> dict:
+        """The terms as {exponent tuple: coeff}, in the order of `terms`."""
+        n = self.nvars
+        return {_unpack(n, e): c for e, c in self.terms.items()}
 
     # -- arithmetic -------------------------------------------------------------
 
@@ -112,45 +201,54 @@ class MPoly:
                     terms[e] = v
             else:
                 terms[e] = c
-        return MPoly(self.nvars, terms)
+        return _poly(self.nvars, terms)
 
     def __neg__(self) -> "MPoly":
-        return MPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return _poly(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "MPoly") -> "MPoly":
         return self + (-other)
 
     def __mul__(self, other: "MPoly") -> "MPoly":
-        if not self.terms or not other.terms:
-            return MPoly.zero(self.nvars)
         a, b = self.terms, other.terms
+        if not a or not b:
+            return MPoly.zero(self.nvars)
+        # the leading keys add without a carry, so this is the product's degree
+        _check_degree((max(a) + max(b)) >> (_BITS * self.nvars))
         if len(a) > len(b):
             a, b = b, a
         terms: dict = {}
+        get = terms.get
         for ea, ca in a.items():
             for eb, cb in b.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
+                e = ea + eb
                 v = ca * cb
-                if e in terms:
-                    v = terms[e] + v
+                old = get(e)
+                if old is None:
+                    terms[e] = v  # a product of nonzero field elements
+                    continue
+                v = old + v
                 if v.is_zero():
-                    terms.pop(e, None)
+                    del terms[e]
                 else:
                     terms[e] = v
-        return MPoly(self.nvars, terms)
+        return _poly(self.nvars, terms)
 
     def scale(self, c) -> "MPoly":
         if c.is_zero():
             return MPoly.zero(self.nvars)
-        return MPoly(self.nvars, {e: k * c for e, k in self.terms.items()})
+        return _poly(self.nvars, {e: k * c for e, k in self.terms.items()})
 
     def mul_monomial(self, exps, c) -> "MPoly":
+        return self._mul_key(_pack(self.nvars, exps), c)
+
+    def _mul_key(self, m: int, c) -> "MPoly":
+        """c times the monomial with key m times self."""
         if c.is_zero():
             return MPoly.zero(self.nvars)
-        return MPoly(
-            self.nvars,
-            {tuple(x + y for x, y in zip(e, exps)): k * c for e, k in self.terms.items()},
-        )
+        if self.terms:
+            _check_degree(self.total_degree() + (m >> (_BITS * self.nvars)))
+        return _poly(self.nvars, {e + m: k * c for e, k in self.terms.items()})
 
     def __pow__(self, k: int) -> "MPoly":
         if k < 0:
@@ -163,17 +261,18 @@ class MPoly:
         return _power(self, k)
 
     def derivative(self, i: int) -> "MPoly":
+        s = _BITS * (self.nvars - 1 - i)
+        step = _var_key(self.nvars, i, 1)
         terms = {}
         for e, c in self.terms.items():
-            if e[i] == 0:
+            k = e >> s & _MASK
+            if k == 0:
                 continue
-            cf = _int_scale(c, e[i])
+            cf = _int_scale(c, k)
             if cf.is_zero():
                 continue
-            ee = list(e)
-            ee[i] -= 1
-            terms[tuple(ee)] = cf
-        return MPoly(self.nvars, terms)
+            terms[e - step] = cf
+        return _poly(self.nvars, terms)
 
     # -- normalisation ------------------------------------------------
 
@@ -183,20 +282,15 @@ class MPoly:
         return self.scale(self.lc().inverse())
 
     def min_exps(self):
-        it = iter(self.terms)
-        m = list(next(it))
-        for e in it:
-            for i, x in enumerate(e):
-                if x < m[i]:
-                    m[i] = x
-        return tuple(m)
+        return _unpack(self.nvars, _min_key(self.nvars, self.terms))
 
     def shift_down(self, exps) -> "MPoly":
         """Divide by the monomial with the given exponents (must divide)."""
-        return MPoly(
-            self.nvars,
-            {tuple(x - y for x, y in zip(e, exps)): c for e, c in self.terms.items()},
-        )
+        return self._div_key(_pack(self.nvars, exps))
+
+    def _div_key(self, m: int) -> "MPoly":
+        """self divided by the monomial with key m, which divides every term."""
+        return _poly(self.nvars, {e - m: c for e, c in self.terms.items()})
 
     # -- comparison ---------------------------------------------------------
 
@@ -209,7 +303,12 @@ class MPoly:
         return self._hash
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]), reverse=True)
+        """(exponent tuple, coeff) pairs, grlex-leading first."""
+        n = self.nvars
+        return [
+            (_unpack(n, e), c)
+            for e, c in sorted(self.terms.items(), key=itemgetter(0), reverse=True)
+        ]
 
     def __repr__(self):
         if not self.terms:
@@ -229,11 +328,12 @@ class MPoly:
         if not self.terms:
             return MPoly.zero(values[0].nvars if values else self.nvars)
         nv = values[0].nvars
-        pow_cache = [dict() for _ in range(self.nvars)]
+        n = self.nvars
+        pow_cache = [dict() for _ in range(n)]
         out = MPoly.zero(nv)
         for e, c in self.terms.items():
             piece = MPoly.const(nv, c)
-            for i, k in enumerate(e):
+            for i, k in enumerate(_unpack(n, e)):
                 if k == 0:
                     continue
                 cache = pow_cache[i]
@@ -248,10 +348,11 @@ class MPoly:
         if not self.terms:
             raise ValueError("evaluating the zero polynomial needs a zero context")
         acc = None
-        pow_cache = [dict() for _ in range(self.nvars)]
+        n = self.nvars
+        pow_cache = [dict() for _ in range(n)]
         for e, c in self.terms.items():
             v = c
-            for i, k in enumerate(e):
+            for i, k in enumerate(_unpack(n, e)):
                 if k == 0:
                     continue
                 cache = pow_cache[i]
@@ -305,19 +406,23 @@ def exact_div(f: MPoly, g: MPoly) -> MPoly:
         raise ZeroDivisionError("polynomial division by zero")
     if f.is_zero():
         return f
-    ge, gc = g.leading()
-    gci = gc.inverse()
+    nv = f.nvars
+    guard = _guard(nv)
+    ge = max(g.terms)
+    gt = g.terms.items()
+    gci = g.terms[ge].inverse()
     rem = f
     q: dict = {}
-    while not rem.is_zero():
-        re, rc = rem.leading()
-        de = tuple(x - y for x, y in zip(re, ge))
-        if any(x < 0 for x in de):
+    while rem.terms:
+        re = max(rem.terms)
+        if ((re | guard) - ge) & guard != guard:
             raise NotDivisible(f"{g!r} does not divide {f!r}")
-        qc = rc * gci
+        de = re - ge
+        qc = rem.terms[re] * gci
         q[de] = qc
-        rem = rem - g.mul_monomial(de, qc)
-    return MPoly(f.nvars, q)
+        # rem - (quotient term) * g; no term of that product passes re in degree
+        rem = rem + _poly(nv, {e + de: -(k * qc) for e, k in gt})
+    return _poly(nv, q)
 
 
 def try_div(f: MPoly, g: MPoly):
@@ -331,25 +436,26 @@ def mod_reduce(f: MPoly, d: MPoly, lead_exp) -> MPoly:
     """Reduce f modulo the single relation d, whose designated leading
     monomial lead_exp must strictly dominate the remaining support of d in
     every chain of reductions (true for w^3 against a cubic in w,x,y,z)."""
-    lc = d.terms[lead_exp]
-    tail = MPoly(d.nvars, {e: c for e, c in d.terms.items() if e != lead_exp})
+    nv = d.nvars
+    lead = _pack(nv, lead_exp)
+    guard = _guard(nv)
+    lc = d.terms[lead]
+    tail = _poly(nv, {e: c for e, c in d.terms.items() if e != lead})
     lci = lc.inverse()
     cur = f
     while True:
         hit = None
         for e in cur.terms:
-            if all(x >= y for x, y in zip(e, lead_exp)):
+            if ((e | guard) - lead) & guard == guard:
                 hit = e
                 break
         if hit is None:
             return cur
-        c = cur.terms[hit]
-        de = tuple(x - y for x, y in zip(hit, lead_exp))
-        k = c * lci
-        # replace c * x^hit by -k * tail * x^de
-        cur = MPoly(
-            cur.nvars, {e: cc for e, cc in cur.terms.items() if e != hit}
-        ) - tail.mul_monomial(de, k)
+        k = cur.terms[hit] * lci
+        # replace c * x^hit by -k * tail * x^(hit - lead)
+        cur = _poly(
+            nv, {e: cc for e, cc in cur.terms.items() if e != hit}
+        ) - tail._mul_key(hit - lead, k)
 
 
 # ---------------------------------------------------------------------------
@@ -361,23 +467,21 @@ def _coeffs_in(f: MPoly, v: int):
 
     Returns a dict {power: MPoly with v-degree 0}.
     """
+    nv = f.nvars
+    s = _BITS * (nv - 1 - v)
     out: dict = {}
     for e, c in f.terms.items():
-        ee = list(e)
-        ee[v] = 0
-        out.setdefault(e[v], {})[tuple(ee)] = c
-    return {k: MPoly(f.nvars, t) for k, t in out.items()}
+        k = e >> s & _MASK
+        out.setdefault(k, {})[e - _var_key(nv, v, k)] = c
+    return {k: _poly(nv, t) for k, t in out.items()}
 
 
 def lc_in(f: MPoly, v: int) -> MPoly:
+    nv = f.nvars
     d = f.deg_in(v)
-    terms = {}
-    for e, c in f.terms.items():
-        if e[v] == d:
-            ee = list(e)
-            ee[v] = 0
-            terms[tuple(ee)] = c
-    return MPoly(f.nvars, terms)
+    s = _BITS * (nv - 1 - v)
+    m = _var_key(nv, v, d)
+    return _poly(nv, {e - m: c for e, c in f.terms.items() if e >> s & _MASK == d})
 
 
 def prem(f: MPoly, g: MPoly, v: int) -> MPoly:
@@ -391,9 +495,7 @@ def prem(f: MPoly, g: MPoly, v: int) -> MPoly:
         if dr < dg:
             break
         lr = lc_in(r, v)
-        shift = [0] * f.nvars
-        shift[v] = dr - dg
-        r = r * lg - (g * lr).mul_monomial(tuple(shift), one)
+        r = r * lg - (g * lr)._mul_key(_var_key(f.nvars, v, dr - dg), one)
     return r
 
 
@@ -426,26 +528,26 @@ def gcd(f: MPoly, g: MPoly) -> MPoly:
         return MPoly.const(f.nvars, f.some_coeff().one())
 
     # strip common monomial content
-    ef = f.min_exps()
-    eg = g.min_exps()
-    common = tuple(min(a, b) for a, b in zip(ef, eg))
-    if any(ef):
-        f = f.shift_down(ef)
-    if any(eg):
-        g = g.shift_down(eg)
+    nv = f.nvars
+    ef = _min_key(nv, f.terms)
+    eg = _min_key(nv, g.terms)
+    common = _min_key(nv, (ef, eg))
+    if ef:
+        f = f._div_key(ef)
+    if eg:
+        g = g._div_key(eg)
 
     if len(f.terms) == 1 or len(g.terms) == 1:
-        base = MPoly.monomial(f.nvars, common, f.some_coeff().one())
-        return base
+        return _poly(nv, {common: f.some_coeff().one()})
 
     # main variable: first with positive degree in either operand
     v = None
-    for i in range(f.nvars):
+    for i in range(nv):
         if f.deg_in(i) > 0 or g.deg_in(i) > 0:
             v = i
             break
     if v is None:  # both constants after stripping (cannot happen)
-        return MPoly.monomial(f.nvars, common, f.some_coeff().one())
+        return _poly(nv, {common: f.some_coeff().one()})
 
     df, dg = f.deg_in(v), g.deg_in(v)
     if df == 0 or dg == 0:
@@ -455,7 +557,7 @@ def gcd(f: MPoly, g: MPoly) -> MPoly:
             small, big = g, f
         c = content_in(big, v)
         r = gcd(small, c)
-        return r.mul_monomial(common, r.some_coeff().one()).monic()
+        return r._mul_key(common, r.some_coeff().one()).monic()
 
     cf, pf = primitive_in(f, v)
     cg, pg = primitive_in(g, v)
@@ -472,7 +574,7 @@ def gcd(f: MPoly, g: MPoly) -> MPoly:
             break
         _, r = primitive_in(r, v)
         a, b = b, r.monic()
-    out = (c * a).mul_monomial(common, a.some_coeff().one())
+    out = (c * a)._mul_key(common, a.some_coeff().one())
     return out.monic()
 
 
@@ -488,26 +590,39 @@ def gcd_many(polys) -> MPoly:
 
 def gcd_many_homogeneous(polys) -> MPoly:
     """gcd of homogeneous polynomials in their last variable count, computed
-    by stripping monomial content and dehomogenising the last variable."""
+    by stripping monomial content and dehomogenising the last variable.
+
+    Both steps re-key terms: setting the last variable to 1 drops its field
+    and lowers the degree field by it, and rehomogenising to degree d puts
+    d minus each term's degree back in that field.  A stripped input is
+    homogeneous, so no two of its terms meet on one key."""
     polys = [p for p in polys if not p.is_zero()]
     if not polys:
         raise ValueError("gcd of no polynomials")
     nv = polys[0].nvars
-    mins = [p.min_exps() for p in polys]
-    common = tuple(min(m[i] for m in mins) for i in range(nv))
-    stripped = [p.shift_down(p.min_exps()) for p in polys]
-    one = polys[0].some_coeff().one()
-    values = [MPoly.variable(nv - 1, i, one) for i in range(nv - 1)]
-    values.append(MPoly.const(nv - 1, one))
-    dehom = [p.subst(values) for p in stripped]
+    low = _BITS * (nv - 1)
+    mins = [_min_key(nv, p.terms) for p in polys]
+    common = _min_key(nv, mins)
+
+    def dehomogenised(e):
+        return (e >> _BITS) - ((e & _MASK) << low)
+
+    dehom = [
+        _poly(nv - 1, {dehomogenised(e - m): c for e, c in p.terms.items()})
+        for p, m in zip(polys, mins)
+    ]
     g = gcd_many(dehom)
     # rehomogenise to the gcd's own degree
     d = g.total_degree()
-    terms = {}
-    for e, c in g.terms.items():
-        terms[e + (d - sum(e),)] = c
-    out = MPoly(nv, terms)
-    return out.mul_monomial(common, one).monic()
+    fields = (1 << low) - 1
+    out = _poly(
+        nv,
+        {
+            d << (low + _BITS) | (e & fields) << _BITS | d - (e >> low): c
+            for e, c in g.terms.items()
+        },
+    )
+    return out._mul_key(common, polys[0].some_coeff().one()).monic()
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ def factor_univariate_over_k(p: MPoly, tower: TowerField):
     elements into K-irreducible monic factors (over the tower again).
     Raises BaseLocusNotSplit, chained from sympy's error, when sympy fails."""
     nvars = tower.nvars
-    coeffs = {e[0]: c.base_rf() for e, c in p.terms.items()}
+    coeffs = {e[0]: c.base_rf() for e, c in p.tuple_terms().items()}
     den = _lcm((rf.den for rf in coeffs.values()), tower.unit)
     x = sympy.Symbol("x")
     tsyms = [sympy.Symbol(f"t{i+1}") for i in range(nvars)]
@@ -72,7 +72,7 @@ def factor_univariate_over_k(p: MPoly, tower: TowerField):
 
 def _mpoly_qzeta_to_expr(m: MPoly, tsyms):
     expr = sympy.Integer(0)
-    for e, c in m.terms.items():
+    for e, c in m.tuple_terms().items():
         term = _qzeta_to_expr(c)
         for s, k in zip(tsyms, e):
             if k:

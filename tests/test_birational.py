@@ -197,6 +197,29 @@ def test_six_link(surface, six_point, six_link):
     assert is_equivariant(six_link.forward.map, surface, six_link.forward.target)
 
 
+def _rows_by_monomial(tower, components, degree):
+    """The double-point rows with each entry evaluated on its own."""
+    monos = sorted(
+        (a, b, degree - a - b) for a in range(degree + 1) for b in range(degree + 1 - a)
+    )
+    rows = []
+    for v in components:
+        rows.append(tuple(MPoly.monomial(3, e, tower.one()).eval(list(v)) for e in monos))
+        pivot = max(i for i in range(3) if not v[i].is_zero())
+        for var in (i for i in range(3) if i != pivot):
+            rows.append(tuple(
+                MPoly.monomial(3, e, tower.one()).derivative(var).eval_zero_ok(list(v), tower.zero())
+                for e in monos
+            ))
+    return rows
+
+
+def test_curves_through_rows_match_monomialwise_evaluation(six_point, coord_point):
+    for point, degree in ((six_point, 5), (coord_point, 2), (six_point, 1)):
+        _, rows = curves_through(point.tower, point.components, degree, double=True)
+        assert rows == _rows_by_monomial(point.tower, point.components, degree)
+
+
 def test_six_link_base_points(six_link, six_point):
     bp = base_points(six_link.forward.map)
     assert set(bp) == six_point.component_set()

@@ -132,5 +132,11 @@ def test_sbk_seed_env(monkeypatch, capsys):
     assert _seed_of_report(capsys) == 999
 
 
+def test_non_integer_sbk_seed_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("SBK_SEED", "abc")
+    assert run(["cocycle", "--count", "1"]) == 64
+    assert "SBK_SEED must be an integer" in capsys.readouterr().err
+
+
 def test_seed_only_on_randomized_suites(capsys):
     assert run(["link3", "--seed", "1"]) == 64

@@ -1,14 +1,20 @@
 import random
+from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
+from sblinks.field_tower import poly_to_json
 from sblinks.multipoly import (
     MPoly,
     NotDivisible,
     exact_div,
     gcd,
     gcd_many_homogeneous,
+    lc_in,
     mod_reduce,
+    prem,
     resultant,
     squarefree_decomposition,
     squarefree_part,
@@ -123,3 +129,281 @@ def test_gcd_many_homogeneous():
     polys = [c * x, c * z, c * (x + y)]
     g = gcd_many_homogeneous(polys)
     assert g == c.monic()
+
+
+# ---------------------------------------------------------------------------
+# differential tests: the packed MPoly against a tuple-keyed reference
+
+BOUND = 2 ** 15  # exponents and total degrees stay below it
+
+
+def grlex(e):
+    return (sum(e), e)
+
+
+def add_exps(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+class Ref:
+    """Sparse polynomial keyed by exponent tuples, computed the direct way."""
+
+    def __init__(self, n, terms):
+        self.n = n
+        self.t = {tuple(e): c for e, c in terms.items() if not c.is_zero()}
+
+    @staticmethod
+    def of(p: MPoly) -> "Ref":
+        return Ref(p.nvars, p.tuple_terms())
+
+    def __eq__(self, other):
+        return self.n == other.n and self.t == other.t
+
+    def __add__(self, other):
+        t = dict(self.t)
+        for e, c in other.t.items():
+            t[e] = t[e] + c if e in t else c
+        return Ref(self.n, t)
+
+    def __neg__(self):
+        return Ref(self.n, {e: -c for e, c in self.t.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        t = {}
+        for ea, ca in self.t.items():
+            for eb, cb in other.t.items():
+                e = add_exps(ea, eb)
+                t[e] = t[e] + ca * cb if e in t else ca * cb
+        return Ref(self.n, t)
+
+    def mul_monomial(self, m, c):
+        return Ref(self.n, {add_exps(e, m): k * c for e, k in self.t.items()})
+
+    def shift_down(self, m):
+        return Ref(self.n, {tuple(x - y for x, y in zip(e, m)): c for e, c in self.t.items()})
+
+    def min_exps(self):
+        return tuple(min(col) for col in zip(*self.t))
+
+    def deg_in(self, i):
+        return max((e[i] for e in self.t), default=-1)
+
+    def total_degree(self):
+        return max((sum(e) for e in self.t), default=-1)
+
+    def leading(self):
+        e = max(self.t, key=grlex)
+        return e, self.t[e]
+
+    def derivative(self, i):
+        return Ref(self.n, {
+            e[:i] + (e[i] - 1,) + e[i + 1:]: c * QZeta(e[i]) for e, c in self.t.items() if e[i]
+        })
+
+    def lc_in(self, v):
+        d = self.deg_in(v)
+        return Ref(self.n, {e[:v] + (0,) + e[v + 1:]: c for e, c in self.t.items() if e[v] == d})
+
+    def div(self, g):
+        """The exact quotient by g, or None when g does not divide."""
+        ge, gc = g.leading()
+        q, r = {}, self
+        while r.t:
+            re, rc = r.leading()
+            de = tuple(x - y for x, y in zip(re, ge))
+            if min(de) < 0:
+                return None
+            q[de] = rc * gc.inverse()
+            r = r - g.mul_monomial(de, q[de])
+        return Ref(self.n, q)
+
+    def mod_reduce(self, d, lead):
+        tail = Ref(self.n, {e: c for e, c in d.t.items() if e != lead})
+        inv = d.t[lead].inverse()
+        cur = self
+        while True:
+            hits = [e for e in cur.t if all(x >= y for x, y in zip(e, lead))]
+            if not hits:
+                return cur
+            e = max(hits, key=grlex)
+            de = tuple(x - y for x, y in zip(e, lead))
+            rest = Ref(self.n, {f: c for f, c in cur.t.items() if f != e})
+            cur = rest - tail.mul_monomial(de, cur.t[e] * inv)
+
+    def prem(self, g, v):
+        one = QZeta.one()
+        dg, lg, r = g.deg_in(v), g.lc_in(v), self
+        while r.t and r.deg_in(v) >= dg:
+            shift = tuple(r.deg_in(v) - dg if i == v else 0 for i in range(self.n))
+            r = r * lg - (g * r.lc_in(v)).mul_monomial(shift, one)
+        return r
+
+    def subst(self, values, m):
+        out = Ref(m, {})
+        for e, c in self.t.items():
+            piece = Ref(m, {(0,) * m: c})
+            for v, k in zip(values, e):
+                for _ in range(k):
+                    piece = piece * v
+            out = out + piece
+        return out
+
+    def eval(self, values):
+        acc = QZeta.zero()
+        for e, c in self.t.items():
+            for v, k in zip(values, e):
+                for _ in range(k):
+                    c = c * v
+            acc = acc + c
+        return acc
+
+    def sorted_terms(self):
+        return sorted(self.t.items(), key=lambda t: grlex(t[0]), reverse=True)
+
+    def repr(self):
+        bits = []
+        for e, c in self.sorted_terms():
+            mono = "*".join(f"t{i+1}^{k}" if k > 1 else f"t{i+1}" for i, k in enumerate(e) if k)
+            bits.append(f"({c!r})" + (f"*{mono}" if mono else ""))
+        return " + ".join(bits) or "0"
+
+    def to_json(self):
+        return [{"monomial": list(e), "coeff": c.to_json()} for e, c in self.sorted_terms()]
+
+    def sympy_poly(self, gens):
+        return sympy.Poly.from_dict(
+            {e: sympy.Rational(c.re.numerator, c.re.denominator) for e, c in self.t.items()},
+            *gens,
+            domain="QQ",
+        )
+
+
+COEFFS = st.builds(QZeta, st.integers(-3, 3), st.integers(-2, 2))
+RATIONALS = st.builds(QZeta, st.integers(-4, 4))
+
+
+def exps(n, top):
+    """Exponent tuples, each exponent either small or up to top."""
+    one = st.integers(0, 3) if top <= 3 else st.one_of(st.integers(0, 3), st.integers(0, top))
+    return st.tuples(*[one] * n)
+
+
+def terms(n, top, coeffs=COEFFS, size=5):
+    return st.dictionaries(exps(n, top), coeffs, max_size=size)
+
+
+def as_pair(n, t):
+    return MPoly(n, {e: c for e, c in t.items() if not c.is_zero()}), Ref(n, t)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_packed_matches_reference_up_to_the_bound(data):
+    n = data.draw(st.integers(1, 5))
+    top = (BOUND // 2 - 1) // n  # a product of two polynomials stays below the bound
+    f, rf = as_pair(n, data.draw(terms(n, top)))
+    g, rg = as_pair(n, data.draw(terms(n, top)))
+    m = data.draw(exps(n, top))
+    c = data.draw(COEFFS)
+
+    assert Ref.of(f + g) == rf + rg
+    assert Ref.of(f - g) == rf - rg
+    assert Ref.of(f * g) == rf * rg
+    assert Ref.of(f.scale(c)) == Ref(n, {e: k * c for e, k in rf.t.items()})
+    assert Ref.of(f.mul_monomial(m, c)) == rf.mul_monomial(m, c)
+    for i in range(n):
+        assert f.deg_in(i) == rf.deg_in(i)
+        assert Ref.of(f.derivative(i)) == rf.derivative(i)
+    assert f.total_degree() == rf.total_degree()
+    assert f.sorted_terms() == rf.sorted_terms()
+    assert repr(f) == rf.repr()
+    assert poly_to_json(f) == rf.to_json()
+    if f.is_zero():
+        return
+    assert f.leading() == rf.leading()
+    assert f.lc() == rf.leading()[1]
+    assert f.min_exps() == rf.min_exps()
+    assert Ref.of(f.shift_down(f.min_exps())) == rf.shift_down(rf.min_exps())
+    for i in range(n):
+        assert Ref.of(lc_in(f, i)) == rf.lc_in(i)
+    if not g.is_zero():
+        assert Ref.of(exact_div(f * g, g)) == rf
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_packed_division_and_substitution_match_reference(data):
+    n = data.draw(st.integers(1, 5))
+    f, rf = as_pair(n, data.draw(terms(n, 3)))
+    g, rg = as_pair(n, data.draw(terms(n, 3, size=3)))
+    if g.is_zero():
+        return
+    q = rf.div(rg)
+    if q is None:
+        with pytest.raises(NotDivisible):
+            exact_div(f, g)
+    else:
+        assert Ref.of(exact_div(f, g)) == q
+    v = data.draw(st.integers(0, n - 1))
+    assert Ref.of(prem(f, g, v)) == rf.prem(rg, v)
+
+    # d = lead + lower-degree tail, so lead is d's grlex leader
+    lead = data.draw(exps(n, 3).filter(any))
+    tail = {e: k for e, k in data.draw(terms(n, 3, size=3)).items() if sum(e) < sum(lead)}
+    d, rd = as_pair(n, {**tail, lead: data.draw(COEFFS.filter(lambda k: not k.is_zero()))})
+    assert Ref.of(mod_reduce(f, d, lead)) == rf.mod_reduce(rd, lead)
+
+    m = data.draw(st.integers(1, 3))
+    pairs = [as_pair(m, data.draw(terms(m, 2, size=3))) for _ in range(n)]
+    assert Ref.of(f.subst([p for p, _ in pairs])) == rf.subst([r for _, r in pairs], m)
+    point = [data.draw(COEFFS) for _ in range(n)]
+    assert f.eval_zero_ok(point, QZeta.zero()) == rf.eval(point)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_packed_gcd_matches_sympy(data):
+    n = data.draw(st.integers(1, 4))
+    a, b, c = (as_pair(n, data.draw(terms(n, 2, RATIONALS, size=3))) for _ in range(3))
+    f, g = a[0] * c[0], b[0] * c[0]
+    if f.is_zero() or g.is_zero():
+        return
+    gens = sympy.symbols(f"x0:{n}")
+    expected = (a[1] * c[1]).sympy_poly(gens).gcd((b[1] * c[1]).sympy_poly(gens))
+    want = {e: QZeta(Fraction(int(k.p), int(k.q))) for e, k in expected.terms()}
+    lead = want[max(want, key=grlex)]
+    assert gcd(f, g).tuple_terms() == {e: k * lead.inverse() for e, k in want.items()}
+
+
+@given(st.data())
+def test_packed_keys_sort_in_grlex_order(data):
+    n = data.draw(st.integers(1, 5))
+    es = data.draw(st.lists(exps(n, (BOUND - 1) // n), min_size=2, max_size=8, unique=True))
+    keys = {next(iter(MPoly.monomial(n, e, QZeta.one()).terms)): e for e in es}
+    assert [keys[k] for k in sorted(keys)] == sorted(es, key=grlex)
+
+
+def test_overflow_at_the_bound():
+    one = QZeta.one()
+    top = MPoly.monomial(2, (BOUND - 1, 0), one)
+    assert top.total_degree() == BOUND - 1
+    for bad in ((BOUND,), (0, BOUND, 0), (BOUND // 2, BOUND // 2)):
+        with pytest.raises(OverflowError):
+            MPoly.monomial(len(bad), bad, one)
+        with pytest.raises(OverflowError):
+            MPoly(len(bad), {bad: one})
+    x = MPoly.variable(2, 0, one)
+    y = MPoly.variable(2, 1, one)
+    half = MPoly.monomial(2, (0, BOUND // 2), one)
+    with pytest.raises(OverflowError):
+        top * y
+    with pytest.raises(OverflowError):
+        half * (half + x)
+    with pytest.raises(OverflowError):
+        top.mul_monomial((1, 0), one)
+    with pytest.raises(OverflowError):
+        x ** BOUND
+    assert (half * MPoly.monomial(2, (BOUND // 2 - 1, 0), one)).total_degree() == BOUND - 1
