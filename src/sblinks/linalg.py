@@ -1,7 +1,12 @@
 """Small dense exact linear algebra over tower field elements.
 
 Matrices are tuples of row tuples.  Sizes stay tiny (at most 21 columns),
-so plain Gaussian elimination with exact field arithmetic is enough.
+so plain Gaussian elimination with exact field arithmetic is enough.  It
+runs forward only: each pivot clears its column below itself, which gives
+the rank and the pivot columns.  `nullspace` and `solve` then find the
+pivot variables by back-substitution from the last pivot row up, a few
+products per free column where clearing each column above its pivot as
+well (Gauss-Jordan) would update every earlier row.
 """
 
 from __future__ import annotations
@@ -101,7 +106,14 @@ def _proportional(a, b) -> bool:
 
 
 def _row_echelon(rows):
-    """In-place style Gaussian elimination; returns (echelon rows, pivots)."""
+    """Forward Gaussian elimination; returns (echelon rows, pivots).
+
+    Each pivot row is scaled to a leading one and cleared out of the rows
+    below it, never out of the rows above: the result is upper echelon, not
+    reduced.  The rows at and below each pivot, and hence the pivots, are
+    those of full Gauss-Jordan elimination; `nullspace` and `solve` read
+    their answers off the echelon rows by back-substitution, and `rank` and
+    the pivot readers need nothing more."""
     m = [list(r) for r in rows]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
@@ -116,17 +128,43 @@ def _row_echelon(rows):
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = m[r][c].inverse()
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and not m[i][c].is_zero():
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        # entries left of c are zero in every row from r down
+        row = m[r]
+        if not row[c].is_one():
+            inv = row[c].inverse()
+            row[c] = inv.one()
+            for j in range(c + 1, ncols):
+                if not row[j].is_zero():
+                    row[j] = row[j] * inv
+        for i in range(r + 1, nrows):
+            below = m[i]
+            f = below[c]
+            if f.is_zero():
+                continue
+            below[c] = row[c].zero()
+            for j in range(c + 1, ncols):
+                if not row[j].is_zero():
+                    below[j] = below[j] - f * row[j]
         pivots.append(c)
         r += 1
         if r == nrows:
             break
     return m, pivots
+
+
+def _back_substitute(echelon, pivots, rhs, x):
+    """Fill in the pivot variables of the echelon rows into the vector x,
+    whose other entries stay as given (zero but for a free column moved
+    into rhs): the variable of pivot row i is rhs[i] minus the row's
+    entries at the later pivot columns times their values."""
+    for ri in range(len(pivots) - 1, -1, -1):
+        row, acc = echelon[ri], rhs[ri]
+        for j in pivots[ri + 1:]:
+            a, v = row[j], x[j]
+            if not (a.is_zero() or v.is_zero()):
+                acc = acc - a * v
+        x[pivots[ri]] = acc
+    return tuple(x)
 
 
 def rank(rows) -> int:
@@ -137,34 +175,34 @@ def rank(rows) -> int:
 
 
 def nullspace(rows, tower):
-    """Basis of the right nullspace of the matrix (list of vectors)."""
+    """Basis of the right nullspace of the matrix (list of vectors): one
+    vector per free column, with a one there, zeros at the other free
+    columns, and its pivot entries by back-substitution."""
     if not rows:
         return []
     ncols = len(rows[0])
     m, pivots = _row_echelon(rows)
+    echelon = m[: len(pivots)]
     free = [c for c in range(ncols) if c not in pivots]
     one, zero = tower.one(), tower.zero()
     basis = []
     for fc in free:
         v = [zero] * ncols
         v[fc] = one
-        for ri, pc in enumerate(pivots):
-            v[pc] = -m[ri][fc]
-        basis.append(tuple(v))
+        basis.append(_back_substitute(echelon, pivots, [-row[fc] for row in echelon], v))
     return basis
 
 
 def solve(rows, rhs, tower):
-    """One solution of A x = b, or None if inconsistent: the reduced
-    augmented matrix then has a pivot in its last column."""
+    """One solution of A x = b, the free variables zero, or None if
+    inconsistent: the echelon augmented matrix then has a pivot in its last
+    column."""
     n = len(rows)
     aug = [list(rows[i]) + [rhs[i]] for i in range(n)]
     m, pivots = _row_echelon(aug)
     ncols = len(rows[0])
-    zero = tower.zero()
-    x = [zero] * ncols
-    for ri, pc in enumerate(pivots):
-        if pc == ncols:
-            return None
-        x[pc] = m[ri][ncols]
-    return tuple(x)
+    if pivots and pivots[-1] == ncols:
+        return None
+    echelon = m[: len(pivots)]
+    rhs = [row[ncols] for row in echelon]
+    return _back_substitute(echelon, pivots, rhs, [tower.zero()] * ncols)

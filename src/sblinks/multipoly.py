@@ -1,9 +1,9 @@
 """Sparse multivariate polynomials over an exact coefficient field.
 
 The coefficient type must provide +, -, *, unary -, .inverse(), .is_zero(),
-.one(), equality and hashing.  Both scalar levels of the library (Q(zeta)
-and tower field elements) satisfy this, so one engine serves the t-variable
-layer and the projective x,y,z(,w) layer.
+.is_one(), .one(), equality and hashing.  Both scalar levels of the library
+(Q(zeta) and tower field elements) satisfy this, so one engine serves the
+t-variable layer and the projective x,y,z(,w) layer.
 
 Each monomial is stored as one packed integer, the key of `MPoly.terms`.
 For n variables with exponents (e_1, ..., e_n) and total degree d,
@@ -216,7 +216,9 @@ class MPoly:
         # the leading keys add without a carry, so this is the product's degree
         _check_degree((max(a) + max(b)) >> (_BITS * self.nvars))
         if len(a) > len(b):
-            a, b = b, a
+            a, b, other = b, a, self
+        if len(a) == 1 and 0 in a and a[0].is_one():
+            return other  # the factor whose terms are b
         terms: dict = {}
         get = terms.get
         for ea, ca in a.items():
@@ -279,7 +281,8 @@ class MPoly:
     def monic(self) -> "MPoly":
         if not self.terms:
             return self
-        return self.scale(self.lc().inverse())
+        lc = self.lc()
+        return self if lc.is_one() else self.scale(lc.inverse())
 
     def min_exps(self):
         return _unpack(self.nvars, _min_key(self.nvars, self.terms))
@@ -291,6 +294,14 @@ class MPoly:
     def _div_key(self, m: int) -> "MPoly":
         """self divided by the monomial with key m, which divides every term."""
         return _poly(self.nvars, {e - m: c for e, c in self.terms.items()})
+
+    def _shift_key(self, m: int) -> "MPoly":
+        """self times the monomial with key m: the terms re-keyed, no
+        coefficient touched."""
+        if not m or not self.terms:
+            return self
+        _check_degree(self.total_degree() + (m >> (_BITS * self.nvars)))
+        return _poly(self.nvars, {e + m: c for e, c in self.terms.items()})
 
     # -- comparison ---------------------------------------------------------
 
@@ -324,43 +335,18 @@ class MPoly:
     # -- substitution and evaluation --------------------------------------------
 
     def subst(self, values: list) -> "MPoly":
-        """Substitute values[i] (an MPoly) for variable i."""
+        """Substitute values[i] (an MPoly) for variable i, by the nested
+        Horner walk of `_horner`: in variable 0 outermost, then 1, and so on."""
         if not self.terms:
             return MPoly.zero(values[0].nvars if values else self.nvars)
         nv = values[0].nvars
-        n = self.nvars
-        pow_cache = [dict() for _ in range(n)]
-        out = MPoly.zero(nv)
-        for e, c in self.terms.items():
-            piece = MPoly.const(nv, c)
-            for i, k in enumerate(_unpack(n, e)):
-                if k == 0:
-                    continue
-                cache = pow_cache[i]
-                if k not in cache:
-                    cache[k] = values[i] ** k
-                piece = piece * cache[k]
-            out = out + piece
-        return out
+        return _horner(self, values, lambda c: _poly(nv, {0: c}))
 
     def eval(self, values: list):
-        """Evaluate at coefficient-type values."""
+        """Evaluate at coefficient-type values, by the walk of `subst`."""
         if not self.terms:
             raise ValueError("evaluating the zero polynomial needs a zero context")
-        acc = None
-        n = self.nvars
-        pow_cache = [dict() for _ in range(n)]
-        for e, c in self.terms.items():
-            v = c
-            for i, k in enumerate(_unpack(n, e)):
-                if k == 0:
-                    continue
-                cache = pow_cache[i]
-                if k not in cache:
-                    cache[k] = _power(values[i], k)
-                v = v * cache[k]
-            acc = v if acc is None else acc + v
-        return acc
+        return _horner(self, values, lambda c: c)
 
     def eval_zero_ok(self, values: list, zero):
         return zero if self.is_zero() else self.eval(values)
@@ -377,6 +363,51 @@ def _int_scale(c, n: int):
         if n:
             b = b + b
     return r
+
+
+def _horner(f: MPoly, values, lift):
+    """The sum over the terms c x^e of f of lift(c) * prod values[i]^e_i,
+    for nonzero f, by nested Horner.  The terms are grouped by their
+    exponent of variable 0, taken from the highest down; each group's
+    coefficient, a polynomial in the later variables, is walked alike, and
+
+        acc <- acc * values[0]^(k - k') + (group of exponent k'),
+
+    with a last factor values[0]^k for the lowest exponent k.  A gap k in
+    one variable's exponents costs one power values[i]^k, and the powers
+    of each value are built once per call, each from the one below.  So a
+    product is an accumulator times a power of one value, not a product of
+    powers per term as in the direct sum."""
+    n = f.nvars
+    low = (1 << (_BITS * n)) - 1  # the exponent fields, lexicographic
+    items = sorted([(e & low, c) for e, c in f.terms.items()], key=itemgetter(0), reverse=True)
+    powers = [[v] for v in values]  # powers[i][k - 1] = values[i]^k
+
+    def power(i, k):
+        ps = powers[i]
+        while len(ps) < k:
+            ps.append(ps[-1] * ps[0])
+        return ps[k - 1]
+
+    def walk(lo, hi, i):
+        # items[lo:hi] share their exponents of the variables before i
+        if i == n:  # one term: the keys are distinct
+            return lift(items[lo][1])
+        s = _BITS * (n - 1 - i)
+        acc = None
+        j = lo
+        while j < hi:
+            k = items[j][0] >> s & _MASK
+            end = j + 1
+            while end < hi and items[end][0] >> s & _MASK == k:
+                end += 1
+            inner = walk(j, end, i + 1)
+            acc = inner if acc is None else acc * power(i, prev - k) + inner
+            prev = k
+            j = end
+        return acc * power(i, prev) if prev else acc
+
+    return walk(0, len(items), 0)
 
 
 def _power(b, k: int):
@@ -409,19 +440,34 @@ def exact_div(f: MPoly, g: MPoly) -> MPoly:
     nv = f.nvars
     guard = _guard(nv)
     ge = max(g.terms)
-    gt = g.terms.items()
-    gci = g.terms[ge].inverse()
-    rem = f
+    lead = g.terms[ge]
+    gci = None if lead.is_one() else lead.inverse()
+    tail = [(e, k) for e, k in g.terms.items() if e != ge]
+    rem = dict(f.terms)
     q: dict = {}
-    while rem.terms:
-        re = max(rem.terms)
+    while rem:
+        re = max(rem)
         if ((re | guard) - ge) & guard != guard:
             raise NotDivisible(f"{g!r} does not divide {f!r}")
         de = re - ge
-        qc = rem.terms[re] * gci
+        qc = rem.pop(re)
+        if gci is not None:
+            qc = qc * gci
         q[de] = qc
-        # rem - (quotient term) * g; no term of that product passes re in degree
-        rem = rem + _poly(nv, {e + de: -(k * qc) for e, k in gt})
+        # rem minus the quotient term times g, in place: the leading terms
+        # cancel, and no other term of the product passes re in degree
+        for e, k in tail:
+            e += de
+            v = -(k * qc)
+            old = rem.get(e)
+            if old is None:
+                rem[e] = v
+                continue
+            v = old + v
+            if v.is_zero():
+                del rem[e]
+            else:
+                rem[e] = v
     return _poly(nv, q)
 
 
@@ -488,14 +534,13 @@ def prem(f: MPoly, g: MPoly, v: int) -> MPoly:
     """Pseudo-remainder of f by g with respect to variable v."""
     dg = g.deg_in(v)
     lg = lc_in(g, v)
-    one = g.some_coeff().one()
     r = f
     while not r.is_zero():
         dr = r.deg_in(v)
         if dr < dg:
             break
         lr = lc_in(r, v)
-        r = r * lg - (g * lr)._mul_key(_var_key(f.nvars, v, dr - dg), one)
+        r = r * lg - (g * lr)._shift_key(_var_key(f.nvars, v, dr - dg))
     return r
 
 
@@ -557,7 +602,7 @@ def gcd(f: MPoly, g: MPoly) -> MPoly:
             small, big = g, f
         c = content_in(big, v)
         r = gcd(small, c)
-        return r._mul_key(common, r.some_coeff().one()).monic()
+        return r._shift_key(common).monic()
 
     cf, pf = primitive_in(f, v)
     cg, pg = primitive_in(g, v)
@@ -574,8 +619,7 @@ def gcd(f: MPoly, g: MPoly) -> MPoly:
             break
         _, r = primitive_in(r, v)
         a, b = b, r.monic()
-    out = (c * a)._mul_key(common, a.some_coeff().one())
-    return out.monic()
+    return (c * a)._shift_key(common).monic()
 
 
 def gcd_many(polys) -> MPoly:
@@ -622,7 +666,7 @@ def gcd_many_homogeneous(polys) -> MPoly:
             for e, c in g.terms.items()
         },
     )
-    return out._mul_key(common, polys[0].some_coeff().one()).monic()
+    return out._shift_key(common).monic()
 
 
 # ---------------------------------------------------------------------------

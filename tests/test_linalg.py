@@ -1,5 +1,9 @@
-from sblinks.linalg import _proportional, solve
+from hypothesis import given, settings, strategies as st
+
+from sblinks.birational import curves_through
+from sblinks.linalg import _proportional, nullspace, rank, solve
 from sblinks.multipoly import MPoly
+from sblinks.severi_brauer import sixpoint_from_sqrt
 
 
 def _row_times(row, x):
@@ -62,3 +66,124 @@ def test_proportional_polynomial_triples(L):
     b = tuple(p.scale(u) * (x + z) for p in a)
     assert _proportional(a, b)
     assert not _proportional(a, (b[0], b[1], b[1]))
+
+
+# ---------------------------------------------------------------------------
+# forward elimination with back-substitution against Gauss-Jordan
+
+
+def _gauss_jordan(rows):
+    """Reduced row echelon form and pivots, every pivot column cleared above
+    and below its pivot: the reference for the forward-only elimination."""
+    m = [list(r) for r in rows]
+    nrows, ncols = len(m), len(m[0])
+    pivots, r = [], 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if not m[i][c].is_zero()), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = m[r][c].inverse()
+        m[r] = [x * inv for x in m[r]]
+        for i in range(nrows):
+            if i != r and not m[i][c].is_zero():
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return m, pivots
+
+
+def _reference_nullspace(rows, tower):
+    m, pivots = _gauss_jordan(rows)
+    ncols = len(rows[0])
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [tower.zero()] * ncols
+        v[fc] = tower.one()
+        for ri, pc in enumerate(pivots):
+            v[pc] = -m[ri][fc]
+        basis.append(tuple(v))
+    return basis
+
+
+def _reference_solve(rows, rhs, tower):
+    ncols = len(rows[0])
+    m, pivots = _gauss_jordan([list(r) + [b] for r, b in zip(rows, rhs)])
+    if pivots and pivots[-1] == ncols:
+        return None
+    x = [tower.zero()] * ncols
+    for ri, pc in enumerate(pivots):
+        x[pc] = m[ri][ncols]
+    return tuple(x)
+
+
+def _pool(L):
+    """Entries with the radical u and t-denominators, zero and one among
+    them.  They stay in Q(zeta)(t1)[u]: with t2 as well, random eliminations
+    build bivariate coefficients whose gcds take seconds per product."""
+    u, t1 = L.gen("u"), L.t_var(0)
+    one = L.one()
+    return [
+        L.zero(), L.zero(), one, L.scalar(-2), u, t1, u * u,
+        one / (t1 + one), u / t1, L.zeta() * u + one,
+    ]
+
+
+def _combination(rows, coeffs):
+    acc = [None] * len(rows[0])
+    for row, c in zip(rows, coeffs):
+        acc = [x * c if a is None else a + x * c for a, x in zip(acc, row)]
+    return tuple(acc)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_elimination_matches_gauss_jordan(L, data):
+    pool = _pool(L)
+    entry = st.sampled_from(pool)
+    # underdetermined, square and overdetermined shapes
+    nrows, ncols = data.draw(
+        st.sampled_from([(2, 4), (3, 5), (1, 3), (3, 3), (4, 4), (2, 2), (4, 2), (3, 1), (4, 3)]),
+        label="shape",
+    )
+    rows = [tuple(data.draw(st.lists(entry, min_size=ncols, max_size=ncols))) for _ in range(nrows)]
+    if nrows > 1 and data.draw(st.booleans(), label="dependent row"):
+        # rank-deficient: the last row is a combination of the others
+        coeffs = data.draw(st.lists(entry, min_size=nrows - 1, max_size=nrows - 1))
+        rows[-1] = _combination(rows[:-1], coeffs)
+
+    basis = nullspace(rows, L)
+    assert basis == _reference_nullspace(rows, L)
+    assert rank(rows) == len(_gauss_jordan(rows)[1]) == ncols - len(basis)
+    for v in basis:
+        assert all(_row_times(r, v).is_zero() for r in rows)
+
+    # a consistent right-hand side, and one drawn freely (often inconsistent
+    # when the rows are dependent)
+    x = data.draw(st.lists(entry, min_size=ncols, max_size=ncols))
+    for rhs in (
+        [_row_times(r, x) for r in rows],
+        data.draw(st.lists(entry, min_size=nrows, max_size=nrows)),
+    ):
+        sol = solve(rows, rhs, L)
+        assert sol == _reference_solve(rows, rhs, L)
+        if sol is not None:
+            assert [_row_times(r, sol) for r in rows] == list(rhs)
+
+
+def test_elimination_on_the_six_point_double_system(surface, K2, t_vars):
+    # the 18x21 double-point system of quintics at the six-point of
+    # alpha = -5 t2, the link6 bench input of seed 1
+    _, t2 = t_vars
+    point = sixpoint_from_sqrt(surface, K2.scalar(-5) * t2)
+    tower = point.tower
+    _, rows = curves_through(tower, point.components, 5, double=True)
+    assert (len(rows), len(rows[0])) == (18, 21)
+    basis = nullspace(rows, tower)
+    assert len(basis) == 3 and rank(rows) == 18
+    assert basis == _reference_nullspace(rows, tower)
+    for v in basis:
+        assert all(_row_times(r, v).is_zero() for r in rows)

@@ -405,5 +405,83 @@ def test_overflow_at_the_bound():
     with pytest.raises(OverflowError):
         top.mul_monomial((1, 0), one)
     with pytest.raises(OverflowError):
+        top._shift_key(next(iter(x.terms)))
+    with pytest.raises(OverflowError):
         x ** BOUND
     assert (half * MPoly.monomial(2, (BOUND // 2 - 1, 0), one)).total_degree() == BOUND - 1
+
+
+# ---------------------------------------------------------------------------
+# substitution and evaluation over a tower: sparse exponents with gaps, as
+# in the quintics of a 6-link, against products of powers term by term
+
+
+def power_product_subst(f, values):
+    nv = values[0].nvars
+    out = MPoly.zero(nv)
+    for e, c in f.tuple_terms().items():
+        piece = MPoly.const(nv, c)
+        for v, k in zip(values, e):
+            for _ in range(k):
+                piece = piece * v
+        out = out + piece
+    return out
+
+
+def power_product_eval(f, point):
+    acc = None
+    for e, c in f.tuple_terms().items():
+        for v, k in zip(point, e):
+            for _ in range(k):
+                c = c * v
+        acc = c if acc is None else acc + c
+    return acc
+
+
+def tower_pool(L):
+    u, t1, t2 = L.gen("u"), L.t_var(0), L.t_var(1)
+    one = L.one()
+    return [one, L.scalar(-3), u, t2, u * u - t1, t2 / (t1 + one), (u + one) / t2, L.zeta() * u]
+
+
+def check_subst_and_eval(f, values, point):
+    """f, and each of the values, nonzero."""
+    sub = f.subst(values)
+    assert sub == power_product_subst(f, values)
+    at = [v.eval(point) for v in values]
+    assert f.eval(at) == power_product_eval(f, at) == sub.eval_zero_ok(point, point[0].zero())
+
+
+def test_subst_sparse_quintic_over_tower(L):
+    one, u, t1, t2 = L.one(), L.gen("u"), L.t_var(0), L.t_var(1)
+    x, y, z = (MPoly.variable(3, i, one) for i in range(3))
+    # x^5 + x^2 y^3 + z^5: gaps of 3 and 2 in the exponent of x
+    f = MPoly(3, {(5, 0, 0): u, (2, 3, 0): t2 / (t1 + one), (0, 0, 5): one})
+    values = [x + y.scale(u), z.scale(t1) - y, x + y + z]
+    check_subst_and_eval(f, values, [u, t2, one])
+    # a constant term, and a value that is a constant
+    g = f + MPoly.const(3, t1)
+    check_subst_and_eval(g, [values[0], MPoly.const(3, u), z * z], [t2, u, t1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_subst_with_exponent_gaps_matches_power_products(L, data):
+    pool = tower_pool(L)
+    coeff = st.sampled_from(pool)
+    homogeneous = data.draw(st.booleans(), label="homogeneous")
+
+    @st.composite
+    def quintic_exps(draw):
+        a = draw(st.integers(0, 5))
+        b = draw(st.integers(0, 5 - a))
+        c = 5 - a - b if homogeneous else draw(st.integers(0, 5))
+        return a, b, c
+
+    f = MPoly(3, data.draw(st.dictionaries(quintic_exps(), coeff, min_size=1, max_size=5)))
+    linear = st.dictionaries(
+        st.sampled_from([(1, 0, 0), (0, 1, 0), (0, 0, 1)]), coeff, min_size=1, max_size=2
+    )
+    values = [MPoly(3, data.draw(linear)) for _ in range(3)]
+    point = data.draw(st.lists(coeff, min_size=3, max_size=3))
+    check_subst_and_eval(f, values, point)
