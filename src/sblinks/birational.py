@@ -57,6 +57,8 @@ from .linalg import (
     det3,
     inverse3,
     mat,
+    mat_galois,
+    mat_mul,
     mat_vec,
     nullspace,
     rank,
@@ -77,6 +79,7 @@ from .severi_brauer import (
     make_closed_point,
     normalize_3point,
     normalize_point,
+    opposite,
 )
 
 
@@ -520,68 +523,35 @@ def _express_in_span(p: MPoly, basis, tower: TowerField):
     return solve(rows, rhs, tower)
 
 
-class _TripleSpace:
-    """Triples of forms from a fixed space W, as coordinate vectors."""
-
-    def __init__(self, tower: TowerField, w_basis):
-        self.tower = tower
-        self.w = list(w_basis)
-        self.dim = 3 * len(self.w)
-
-    def to_triple(self, vec):
-        k = len(self.w)
-        out = []
-        for i in range(3):
-            p = MPoly.zero(3)
-            for j in range(k):
-                c = vec[i * k + j]
-                if not c.is_zero():
-                    p = p + self.w[j].scale(c)
-            out.append(p)
-        return tuple(out)
-
-    def from_triple(self, triple):
-        out = []
-        for p in triple:
-            coeffs = _express_in_span(p, self.w, self.tower)
-            if coeffs is None:
-                return None
-            out.extend(coeffs)
-        return tuple(out)
-
-
-def _triple_operator(triple, src_forms, A_tgt_inv, act_inv):
-    sub = [p.subst(src_forms) for p in triple]
-    mixed = _mat_times(A_tgt_inv, sub)
-    return tuple(q.map_coeffs(act_inv.apply) for q in mixed)
-
-
-def _semilinear_operator(space: _TripleSpace, src: SBSurface, tgt: SBSurface, exps):
-    """Matrix of G_sigma(c) = sigma^{-1}(A_tgt^{-1} (c o A_src)) on W^3."""
-    tower = space.tower
-    inv_exps = {n: -k for n, k in exps.items()}
-    act_inv = GaloisAction(tower, inv_exps)
+def _twisted_action(src: SBSurface, tgt: SBSurface, w_basis, tower: TowerField, name):
+    """The operator V -> B . sigma^-1(V) . P^T of `equivariant_triple` for
+    the generator sigma of the radical `name`, on flattened 3 x k matrices."""
+    exps = {name: 1}
+    act_inv = GaloisAction(tower, {name: -1})
+    B = mat_galois(inverse3(tgt.twist_matrix(exps, tower)), act_inv)
     src_forms = _linear_forms(src.twist_matrix(exps, tower))
-    A_tgt_inv = inverse3(tgt.twist_matrix(exps, tower))
-    cols = []
-    k = space.dim
-    for j in range(k):
-        e = [tower.zero()] * k
-        e[j] = tower.one()
-        triple = space.to_triple(e)
-        out = _triple_operator(triple, src_forms, A_tgt_inv, act_inv)
-        vec = space.from_triple(out)
-        if vec is None:
+    Pt = []
+    for w in w_basis:
+        row = _express_in_span(
+            w.subst(src_forms).map_coeffs(act_inv.apply), w_basis, tower
+        )
+        if row is None:
             raise EquivariantBasisNotFound(
                 "curve space is not stable under the twisted action"
             )
-        cols.append(vec)
-    return tuple(tuple(cols[j][i] for j in range(k)) for i in range(k))
+        Pt.append(row)
+
+    def apply(vec):
+        V = mat_galois(_rows3(vec), act_inv)
+        return sum(mat_mul(mat_mul(B, V), Pt), ())
+
+    return apply
 
 
-def _semilinear_apply(matrix, act_inv: GaloisAction, vec):
-    moved = tuple(act_inv.apply(x) for x in vec)
-    return mat_vec(matrix, moved)
+def _rows3(vec):
+    """A flattened 3 x k matrix as its three rows."""
+    k = len(vec) // 3
+    return tuple(vec[i * k:(i + 1) * k] for i in range(3))
 
 
 def equivariant_triple(
@@ -589,9 +559,15 @@ def equivariant_triple(
 ):
     """A triple of forms in the span of w_basis that intertwines the twisted
     actions of src and tgt, found by semilinear eigenvector descent over each
-    radical generator in turn."""
-    space = _TripleSpace(tower, w_basis)
-    k = space.dim
+    radical generator sigma in turn.
+
+    A triple is V . w, V its 3 x k coefficient matrix over w = w_basis.  The
+    operator c -> sigma^-1(A_tgt^-1 (c o A_src)) acts on V as
+    V -> B . sigma^-1(V) . P^T, with B = sigma^-1(A_tgt^-1) and row j of P^T
+    the coordinates of sigma^-1(w_j o A_src): one substitution and one span
+    solve per basis form.  The basis forms are independent, so V . w is an
+    independent triple exactly when rank(V) = 3."""
+    k = 3 * len(w_basis)
     one, zero = tower.one(), tower.zero()
     current = []
     for j in range(k):
@@ -600,16 +576,14 @@ def equivariant_triple(
         current.append(tuple(v))
 
     for rad in tower.radicals:
-        exps = {rad.name: 1}
-        act_inv = GaloisAction(tower, {rad.name: -1})
-        G = _semilinear_operator(space, src, tgt, exps)
+        G = _twisted_action(src, tgt, w_basis, tower, rad.name)
         d = rad.degree
         # rho = G^d as a scalar on the current space
         new_vectors = []
         for v in current:
             iters = [v]
             for _ in range(d):
-                iters.append(_semilinear_apply(G, act_inv, iters[-1]))
+                iters.append(G(iters[-1]))
             vd = iters[d]
             rho = None
             for a, b in zip(vd, v):
@@ -640,9 +614,9 @@ def equivariant_triple(
             )
 
     for v in current:
-        triple = space.to_triple(v)
-        if _triple_independent(triple, tower):
-            return triple
+        V = _rows3(v)
+        if rank(V) == 3:
+            return tuple(_mat_times(V, w_basis))
     raise EquivariantBasisNotFound(
         "equivariant vectors found, but none gives three independent forms"
     )
@@ -666,13 +640,6 @@ def _independent_subset(vectors):
     the pivot columns of the matrix whose columns they are."""
     _, pivots = _row_echelon(list(zip(*vectors)))
     return [vectors[c] for c in pivots]
-
-
-def _triple_independent(triple, tower: TowerField) -> bool:
-    monos = sorted({e for p in triple for e in p.terms})
-    zero = tower.zero()
-    rows = [tuple(p.terms.get(e, zero) for e in monos) for p in triple]
-    return rank(rows) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -1042,18 +1009,17 @@ def link_from_3point(surface: SBSurface, point: ClosedPoint) -> Link:
             )
         fwd_map = _sigma_after(tower, phi)
         xi_target = surface.tower.from_rf(xi_p.base_rf()).inverse()
+        target = SBSurface(surface.ext, xi_target, -surface.side)
     else:
         basis, _ = curves_through(tower, point.components, 2)
         if len(basis) != 3:
             raise SpecialPosition(
                 f"conic system through the point has dimension {len(basis)}, not 3"
             )
-        xi_target = surface.xi.inverse()
-        target_try = SBSurface(surface.ext, xi_target, -surface.side)
-        triple = equivariant_triple(surface, target_try, basis, tower)
+        target = opposite(surface)
+        triple = equivariant_triple(surface, target, basis, tower)
         fwd_map = RationalMap(tower, triple)
 
-    target = SBSurface(surface.ext, xi_target, -surface.side)
     forward = _checked_forward(fwd_map, surface, target)
 
     q_comps = _line_images(fwd_map, point.components)
@@ -1124,7 +1090,7 @@ def link_from_6point(surface: SBSurface, point: ClosedPoint) -> Link:
             f"dimension {len(basis)}; expected 18 and 3"
         )
 
-    target = SBSurface(surface.ext, surface.xi.inverse(), -surface.side)
+    target = opposite(surface)
     triple = equivariant_triple(surface, target, basis, tower)
     fwd_map = RationalMap(tower, triple)
     if fwd_map.degree != 5:

@@ -38,6 +38,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, not {value}")
+    return value
+
+
 @dataclass
 class Report:
     check: str
@@ -446,7 +453,7 @@ def build_parser() -> _Parser:
         sp.add_argument("--lambda", dest="lam", default="t1")
         if xi:
             sp.add_argument("--xi", default="t2")
-        sp.add_argument("--n-vars", type=int, default=2)
+        sp.add_argument("--n-vars", type=positive_int, default=2)
 
     sp = sub.add_parser("norm-test", help="norm membership with certificates")
     common(sp)
@@ -454,7 +461,7 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("cocycle", help="cocycle condition on random twists")
     common(sp, xi=False)
-    sp.add_argument("--count", type=int, default=20)
+    sp.add_argument("--count", type=positive_int, default=20)
     sp.add_argument("--seed", type=int, default=None)
     sp.set_defaults(fn=cmd_cocycle)
 
@@ -501,7 +508,7 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("psi", help="word algebra self-checks")
     json_flag(sp)
-    sp.add_argument("--count", type=int, default=1000)
+    sp.add_argument("--count", type=positive_int, default=1000)
     sp.add_argument("--seed", type=int, default=None)
     sp.set_defaults(fn=cmd_psi)
 

@@ -35,7 +35,7 @@ from .errors import (
     NotEquivariant,
     SblinksError,
     SectionNotFound,
-    XiZero,
+    ZeroXi,
 )
 from .field_tower import (
     CubicExtension,
@@ -122,7 +122,7 @@ def build_singular_model(lam: FieldElement, xi: FieldElement) -> SingularCubicMo
     if res.status == "yes":
         raise LambdaIsCube("lambda must not be a cube in K")
     if xi.is_zero():
-        raise XiZero("xi must be nonzero")
+        raise ZeroXi("xi must be nonzero")
     base = lam.tower
     L = base.extend(_fresh_name(base, "u"), 3, lam)
     ext = CubicExtension(L, L.radicals[-1].name)
@@ -278,7 +278,7 @@ def build_smooth_model(
             raise SblinksError("lam, mu, nu must live over one base field")
     xi = lam * mu * base.scalar(27) + nu ** 3
     if xi.is_zero():
-        raise XiZero("xi = 27 lam mu + nu^3 vanishes")
+        raise ZeroXi("xi = 27 lam mu + nu^3 vanishes")
     # degree-9 Kummer check: lam, mu, lam*mu, lam*mu^2 all non-cubes
     for cand, label in (
         (lam, "lam"),

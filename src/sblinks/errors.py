@@ -109,10 +109,6 @@ class DegenerateTower(SblinksError):
     pass
 
 
-class XiZero(SblinksError):
-    pass
-
-
 class SectionNotFound(SblinksError):
     pass
 

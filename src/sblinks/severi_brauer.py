@@ -207,7 +207,7 @@ def splitting_descriptor(tower: TowerField, stabilizer: list) -> tuple:
 class SBSurface:
     """The twist S_xi of the plane by the cocycle nu_xi over L/K."""
 
-    __slots__ = ("ext", "xi", "side", "nu", "_hash")
+    __slots__ = ("ext", "xi", "side", "nu", "_nu_powers", "_hash")
 
     def __init__(self, ext: CubicExtension, xi: FieldElement, side: int = 1):
         if xi.tower != ext.tower:
@@ -220,6 +220,8 @@ class SBSurface:
         self.xi = xi
         self.side = side
         self.nu = _nu_matrix(ext.tower, xi)
+        # nu^k, the cocycle matrix of g^k, for k = 0, 1, 2
+        self._nu_powers = (mat_identity(ext.tower), self.nu, mat_mul(self.nu, self.nu))
         self._hash = None
         self._check_cocycle()
 
@@ -238,10 +240,7 @@ class SBSurface:
     def twist_matrix(self, exps: dict, tower: TowerField):
         """Cocycle matrix of the group element with the given exponents,
         lifted to the given tower."""
-        k = exps.get(self.ext.radical_name, 0) % 3
-        m = mat_identity(self.tower)
-        for _ in range(k):
-            m = mat_mul(self.nu, m)
+        m = self._nu_powers[exps.get(self.ext.radical_name, 0) % 3]
         if tower == self.tower:
             return m
         return tuple(tuple(x.lift_to(tower) for x in row) for row in m)

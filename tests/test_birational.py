@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -19,7 +21,10 @@ from sblinks.birational import (
     _followed_by_linear,
     _express_in_span,
     _independent_subset,
+    _linear_forms,
+    _mat_times,
     _sigma_after,
+    _twisted_action,
     apply_matrix,
     base_points,
     compose,
@@ -31,13 +36,16 @@ from sblinks.birational import (
     subst_linear,
     transport_point,
 )
-from sblinks.linalg import _proportional, det3, mat_identity, rank
+from sblinks.field_tower import CubicExtension, GaloisAction
+from sblinks.linalg import _proportional, det3, inverse3, mat_identity, rank
 from sblinks.multipoly import MPoly
 from sblinks.severi_brauer import (
     auto_between_3points,
     closed_point_from_seed,
+    make_surface,
     normalize_point,
     opposite,
+    unit_3point,
 )
 
 
@@ -486,3 +494,70 @@ def test_express_in_span(L):
     basis = [x * y, y * z]
     assert _express_in_span(x * z, basis, L) is None
     assert _express_in_span((x * y).scale(u) - y * z, basis, L) == (u, -one)
+
+
+@pytest.fixture(scope="module")
+def two_radical_surface(K2, t_vars):
+    """S_{t2} over K[cbrt t1][sqrt t2] and its unit 3-point, whose cycle
+    element {u: 1, s: 0} sends its 3-link through the descent."""
+    t1, t2 = t_vars
+    M = K2.extend("u", 3, t1).extend("s", 2, t2)
+    S = make_surface(CubicExtension(M, "u"), t2.lift_to(M))
+    return S, unit_3point(S)
+
+
+def _action_from_definition(src, tgt, basis, tower, name, V):
+    """sigma^-1(A_tgt^-1 (c o A_src)) for the triple c = V . basis, as
+    coordinates over the basis."""
+    exps = {name: 1}
+    forms = _linear_forms(src.twist_matrix(exps, tower))
+    pulled = [p.subst(forms) for p in _mat_times(V, basis)]
+    mixed = _mat_times(inverse3(tgt.twist_matrix(exps, tower)), pulled)
+    act_inv = GaloisAction(tower, {name: -1})
+    return tuple(
+        _express_in_span(q.map_coeffs(act_inv.apply), basis, tower) for q in mixed
+    )
+
+
+@pytest.mark.parametrize("system", ["quintics", "conics"])
+def test_twisted_action_matches_its_definition(
+    system, surface, six_point, two_radical_surface
+):
+    """The matrix form B . sigma^-1(V) . P^T equals the operator applied to
+    the triple V . w, for random coefficient matrices V with radical entries,
+    for each generator sigma."""
+    if system == "quintics":
+        src, comps, degree, double = surface, six_point.components, 5, True
+        tower = six_point.tower
+    else:
+        src, point = two_radical_surface
+        comps, degree, double, tower = point.components, 2, False, point.tower
+    tgt = opposite(src)
+    basis, _ = curves_through(tower, comps, degree, double)
+    assert len(basis) == 3
+    u, s = (tower.gen(rad.name) for rad in tower.radicals)
+    pool = [
+        tower.zero(), tower.one(), tower.scalar(-2), u, s, u * s,
+        u * u + tower.one(), tower.zeta(),
+    ]
+    rng = random.Random(11)
+    for rad in tower.radicals:
+        G = _twisted_action(src, tgt, basis, tower, rad.name)
+        for _ in range(2):
+            V = tuple(tuple(rng.choice(pool) for _ in basis) for _ in range(3))
+            expected = _action_from_definition(src, tgt, basis, tower, rad.name, V)
+            assert G(sum(V, ())) == sum(expected, ())
+
+
+def test_descent_link_bytes_pinned(two_radical_surface, link_json):
+    S, point = two_radical_surface
+    assert point.cycle_element == {"u": 1, "s": 0}
+    link = link_from_3point(S, point)
+    digests = tuple(
+        hashlib.sha256(text.encode()).hexdigest()
+        for text in (json.dumps(link_json(link), sort_keys=True), repr(link))
+    )
+    assert digests == (
+        "2128b3ddbf7988cca0f21e9bd60803cbe040d174e9d29170a5e44a04b9dd97a6",
+        "fed01b79295a845fd754cc223ff383dd520231120caeb3c0eb9026fee5c611a0",
+    )

@@ -58,6 +58,21 @@ def test_usage_error_exit_64(capsys):
     assert run(["bound", "--m", "2"]) == 64
 
 
+def test_non_positive_counts_are_usage_errors(capsys):
+    for argv in (
+        ["norm-test", "--n-vars", "-1", "--lambda", "2", "--xi", "3"],
+        ["norm-test", "--n-vars", "0"],
+        ["cocycle", "--count", "-5"],
+        ["cocycle", "--count", "0"],
+        ["psi", "--count", "-3"],
+        ["psi", "--count", "0"],
+    ):
+        assert run(argv) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be a positive integer" in captured.err
+
+
 def test_parse_error_exit_65(capsys):
     assert run(["norm-test", "--xi", "t9", "--lambda", "t1"]) == 65
     assert run(["norm-test", "--xi", "t2 +", "--lambda", "t1"]) == 65

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from sblinks.errors import DegenerateTower, IdentityFails, LambdaIsCube, XiZero
+from sblinks.errors import DegenerateTower, IdentityFails, LambdaIsCube, ZeroXi
 from sblinks.cubic_models import (
     build_singular_model,
     build_smooth_model,
@@ -137,7 +137,7 @@ def test_smooth_rejects_zero_xi(K2m):
     t1 = K2m.t_var(0)
     # 27 lam mu + nu^3 = 0 with lam = t1, mu = -1/(27 t1), nu = 1
     mu = -(K2m.scalar(27) * t1).inverse()
-    with pytest.raises(XiZero):
+    with pytest.raises(ZeroXi):
         build_smooth_model(t1, mu, K2m.one())
 
 
