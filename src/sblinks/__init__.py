@@ -10,7 +10,6 @@ from .field_tower import (
     RationalFunction,
     TowerField,
     TriState,
-    apply_galois,
     invert,
     is_cube,
     is_norm,

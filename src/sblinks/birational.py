@@ -24,7 +24,11 @@ one lcm of its coefficients' denominators, common to all three coordinates
 polynomial arithmetic, not a rational-function gcd per add and multiply.
 
 `normalize=False` means the caller guarantees coordinates that are already
-coprime and canonically scaled, as `identity`, `lift_to` and `galois` do.
+coprime and canonically scaled, as `identity` and `_from_coprime` do.
+
+Maps, and the closed points they move, live over one tower: `compose`,
+`equals` and `transport_point` raise `SblinksError` when their arguments do
+not share it, and nothing lifts a map from one tower to another.
 """
 
 from __future__ import annotations
@@ -145,21 +149,6 @@ class RationalMap:
             raise SblinksError("matrix extraction needs a linear map")
         return _coefficient_rows(self.tower, self.coords)
 
-    def lift_to(self, tower: TowerField) -> "RationalMap":
-        if tower == self.tower:
-            return self
-        coords = tuple(
-            c.map_coeffs(lambda x: x.lift_to(tower)) for c in self.coords
-        )
-        return RationalMap(tower, coords, normalize=False)
-
-    def galois(self, action: GaloisAction) -> "RationalMap":
-        return RationalMap(
-            self.tower,
-            tuple(c.map_coeffs(action.apply) for c in self.coords),
-            normalize=False,
-        )
-
     def evaluate(self, point):
         """Image of a projective point (raises if the point is in the base locus)."""
         zero = self.tower.zero()
@@ -183,7 +172,7 @@ class RationalMap:
         return self._hash
 
     def __repr__(self):
-        return "[" + " : ".join(_poly_str_xyz(c) for c in self.coords) + "]"
+        return "[" + " : ".join(c.terms_str("xyzw") for c in self.coords) + "]"
 
     def to_json(self):
         return {
@@ -191,20 +180,6 @@ class RationalMap:
             "degree": self.degree,
             "coords": [poly_to_json(p) for p in self.coords],
         }
-
-
-def _poly_str_xyz(p: MPoly) -> str:
-    names = ["x", "y", "z", "w"]
-    if p.is_zero():
-        return "0"
-    bits = []
-    for e, c in p.sorted_terms():
-        mono = "*".join(
-            f"{names[i]}^{k}" if k > 1 else names[i] for i, k in enumerate(e) if k
-        )
-        cs = repr(c)
-        bits.append(f"({cs})*{mono}" if mono else f"({cs})")
-    return " + ".join(bits)
 
 
 def _cleared(coords):
@@ -291,19 +266,11 @@ def _invertible3(m) -> bool:
 
 
 def equals(f: RationalMap, g: RationalMap) -> bool:
-    """Projective equality of maps via vanishing 2x2 cross products.
-
-    Maps over nested towers are lifted to the larger one first."""
+    """Projective equality of maps via vanishing 2x2 cross products."""
+    if f.tower != g.tower:
+        raise SblinksError("equals needs maps over the same tower")
     if f.nsrc != g.nsrc:
         return False
-    if f.tower != g.tower:
-        try:
-            if f.tower.height() <= g.tower.height():
-                f = f.lift_to(g.tower)
-            else:
-                g = g.lift_to(f.tower)
-        except SblinksError:
-            return False
     return _proportional(f.coords, g.coords)
 
 
@@ -1123,6 +1090,6 @@ def link_from_6point(surface: SBSurface, point: ClosedPoint) -> Link:
 def transport_point(m: RationalMap, point: ClosedPoint, target: SBSurface) -> ClosedPoint:
     """Image of a closed point under a map (components evaluated one by one)."""
     if m.tower != point.tower:
-        m = m.lift_to(point.tower)
+        raise SblinksError("transport needs a map and a point over the same tower")
     comps = [m.evaluate(v) for v in point.components]
     return make_closed_point(target, comps, point.tower)

@@ -82,13 +82,6 @@ def _base(args) -> TowerField:
     return TowerField.rational(args.n_vars)
 
 
-def _parse_base_element(text: str, tower: TowerField):
-    value, new_tower = parse_element(text, tower)
-    if new_tower != tower or not value.in_base():
-        raise ParseError(f"{text!r} must be an element of the base field K")
-    return value
-
-
 def _seed(args) -> int:
     if args.seed is not None:
         return args.seed
@@ -114,7 +107,7 @@ def _random_base_monomial(rng, tower: TowerField):
 def _extension(args):
     """The base field K and the extension L = K[cbrt lambda] of --lambda."""
     base = _base(args)
-    lam = _parse_base_element(args.lam, base)
+    lam = parse_element(args.lam, base)
     return base, CubicExtension(base.extend("u", 3, lam), "u")
 
 
@@ -122,7 +115,7 @@ def _surface_for(args):
     from .severi_brauer import make_surface
 
     base, ext = _extension(args)
-    xi = _parse_base_element(args.xi, base)
+    xi = parse_element(args.xi, base)
     return make_surface(ext, xi.lift_to(ext.tower)), base
 
 
@@ -132,7 +125,7 @@ def _surface_for(args):
 
 def cmd_norm_test(args):
     base, ext = _extension(args)
-    xi = _parse_base_element(args.xi, base).lift_to(ext.tower)
+    xi = parse_element(args.xi, base).lift_to(ext.tower)
 
     def run():
         res = is_norm(ext, xi)
@@ -172,8 +165,8 @@ def cmd_surface_iso(args):
     from .severi_brauer import is_isomorphic, make_surface
 
     base, ext = _extension(args)
-    xi1 = _parse_base_element(args.xi, base)
-    xi2 = _parse_base_element(args.xi2, base)
+    xi1 = parse_element(args.xi, base)
+    xi2 = parse_element(args.xi2, base)
 
     def run():
         s1 = make_surface(ext, xi1.lift_to(ext.tower))
@@ -206,7 +199,7 @@ def cmd_point(args):
         elif args.kind == "second":
             pt = second_3point(surface)
         else:
-            alpha = _parse_base_element(args.alpha, base)
+            alpha = parse_element(args.alpha, base)
             pt = sixpoint_from_sqrt(surface, alpha.lift_to(surface.tower))
         return "pass", {
             "degree": pt.degree,
@@ -261,7 +254,7 @@ def cmd_link6(args):
     from .severi_brauer import sixpoint_from_sqrt
 
     surface, base = _surface_for(args)
-    alpha = _parse_base_element(args.alpha, base)
+    alpha = parse_element(args.alpha, base)
 
     def run():
         pt = sixpoint_from_sqrt(surface, alpha.lift_to(surface.tower))
@@ -308,8 +301,8 @@ def cmd_model_singular(args):
     from .cubic_models import build_singular_model, verify_singular_model
 
     base = _base(args)
-    lam = _parse_base_element(args.lam, base)
-    xi = _parse_base_element(args.xi, base)
+    lam = parse_element(args.lam, base)
+    xi = parse_element(args.xi, base)
 
     def run():
         model = build_singular_model(lam, xi)
@@ -324,14 +317,14 @@ def cmd_model_singular(args):
 def _smooth_model_from_args(args, base):
     from .cubic_models import build_smooth_model
 
-    lam = _parse_base_element(args.lam, base)
-    nu = _parse_base_element(args.nu, base)
+    lam = parse_element(args.lam, base)
+    nu = parse_element(args.nu, base)
     if args.mu is not None:
-        mu = _parse_base_element(args.mu, base)
+        mu = parse_element(args.mu, base)
     else:
         if args.xi is None:
             raise UsageError("model-smooth needs --mu or --xi")
-        xi = _parse_base_element(args.xi, base)
+        xi = parse_element(args.xi, base)
         mu = (xi - nu ** 3) / (base.scalar(27) * lam)
     return build_smooth_model(lam, mu, nu)
 

@@ -3,14 +3,12 @@
     expr    := term (("+" | "-") term)*
     term    := factor (("*" | "/") factor)*
     factor  := base ("^" integer)?
-    base    := rational | "zeta" | variable | call | "(" expr ")" | "-" base
-    call    := ("cbrt" | "sqrt") "(" expr ")"
+    base    := rational | "zeta" | variable | "(" expr ")" | "-" base
     variable:= "t" digits          (t1 .. tn)
     rational:= digits ("/" digits)?
 
-Radicands of cbrt/sqrt must evaluate inside the base field K; each distinct
-radicand extends the working tower by one radical, so a parsed expression
-comes back together with the tower it needed.
+A literal is an element of the one tower it is parsed in; no name stands for
+a radical, so `cbrt(...)` and `sqrt(...)` are unknown names.
 """
 
 from __future__ import annotations
@@ -64,9 +62,6 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def _lift(self, e: FieldElement) -> FieldElement:
-        return e.lift_to(self.tower)
-
     def parse(self) -> FieldElement:
         v = self.expr()
         if self.peek()[0] is not None:
@@ -77,8 +72,7 @@ class _Parser:
         v = self.term()
         while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
             op = self.take()[1]
-            w = self._lift(self.term())
-            v = self._lift(v)
+            w = self.term()
             v = v + w if op == "+" else v - w
         return v
 
@@ -86,8 +80,7 @@ class _Parser:
         v = self.factor()
         while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
             op = self.take()[1]
-            w = self._lift(self.factor())
-            v = self._lift(v)
+            w = self.factor()
             if op == "*":
                 v = v * w
             else:
@@ -105,7 +98,7 @@ class _Parser:
                 self.take()
                 sign = -1
             k = self.take("num")[1] * sign
-            v = self._lift(v) ** k
+            v = v ** k
         return v
 
     def base(self) -> FieldElement:
@@ -125,11 +118,6 @@ class _Parser:
             self.take()
             if val == "zeta":
                 return self.tower.zeta()
-            if val in ("cbrt", "sqrt"):
-                self.take("op", "(")
-                inner = self.expr()
-                self.take("op", ")")
-                return self._radical(val, inner)
             m = re.fullmatch(r"t(\d+)", val)
             if m:
                 i = int(m.group(1))
@@ -137,34 +125,11 @@ class _Parser:
                     raise ParseError(
                         f"variable {val} out of range (1..{self.tower.nvars})"
                     )
-                base = TowerField.rational(self.tower.nvars)
-                return base.t_var(i - 1).lift_to(self.tower)
+                return self.tower.t_var(i - 1)
             raise ParseError(f"unknown name {val!r}")
         raise ParseError(f"unexpected token {val!r}")
 
-    def _radical(self, kind: str, inner: FieldElement) -> FieldElement:
-        inner = self._lift(inner)
-        if not inner.in_base():
-            raise ParseError("nested radicals are outside the literal grammar")
-        degree = 3 if kind == "cbrt" else 2
-        rf = inner.base_rf()
-        for rad in self.tower.radicals:
-            if rad.degree == degree and rad.radicand == rf:
-                return self.tower.gen(rad.name)
-        name = f"{'c' if degree == 3 else 's'}{len(self.tower.radicals) + 1}"
-        names = {r.name for r in self.tower.radicals}
-        k = 1
-        while name in names:
-            name = f"{'c' if degree == 3 else 's'}{len(self.tower.radicals) + 1 + k}"
-            k += 1
-        self.tower = self.tower.extend(name, degree, self.tower.from_rf(rf))
-        return self.tower.gen(name)
 
-
-def parse_element(text: str, tower: TowerField):
-    """Parse a literal; returns (element, tower), where the tower may have
-    been extended by radicals appearing in the expression."""
-    parser = _Parser(tokenize(text), tower)
-    value = parser.parse()
-    value = value.lift_to(parser.tower)
-    return value, parser.tower
+def parse_element(text: str, tower: TowerField) -> FieldElement:
+    """Parse a literal as an element of tower."""
+    return _Parser(tokenize(text), tower).parse()

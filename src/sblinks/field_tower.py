@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from math import lcm
 from operator import add
 
 from .errors import (
@@ -379,8 +378,7 @@ class TowerField:
         return FieldElement(self, {tuple(e): self.unit}, self.unit)
 
     def galois_generator(self, name: str) -> "GaloisAction":
-        r = self.radical(name)
-        return GaloisAction(self, {name: 1}, order=r.degree)
+        return GaloisAction(self, {name: 1})
 
     def group_elements(self):
         """All elements of the Galois group as exponent dicts name -> k."""
@@ -726,9 +724,9 @@ class GaloisAction:
     radicals and -1 for quadratic ones.  The base K is fixed pointwise.
     """
 
-    __slots__ = ("tower", "images", "order", "_weights")
+    __slots__ = ("tower", "images", "_weights")
 
-    def __init__(self, tower: TowerField, images: dict, order: int | None = None):
+    def __init__(self, tower: TowerField, images: dict):
         for name in images:
             tower.radical_index(name)  # raises ActionMismatch when absent
         self.tower = tower
@@ -736,7 +734,6 @@ class GaloisAction:
             name: k % tower.radical(name).degree for name, k in images.items()
         }
         self.images = {n: k for n, k in reduced.items() if k}
-        self.order = lcm(*(tower.radical(n).degree for n in self.images))
         self._weights = tuple(
             (tower.radical_index(n), k, tower.radical(n).degree)
             for n, k in self.images.items()
@@ -750,9 +747,6 @@ class GaloisAction:
                 )
             raise ActionMismatch("element belongs to a different tower")
         return _galois(self._weights, e)
-
-    def __call__(self, e: "FieldElement") -> "FieldElement":
-        return self.apply(e)
 
     def __repr__(self):
         if not self.images:
@@ -922,7 +916,7 @@ class FieldElement:
 
 
 # ---------------------------------------------------------------------------
-# element operations: normalize / invert / apply_galois / norm
+# element operations: normalize / invert / norm
 
 
 def normalize(e: FieldElement) -> FieldElement:
@@ -933,10 +927,6 @@ def normalize(e: FieldElement) -> FieldElement:
 
 def invert(e: FieldElement) -> FieldElement:
     return e.inverse()
-
-
-def apply_galois(action: GaloisAction, e: FieldElement) -> FieldElement:
-    return action.apply(e)
 
 
 @dataclass(frozen=True)
@@ -958,9 +948,6 @@ class CubicExtension:
     @property
     def radicand_rf(self) -> RationalFunction:
         return self.tower.radical(self.radical_name).radicand
-
-    def radicand(self) -> FieldElement:
-        return self.tower.from_rf(self.radicand_rf)
 
     def root(self) -> FieldElement:
         return self.tower.gen(self.radical_name)
@@ -1027,40 +1014,28 @@ def _is_nth_power_rf(c: RationalFunction, n: int) -> TriState:
                 "n": n,
             },
         )
-    ok_n, wn, bad, mult, cn = _nth_power_free_data(c.num, n)
-    if not ok_n:
-        return TriState(
-            "no",
-            certificate={
-                "kind": "multiplicity",
-                "where": "num",
-                "factor": poly_to_json(bad),
-                "multiplicity": mult,
-                "n": n,
-            },
-        )
-    ok_d, wd, bad, mult, cd = _nth_power_free_data(c.den, n)
-    if not ok_d:
-        return TriState(
-            "no",
-            certificate={
-                "kind": "multiplicity",
-                "where": "den",
-                "factor": poly_to_json(bad),
-                "multiplicity": mult,
-                "n": n,
-            },
-        )
-    cr = qzeta_nth_root(cn * cd.inverse(), n)
-    if cr is None:
-        if (cn * cd.inverse()).is_rational():
+    found = []
+    for where, p in (("num", c.num), ("den", c.den)):
+        ok, w, bad, mult, const = _nth_power_free_data(p, n)
+        if not ok:
             return TriState(
                 "no",
                 certificate={
-                    "kind": "constant",
-                    "value": str((cn * cd.inverse()).re),
+                    "kind": "multiplicity",
+                    "where": where,
+                    "factor": poly_to_json(bad),
+                    "multiplicity": mult,
                     "n": n,
                 },
+            )
+        found.append((w, const))
+    (wn, cn), (wd, cd) = found
+    const = cn * cd.inverse()
+    cr = qzeta_nth_root(const, n)
+    if cr is None:
+        if const.is_rational():
+            return TriState(
+                "no", certificate={"kind": "constant", "value": str(const.re), "n": n}
             )
         return TriState("unknown")
     witness = RationalFunction(wn.scale(cr), wd)

@@ -322,12 +322,17 @@ class MPoly:
         ]
 
     def __repr__(self):
+        return self.terms_str([f"t{i+1}" for i in range(self.nvars)])
+
+    def terms_str(self, names) -> str:
+        """The terms as "(c)*x^2*y + ...", grlex-leading first, variable i
+        printed as names[i]."""
         if not self.terms:
             return "0"
         bits = []
         for e, c in self.sorted_terms():
             mono = "*".join(
-                f"t{i+1}^{k}" if k > 1 else f"t{i+1}" for i, k in enumerate(e) if k
+                f"{names[i]}^{k}" if k > 1 else names[i] for i, k in enumerate(e) if k
             )
             bits.append(f"({c!r})" + (f"*{mono}" if mono else ""))
         return " + ".join(bits)
@@ -674,13 +679,7 @@ def gcd_many_homogeneous(polys) -> MPoly:
 
 
 def squarefree_part(f: MPoly) -> MPoly:
-    d = f
-    for i in range(f.nvars):
-        if f.deg_in(i) > 0:
-            d = gcd(d, f.derivative(i))
-            if d.is_const():
-                return f.monic()
-    return exact_div(f.monic(), d).monic()
+    return exact_div(f.monic(), _deriv_gcd(f)).monic()
 
 
 def _deriv_gcd(f: MPoly) -> MPoly:

@@ -137,26 +137,13 @@ def radicand_class_string(rf: RationalFunction, n: int) -> str:
     """Canonical representative string of rf modulo (K*)^n."""
     cn, parts_n = squarefree_decomposition(rf.num)
     cd, parts_d = squarefree_decomposition(rf.den)
+    # num and den are coprime, so a den factor of multiplicity k is a factor
+    # of exponent -k, that is (-k) % n modulo n-th powers
     num = MPoly.const(rf.nvars, QZeta.one())
-    den = MPoly.const(rf.nvars, QZeta.one())
-    for g, k in parts_n:
+    for g, k in parts_n + [(g, -k) for g, k in parts_d]:
         if k % n:
             num = num * g ** (k % n)
-    for g, k in parts_d:
-        if k % n:
-            den = den * g ** (k % n)
-    # clear the denominator modulo n-th powers: 1/d ~ d^(n-1)
-    if not den.is_const():
-        num = num * den ** (n - 1)
-        cpart, parts = squarefree_decomposition(num)
-        num = MPoly.const(rf.nvars, QZeta.one())
-        for g, k in parts:
-            if k % n:
-                num = num * g ** (k % n)
-        const = cn * cd.inverse() * cpart
-    else:
-        const = cn * cd.inverse()
-    label = _constant_class(const, n)
+    label = _constant_class(cn * cd.inverse(), n)
     from .field_tower import poly_str
 
     return f"({label})*{poly_str(num)}" if not num.is_const() else f"({label})"

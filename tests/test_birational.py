@@ -93,6 +93,20 @@ def test_equals_projective(L):
     assert equals(sig, sig)
 
 
+def test_maps_over_different_towers_are_not_compared(L, t_vars):
+    _, t2 = t_vars
+    M = L.extend("s", 2, t2.lift_to(L))
+    with pytest.raises(SblinksError, match="same tower"):
+        equals(RationalMap.identity(L), RationalMap.identity(M))
+
+
+def test_transport_needs_one_tower(link_at_coords, six_point):
+    fwd = link_at_coords.forward
+    assert fwd.map.tower != six_point.tower
+    with pytest.raises(SblinksError, match="same tower"):
+        transport_point(fwd.map, six_point, fwd.target)
+
+
 def test_is_equivariant(surface, L):
     sig = RationalMap.standard_involution(L)
     sop = opposite(surface)

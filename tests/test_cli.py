@@ -1,6 +1,11 @@
 import json
 
+import pytest
+
 from sblinks.cli import run
+from sblinks.errors import ParseError
+from sblinks.exprparse import parse_element
+from sblinks.field_tower import TowerField
 
 
 def test_bound_pass(capsys):
@@ -80,6 +85,15 @@ def test_parse_error_exit_65(capsys):
     assert run(["norm-test", "--xi", "cbrt(t2)", "--lambda", "t1"]) == 65
 
 
+def test_literals_are_elements_of_the_tower_they_are_parsed_in():
+    K = TowerField.rational(2)
+    t1 = K.t_var(0)
+    assert parse_element("t1^2 - zeta/3", K) == t1 ** 2 - K.zeta() / K.scalar(3)
+    for text in ("cbrt(t2)", "sqrt(t1)", "u"):
+        with pytest.raises(ParseError, match="unknown name"):
+            parse_element(text, K)
+
+
 def _seed_of_report(capsys):
     return json.loads(capsys.readouterr().out)["parameters"]["seed"]
 
@@ -155,3 +169,40 @@ def test_non_integer_sbk_seed_is_a_usage_error(monkeypatch, capsys):
 
 def test_seed_only_on_randomized_suites(capsys):
     assert run(["link3", "--seed", "1"]) == 64
+
+
+# payload keys of the subcommands that no other test runs
+PAYLOAD_KEYS = {
+    "link6": {"rank", "forward_degree", "splitting"},
+    "hexagon": {
+        "links", "composite_identity", "word_trivial", "merged_square", "descriptors",
+    },
+    "model-singular": {
+        "factorization",
+        "singular_points",
+        "psi_equivariant_to_op",
+        "sigma_psi_equivariant",
+        "fibration_specialization",
+        "equation",
+    },
+    "model-smooth": {
+        "xi_norm_status",
+        "lines_on_cubic",
+        "lines_disjoint",
+        "galois_orbits",
+        "incidence_table",
+        "aaa_identity",
+        "fundamental_identity",
+        "contraction_equivariant",
+    },
+    "order3": {"rho_degree", "chi1_splitting", "chi2_splitting", "psi_word"},
+}
+
+
+@pytest.mark.parametrize("command", PAYLOAD_KEYS)
+def test_subcommand_json_report(command, capsys):
+    assert run([command, "--json"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["check"] == command
+    assert obj["status"] == "pass"
+    assert set(obj["payload"]) == PAYLOAD_KEYS[command]
