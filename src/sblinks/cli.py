@@ -108,6 +108,8 @@ def _extension(args):
     """The base field K and the extension L = K[cbrt lambda] of --lambda."""
     base = _base(args)
     lam = parse_element(args.lam, base)
+    if lam.is_zero():
+        raise UsageError("--lambda must be nonzero")
     return base, CubicExtension(base.extend("u", 3, lam), "u")
 
 
@@ -116,6 +118,8 @@ def _surface_for(args):
 
     base, ext = _extension(args)
     xi = parse_element(args.xi, base)
+    if xi.is_zero():
+        raise UsageError("--xi must be nonzero")
     return make_surface(ext, xi.lift_to(ext.tower)), base
 
 
@@ -190,6 +194,7 @@ def cmd_point(args):
     )
 
     surface, base = _surface_for(args)
+    alpha = parse_element(args.alpha, base) if args.kind == "six" else None
 
     def run():
         if args.kind == "coords":
@@ -199,7 +204,6 @@ def cmd_point(args):
         elif args.kind == "second":
             pt = second_3point(surface)
         else:
-            alpha = parse_element(args.alpha, base)
             pt = sixpoint_from_sqrt(surface, alpha.lift_to(surface.tower))
         return "pass", {
             "degree": pt.degree,
@@ -314,28 +318,30 @@ def cmd_model_singular(args):
     return _timed("model-singular", {"lambda": args.lam, "xi": args.xi}, run)
 
 
-def _smooth_model_from_args(args, base):
+def _smooth_model_builder(args):
+    """Parse the literals of a smooth-model subcommand; return the function
+    that builds the model, run inside the timed check."""
     from .cubic_models import build_smooth_model
 
+    base = _base(args)
     lam = parse_element(args.lam, base)
     nu = parse_element(args.nu, base)
     if args.mu is not None:
         mu = parse_element(args.mu, base)
-    else:
-        if args.xi is None:
-            raise UsageError("model-smooth needs --mu or --xi")
-        xi = parse_element(args.xi, base)
-        mu = (xi - nu ** 3) / (base.scalar(27) * lam)
-    return build_smooth_model(lam, mu, nu)
+        return lambda: build_smooth_model(lam, mu, nu)
+    if args.xi is None:
+        raise UsageError("model-smooth needs --mu or --xi")
+    xi = parse_element(args.xi, base)
+    return lambda: build_smooth_model(lam, (xi - nu ** 3) / (base.scalar(27) * lam), nu)
 
 
 def cmd_model_smooth(args):
     from .cubic_models import verify_smooth_model
 
-    base = _base(args)
+    build = _smooth_model_builder(args)
 
     def run():
-        model = _smooth_model_from_args(args, base)
+        model = build()
         report = verify_smooth_model(model)
         return "pass", report
 
@@ -350,10 +356,10 @@ def cmd_order3(args):
     from .cubic_models import order3_selfmap, verify_smooth_model
     from .word_algebra import psi_compose
 
-    base = _base(args)
+    build = _smooth_model_builder(args)
 
     def run():
-        model = _smooth_model_from_args(args, base)
+        model = build()
         verify_smooth_model(model)
         rho, chi1, chi2 = order3_selfmap(model)
         word = psi_compose([chi1, chi2])

@@ -98,6 +98,8 @@ class _Parser:
                 self.take()
                 sign = -1
             k = self.take("num")[1] * sign
+            if k < 0 and v.is_zero():
+                raise ParseError("zero to a negative power")
             v = v ** k
         return v
 

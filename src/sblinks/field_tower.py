@@ -23,6 +23,20 @@ representations, so equality is structural.  JSON and repr keep the
 per-coefficient layout, each coordinate a reduced rational function of K,
 nested one list per radical with the last radical outermost;
 FieldElement.coefficients() is that derived view.
+
+Substitution (`MPoly.subst`) over a tower runs in integers when no
+coefficient of the polynomial or of the values has a t-denominator, as for
+the cleared triples of `birational`.  The tower is the image of the free
+ring Q(zeta)[x, r, t], in which the radicals r_j are free variables, under
+the ring map that sends r_j^k_j to radicand_j.  The same Horner walk
+(`multipoly._horner`) runs in the free ring, on `_Free` polynomials: one
+dict from packed (x, r, t) exponents to Z[zeta] pairs over one integer
+denominator, so a product is one integer convolution with one gcd pass and
+no tower arithmetic.  Because the map is a ring homomorphism, applying it
+once to the walk's result (`_free_fold`) gives the substituted element;
+`_reduced` puts each coefficient in the canonical form, so the output is
+identical to that of the per-coefficient walk.  With a t-denominator
+anywhere, the per-coefficient walk over FieldElement runs instead.
 """
 
 from __future__ import annotations
@@ -31,6 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import product
+from math import gcd as _igcd, lcm as _ilcm
 from operator import add
 
 from .errors import (
@@ -41,13 +56,18 @@ from .errors import (
     ZeroInverse,
 )
 from .multipoly import (
+    _BITS,
+    _MASK,
     MPoly,
+    _check_degree,
+    _horner,
+    _poly,
     _power,
     exact_div,
     gcd,
     squarefree_decomposition,
 )
-from .scalars import QZeta, qzeta_nth_root
+from .scalars import QZeta, _reduced as _qzeta, qzeta_nth_root
 
 
 # ---------------------------------------------------------------------------
@@ -567,6 +587,10 @@ def _cross(n1: MPoly, d1: MPoly, n2: MPoly, d2: MPoly, unit: MPoly):
 def _mul(tower: TowerField, a: "FieldElement", b: "FieldElement") -> "FieldElement":
     if not a.nums or not b.nums:
         return tower.zero()
+    if a.is_one():
+        return b
+    if b.is_one():
+        return a
     unit = tower.unit
     degrees, radicands = tower.degrees, tower._radicands
     if len(a.nums) == 1 and len(b.nums) == 1:
@@ -663,6 +687,187 @@ def _inverse(tower: TowerField, a: "FieldElement") -> "FieldElement":
         num, den = num.scale(ci), den.scale(ci)
     inv = FieldElement(tower, {tower.origin: den}, _den(num, tower.unit))
     return inv if conj is None else _mul(tower, conj, inv)
+
+
+# -- substitution in the free ring Q(zeta)[x, r, t] ----------------------------
+
+
+class _Free:
+    """A polynomial of the free ring Q(zeta)[x, r, t], the radicals r free
+    variables: terms maps packed keys to Z[zeta] pairs (a, b), for
+    (a + b zeta) / d, with one positive integer d coprime to them all.  A key
+    packs, sixteen bits a field, the total degree in x, r and t (shifted by
+    top), the x-monomial and the t-monomial as `multipoly` keys, and the
+    unreduced radical exponents between them.  Every field is at most the
+    total degree, so checking it against the bound in each product keeps
+    every field from carrying into the next."""
+
+    __slots__ = ("terms", "d", "top")
+
+    def __init__(self, terms: dict, d: int, top: int):
+        if d != 1:
+            g = d
+            for a, b in terms.values():
+                g = _igcd(g, a, b)
+                if g == 1:
+                    break
+            if g != 1:
+                terms = {k: (a // g, b // g) for k, (a, b) in terms.items()}
+                d //= g
+        self.terms = terms
+        self.d = d
+        self.top = top
+
+    def __add__(self, other: "_Free") -> "_Free":
+        if not self.terms:
+            return other
+        if not other.terms:
+            return self
+        d = _ilcm(self.d, other.d)
+        s, m = d // self.d, d // other.d
+        if s == 1:
+            out = dict(self.terms)
+        else:
+            out = {k: (a * s, b * s) for k, (a, b) in self.terms.items()}
+        get = out.get
+        for k, (a, b) in other.terms.items():
+            if m != 1:
+                a, b = a * m, b * m
+            old = get(k)
+            if old is not None:
+                a, b = old[0] + a, old[1] + b
+                if not (a or b):
+                    del out[k]
+                    continue
+            out[k] = (a, b)
+        return _Free(out, d, self.top)
+
+    def __mul__(self, other: "_Free") -> "_Free":
+        a, b = self.terms, other.terms
+        if not a or not b:
+            return _Free({}, 1, self.top)
+        # the leading keys add without a carry: this is the product's degree
+        _check_degree((max(a) + max(b)) >> self.top)
+        if len(a) > len(b):
+            a, b = b, a
+        out: dict = {}
+        get = out.get
+        for ka, (x, y) in a.items():
+            for kb, (u, v) in b.items():
+                # (x + y z)(u + v z) = xu - yv + (xv + yu - yv) z, z^2 = -1 - z
+                if y:
+                    yv = y * v
+                    p, q = x * u - yv, x * v + y * u - yv
+                else:
+                    p, q = x * u, x * v
+                k = ka + kb
+                old = get(k)
+                out[k] = (p, q) if old is None else (old[0] + p, old[1] + q)
+        return _Free(
+            {k: v for k, v in out.items() if v[0] or v[1]}, self.d * other.d, self.top
+        )
+
+
+def _free_subst(tower: TowerField, f: MPoly, values):
+    """f.subst(values), for f and values over the tower, by `_horner` over
+    `_Free`, or None when some coefficient has a t-denominator or lies in
+    another tower.  The radical exponents stay unreduced through the walk
+    and are folded once, by `_free_fold`."""
+    unit = tower.unit
+    for p in (f, *values):
+        for c in p.terms.values():
+            if c.den is not unit or (c.tower is not tower and c.tower != tower):
+                return None
+    nt, nx = tower.nvars, values[0].nvars
+    tw = _BITS * (nt + 1)  # the t-monomial, its degree field included
+    xs = tw + _BITS * tower.height()  # the shift of the x-monomial
+    top = xs + _BITS * (nx + 1)
+
+    @cache
+    def radical_key(e):
+        rk = 0
+        for x in e:
+            rk = rk << _BITS | x
+        return rk << tw, sum(e)
+
+    def lift(terms) -> _Free:
+        """The sum of the pairs (x-key, coefficient) as a free polynomial."""
+        items = []
+        for xk, c in terms:
+            dx = xk >> _BITS * nx
+            for e, num in c.nums.items():
+                rk, re = radical_key(e)
+                base = xk << xs | rk
+                deg = dx + re
+                for tk, q in num.terms.items():
+                    items.append(((deg + (tk >> _BITS * nt)) << top | base | tk, q))
+        d = _ilcm(*(q.d for _, q in items)) if items else 1
+        if d == 1:
+            return _Free({k: (q.a, q.b) for k, q in items}, 1, top)
+        return _Free({k: (q.a * (d // q.d), q.b * (d // q.d)) for k, q in items}, d, top)
+
+    lifted = [lift(v.terms.items()) for v in values]
+    return _free_fold(tower, _horner(f, lifted, lambda c: lift(((0, c),))), nx, tw, xs)
+
+
+def _free_fold(tower: TowerField, p: _Free, nx: int, tw: int, xs: int) -> MPoly:
+    """The polynomial over the tower that p stands for, one element per
+    x-monomial.  Each radical exponent e_j = q k_j + r, with k_j the
+    radical's degree, becomes r_j^r times radicand_j^q: the numerator to the
+    q, times its denominator to the Q - q over a denominator to the Q, Q the
+    largest q in that x-monomial.  That is the ring map from the free ring
+    onto the tower, so its sum is the substituted element; `_reduced` puts
+    it in canonical form."""
+    nt, degrees, radicands = tower.nvars, tower.degrees, tower._radicands
+    unit = tower.unit
+    tmask = (1 << tw) - 1
+    rmask = (1 << (xs - tw)) - 1
+    xmask = (1 << _BITS * (nx + 1)) - 1
+    d = p.d
+    groups: dict = {}  # x-key -> radical key -> {t-key: (a, b)}
+    for key, v in p.terms.items():
+        g = groups.setdefault(key >> xs & xmask, {})
+        g.setdefault(key >> tw & rmask, {})[key & tmask] = v
+
+    @cache
+    def factor(q, big):
+        """The product of the radicand powers for (q, Q), None for 1."""
+        out = None
+        for (num, den), k, most in zip(radicands, q, big):
+            for base, m in ((num, k), (den, most - k)):
+                if m and base is not unit:
+                    x = _power(base, m)
+                    out = x if out is None else out * x
+        return out
+
+    terms = {}
+    for xk, g in groups.items():
+        parts = []
+        for rk, ts in g.items():
+            e = [rk >> _BITS * i & _MASK for i in range(len(degrees) - 1, -1, -1)]
+            q = tuple(x // k for x, k in zip(e, degrees))
+            r = tuple(x % k for x, k in zip(e, degrees))
+            num = _poly(nt, {tk: _qzeta(a, b, d) for tk, (a, b) in ts.items()})
+            parts.append((q, r, num))
+        big = tuple(
+            max(q[j] for q, _, _ in parts) if radicands[j][1] is not unit else 0
+            for j in range(len(degrees))
+        )
+        nums = {}
+        for q, r, num in parts:
+            m = factor(q, big)
+            if m is not None:
+                num = num * m
+            old = nums.get(r)
+            nums[r] = num if old is None else old + num
+        den = unit
+        for (_, rd), k in zip(radicands, big):
+            if k:
+                den = _den_mul(den, _power(rd, k), unit)
+        c = _reduced(tower, {r: n for r, n in nums.items() if n.terms}, den)
+        if c.nums:
+            terms[xk] = c
+    return _poly(nx, terms)
 
 
 def _lift_positions(src: TowerField, dst: TowerField):
@@ -858,6 +1063,11 @@ class FieldElement:
 
     def galois(self, action: GaloisAction) -> "FieldElement":
         return action.apply(self)
+
+    def free_subst(self, f: MPoly, values):
+        """f.subst(values) in the free ring for f and values over this
+        element's tower, or None (see `MPoly.subst`)."""
+        return _free_subst(self.tower, f, values)
 
     # -- comparisons -------------------------------------------------------------
 

@@ -239,6 +239,8 @@ class MPoly:
     def scale(self, c) -> "MPoly":
         if c.is_zero():
             return MPoly.zero(self.nvars)
+        if c.is_one():
+            return self
         return _poly(self.nvars, {e: k * c for e, k in self.terms.items()})
 
     def mul_monomial(self, exps, c) -> "MPoly":
@@ -341,9 +343,20 @@ class MPoly:
 
     def subst(self, values: list) -> "MPoly":
         """Substitute values[i] (an MPoly) for variable i, by the nested
-        Horner walk of `_horner`: in variable 0 outermost, then 1, and so on."""
+        Horner walk of `_horner`: in variable 0 outermost, then 1, and so on.
+
+        A coefficient type may offer `free_subst(f, values)`, the same
+        substitution by the same walk over another form of its ring, or None
+        when it does not apply.  Tower elements do: without t-denominators
+        the walk runs on integer pairs with the radicals free, folded once at
+        the end (see `field_tower`)."""
         if not self.terms:
             return MPoly.zero(values[0].nvars if values else self.nvars)
+        free = getattr(self.some_coeff(), "free_subst", None)
+        if free is not None:
+            out = free(self, values)
+            if out is not None:
+                return out
         nv = values[0].nvars
         return _horner(self, values, lambda c: _poly(nv, {0: c}))
 

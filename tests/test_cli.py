@@ -85,6 +85,44 @@ def test_parse_error_exit_65(capsys):
     assert run(["norm-test", "--xi", "cbrt(t2)", "--lambda", "t1"]) == 65
 
 
+def test_zero_to_a_negative_power_is_a_parse_error(capsys):
+    for text in ("0^-1", "(t1 - t1)^-2", "2*0^-3"):
+        assert run(["norm-test", "--xi", text, "--lambda", "t1"]) == 65
+        assert "zero to a negative power" in capsys.readouterr().err
+    with pytest.raises(ParseError, match="zero to a negative power"):
+        parse_element("0^-1", TowerField.rational(1))
+    assert run(["norm-test", "--xi", "t2^-1*0^0", "--lambda", "t1"]) == 0
+
+
+def test_zero_radicand_and_zero_xi_are_usage_errors(capsys):
+    for argv, flag in (
+        (["norm-test", "--lambda", "0"], "--lambda"),
+        (["hexagon", "--lambda", "t1 - t1"], "--lambda"),
+        (["point", "--kind", "coords", "--xi", "0"], "--xi"),
+        (["link3", "--xi", "0*t2"], "--xi"),
+    ):
+        assert run(argv) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{flag} must be nonzero" in captured.err
+
+
+def test_literals_are_parsed_before_the_check(capsys):
+    for argv in (
+        ["point", "--kind", "six", "--alpha", "t9"],
+        ["model-smooth", "--mu", "t9"],
+        ["order3", "--nu", "t9"],
+        ["model-smooth", "--xi", "t9"],
+    ):
+        assert run(argv + ["--json"]) == 65
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "variable t9 out of range" in captured.err
+    # --alpha is read only for the six-point, so a one-variable base with
+    # the default alpha t2 still builds the coordinate point
+    assert run(["point", "--kind", "coords", "--n-vars", "1", "--xi", "2"]) == 0
+
+
 def test_literals_are_elements_of_the_tower_they_are_parsed_in():
     K = TowerField.rational(2)
     t1 = K.t_var(0)

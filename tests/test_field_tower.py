@@ -522,3 +522,134 @@ def test_galois_and_lift_match_per_coefficient_reference(data):
                 k[i] = v
             ref[tuple(k)] = c
         _assert_matches(x.lift_to(M), ref)
+
+
+# substitution in the free ring: the integer walk of `MPoly.subst` over a
+# tower against the per-coefficient walk of `_horner` over FieldElement, on
+# the four towers of the suite; the hexagon tower is K[cbrt(c t_i)]
+
+from sblinks.field_tower import _free_subst
+from sblinks.multipoly import MPoly, _horner, _poly
+
+_HEX_h = _K_h.extend("u", 3, _K_h.scalar(Fraction(-3, 2)) * _t2_h)
+_SUBST_TOWERS = [_L_h, *_TWO_RADICALS, _HEX_h]
+# nonzero constants of Q(zeta) with denominators 1 to 4 and 3
+_constants = st.builds(
+    QZeta,
+    st.builds(Fraction, st.sampled_from([-3, -2, -1, 1, 2, 3]), st.integers(1, 4)),
+    st.sampled_from([0, 0, Fraction(1, 3), -2]),
+)
+
+
+@st.composite
+def free_coefficients(draw, tower):
+    """Sums of one or two terms c * t^a * r^e, with c a rational constant of
+    Q(zeta), so the pieces of a sum carry different integer denominators."""
+    e = tower.zero()
+    for _ in range(draw(st.integers(1, 2))):
+        term = tower.scalar(draw(_constants))
+        for i in range(tower.nvars):
+            term = term * tower.t_var(i) ** draw(st.integers(0, 2))
+        for r in tower.radicals:
+            term = term * tower.gen(r.name) ** draw(st.integers(0, r.degree - 1))
+        e = e + term
+    return e
+
+
+@st.composite
+def free_polys(draw, tower, nvars, degree=None, max_terms=3):
+    """A polynomial in nvars variables over the tower, homogeneous of the
+    given degree or of mixed degree up to 2."""
+    def exps():
+        if degree is None:
+            return st.tuples(*[st.integers(0, 2 // nvars + 1)] * nvars)
+        return st.lists(st.integers(0, nvars - 1), min_size=degree, max_size=degree).map(
+            lambda vs: tuple(vs.count(i) for i in range(nvars))
+        )
+
+    terms = draw(st.dictionaries(exps(), free_coefficients(tower), min_size=1, max_size=max_terms))
+    return MPoly(nvars, {e: c for e, c in terms.items() if not c.is_zero()})
+
+
+def _per_coefficient(f, values):
+    nv = values[0].nvars
+    return _horner(f, values, lambda c: _poly(nv, {0: c}))
+
+
+def _assert_free_walk_matches(f, values):
+    tower = f.some_coeff().tower
+    out = _free_subst(tower, f, values)
+    assert out is not None  # every coefficient is denominator-free
+    ref = _per_coefficient(f, values)
+    assert out == ref and f.subst(values) == ref
+    assert repr(out) == repr(ref)
+    assert [(e, c.to_json()) for e, c in out.sorted_terms()] == [
+        (e, c.to_json()) for e, c in ref.sorted_terms()
+    ]
+    return out
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_free_walk_matches_per_coefficient_walk(data):
+    M = data.draw(st.sampled_from(_SUBST_TOWERS))
+    nv = data.draw(st.integers(1, 3))
+    f = data.draw(free_polys(M, 3, degree=data.draw(st.integers(1, 3))))
+    if f.is_zero():
+        return
+    values = [data.draw(free_polys(M, nv)) for _ in range(3)]
+    # (1 + r^(k-1)) x_0 with r the top radical, of degree k: powers of the
+    # first value mix exponents of r above and below k in one x-monomial,
+    # where the fold brings the terms over one power of the radicand's
+    # denominator
+    top = M.radicals[-1]
+    mixed = M.one() + M.gen(top.name) ** (top.degree - 1)
+    values[0] = values[0] + MPoly.variable(nv, 0, mixed)
+    # a zero coordinate
+    if data.draw(st.booleans()):
+        values[data.draw(st.integers(0, 2))] = MPoly.zero(nv)
+    if all(v.is_zero() for v in values):
+        values[0] = MPoly.variable(nv, 0, M.one())
+    _assert_free_walk_matches(f, values)
+
+    # an input that cancels to zero: f times (c x - y), at a y that is c x;
+    # c carries a power of the first radical only, whose radicand has no
+    # t-denominator, so that f times c keeps none
+    c = M.scalar(data.draw(_constants)) * M.t_var(1) * M.gen("u") ** data.draw(st.integers(0, 2))
+    x, y = (MPoly.variable(3, i, M.one()) for i in range(2))
+    g = f * (x.scale(c) - y)
+    if values[0].is_zero():
+        values[0] = MPoly.variable(nv, 0, M.one())
+    values[1] = values[0].scale(c)
+    assert _assert_free_walk_matches(g, values).is_zero()
+
+
+def test_free_walk_folds_radicand_denominators():
+    # the top radical of the models tower has radicand (t2 - 1)/(27 t1):
+    # terms of one x-monomial whose radical exponents reach 3 and 6 meet
+    # terms where they do not, so each is brought over t1^2
+    M = _TWO_RADICALS[1]
+    u, v, one = M.gen("u"), M.gen("v"), M.one()
+    x, y = (MPoly.variable(2, i, one) for i in range(2))
+    f = MPoly(2, {(2, 0): v * v, (1, 1): M.scalar(Fraction(2, 3)) * u, (0, 2): one})
+    values = [x.scale(v * v) + y, x.scale(u * v) - y.scale(M.zeta())]
+    out = _assert_free_walk_matches(f, values)
+    assert any(c.den is not M.unit for c in out.terms.values())
+
+
+def test_free_walk_raises_at_the_packing_bound():
+    # keys pack the x, radical and t exponents, the radical ones unreduced,
+    # under one total degree that must stay below 2^15: a product whose
+    # total degree reaches it raises OverflowError, even where the reduced
+    # element would fit
+    one, u, t1 = _L_h.one(), _L_h.gen("u"), _L_h.t_var(0)
+    x = MPoly.variable(1, 0, one)
+    f = MPoly(1, {(2,): one})
+    below = [x.scale(t1 ** (2 ** 14 - 3) * u)]  # degree 2^14 - 1, squared
+    assert _assert_free_walk_matches(f, below).total_degree() == 2
+    at = [x.scale(t1 ** (2 ** 14 - 2) * u)]  # degree 2^14, squared
+    with pytest.raises(OverflowError):
+        f.subst(at)
+    # the exponent of u unreduced: (u x)^(2^14) has degree 2^15 in u and x
+    with pytest.raises(OverflowError):
+        MPoly(1, {(2 ** 14,): one}).subst([x.scale(u)])
