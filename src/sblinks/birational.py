@@ -13,7 +13,13 @@ costly part, runs only where it is not already known to hold:
   conic maps sigma o phi for invertible phi, only rescale: an invertible
   linear change keeps a coprime triple coprime, and the products of
   pairwise independent linear forms share no factor;
-- `is_equivariant` and the round-trip check of `Link` compare unnormalised
+- the backward map of a 3-link is the closed form bwd = P . D . sigma(Q^-1 x)
+  of `_cremona`, from 3x3 matrices alone, and only rescales:
+  it takes no gcd, and no compose.  `_absorb_linear`, which composes a
+  candidate with the forward map and divides out the linear factor by the
+  projective gcd, serves 6-links only;
+- `is_equivariant`, the round-trip check of `Link` and every other check
+  that only compares a composite (`_composes_to`) compare unnormalised
   coordinate triples by 2x2 cross products, which needs no normal form.
 
 Stored coefficients carry t-denominators from the canonical scaling, so
@@ -58,6 +64,7 @@ from .field_tower import (
 from .linalg import (
     _proportional,
     _row_echelon,
+    adjugate3,
     det3,
     inverse3,
     mat,
@@ -282,13 +289,25 @@ def _substituted(f: RationalMap, h: RationalMap):
         raise SblinksError("outer map must be a plane map")
     if f.tower != h.tower:
         raise SblinksError("compose needs maps over the same tower")
-    inner = list(_cleared(h.coords))
-    coords = tuple(c.subst(inner) for c in _cleared(f.coords))
+    coords = _subst_cleared(f.coords, h.coords)
     if all(c.is_zero() for c in coords):
         raise IdenticallyZero(
             "composition collapses: the inner map lands in the base locus"
         )
     return coords
+
+
+def _subst_cleared(coords, inner):
+    """The polynomials coords after the polynomials inner, both substituted
+    as cleared triples: the raw composite, up to one base-field scalar."""
+    inner = list(_cleared(inner))
+    return tuple(c.subst(inner) for c in _cleared(coords))
+
+
+def _composes_to(f: RationalMap, h: RationalMap, coords) -> bool:
+    """Whether f after h is projectively the triple coords, decided on the
+    raw composite by cross products: no common factor is removed."""
+    return _proportional(_substituted(f, h), coords)
 
 
 def compose(f: RationalMap, h: RationalMap) -> RationalMap:
@@ -373,9 +392,8 @@ class Link:
             raise SblinksError(
                 f"a {self.degree_class}-link must have forward degree {expected}"
             )
-        round_trip = _substituted(self.backward.map, self.forward.map)
         identity = RationalMap.identity(self.forward.map.tower)
-        if not _proportional(round_trip, identity.coords):
+        if not _composes_to(self.backward.map, self.forward.map, identity.coords):
             raise SblinksError("backward o forward is not the identity")
 
     def inverse(self) -> "Link":
@@ -634,8 +652,7 @@ def _contracted_image(coords, param, tower: TowerField):
     """Image point of the parametrised curve param under the coordinate
     triple, assuming the triple contracts it; both are substituted
     cleared."""
-    inner = list(_cleared(param))
-    vals = [c.subst(inner) for c in _cleared(coords)]
+    vals = _subst_cleared(coords, param)
     nonzero = [v for v in vals if not v.is_zero()]
     if not nonzero:
         raise SblinksError("curve lies in the base locus")
@@ -927,13 +944,18 @@ def _roots_of_irreducible(p: MPoly, tower: TowerField):
 # links
 
 
+def _sigma_forms(m):
+    """The raw triple sigma(m x) = [l1 l2 : l0 l2 : l0 l1], l_i the rows of m
+    as linear forms."""
+    l0, l1, l2 = _linear_forms(m)
+    return (l1 * l2, l0 * l2, l0 * l1)
+
+
 def _sigma_after(tower: TowerField, phi) -> RationalMap:
-    """The quadratic map sigma o phi = [l1 l2 : l0 l2 : l0 l1], l_i the rows
-    of phi.  phi must be invertible: its rows are then pairwise independent
-    linear forms, whose products share no factor, so only the scaling is
-    redone."""
-    l0, l1, l2 = _linear_forms(phi)
-    return _from_coprime(tower, (l1 * l2, l0 * l2, l0 * l1))
+    """The quadratic map sigma o phi.  phi must be invertible: its rows are
+    then pairwise independent linear forms, whose products share no factor,
+    so only the scaling is redone."""
+    return _from_coprime(tower, _sigma_forms(phi))
 
 
 def _absorb_linear(b0: RationalMap, forward: RationalMap) -> RationalMap:
@@ -949,6 +971,37 @@ def _absorb_linear(b0: RationalMap, forward: RationalMap) -> RationalMap:
     return apply_matrix(inverse3(eta), b0)
 
 
+def _columns(points):
+    """The 3x3 matrix whose columns are the three points."""
+    return mat([[v[i] for v in points] for i in range(3)])
+
+
+def _cremona_scales(forward: RationalMap, P, adj_q):
+    """The diagonal d, up to one scalar, of forward = Q . D . sigma(P^-1 x):
+    at s = p0 + p1 + p2, P^-1 s = (1, 1, 1) is fixed by sigma, so
+    forward(s) = Q d and d = adj(Q) . forward(s).  Raises SblinksError when
+    an entry vanishes: forward is then not a quadratic map through the
+    columns of P with the columns of Q as its contracted images."""
+    s = [a + b + c for a, b, c in P]
+    zero = forward.tower.zero()
+    d = mat_vec(adj_q, [c.eval_zero_ok(s, zero) for c in forward.coords])
+    if any(x.is_zero() for x in d):
+        raise SblinksError("forward map is not a quadratic map through the point")
+    return d
+
+
+def _cremona(tower: TowerField, P, d, adj_q) -> RationalMap:
+    """The quadratic map P . D . sigma(adj(Q) x), D = diag(d): the inverse of
+    forward = Q . D . sigma(P^-1 x), P and Q invertible with columns p_i and
+    q_i, q_i the image of the line that misses p_i, because
+    sigma(D y) = det(D) D^-1 sigma(y) and sigma o sigma = xyz . id.  adj(Q)
+    is a scalar multiple of Q^-1, so no inverse, compose or gcd is taken.
+    adj(Q) is invertible, so the products are coprime, and so is their image
+    under the invertible P . D: only the scaling is redone."""
+    PD = tuple(tuple(x * y for x, y in zip(row, d)) for row in P)
+    return _from_coprime(tower, _mat_times(PD, _sigma_forms(adj_q)))
+
+
 def _line_images(forward: RationalMap, components):
     """Images of the lines through pairs of the three components, ordered so
     that line_i misses component_i."""
@@ -961,9 +1014,13 @@ def _line_images(forward: RationalMap, components):
 
 def link_from_3point(surface: SBSurface, point: ClosedPoint) -> Link:
     """The Sarkisov 3-link blowing up the degree-3 point and blowing down the
-    lines through pairs of its components."""
+    lines through pairs of its components.  The backward map is the closed
+    form of `_cremona`; the link's round-trip check certifies it."""
     if point.degree != 3:
         raise SblinksError("link_from_3point needs a degree-3 point")
+    P = _columns(point.components)
+    if det3(P).is_zero():
+        raise Collinear("the three components are collinear")
     tower = point.tower
     g_name = surface.ext.radical_name
     pure_g = point.cycle_element == {g_name: 1}
@@ -996,12 +1053,11 @@ def link_from_3point(surface: SBSurface, point: ClosedPoint) -> Link:
             "inverse base point has a different splitting field than the base point"
         )
 
-    m = mat([[c[i] for c in q.components] for i in range(3)])
-    if det3(m).is_zero():
+    Q = _columns(q_comps)
+    if det3(Q).is_zero():
         raise Collinear("components are collinear")
-    # phi = m^-1 sends the components to the coordinate points
-    b0 = _sigma_after(tower, inverse3(m))
-    bwd_map = _absorb_linear(b0, fwd_map)
+    adj_q = adjugate3(Q)
+    bwd_map = _cremona(tower, P, _cremona_scales(fwd_map, P, adj_q), adj_q)
 
     backward = TwistedMap(bwd_map, target, surface)
     return Link(forward, backward, point, q, 3)
@@ -1021,9 +1077,8 @@ def _checked_forward(fwd_map: RationalMap, surface: SBSurface, target: SBSurface
 def _no_three_collinear(components) -> bool:
     from itertools import combinations
 
-    for a, b, c in combinations(components, 3):
-        m = mat([[a[i], b[i], c[i]] for i in range(3)])
-        if det3(m).is_zero():
+    for triple in combinations(components, 3):
+        if det3(_columns(triple)).is_zero():
             return False
     return True
 

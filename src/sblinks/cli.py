@@ -104,12 +104,19 @@ def _random_base_monomial(rng, tower: TowerField):
     return e
 
 
+def _nonzero(text: str, base: TowerField, flag: str):
+    """The literal of a flag that must be a unit of K; zero is a usage
+    error, found before the check runs."""
+    x = parse_element(text, base)
+    if x.is_zero():
+        raise UsageError(f"{flag} must be nonzero")
+    return x
+
+
 def _extension(args):
     """The base field K and the extension L = K[cbrt lambda] of --lambda."""
     base = _base(args)
-    lam = parse_element(args.lam, base)
-    if lam.is_zero():
-        raise UsageError("--lambda must be nonzero")
+    lam = _nonzero(args.lam, base, "--lambda")
     return base, CubicExtension(base.extend("u", 3, lam), "u")
 
 
@@ -117,9 +124,7 @@ def _surface_for(args):
     from .severi_brauer import make_surface
 
     base, ext = _extension(args)
-    xi = parse_element(args.xi, base)
-    if xi.is_zero():
-        raise UsageError("--xi must be nonzero")
+    xi = _nonzero(args.xi, base, "--xi")
     return make_surface(ext, xi.lift_to(ext.tower)), base
 
 
@@ -129,7 +134,7 @@ def _surface_for(args):
 
 def cmd_norm_test(args):
     base, ext = _extension(args)
-    xi = parse_element(args.xi, base).lift_to(ext.tower)
+    xi = _nonzero(args.xi, base, "--xi").lift_to(ext.tower)
 
     def run():
         res = is_norm(ext, xi)
@@ -169,8 +174,8 @@ def cmd_surface_iso(args):
     from .severi_brauer import is_isomorphic, make_surface
 
     base, ext = _extension(args)
-    xi1 = parse_element(args.xi, base)
-    xi2 = parse_element(args.xi2, base)
+    xi1 = _nonzero(args.xi, base, "--xi")
+    xi2 = _nonzero(args.xi2, base, "--xi2")
 
     def run():
         s1 = make_surface(ext, xi1.lift_to(ext.tower))
@@ -194,7 +199,7 @@ def cmd_point(args):
     )
 
     surface, base = _surface_for(args)
-    alpha = parse_element(args.alpha, base) if args.kind == "six" else None
+    alpha = _nonzero(args.alpha, base, "--alpha") if args.kind == "six" else None
 
     def run():
         if args.kind == "coords":
@@ -219,7 +224,7 @@ def cmd_point(args):
 
 
 def cmd_link3(args):
-    from .birational import RationalMap, base_points, compose, equals, link_from_3point
+    from .birational import RationalMap, _composes_to, base_points, link_from_3point
     from .severi_brauer import coordinate_3point, unit_3point
 
     surface, base = _surface_for(args)
@@ -231,8 +236,8 @@ def cmd_link3(args):
             else unit_3point(surface)
         )
         link = link_from_3point(surface, pt)
-        rt = compose(link.backward.map, link.forward.map)
-        roundtrip = equals(rt, RationalMap.identity(link.forward.map.tower))
+        identity = RationalMap.identity(link.forward.map.tower)
+        roundtrip = _composes_to(link.backward.map, link.forward.map, identity.coords)
         bp_match = set(base_points(link.forward.map)) == link.base_point.component_set()
         ok = (
             link.forward.map.degree == 2
@@ -254,19 +259,19 @@ def cmd_link3(args):
 
 
 def cmd_link6(args):
-    from .birational import RationalMap, compose, equals, link_from_6point
+    from .birational import RationalMap, _composes_to, link_from_6point
     from .severi_brauer import sixpoint_from_sqrt
 
     surface, base = _surface_for(args)
-    alpha = parse_element(args.alpha, base)
+    alpha = _nonzero(args.alpha, base, "--alpha")
 
     def run():
         pt = sixpoint_from_sqrt(surface, alpha.lift_to(surface.tower))
         # raises SpecialPosition unless the double-point system has rank 18
         link = link_from_6point(surface, pt)
-        rt = compose(link.backward.map, link.forward.map)
-        ok = link.forward.map.degree == 5 and equals(
-            rt, RationalMap.identity(pt.tower)
+        identity = RationalMap.identity(pt.tower)
+        ok = link.forward.map.degree == 5 and _composes_to(
+            link.backward.map, link.forward.map, identity.coords
         )
         return ("pass" if ok else "fail"), {
             "rank": 18,
@@ -305,8 +310,8 @@ def cmd_model_singular(args):
     from .cubic_models import build_singular_model, verify_singular_model
 
     base = _base(args)
-    lam = parse_element(args.lam, base)
-    xi = parse_element(args.xi, base)
+    lam = _nonzero(args.lam, base, "--lambda")
+    xi = _nonzero(args.xi, base, "--xi")
 
     def run():
         model = build_singular_model(lam, xi)
@@ -324,15 +329,18 @@ def _smooth_model_builder(args):
     from .cubic_models import build_smooth_model
 
     base = _base(args)
-    lam = parse_element(args.lam, base)
+    lam = _nonzero(args.lam, base, "--lambda")
     nu = parse_element(args.nu, base)
     if args.mu is not None:
-        mu = parse_element(args.mu, base)
-        return lambda: build_smooth_model(lam, mu, nu)
-    if args.xi is None:
+        mu = _nonzero(args.mu, base, "--mu")
+    elif args.xi is None:
         raise UsageError("model-smooth needs --mu or --xi")
-    xi = parse_element(args.xi, base)
-    return lambda: build_smooth_model(lam, (xi - nu ** 3) / (base.scalar(27) * lam), nu)
+    else:
+        xi = _nonzero(args.xi, base, "--xi")
+        mu = (xi - nu ** 3) / (base.scalar(27) * lam)
+        if mu.is_zero():
+            raise UsageError("--xi equals --nu^3, so mu = 0")
+    return lambda: build_smooth_model(lam, mu, nu)
 
 
 def cmd_model_smooth(args):

@@ -19,12 +19,12 @@ from .birational import (
     RationalMap,
     TwistedMap,
     _coefficient_rows,
+    _composes_to,
     _followed_by_linear,
     _line_image,
     _linear_forms,
     _mat_times,
     compose,
-    equals,
     link_from_3point,
     transport_point,
 )
@@ -591,9 +591,11 @@ def order3_selfmap(model: SmoothCubicModel):
     rho_section = [section[0].scale(zeta)] + list(section[1:])
     rho_hat = RationalMap(Lh, tuple(f.subst(rho_section) for f in model.contraction))
 
+    # rho o (rho o rho) is only compared, so it stays raw; rho o rho is
+    # reduced first (degree 16 to 4), which keeps the outer substitution
+    # small: the raw degree-64 cube costs more than that one gcd
     ident = RationalMap.identity(Lh)
-    cube = compose(rho_hat, compose(rho_hat, rho_hat))
-    if not equals(cube, ident):
+    if not _composes_to(rho_hat, compose(rho_hat, rho_hat), ident.coords):
         raise IdentityFails("rho-hat does not have order 3")
     try:
         rho_twisted = TwistedMap(rho_hat, surface, surface)
@@ -618,7 +620,7 @@ def order3_selfmap(model: SmoothCubicModel):
             f"rho-hat does not factor through the two links (degree {m2.degree})"
         )
     chi2 = _followed_by_linear(chi2, m2.matrix(), surface)
-    if not equals(compose(chi2.forward.map, chi1.forward.map), rho_hat):
+    if not _composes_to(chi2.forward.map, chi1.forward.map, rho_hat.coords):
         raise IdentityFails("rho-hat != chi2 o chi1 after alignment")
 
     return rho_twisted, chi1, chi2

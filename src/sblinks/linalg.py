@@ -65,29 +65,33 @@ def det3(a):
     )
 
 
+def adjugate3(a):
+    """The adjugate: adj(a) . a = a . adj(a) = det(a) I, with no division."""
+    return (
+        (
+            a[1][1] * a[2][2] - a[1][2] * a[2][1],
+            -(a[0][1] * a[2][2] - a[0][2] * a[2][1]),
+            a[0][1] * a[1][2] - a[0][2] * a[1][1],
+        ),
+        (
+            -(a[1][0] * a[2][2] - a[1][2] * a[2][0]),
+            a[0][0] * a[2][2] - a[0][2] * a[2][0],
+            -(a[0][0] * a[1][2] - a[0][2] * a[1][0]),
+        ),
+        (
+            a[1][0] * a[2][1] - a[1][1] * a[2][0],
+            -(a[0][0] * a[2][1] - a[0][1] * a[2][0]),
+            a[0][0] * a[1][1] - a[0][1] * a[1][0],
+        ),
+    )
+
+
 def inverse3(a):
     d = det3(a)
     if d.is_zero():
         raise SblinksError("singular 3x3 matrix")
     di = d.inverse()
-    cof = [
-        [
-            a[1][1] * a[2][2] - a[1][2] * a[2][1],
-            -(a[0][1] * a[2][2] - a[0][2] * a[2][1]),
-            a[0][1] * a[1][2] - a[0][2] * a[1][1],
-        ],
-        [
-            -(a[1][0] * a[2][2] - a[1][2] * a[2][0]),
-            a[0][0] * a[2][2] - a[0][2] * a[2][0],
-            -(a[0][0] * a[1][2] - a[0][2] * a[1][0]),
-        ],
-        [
-            a[1][0] * a[2][1] - a[1][1] * a[2][0],
-            -(a[0][0] * a[2][1] - a[0][1] * a[2][0]),
-            a[0][0] * a[1][1] - a[0][1] * a[1][0],
-        ],
-    ]
-    return tuple(tuple(x * di for x in row) for row in cof)
+    return tuple(tuple(x * di for x in row) for row in adjugate3(a))
 
 
 def _proportional(a, b) -> bool:

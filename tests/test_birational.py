@@ -7,6 +7,7 @@ import sympy
 
 from sblinks.errors import (
     BaseLocusNotSplit,
+    Collinear,
     IdenticallyZero,
     NonFiniteBaseLocus,
     NotEquivariant,
@@ -17,10 +18,15 @@ from sblinks.birational import (
     Link,
     RationalMap,
     TwistedMap,
+    _absorb_linear,
     _cleared,
+    _columns,
+    _cremona,
+    _cremona_scales,
     _followed_by_linear,
     _express_in_span,
     _independent_subset,
+    _line_images,
     _linear_forms,
     _mat_times,
     _sigma_after,
@@ -37,11 +43,13 @@ from sblinks.birational import (
     transport_point,
 )
 from sblinks.field_tower import CubicExtension, GaloisAction
-from sblinks.linalg import _proportional, det3, inverse3, mat_identity, rank
+from sblinks.linalg import _proportional, adjugate3, det3, inverse3, mat_identity, rank
 from sblinks.multipoly import MPoly
 from sblinks.severi_brauer import (
+    ClosedPoint,
     auto_between_3points,
     closed_point_from_seed,
+    make_closed_point,
     make_surface,
     normalize_point,
     opposite,
@@ -575,3 +583,122 @@ def test_descent_link_bytes_pinned(two_radical_surface, link_json):
         "2128b3ddbf7988cca0f21e9bd60803cbe040d174e9d29170a5e44a04b9dd97a6",
         "fed01b79295a845fd754cc223ff383dd520231120caeb3c0eb9026fee5c611a0",
     )
+
+
+# ---------------------------------------------------------------------------
+# closed-form backward maps of 3-links
+
+
+def _seeded_3points(surface, L, count, seed):
+    rng = random.Random(seed)
+    points = []
+    for _ in range(ATTEMPTS):
+        triple = tuple(L.scalar(rng.randint(1, 9)) for _ in range(3))
+        try:
+            pt = closed_point_from_seed(surface, triple, L)
+        except SblinksError:
+            continue
+        if pt.degree == 3:
+            points.append(pt)
+            if len(points) == count:
+                return points
+    raise AssertionError(f"only {len(points)} of {count} 3-points in {ATTEMPTS} seeds")
+
+
+def _models_second_link():
+    """The second link of `order3_selfmap`, before its alignment: at the
+    transported images of E3, E4, E5, over the models tower."""
+    from sblinks.cubic_models import _image_of_contracted_line, build_smooth_model
+    from sblinks.field_tower import TowerField
+    from sblinks.severi_brauer import coordinate_3point
+
+    K = TowerField.rational(2)
+    t1, t2 = K.t_var(0), K.t_var(1)
+    model = build_smooth_model(t1, (t2 - K.one()) / (K.scalar(27) * t1), K.one())
+    surface = model.surface()
+    chi1 = link_from_3point(surface, coordinate_3point(surface))
+    comps = [_image_of_contracted_line(model, model.lines[i]) for i in range(3, 6)]
+    q0 = make_closed_point(surface, comps, model.tower)
+    q1 = transport_point(chi1.forward.map, q0, chi1.forward.target)
+    return link_from_3point(chi1.forward.target, q1)
+
+
+@pytest.fixture(scope="module")
+def closed_form_links(surface, L, link_at_coords, link_at_unit):
+    links = {"coords": link_at_coords, "unit": link_at_unit}
+    for i, pt in enumerate(_seeded_3points(surface, L, 3, 20240613)):
+        links[f"random{i}"] = link_from_3point(surface, pt)
+    links["models_chi2"] = _models_second_link()
+    return links
+
+
+def _absorbed_backward(link):
+    """The reference backward map: sigma after the inverse of the matrix of
+    the inverse base point, with its linear factor divided out of the
+    composite with the forward map by the projective gcd."""
+    fwd = link.forward.map
+    m = _columns(link.inverse_base_point.components)
+    return _absorb_linear(_sigma_after(fwd.tower, inverse3(m)), fwd)
+
+
+@pytest.mark.parametrize(
+    "name", ["coords", "unit", "random0", "random1", "random2", "models_chi2"]
+)
+def test_closed_form_backward_matches_absorbed(name, closed_form_links):
+    link = closed_form_links[name]
+    reference = _absorbed_backward(link)
+    assert link.backward.map == reference
+    assert link.backward.map.to_json() == reference.to_json()
+
+
+@pytest.mark.parametrize("name", ["random0", "random1", "models_chi2"])
+def test_swapped_cremona_scales_fail_the_round_trip(name, closed_form_links):
+    """Swapping two entries of D in bwd = P . D . sigma(adj(Q) x) leaves a map
+    that the link's round-trip check rejects."""
+    link = closed_form_links[name]
+    fwd = link.forward.map
+    P = _columns(link.base_point.components)
+    Q = _columns(_line_images(fwd, link.base_point.components))
+    adj_q = adjugate3(Q)
+    d = _cremona_scales(fwd, P, adj_q)
+    assert _cremona(fwd.tower, P, d, adj_q) == link.backward.map
+    swapped = (d[1], d[0], d[2])
+    assert not _proportional(d, swapped)
+    bad = _cremona(fwd.tower, P, swapped, adj_q)
+    with pytest.raises(SblinksError, match="backward o forward is not the identity"):
+        Link(
+            link.forward,
+            _unchecked_twisted(bad, link.backward.source, link.backward.target),
+            link.base_point,
+            link.inverse_base_point,
+            3,
+        )
+
+
+def test_3link_takes_no_compose(monkeypatch, surface, coord_point, unit_point, L):
+    """The backward map of a 3-link comes from 3x3 matrices alone: neither
+    compose nor _absorb_linear runs, on either construction path."""
+    import sblinks.birational as birational
+
+    def forbidden(*args):
+        raise AssertionError("link_from_3point composed maps")
+
+    monkeypatch.setattr(birational, "compose", forbidden)
+    monkeypatch.setattr(birational, "_absorb_linear", forbidden)
+    (random_point,) = _seeded_3points(surface, L, 1, 20240613)
+    for pt in (coord_point, unit_point, random_point):
+        assert link_from_3point(surface, pt).forward.map.degree == 2
+
+
+@pytest.mark.parametrize("cycle", [{}, {"u": 1}])
+def test_collinear_3point_is_rejected(cycle, surface, L, t_vars):
+    """Components on one line are rejected before any map is built, on the
+    descent path and on the normal-form path alike."""
+    _, t2 = t_vars
+    one, zero = L.one(), L.zero()
+    comps = [(one, zero, zero), (zero, one, zero), (one, t2.lift_to(L), zero)]
+    fake = ClosedPoint(
+        surface, L, tuple(normalize_point(c) for c in comps), 3, ("x",), cycle
+    )
+    with pytest.raises(Collinear, match="the three components are collinear"):
+        link_from_3point(surface, fake)

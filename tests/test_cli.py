@@ -107,6 +107,30 @@ def test_zero_radicand_and_zero_xi_are_usage_errors(capsys):
         assert f"{flag} must be nonzero" in captured.err
 
 
+def test_zero_unit_literals_are_usage_errors(capsys):
+    """Every literal that must be a unit is checked before the check runs,
+    in the subcommands that build inside it too."""
+    for argv, message in (
+        (["model-smooth", "--lambda", "0"], "--lambda must be nonzero"),
+        (["model-smooth", "--mu", "0"], "--mu must be nonzero"),
+        (["order3", "--mu", "t1 - t1"], "--mu must be nonzero"),
+        (["model-smooth", "--xi", "0"], "--xi must be nonzero"),
+        (["order3", "--xi", "8", "--nu", "2"], "--xi equals --nu^3, so mu = 0"),
+        (["norm-test", "--xi", "0"], "--xi must be nonzero"),
+        (["model-singular", "--lambda", "0"], "--lambda must be nonzero"),
+        (["model-singular", "--xi", "0"], "--xi must be nonzero"),
+        (["surface-iso", "--xi2", "0"], "--xi2 must be nonzero"),
+        (["link6", "--alpha", "0"], "--alpha must be nonzero"),
+        (["point", "--kind", "six", "--alpha", "0"], "--alpha must be nonzero"),
+    ):
+        assert run(argv + ["--json"]) == 64, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+    # nu is not a unit the library needs: nu = 0 builds the model
+    assert run(["model-smooth", "--nu", "0"]) == 0
+
+
 def test_literals_are_parsed_before_the_check(capsys):
     for argv in (
         ["point", "--kind", "six", "--alpha", "t9"],

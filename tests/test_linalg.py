@@ -1,7 +1,16 @@
 from hypothesis import given, settings, strategies as st
 
 from sblinks.birational import curves_through
-from sblinks.linalg import _proportional, nullspace, rank, solve
+from sblinks.linalg import (
+    _proportional,
+    adjugate3,
+    det3,
+    mat_identity,
+    mat_mul,
+    nullspace,
+    rank,
+    solve,
+)
 from sblinks.multipoly import MPoly
 from sblinks.severi_brauer import sixpoint_from_sqrt
 
@@ -187,3 +196,15 @@ def test_elimination_on_the_six_point_double_system(surface, K2, t_vars):
     assert basis == _reference_nullspace(rows, tower)
     for v in basis:
         assert all(_row_times(r, v).is_zero() for r in rows)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_adjugate_times_matrix_is_the_determinant(L, data):
+    """adj(a) . a = a . adj(a) = det(a) I, singular matrices included."""
+    entry = st.sampled_from(_pool(L))
+    a = tuple(tuple(data.draw(st.lists(entry, min_size=3, max_size=3))) for _ in range(3))
+    d = det3(a)
+    scaled = tuple(tuple(x * d for x in row) for row in mat_identity(L))
+    assert mat_mul(adjugate3(a), a) == scaled
+    assert mat_mul(a, adjugate3(a)) == scaled
