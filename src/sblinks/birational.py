@@ -18,9 +18,10 @@ costly part, runs only where it is not already known to hold:
   it takes no gcd, and no compose.  `_absorb_linear`, which composes a
   candidate with the forward map and divides out the linear factor by the
   projective gcd, serves 6-links only;
-- `is_equivariant`, the round-trip check of `Link` and every other check
-  that only compares a composite (`_composes_to`) compare unnormalised
-  coordinate triples by 2x2 cross products, which needs no normal form.
+- `is_equivariant`, the round-trip certificate of a link and every other
+  check that only compares a composite (`_composes_to`) compare
+  unnormalised coordinate triples by 2x2 cross products, which needs no
+  normal form.
 
 Stored coefficients carry t-denominators from the canonical scaling, so
 substitution (`compose`, the round trip, `is_equivariant`, the images of
@@ -28,6 +29,9 @@ contracted curves) runs on cleared triples: `_cleared` scales a triple by
 one lcm of its coefficients' denominators, common to all three coordinates
 (clearing each one alone would change the map), and `subst` then does
 polynomial arithmetic, not a rational-function gcd per add and multiply.
+
+`TwistedMap` and `Link` are plain records; `Link` says where each link fact
+is checked, once, and why links derived from certified ones inherit them.
 
 `normalize=False` means the caller guarantees coordinates that are already
 coprime and canonically scaled, as `identity` and `_from_coprime` do.
@@ -88,6 +92,7 @@ from .severi_brauer import (
     ClosedPoint,
     SBSurface,
     make_closed_point,
+    matrix_is_equivariant,
     normalize_3point,
     normalize_point,
     opposite,
@@ -355,16 +360,13 @@ def is_equivariant(f: RationalMap, src: SBSurface, tgt: SBSurface) -> bool:
 
 @dataclass(frozen=True)
 class TwistedMap:
-    """A map with its source and target surfaces; construction checks that
-    it is equivariant and raises NotEquivariant otherwise."""
+    """A map with its source and target surfaces: a plain record.  A link's
+    constructor certifies its forward map's equivariance, and the link's
+    round trip gives the backward map's (see `Link`)."""
 
     map: RationalMap
     source: SBSurface
     target: SBSurface
-
-    def __post_init__(self):
-        if not is_equivariant(self.map, self.source, self.target):
-            raise NotEquivariant("map is not equivariant for the given twists")
 
     def to_json(self):
         return {
@@ -376,25 +378,20 @@ class TwistedMap:
 
 @dataclass(frozen=True)
 class Link:
+    """A Sarkisov link, a birational map with its inverse: a plain record.
+
+    `link_from_3point` and `link_from_6point` certify each fact once: the
+    forward map's equivariance, one splitting field for both base points,
+    and, in `_certified`, the forward degree and backward o forward = id,
+    which give the backward map's equivariance and forward o backward = id.
+    Derived links inherit them: `inverse` checks nothing, and
+    `_followed_by_linear` checks only that its matrix is defined over K."""
+
     forward: TwistedMap
     backward: TwistedMap
     base_point: ClosedPoint
     inverse_base_point: ClosedPoint
     degree_class: int
-
-    def __post_init__(self):
-        if self.base_point.descriptor != self.inverse_base_point.descriptor:
-            raise SblinksError(
-                "base point and inverse base point have different splitting fields"
-            )
-        expected = {3: 2, 6: 5}[self.degree_class]
-        if self.forward.map.degree != expected:
-            raise SblinksError(
-                f"a {self.degree_class}-link must have forward degree {expected}"
-            )
-        identity = RationalMap.identity(self.forward.map.tower)
-        if not _composes_to(self.backward.map, self.forward.map, identity.coords):
-            raise SblinksError("backward o forward is not the identity")
 
     def inverse(self) -> "Link":
         return Link(
@@ -406,10 +403,28 @@ class Link:
         )
 
 
+def _certified(link: Link) -> Link:
+    """The link, once its forward degree and backward o forward = id are
+    checked, the latter exactly on the raw composite."""
+    expected = {3: 2, 6: 5}[link.degree_class]
+    if link.forward.map.degree != expected:
+        raise SblinksError(
+            f"a {link.degree_class}-link must have forward degree {expected}"
+        )
+    identity = RationalMap.identity(link.forward.map.tower)
+    if not _composes_to(link.backward.map, link.forward.map, identity.coords):
+        raise SblinksError("backward o forward is not the identity")
+    return link
+
+
 def _followed_by_linear(link: Link, m, target: SBSurface) -> Link:
     """The link followed by the linear isomorphism m onto target: forward
     m . f, backward b o m^-1, and the inverse base point moved by m.  Raises
-    NotEquivariant when m is not defined over K."""
+    NotEquivariant when m is not defined over K; the rest the new link
+    inherits from the certified one."""
+    tower = link.forward.map.tower
+    if not matrix_is_equivariant(m, link.forward.target, target, tower):
+        raise NotEquivariant("the linear map is not defined over K")
     forward = TwistedMap(apply_matrix(m, link.forward.map), link.forward.source, target)
     q = link.inverse_base_point
     moved = make_closed_point(
@@ -1015,7 +1030,7 @@ def _line_images(forward: RationalMap, components):
 def link_from_3point(surface: SBSurface, point: ClosedPoint) -> Link:
     """The Sarkisov 3-link blowing up the degree-3 point and blowing down the
     lines through pairs of its components.  The backward map is the closed
-    form of `_cremona`; the link's round-trip check certifies it."""
+    form of `_cremona`; `_certified` checks the round trip."""
     if point.degree != 3:
         raise SblinksError("link_from_3point needs a degree-3 point")
     P = _columns(point.components)
@@ -1059,19 +1074,15 @@ def link_from_3point(surface: SBSurface, point: ClosedPoint) -> Link:
     adj_q = adjugate3(Q)
     bwd_map = _cremona(tower, P, _cremona_scales(fwd_map, P, adj_q), adj_q)
 
-    backward = TwistedMap(bwd_map, target, surface)
-    return Link(forward, backward, point, q, 3)
+    return _certified(Link(forward, TwistedMap(bwd_map, target, surface), point, q, 3))
 
 
 def _checked_forward(fwd_map: RationalMap, surface: SBSurface, target: SBSurface):
     """The forward twisted map of a link; its one equivariance check runs
     here, before the rest of the link is built."""
-    try:
-        return TwistedMap(fwd_map, surface, target)
-    except NotEquivariant as e:
-        raise EquivariantBasisNotFound(
-            "forward map failed the equivariance check"
-        ) from e
+    if not is_equivariant(fwd_map, surface, target):
+        raise EquivariantBasisNotFound("forward map failed the equivariance check")
+    return TwistedMap(fwd_map, surface, target)
 
 
 def _no_three_collinear(components) -> bool:
@@ -1115,8 +1126,6 @@ def link_from_6point(surface: SBSurface, point: ClosedPoint) -> Link:
     target = opposite(surface)
     triple = equivariant_triple(surface, target, basis, tower)
     fwd_map = RationalMap(tower, triple)
-    if fwd_map.degree != 5:
-        raise SblinksError("equivariant quintic system lost degree 5")
     forward = _checked_forward(fwd_map, surface, target)
 
     q_comps = []
@@ -1138,8 +1147,7 @@ def link_from_6point(surface: SBSurface, point: ClosedPoint) -> Link:
     b0 = RationalMap(tower, tuple(b_basis))
     bwd_map = _absorb_linear(b0, fwd_map)
 
-    backward = TwistedMap(bwd_map, target, surface)
-    return Link(forward, backward, point, q, 6)
+    return _certified(Link(forward, TwistedMap(bwd_map, target, surface), point, q, 6))
 
 
 def transport_point(m: RationalMap, point: ClosedPoint, target: SBSurface) -> ClosedPoint:

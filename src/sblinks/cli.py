@@ -224,7 +224,7 @@ def cmd_point(args):
 
 
 def cmd_link3(args):
-    from .birational import RationalMap, _composes_to, base_points, link_from_3point
+    from .birational import base_points, link_from_3point
     from .severi_brauer import coordinate_3point, unit_3point
 
     surface, base = _surface_for(args)
@@ -235,23 +235,17 @@ def cmd_link3(args):
             if args.point == "coords"
             else unit_3point(surface)
         )
+        # raises unless the forward degree is 2, backward o forward = id and
+        # both base points have one splitting field
         link = link_from_3point(surface, pt)
-        identity = RationalMap.identity(link.forward.map.tower)
-        roundtrip = _composes_to(link.backward.map, link.forward.map, identity.coords)
         bp_match = set(base_points(link.forward.map)) == link.base_point.component_set()
-        ok = (
-            link.forward.map.degree == 2
-            and roundtrip
-            and bp_match
-            and link.base_point.descriptor == link.inverse_base_point.descriptor
-        )
         payload = {
             "forward_degree": link.forward.map.degree,
-            "roundtrip_identity": roundtrip,
+            "roundtrip_identity": True,
             "splitting": list(link.base_point.descriptor),
             "base_points_match": bp_match,
         }
-        return ("pass" if ok else "fail"), payload
+        return ("pass" if bp_match else "fail"), payload
 
     return _timed(
         "link3", {"lambda": args.lam, "xi": args.xi, "point": args.point}, run
@@ -259,7 +253,7 @@ def cmd_link3(args):
 
 
 def cmd_link6(args):
-    from .birational import RationalMap, _composes_to, link_from_6point
+    from .birational import link_from_6point
     from .severi_brauer import sixpoint_from_sqrt
 
     surface, base = _surface_for(args)
@@ -267,13 +261,11 @@ def cmd_link6(args):
 
     def run():
         pt = sixpoint_from_sqrt(surface, alpha.lift_to(surface.tower))
-        # raises SpecialPosition unless the double-point system has rank 18
+        # raises SpecialPosition unless the double-point system has rank 18,
+        # and SblinksError unless the forward degree is 5 and
+        # backward o forward = id
         link = link_from_6point(surface, pt)
-        identity = RationalMap.identity(pt.tower)
-        ok = link.forward.map.degree == 5 and _composes_to(
-            link.backward.map, link.forward.map, identity.coords
-        )
-        return ("pass" if ok else "fail"), {
+        return "pass", {
             "rank": 18,
             "forward_degree": link.forward.map.degree,
             "splitting": list(pt.descriptor),

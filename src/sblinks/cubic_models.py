@@ -32,7 +32,6 @@ from .errors import (
     DegenerateTower,
     IdentityFails,
     LambdaIsCube,
-    NotEquivariant,
     SblinksError,
     SectionNotFound,
     ZeroXi,
@@ -117,7 +116,8 @@ class SingularCubicModel:
 
 def build_singular_model(lam: FieldElement, xi: FieldElement) -> SingularCubicModel:
     """Construct the singular cubic model together with its line factors,
-    singular points and the projection psi to the plane."""
+    singular points and the projection psi to the plane; its identities are
+    checked by `verify_singular_model`."""
     res = is_cube(lam)
     if res.status == "yes":
         raise LambdaIsCube("lambda must not be a cube in K")
@@ -149,38 +149,12 @@ def build_singular_model(lam: FieldElement, xi: FieldElement) -> SingularCubicMo
     sing = tuple(
         normalize_point((zero, one, lam_i[k], lam_i[k] ** 2)) for k in range(3)
     )
-    _check_singular_identities(lamL, factors, equation, sing)
 
     f0_4 = _to4(factors[0])
     f1_4 = _to4(factors[1])
     w = MPoly.variable(4, W, one)
     psi = (w * w, w * f0_4, f0_4 * f1_4)
     return SingularCubicModel(ext, lamL, xiL, equation, factors, sing, psi)
-
-
-def _check_singular_identities(lam, factors, equation, points):
-    """F0 F1 F2 = lam x^3 + y^3 + lam^-1 z^3 - 3xyz, and the cubic and its
-    four partials vanish at each point; raises IdentityFails otherwise."""
-    L = lam.tower
-    one, zero = L.one(), L.zero()
-    prod = factors[0] * factors[1] * factors[2]
-    expected = (
-        MPoly.monomial(3, (3, 0, 0), lam)
-        + MPoly.monomial(3, (0, 3, 0), one)
-        + MPoly.monomial(3, (0, 0, 3), lam.inverse())
-        + MPoly.monomial(3, (1, 1, 1), L.scalar(-3))
-    )
-    if prod != expected:
-        raise IdentityFails(
-            "F0 F1 F2 does not expand to lam x^3 + y^3 + lam^-1 z^3 - 3xyz",
-            residue=prod - expected,
-        )
-    for pt in points:
-        vals = [equation.eval_zero_ok(list(pt), zero)]
-        for v in range(4):
-            vals.append(equation.derivative(v).eval_zero_ok(list(pt), zero))
-        if not all(x.is_zero() for x in vals):
-            raise IdentityFails("singular point check failed", residue=vals)
 
 
 def _to4(p3: MPoly) -> MPoly:
@@ -196,9 +170,28 @@ def verify_singular_model(model: SingularCubicModel) -> dict:
     the first failure and returns a per-check report otherwise."""
     L = model.tower
     g = model.ext.generator
-    _check_singular_identities(
-        model.lam, model.factors, model.equation, model.singular_points
+    one, zero = L.one(), L.zero()
+    lam, factors = model.lam, model.factors
+    # F0 F1 F2 = lam x^3 + y^3 + lam^-1 z^3 - 3xyz
+    prod = factors[0] * factors[1] * factors[2]
+    expected = (
+        MPoly.monomial(3, (3, 0, 0), lam)
+        + MPoly.monomial(3, (0, 3, 0), one)
+        + MPoly.monomial(3, (0, 0, 3), lam.inverse())
+        + MPoly.monomial(3, (1, 1, 1), L.scalar(-3))
     )
+    if prod != expected:
+        raise IdentityFails(
+            "F0 F1 F2 does not expand to lam x^3 + y^3 + lam^-1 z^3 - 3xyz",
+            residue=prod - expected,
+        )
+    # the cubic and its four partials vanish at each singular point
+    for pt in model.singular_points:
+        vals = [model.equation.eval_zero_ok(list(pt), zero)]
+        for v in range(4):
+            vals.append(model.equation.derivative(v).eval_zero_ok(list(pt), zero))
+        if not all(x.is_zero() for x in vals):
+            raise IdentityFails("singular point check failed", residue=vals)
     report = {"factorization": True, "singular_points": True}
 
     # equivariance: psi = mu . nu_{xi^-1} . g(psi) modulo the cubic
@@ -597,10 +590,6 @@ def order3_selfmap(model: SmoothCubicModel):
     ident = RationalMap.identity(Lh)
     if not _composes_to(rho_hat, compose(rho_hat, rho_hat), ident.coords):
         raise IdentityFails("rho-hat does not have order 3")
-    try:
-        rho_twisted = TwistedMap(rho_hat, surface, surface)
-    except NotEquivariant as e:
-        raise IdentityFails("rho-hat is not defined over K") from e
 
     # first link: at the images of E0,E1,E2, which are the coordinate points
     p = coordinate_3point(surface)
@@ -623,7 +612,8 @@ def order3_selfmap(model: SmoothCubicModel):
     if not _composes_to(chi2.forward.map, chi1.forward.map, rho_hat.coords):
         raise IdentityFails("rho-hat != chi2 o chi1 after alignment")
 
-    return rho_twisted, chi1, chi2
+    # chi2 o chi1 = rho-hat, on two certified links: rho-hat is defined over K
+    return TwistedMap(rho_hat, surface, surface), chi1, chi2
 
 
 def _strip_sr_content(p: MPoly) -> MPoly:

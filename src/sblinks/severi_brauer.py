@@ -605,24 +605,12 @@ def _auto_directed(surface, p, q) -> TwistedAutomorphism:
     M = mat([[v1[i], v2[i], v3[i]] for i in range(3)])
     if det3(M).is_zero():
         raise DegenerateConfiguration("transport matrix is singular")
-    # M . A = A . tau(M) up to a scalar, by construction; verify
-    lhs, rhs = mat_mul(M, A), mat_mul(A, mat_galois(M, act))
-    if not _proportional(_flat(lhs), _flat(rhs)):
-        raise SblinksError("transport matrix fails the twist commutation")
     matrix = mat_mul(inverse3(phi), mat_mul(M, phi))
     autom = TwistedAutomorphism(matrix, surface, tower)
-    # all remaining Galois generators must commute projectively as well
-    for rad in tower.radicals:
-        exps = {rad.name: 1}
-        gact = GaloisAction(tower, exps)
-        A_s = surface.twist_matrix(exps, tower)
-        lhs = mat_mul(matrix, A_s)
-        rhs = mat_mul(A_s, mat_galois(matrix, gact))
-        if not _proportional(_flat(lhs), _flat(rhs)):
-            raise SblinksError(
-                "transport automorphism is not defined over K "
-                f"(fails commutation with {rad.name})"
-            )
+    # M . A = A . tau(M) by construction; every generator must commute
+    # projectively, which covers tau as well
+    if not matrix_is_equivariant(matrix, surface, surface, tower):
+        raise SblinksError("transport automorphism is not defined over K")
     # it must map the components of p onto those of q
     image = {autom.apply_point(v) for v in p.components}
     if image != q.component_set():
@@ -633,3 +621,18 @@ def _auto_directed(surface, p, q) -> TwistedAutomorphism:
 def _flat(m):
     """The entries of a matrix, row by row."""
     return [x for row in m for x in row]
+
+
+def matrix_is_equivariant(m, source: SBSurface, target: SBSurface, tower: TowerField) -> bool:
+    """Whether the linear map m from source to target is defined over K:
+    m . A_source(sigma) is proportional to A_target(sigma) . sigma(m) for
+    every radical generator sigma of the tower."""
+    for rad in tower.radicals:
+        exps = {rad.name: 1}
+        lhs = mat_mul(m, source.twist_matrix(exps, tower))
+        rhs = mat_mul(
+            target.twist_matrix(exps, tower), mat_galois(m, GaloisAction(tower, exps))
+        )
+        if not _proportional(_flat(lhs), _flat(rhs)):
+            return False
+    return True

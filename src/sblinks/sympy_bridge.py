@@ -27,15 +27,20 @@ def _qzeta_to_expr(c: QZeta):
 
 
 def _expr_to_qzeta(expr) -> QZeta:
+    """The element a + b zeta of Q(zeta) that expr is; raises
+    BaseLocusNotSplit when a or b does not simplify to a rational."""
     expr = sympy.expand(expr)
     re = sympy.re(expr)
     im = sympy.im(expr)
     b = sympy.nsimplify(2 * im / sympy.sqrt(3), rational=True)
     a = sympy.nsimplify(re + b / 2, rational=True)
-    qa = Fraction(int(a.p), int(a.q)) if a.is_Rational else Fraction(str(a))
-    qb = Fraction(int(b.p), int(b.q)) if b.is_Rational else Fraction(str(b))
-    out = QZeta(qa, qb)
-    return out
+    return QZeta(_rational(a), _rational(b))
+
+
+def _rational(x) -> Fraction:
+    if not x.is_Rational:
+        raise BaseLocusNotSplit(f"sympy left a coefficient outside Q(zeta): {x}")
+    return Fraction(int(x.p), int(x.q))
 
 
 def factor_univariate_over_k(p: MPoly, tower: TowerField):

@@ -108,3 +108,25 @@ def link_sha():
         return hashlib.sha256(text.encode()).hexdigest()
 
     return sha
+
+
+@pytest.fixture(scope="session")
+def assert_link_facts():
+    """Assert every fact of a link independently of how it was made: both
+    maps are equivariant between swapped surfaces, backward o forward and
+    forward o backward are the identity on the raw composites, the base
+    points share a splitting field and the forward degree fits the class."""
+    from sblinks.birational import RationalMap, _composes_to, is_equivariant
+
+    def check(link):
+        fwd, bwd = link.forward, link.backward
+        assert (bwd.source, bwd.target) == (fwd.target, fwd.source)
+        assert is_equivariant(fwd.map, fwd.source, fwd.target)
+        assert is_equivariant(bwd.map, bwd.source, bwd.target)
+        identity = RationalMap.identity(fwd.map.tower).coords
+        assert _composes_to(bwd.map, fwd.map, identity)
+        assert _composes_to(fwd.map, bwd.map, identity)
+        assert link.base_point.descriptor == link.inverse_base_point.descriptor
+        assert fwd.map.degree == {3: 2, 6: 5}[link.degree_class]
+
+    return check

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -15,10 +16,10 @@ from sblinks.errors import (
     SpecialPosition,
 )
 from sblinks.birational import (
-    Link,
     RationalMap,
     TwistedMap,
     _absorb_linear,
+    _certified,
     _cleared,
     _columns,
     _cremona,
@@ -278,9 +279,8 @@ def test_six_link_special_position(surface, L, t_vars):
 
 def test_twisted_map_validates(surface, L):
     sig = RationalMap.standard_involution(L)
-    with pytest.raises(Exception):
-        TwistedMap(sig, surface, surface)  # sigma maps S_xi to S_{1/xi}, not S_xi
-    TwistedMap(sig, surface, opposite(surface))
+    assert not is_equivariant(sig, surface, surface)  # sigma maps S_xi to S_{1/xi}
+    assert is_equivariant(sig, surface, opposite(surface))
 
 
 def test_link_at_second_point(surface, L):
@@ -426,32 +426,19 @@ def test_cleared_compose_over_two_radicals(six_link):
     _assert_cleared_compose(six_link.backward.map, six_link.forward.map)
 
 
-def _unchecked_twisted(m, source, target):
-    """A TwistedMap built without its equivariance check, so that the link's
-    own round-trip check is what a test exercises."""
-    tm = object.__new__(TwistedMap)
-    for name, value in (("map", m), ("source", source), ("target", target)):
-        object.__setattr__(tm, name, value)
-    return tm
+def _with_backward(link, bwd_map):
+    """The link with its backward map replaced, as a record."""
+    bwd = TwistedMap(bwd_map, link.backward.source, link.backward.target)
+    return dataclasses.replace(link, backward=bwd)
 
 
 def test_tampered_maps_fail_checks(surface, L, link_at_unit):
     link = link_at_unit
     bad = apply_matrix(_diag(L, 1, 1, 2), link.backward.map)
     assert bad != link.backward.map
-
-    def rebuilt(bwd_map):
-        return Link(
-            link.forward,
-            _unchecked_twisted(bwd_map, link.backward.source, link.backward.target),
-            link.base_point,
-            link.inverse_base_point,
-            3,
-        )
-
-    rebuilt(link.backward.map)
+    _certified(_with_backward(link, link.backward.map))
     with pytest.raises(SblinksError):
-        rebuilt(bad)
+        _certified(_with_backward(link, bad))
     fwd = link.forward
     assert is_equivariant(fwd.map, fwd.source, fwd.target)
     assert not is_equivariant(apply_matrix(_diag(L, 1, 1, 2), fwd.map), fwd.source, fwd.target)
@@ -465,6 +452,19 @@ def test_base_points_sympy_failure_is_loud(monkeypatch, link_at_unit):
     with pytest.raises(BaseLocusNotSplit) as info:
         base_points(link_at_unit.forward.map)
     assert isinstance(info.value.__cause__, NotImplementedError)
+
+
+@pytest.mark.parametrize("value", [sympy.Float(0.1), sympy.sqrt(2)])
+def test_sympy_coefficient_outside_qzeta_is_loud(monkeypatch, value, link_at_unit):
+    """A coefficient that sympy leaves as a float or an irrational is not
+    read as a rational: base_points raises BaseLocusNotSplit."""
+    from sblinks.sympy_bridge import _expr_to_qzeta
+
+    monkeypatch.setattr(sympy, "nsimplify", lambda *args, **kwargs: value)
+    with pytest.raises(BaseLocusNotSplit, match="outside Q"):
+        _expr_to_qzeta(sympy.Integer(1))
+    with pytest.raises(BaseLocusNotSplit, match="outside Q"):
+        base_points(link_at_unit.forward.map)
 
 
 def test_followed_by_identity_is_the_link(L, link_at_unit):
@@ -654,7 +654,7 @@ def test_closed_form_backward_matches_absorbed(name, closed_form_links):
 @pytest.mark.parametrize("name", ["random0", "random1", "models_chi2"])
 def test_swapped_cremona_scales_fail_the_round_trip(name, closed_form_links):
     """Swapping two entries of D in bwd = P . D . sigma(adj(Q) x) leaves a map
-    that the link's round-trip check rejects."""
+    that the link's round-trip certificate rejects."""
     link = closed_form_links[name]
     fwd = link.forward.map
     P = _columns(link.base_point.components)
@@ -666,13 +666,7 @@ def test_swapped_cremona_scales_fail_the_round_trip(name, closed_form_links):
     assert not _proportional(d, swapped)
     bad = _cremona(fwd.tower, P, swapped, adj_q)
     with pytest.raises(SblinksError, match="backward o forward is not the identity"):
-        Link(
-            link.forward,
-            _unchecked_twisted(bad, link.backward.source, link.backward.target),
-            link.base_point,
-            link.inverse_base_point,
-            3,
-        )
+        _certified(_with_backward(link, bad))
 
 
 def test_3link_takes_no_compose(monkeypatch, surface, coord_point, unit_point, L):
@@ -688,6 +682,46 @@ def test_3link_takes_no_compose(monkeypatch, surface, coord_point, unit_point, L
     (random_point,) = _seeded_3points(surface, L, 1, 20240613)
     for pt in (coord_point, unit_point, random_point):
         assert link_from_3point(surface, pt).forward.map.degree == 2
+
+
+def test_each_link_fact_is_checked_once(
+    monkeypatch, surface, coord_point, unit_point, six_point, assert_link_facts
+):
+    """A constructed link checks its forward map's equivariance once; a link
+    derived from a certified one (its inverse, or it followed by a linear map
+    over K) checks no map and substitutes nothing, yet keeps every fact."""
+    import sblinks.birational as birational
+
+    calls = []
+    real = birational.is_equivariant
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(birational, "is_equivariant", counted)
+    links = []
+    for build, pt in (
+        (link_from_3point, coord_point),
+        (link_from_3point, unit_point),
+        (link_from_6point, six_point),
+    ):
+        calls.clear()
+        links.append(build(surface, pt))
+        assert len(calls) == 1
+    alpha = auto_between_3points(surface, coord_point, unit_point)
+
+    def forbidden(*args):
+        raise AssertionError("a derived link re-checked a certified fact")
+
+    monkeypatch.setattr(birational, "is_equivariant", forbidden)
+    monkeypatch.setattr(birational, "_substituted", forbidden)
+    back = links[0].inverse()
+    moved = _followed_by_linear(back, alpha.matrix, surface)
+    monkeypatch.undo()
+    assert moved.forward.map != back.forward.map
+    for derived in (back, moved):
+        assert_link_facts(derived)
 
 
 @pytest.mark.parametrize("cycle", [{}, {"u": 1}])

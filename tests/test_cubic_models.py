@@ -159,8 +159,13 @@ ORDER3_PINS = (
 )
 
 
-def test_order3_selfmap(smooth, link_sha):
-    rho, chi1, chi2 = order3_selfmap(smooth)
+@pytest.fixture(scope="module")
+def order3(smooth):
+    return order3_selfmap(smooth)
+
+
+def test_order3_selfmap(smooth, order3, link_sha):
+    rho, chi1, chi2 = order3
     rho_sha = hashlib.sha256(json.dumps(rho.to_json(), sort_keys=True).encode())
     assert (rho_sha.hexdigest(), link_sha(chi1), link_sha(chi2)) == ORDER3_PINS
     from sblinks.birational import RationalMap, compose, equals
@@ -188,6 +193,14 @@ def test_order3_selfmap(smooth, link_sha):
     (c1, e1), (c2, e2) = word.syllables
     assert c1 != c2 and c1.degree == 3 and c2.degree == 3
     assert e1 != 0 and e2 != 0
+
+
+def test_order3_links_keep_every_fact(order3, assert_link_facts):
+    """chi1, and chi2 after its alignment by a linear map, keep every link
+    fact."""
+    _, chi1, chi2 = order3
+    for link in (chi1, chi2):
+        assert_link_facts(link)
 
 
 def test_randomized_smooth_models(K2m):

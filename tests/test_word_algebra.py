@@ -146,7 +146,18 @@ def test_hexagon_acceptance_pair(surface, coord_point, unit_point, link_sha):
     assert [link_sha(link) for link in links] == HEXAGON_LINK_PINS
 
 
-def test_hexagon_general_position(surface, coord_point, L):
+def test_hexagon_links_keep_every_fact(
+    surface, coord_point, unit_point, assert_link_facts
+):
+    """Every link of the coordinate/unit hexagon, the absorbed fourth link
+    and the inverse of the first among them, keeps every link fact."""
+    links, report = hexagon(surface, coord_point, unit_point)
+    assert report.merged_square and links[5] == links[0].inverse()
+    for link in links:
+        assert_link_facts(link)
+
+
+def test_hexagon_general_position(surface, coord_point, L, assert_link_facts):
     q = closed_point_from_seed(
         surface, (L.one(), L.one(), L.scalar(2)), L
     )
@@ -159,6 +170,7 @@ def test_hexagon_general_position(surface, coord_point, L):
     descriptors = report.descriptors
     assert descriptors[0] == descriptors[2] == descriptors[4] == coord_point.descriptor
     assert descriptors[1] == descriptors[3] == descriptors[5] == q.descriptor
+    assert_link_facts(links[-1])
 
 
 def test_hexagon_rejects_equal_points(surface, coord_point):
