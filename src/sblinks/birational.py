@@ -18,6 +18,8 @@ costly part, runs only where it is not already known to hold:
   it takes no gcd, and no compose.  `_absorb_linear`, which composes a
   candidate with the forward map and divides out the linear factor by the
   projective gcd, serves 6-links only;
+- a link substitutes into one contracted curve, and takes the inverse base
+  point as the twisted orbit of its image: the curves are one Galois orbit;
 - `is_equivariant`, the round-trip certificate of a link and every other
   check that only compares a composite (`_composes_to`) compare
   unnormalised coordinate triples by 2x2 cross products, which needs no
@@ -91,6 +93,7 @@ from .multipoly import (
 from .severi_brauer import (
     ClosedPoint,
     SBSurface,
+    closed_point_from_seed,
     make_closed_point,
     matrix_is_equivariant,
     normalize_3point,
@@ -1017,20 +1020,12 @@ def _cremona(tower: TowerField, P, d, adj_q) -> RationalMap:
     return _from_coprime(tower, _mat_times(PD, _sigma_forms(adj_q)))
 
 
-def _line_images(forward: RationalMap, components):
-    """Images of the lines through pairs of the three components, ordered so
-    that line_i misses component_i."""
-    out = []
-    for i in range(3):
-        j, k = [a for a in range(3) if a != i]
-        out.append(image_of_line(forward, components[j], components[k]))
-    return out
-
-
 def link_from_3point(surface: SBSurface, point: ClosedPoint) -> Link:
-    """The Sarkisov 3-link blowing up the degree-3 point and blowing down the
-    lines through pairs of its components.  The backward map is the closed
-    form of `_cremona`; `_certified` checks the round trip."""
+    """The Sarkisov 3-link blowing up p = (v, c v, c^2 v) and blowing down the
+    lines through pairs of its components.  Line i misses p_i and is c^i(line
+    0), so q is the twisted orbit of the image of line 0, ordered like p when
+    its cycling element is c.  `_cremona` gives the backward map in closed
+    form; `_certified` checks the round trip."""
     if point.degree != 3:
         raise SblinksError("link_from_3point needs a degree-3 point")
     P = _columns(point.components)
@@ -1061,14 +1056,16 @@ def link_from_3point(surface: SBSurface, point: ClosedPoint) -> Link:
 
     forward = _checked_forward(fwd_map, surface, target)
 
-    q_comps = _line_images(fwd_map, point.components)
-    q = make_closed_point(target, q_comps, tower)
+    c = point.components
+    q = closed_point_from_seed(target, image_of_line(fwd_map, c[1], c[2]), tower)
+    if q.degree != 3 or q.cycle_element != point.cycle_element:
+        raise SblinksError("line images are not a degree-3 orbit cycled like p")
     if q.descriptor != point.descriptor:
         raise SblinksError(
             "inverse base point has a different splitting field than the base point"
         )
 
-    Q = _columns(q_comps)
+    Q = _columns(q.components)
     if det3(Q).is_zero():
         raise Collinear("components are collinear")
     adj_q = adjugate3(Q)
@@ -1104,7 +1101,8 @@ def conic_through_five(tower: TowerField, pts) -> MPoly:
 
 
 def link_from_6point(surface: SBSurface, point: ClosedPoint) -> Link:
-    """The Sarkisov 6-link: quintics with double points at the six components."""
+    """The Sarkisov 6-link: quintics with double points at the six components;
+    q is the twisted orbit of the image of the conic through five of them."""
     if point.degree != 6:
         raise SblinksError("link_from_6point needs a degree-6 point")
     tower = point.tower
@@ -1128,12 +1126,11 @@ def link_from_6point(surface: SBSurface, point: ClosedPoint) -> Link:
     fwd_map = RationalMap(tower, triple)
     forward = _checked_forward(fwd_map, surface, target)
 
-    q_comps = []
-    for i in range(6):
-        others = [comps[j] for j in range(6) if j != i]
-        conic = conic_through_five(tower, others)
-        q_comps.append(image_of_conic(fwd_map, conic, others[0], tower))
-    q = make_closed_point(target, q_comps, tower)
+    conic = conic_through_five(tower, comps[1:])
+    image = image_of_conic(fwd_map, conic, comps[1], tower)
+    q = closed_point_from_seed(target, image, tower)
+    if q.degree != 6:
+        raise SblinksError(f"conic images form an orbit of degree {q.degree}, not 6")
     if q.descriptor != point.descriptor:
         raise SblinksError(
             "inverse base point has a different splitting field than the base point"

@@ -16,9 +16,9 @@ from .birational import (
     RationalMap,
     TwistedMap,
     _followed_by_linear,
-    _line_images,
     compose,
     equals,
+    image_of_line,
     link_from_3point,
     transport_point,
 )
@@ -33,8 +33,8 @@ from .linalg import inverse3
 from .severi_brauer import (
     ClosedPoint,
     SBSurface,
+    closed_point_from_seed,
     is_isomorphic,
-    make_closed_point,
 )
 
 
@@ -326,9 +326,10 @@ def _close_merged_square(surface: SBSurface, p: ClosedPoint, links):
         comp3 = compose(link.forward.map, comp3)
     if comp3.degree != 2:
         raise DegeneratePair("merged walk did not shorten to a quadratic map")
-    images = _line_images(comp3, p.components)
+    # comp3, a composite of certified links, is equivariant from surface to cur
     cur = links[-1].forward.target
-    r4 = make_closed_point(cur, images, p.tower)
+    c = p.components
+    r4 = closed_point_from_seed(cur, image_of_line(comp3, c[1], c[2]), p.tower)
     link4 = link_from_3point(cur, r4)
     comp4 = compose(link4.forward.map, comp3)
     if comp4.degree != 1:

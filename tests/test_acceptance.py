@@ -170,11 +170,11 @@ def test_criterion_6_link_roundtrips():
             seed = tuple(L.scalar(rng.randint(1, 9)) for _ in range(3))
             try:
                 pt = closed_point_from_seed(surface, seed, L)
-                if pt.degree != 3:
-                    continue
-                link = link_from_3point(surface, pt)
             except SblinksError:
                 continue
+            if pt.degree != 3:
+                continue
+            link = link_from_3point(surface, pt)
             assert link.forward.map.degree == 2
             assert equals(compose(link.backward.map, link.forward.map), ident)
             made += 1

@@ -27,7 +27,6 @@ from sblinks.birational import (
     _followed_by_linear,
     _express_in_span,
     _independent_subset,
-    _line_images,
     _linear_forms,
     _mat_times,
     _sigma_after,
@@ -35,8 +34,11 @@ from sblinks.birational import (
     apply_matrix,
     base_points,
     compose,
+    conic_through_five,
     curves_through,
     equals,
+    image_of_conic,
+    image_of_line,
     is_equivariant,
     link_from_3point,
     link_from_6point,
@@ -183,11 +185,11 @@ def test_random_3links_roundtrip(surface, L):
         seed = tuple(L.scalar(rng.randint(1, 9)) for _ in range(3))
         try:
             pt = closed_point_from_seed(surface, seed, L)
-            if pt.degree != 3:
-                continue
-            link = link_from_3point(surface, pt)
         except SblinksError:
             continue
+        if pt.degree != 3:
+            continue
+        link = link_from_3point(surface, pt)
         rt = compose(link.backward.map, link.forward.map)
         assert equals(rt, RationalMap.identity(L))
         assert link.forward.map.degree == 2
@@ -651,6 +653,53 @@ def test_closed_form_backward_matches_absorbed(name, closed_form_links):
     assert link.backward.map.to_json() == reference.to_json()
 
 
+def _line_images(forward, components):
+    """Images of the lines through pairs of the three components, ordered so
+    that line_i misses component_i, each line substituted on its own."""
+    out = []
+    for i in range(3):
+        j, k = [a for a in range(3) if a != i]
+        out.append(image_of_line(forward, components[j], components[k]))
+    return out
+
+
+@pytest.mark.parametrize("name", ["coords", "unit", "random0", "models_chi2"])
+def test_3link_inverse_base_point_is_the_line_images(name, closed_form_links):
+    """The twisted orbit of one line image is every line image, and its
+    component i is the image of the line that misses base component i."""
+    link = closed_form_links[name]
+    images = _line_images(link.forward.map, link.base_point.components)
+    assert list(link.inverse_base_point.components) == images
+
+
+def test_6link_inverse_base_point_is_the_conic_images(six_link, six_point):
+    """The twisted orbit of one conic image is the images of all six conics
+    through five of the six components."""
+    fwd = six_link.forward.map
+    comps = six_point.components
+    images = set()
+    for i in range(6):
+        others = [comps[j] for j in range(6) if j != i]
+        conic = conic_through_five(six_point.tower, others)
+        images.add(image_of_conic(fwd, conic, others[0], six_point.tower))
+    assert len(images) == 6
+    assert six_link.inverse_base_point.component_set() == images
+
+
+def test_6link_rejects_a_conic_image_off_a_degree_6_orbit(
+    monkeypatch, surface, six_point
+):
+    """A conic image whose twisted orbit is not of degree 6 stops the link
+    before its backward map is built."""
+    import sblinks.birational as birational
+
+    tower = six_point.tower
+    one, zero = tower.one(), tower.zero()
+    monkeypatch.setattr(birational, "image_of_conic", lambda *args: (one, zero, zero))
+    with pytest.raises(SblinksError, match="orbit of degree 3, not 6"):
+        link_from_6point(surface, six_point)
+
+
 @pytest.mark.parametrize("name", ["random0", "random1", "models_chi2"])
 def test_swapped_cremona_scales_fail_the_round_trip(name, closed_form_links):
     """Swapping two entries of D in bwd = P . D . sigma(adj(Q) x) leaves a map
@@ -658,7 +707,7 @@ def test_swapped_cremona_scales_fail_the_round_trip(name, closed_form_links):
     link = closed_form_links[name]
     fwd = link.forward.map
     P = _columns(link.base_point.components)
-    Q = _columns(_line_images(fwd, link.base_point.components))
+    Q = _columns(link.inverse_base_point.components)
     adj_q = adjugate3(Q)
     d = _cremona_scales(fwd, P, adj_q)
     assert _cremona(fwd.tower, P, d, adj_q) == link.backward.map
