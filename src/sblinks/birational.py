@@ -46,6 +46,7 @@ not share it, and nothing lifts a map from one tower to another.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import (
     Collinear,
@@ -737,7 +738,13 @@ def image_of_conic(f: RationalMap, conic: MPoly, through, tower: TowerField):
 
 def base_points(f: RationalMap):
     """The finite common zero locus of the three coordinates, solved over the
-    map's tower by shearing, resultants and radical-fragment root extraction."""
+    map's tower by shearing, resultants and radical-fragment root extraction.
+
+    The points are listed once each, in no specified order; every caller
+    compares them as a set.  Polynomials of degree at most 3 go to the
+    radical formulas before any factoring, so the base locus of a 3-link is
+    solved without sympy, which only factors what the formulas leave
+    (`_univariate_roots`)."""
     if f.nsrc != 3:
         raise SblinksError("base points are computed for plane maps")
     tower = f.tower
@@ -871,7 +878,13 @@ def _binary_form_roots(b: MPoly, tower: TowerField):
 
 
 def _univariate_roots(p: MPoly, tower: TowerField):
-    """Roots in the tower of a univariate polynomial over it (fragment)."""
+    """Roots in the tower of a nonzero univariate polynomial over it
+    (fragment).
+
+    Once the root 0 is divided out, a monic p of degree d <= 3 goes to the
+    radical formulas first: d distinct roots of p are all its roots, and
+    nothing is factored.  Otherwise p is factored over K when its
+    coefficients lie there, and the formulas run on each proper factor."""
     original = p
     roots = []
     me = p.min_exps()
@@ -880,12 +893,21 @@ def _univariate_roots(p: MPoly, tower: TowerField):
         p = p.shift_down(me)
     if p.total_degree() > 0:
         p = p.monic()
+        found = _roots_among(p, _radical_roots(p, tower))
+        if len(found) == p.total_degree():
+            return roots + found
+        roots.extend(found)
         for fac in _factor_over_base(p, tower):
-            roots.extend(_roots_of_irreducible(fac, tower))
+            if fac != p:
+                roots.extend(_radical_roots(fac, tower))
+    return _roots_among(original, roots)
+
+
+def _roots_among(p: MPoly, candidates):
+    """The distinct candidates at which the nonzero univariate p vanishes."""
     out = []
-    zero = tower.zero()
-    for r in roots:
-        if original.eval_zero_ok([r], zero).is_zero() and r not in out:
+    for r in candidates:
+        if r not in out and p.eval([r]).is_zero():
             out.append(r)
     return out
 
@@ -904,7 +926,11 @@ def _factor_over_base(p: MPoly, tower: TowerField):
     return factor_univariate_over_k(p, tower)
 
 
-def _roots_of_irreducible(p: MPoly, tower: TowerField):
+def _radical_roots(p: MPoly, tower: TowerField):
+    """Candidate roots of a univariate p of degree at most 3 by the linear,
+    quadratic and Cardano formulas, with square and cube roots taken in the
+    tower; [] when a radical is not found there or the degree is above 3.
+    p need not be irreducible, and the callers check each root."""
     d = p.total_degree()
     if d == 0:
         return []
@@ -913,6 +939,7 @@ def _roots_of_irreducible(p: MPoly, tower: TowerField):
     zero = tower.zero()
     if d == 1:
         return [-cs.get(0, zero)]
+    half = tower.scalar(Fraction(1, 2))
     if d == 2:
         b = cs.get(1, zero)
         c = cs.get(0, zero)
@@ -920,7 +947,6 @@ def _roots_of_irreducible(p: MPoly, tower: TowerField):
         s = sqrt_in_tower(disc)
         if s is None:
             return []
-        half = tower.scalar(1) / tower.scalar(2)
         return [(-b + s) * half, (-b - s) * half]
     if d == 3:
         a2 = cs.get(2, zero)
@@ -933,11 +959,10 @@ def _roots_of_irreducible(p: MPoly, tower: TowerField):
             z = tower.zeta()
             return [u, u * z, u * z * z]
         # depressed cubic y^3 + p y + q, x = y - a2/3
-        third = tower.scalar(1) / tower.scalar(3)
+        third = tower.scalar(Fraction(1, 3))
         shift = a2 * third
         pp = a1 - a2 * a2 * third
-        qq = a0 - a1 * a2 * third + (tower.scalar(2) / tower.scalar(27)) * a2 ** 3
-        half = tower.scalar(1) / tower.scalar(2)
+        qq = a0 - a1 * a2 * third + tower.scalar(Fraction(2, 27)) * a2 ** 3
         disc = (qq * half) ** 2 + (pp * third) ** 3
         sd = sqrt_in_tower(disc)
         if sd is None:

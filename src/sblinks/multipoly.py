@@ -739,25 +739,41 @@ def squarefree_decomposition(f: MPoly):
 
 
 # ---------------------------------------------------------------------------
-# resultants (Bareiss fraction-free determinant of the Sylvester matrix)
+# resultants (Bareiss fraction-free determinant of the hybrid Bezout matrix)
 
 
-def sylvester(f: MPoly, g: MPoly, v: int):
+def _hybrid_bezout(f: MPoly, g: MPoly, v: int):
+    """The hybrid Bezout matrix of f and g in variable v, for
+    m = deg f >= n = deg g, whose determinant is res(f, g).
+
+    Its m rows hold the coefficients of 1, x, ..., x^(m-1) of x^k g for
+    k < m - n, then of F_i x^(m-n) g - G_i f for i = 1..n, where F_i and
+    G_i are the polynomials of the top i coefficients of f and of g (so
+    that the degree-m terms cancel).  When m = n this is the Bezout matrix.
+    """
     m, n = f.deg_in(v), g.deg_in(v)
-    fc = _coeffs_in(f, v)
-    gc = _coeffs_in(g, v)
+    fc, gc = _coeffs_in(f, v), _coeffs_in(g, v)
     zero = MPoly.zero(f.nvars)
-    size = m + n
-    rows = []
-    for i in range(n):
-        row = [zero] * size
-        for k in range(m + 1):
-            row[i + (m - k)] = fc.get(k, zero)
-        rows.append(row)
-    for i in range(m):
-        row = [zero] * size
-        for k in range(n + 1):
-            row[i + (n - k)] = gc.get(k, zero)
+    a = [fc.get(k, zero) for k in range(m + 1)]
+    b = [gc.get(k, zero) for k in range(n + 1)]
+    products = {}
+
+    def ab(p, q):
+        if (p, q) not in products:
+            products[p, q] = a[p] * b[q]
+        return products[p, q]
+
+    rows = [[zero] * k + b + [zero] * (m - n - 1 - k) for k in range(m - n)]
+    for i in range(1, n + 1):
+        row = []
+        for k in range(m):
+            entry = zero
+            for p in range(i):
+                if 0 <= k - (m - n) - p <= n - i:
+                    entry = entry + ab(m - i + 1 + p, k - (m - n) - p)
+                if 0 <= k - p <= m - i:
+                    entry = entry - ab(k - p, n - i + 1 + p)
+            row.append(entry)
         rows.append(row)
     return rows
 
@@ -792,6 +808,13 @@ def bareiss_det(rows):
 
 
 def resultant(f: MPoly, g: MPoly, v: int) -> MPoly:
-    if f.deg_in(v) <= 0 or g.deg_in(v) <= 0:
+    """The resultant of f and g in variable v, equal to the determinant of
+    their Sylvester matrix, taken on the hybrid Bezout matrix of size
+    max(deg f, deg g); res(f, g) = (-1)^(mn) res(g, f)."""
+    m, n = f.deg_in(v), g.deg_in(v)
+    if m <= 0 or n <= 0:
         raise ValueError("resultant needs positive degree in the chosen variable")
-    return bareiss_det(sylvester(f, g, v))
+    if m < n:
+        r = bareiss_det(_hybrid_bezout(g, f, v))
+        return -r if m * n % 2 else r
+    return bareiss_det(_hybrid_bezout(f, g, v))

@@ -2,6 +2,12 @@
 field K = Q(zeta)(t1..tn).  Everything else in the package is hand-rolled
 exact arithmetic; factorization over an algebraic-number function field is
 the one genuinely hard primitive worth buying.
+
+It is the base-locus solver's fallback: `birational._univariate_roots`
+imports it only for a polynomial of degree above 3, or one whose roots the
+radical formulas do not all find (such as a repeated root, or a quadratic
+factor without roots in the tower).  The 3-link base loci of the tests and
+the benchmark never get here.
 """
 
 from __future__ import annotations

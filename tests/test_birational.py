@@ -5,6 +5,7 @@ import random
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from sblinks.errors import (
     BaseLocusNotSplit,
@@ -26,11 +27,14 @@ from sblinks.birational import (
     _cremona_scales,
     _followed_by_linear,
     _express_in_span,
+    _factor_over_base,
     _independent_subset,
     _linear_forms,
     _mat_times,
+    _radical_roots,
     _sigma_after,
     _twisted_action,
+    _univariate_roots,
     apply_matrix,
     base_points,
     compose,
@@ -172,6 +176,76 @@ def test_base_points_rejects_common_factor(L):
     )
     with pytest.raises(NonFiniteBaseLocus):
         base_points(f)
+
+
+@pytest.mark.parametrize("name", ["coords", "unit", "random0", "random1", "random2"])
+def test_3link_base_points_need_no_factoring(monkeypatch, name, closed_form_links):
+    """The radical formulas split the base locus of a 3-link at both ends,
+    so sympy is never asked to factor."""
+    import sblinks.sympy_bridge as bridge
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a 3-link base locus was factored")
+
+    monkeypatch.setattr(bridge, "factor_univariate_over_k", fail)
+    link = closed_form_links[name]
+    assert set(base_points(link.forward.map)) == link.base_point.component_set()
+    assert set(base_points(link.backward.map)) == link.inverse_base_point.component_set()
+
+
+def _factor_first_roots(p, tower):
+    """The reference root set of a univariate p: the root 0 divided out,
+    the factors over K, then the radical formulas on each factor."""
+    roots = []
+    me = p.min_exps()
+    if me[0] > 0:
+        roots.append(tower.zero())
+    q = p.shift_down(me)
+    if q.total_degree() > 0:
+        for fac in _factor_over_base(q.monic(), tower):
+            roots.extend(_radical_roots(fac, tower))
+    return {r for r in roots if p.eval([r]).is_zero()}
+
+
+ROOT_CASES = ["split over K", "split over L", "K-root and no quadratic root", "no root"]
+
+
+@pytest.mark.parametrize("case", ROOT_CASES)
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_radical_roots_first_match_factoring_first(case, L, data):
+    """Radical formulas on the unfactored polynomial, with the factoring
+    fallback, find the roots that factoring first finds, on products of
+    chosen factors with base-field coefficients (u^3 = t1, t2 is neither a
+    square nor a cube in L)."""
+    one, z, u, t1, t2 = L.one(), L.zeta(), L.gen("u"), L.t_var(0), L.t_var(1)
+    x = MPoly.variable(1, 0, one)
+    base = st.sampled_from([L.zero(), one, L.scalar(-2), z, t1, t2, t1 + z, one / (t2 + one)])
+    unit = st.sampled_from([one, L.scalar(2), -z, t1, one / (t1 + one)])
+
+    def minus(r):
+        return x - MPoly.const(1, r)
+
+    if case == "split over K":
+        roots = data.draw(st.lists(base, min_size=1, max_size=3), label="roots")
+        p = minus(roots[0])
+        for r in roots[1:]:
+            p = p * minus(r)
+        expected = set(roots)
+    elif case == "split over L":
+        # (x - a)^3 = s^3 t1 at x = a + s u zeta^k
+        a, s = data.draw(base, label="a"), data.draw(unit, label="s")
+        p = minus(a) ** 3 - MPoly.const(1, s ** 3 * t1)
+        expected = {a + s * u * z ** k for k in range(3)}
+    elif case == "K-root and no quadratic root":
+        r, c = data.draw(base, label="r"), data.draw(unit, label="c")
+        p = minus(r) * (x * x - MPoly.const(1, c * t2))
+        expected = {r}
+    else:
+        c, d = data.draw(unit, label="c"), data.draw(st.integers(2, 3), label="degree")
+        p = x ** d - MPoly.const(1, c * t2)
+        expected = set()
+    assert set(_univariate_roots(p, L)) == _factor_first_roots(p, L) == expected
 
 
 # seeds tried before a randomised loop fails instead of running on
@@ -446,18 +520,21 @@ def test_tampered_maps_fail_checks(surface, L, link_at_unit):
     assert not is_equivariant(apply_matrix(_diag(L, 1, 1, 2), fwd.map), fwd.source, fwd.target)
 
 
-def test_base_points_sympy_failure_is_loud(monkeypatch, link_at_unit):
+def test_base_points_sympy_failure_is_loud(monkeypatch, six_link):
+    """The six-link's base locus is solved through two quartics, which only
+    sympy factors."""
+
     def fail(*args, **kwargs):
         raise NotImplementedError("factorisation unavailable")
 
     monkeypatch.setattr(sympy, "factor_list", fail)
     with pytest.raises(BaseLocusNotSplit) as info:
-        base_points(link_at_unit.forward.map)
+        base_points(six_link.forward.map)
     assert isinstance(info.value.__cause__, NotImplementedError)
 
 
 @pytest.mark.parametrize("value", [sympy.Float(0.1), sympy.sqrt(2)])
-def test_sympy_coefficient_outside_qzeta_is_loud(monkeypatch, value, link_at_unit):
+def test_sympy_coefficient_outside_qzeta_is_loud(monkeypatch, value, six_link):
     """A coefficient that sympy leaves as a float or an irrational is not
     read as a rational: base_points raises BaseLocusNotSplit."""
     from sblinks.sympy_bridge import _expr_to_qzeta
@@ -466,7 +543,7 @@ def test_sympy_coefficient_outside_qzeta_is_loud(monkeypatch, value, link_at_uni
     with pytest.raises(BaseLocusNotSplit, match="outside Q"):
         _expr_to_qzeta(sympy.Integer(1))
     with pytest.raises(BaseLocusNotSplit, match="outside Q"):
-        base_points(link_at_unit.forward.map)
+        base_points(six_link.forward.map)
 
 
 def test_followed_by_identity_is_the_link(L, link_at_unit):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -189,6 +193,34 @@ def test_link3(capsys):
         assert run(["link3", "--point", point, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)["payload"]
         assert payload["base_points_match"] is True
+
+
+# Runs `sblinks --json link3 --point unit` in a fresh interpreter and says
+# afterwards whether sympy was imported.
+_LINK3_WITHOUT_SYMPY = """
+import sys
+from sblinks.cli import run
+code = run(["--json", "link3", "--point", "unit"])
+print("sympy imported" if "sympy" in sys.modules else "sympy not imported")
+sys.exit(code)
+"""
+
+
+def test_link3_cli_does_not_import_sympy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", _LINK3_WITHOUT_SYMPY],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    report, verdict = done.stdout.splitlines()
+    assert json.loads(report)["payload"]["base_points_match"] is True
+    assert verdict == "sympy not imported"
 
 
 def test_expression_grammar(capsys):

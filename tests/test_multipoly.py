@@ -9,6 +9,8 @@ from sblinks.field_tower import poly_to_json
 from sblinks.multipoly import (
     MPoly,
     NotDivisible,
+    _coeffs_in,
+    bareiss_det,
     exact_div,
     gcd,
     gcd_many_homogeneous,
@@ -485,3 +487,68 @@ def test_subst_with_exponent_gaps_matches_power_products(L, data):
     values = [MPoly(3, data.draw(linear)) for _ in range(3)]
     point = data.draw(st.lists(coeff, min_size=3, max_size=3))
     check_subst_and_eval(f, values, point)
+
+
+# ---------------------------------------------------------------------------
+# resultants against the Sylvester determinant
+
+
+def sylvester(f: MPoly, g: MPoly, v: int):
+    """The Sylvester matrix of f and g in variable v: rows x^(n-1-i) f for
+    i < n, then x^(m-1-i) g for i < m, columns from x^(m+n-1) down."""
+    m, n = f.deg_in(v), g.deg_in(v)
+    fc = _coeffs_in(f, v)
+    gc = _coeffs_in(g, v)
+    zero = MPoly.zero(f.nvars)
+    size = m + n
+    rows = []
+    for i in range(n):
+        row = [zero] * size
+        for k in range(m + 1):
+            row[i + (m - k)] = fc.get(k, zero)
+        rows.append(row)
+    for i in range(m):
+        row = [zero] * size
+        for k in range(n + 1):
+            row[i + (n - k)] = gc.get(k, zero)
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("ring", ["qzeta", "L"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_resultant_matches_sylvester_determinant(ring, L, data):
+    """The hybrid Bezout resultant is the Sylvester determinant, sign
+    included, for equal and unequal degrees, and 0 on a shared factor."""
+    if ring == "qzeta":
+        nvars = data.draw(st.integers(1, 3), label="nvars")
+        coeff = COEFFS.filter(lambda c: not c.is_zero())
+    else:
+        # no coefficient bivariate in t1, t2: products of those swell
+        nvars = 2
+        one, u, t1 = L.one(), L.gen("u"), L.t_var(0)
+        pool = [one, L.scalar(-3), u, L.t_var(1), u * u - t1, L.zeta() * u, one / (t1 + one)]
+        coeff = st.sampled_from(pool)
+
+    def poly(degree):
+        # a term free of x keeps two polynomials from sharing the factor x
+        rest = [st.integers(0, 2)] * (nvars - 1)
+        t = data.draw(st.dictionaries(st.tuples(st.integers(1, degree), *rest), coeff, max_size=size))
+        t[(degree,) + (0,) * (nvars - 1)] = data.draw(coeff)
+        t[data.draw(st.tuples(st.just(0), *rest))] = data.draw(coeff)
+        return MPoly(nvars, t)
+
+    if ring == "qzeta":
+        pairs, size = [(1, 1), (2, 2), (3, 3), (1, 2), (1, 3), (2, 3), (3, 4), (1, 4)], 2
+    else:
+        pairs, size = [(1, 1), (2, 2), (1, 2), (1, 3)], 1
+    m, n = data.draw(st.sampled_from(pairs), label="degrees")
+    f, g = poly(m), poly(n)
+    if data.draw(st.booleans(), label="shared factor"):
+        shared = poly(1)
+        f, g = f * shared, g * shared
+        assert resultant(f, g, 0).is_zero()
+    # both orders: res(g, f) = (-1)^(mn) res(f, g) when m < n
+    assert resultant(f, g, 0) == bareiss_det(sylvester(f, g, 0))
+    assert resultant(g, f, 0) == bareiss_det(sylvester(g, f, 0))
