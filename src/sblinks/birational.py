@@ -47,6 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .errors import (
     Collinear,
@@ -79,6 +80,7 @@ from .linalg import (
     mat_mul,
     mat_vec,
     nullspace,
+    projectivity,
     rank,
     solve,
 )
@@ -438,6 +440,58 @@ def _followed_by_linear(link: Link, m, target: SBSurface) -> Link:
         subst_linear(link.backward.map, inverse3(m)), target, link.backward.target
     )
     return Link(forward, backward, link.base_point, moved, link.degree_class)
+
+
+# K-points (a : b : 1), |a|, |b| <= 2, that propose a linear map pointwise
+_GRID = tuple((a, b) for a in (1, -1, 2, -2, 0) for b in (1, -1, 2, -2, 0))
+
+
+def _in_general_position(points) -> bool:
+    """Whether no two of the plane points coincide and no three are
+    collinear."""
+    if len(points) < 3:
+        return len(points) < 2 or not _proportional(*points)
+    return all(not det3(t).is_zero() for t in combinations(points, 3))
+
+
+def _linear_through(before, after):
+    """A 3x3 matrix M, proposed so that M . before(p) = after(p), where
+    before and after are chains of maps applied left to right: the
+    projectivity between the images of four K-points (a : b : 1) of `_GRID`,
+    each off the base locus of every map of both chains, no three of either
+    image set collinear.  M is scaled as `_scale_canonical` scales a linear
+    map, so it equals the matrix of the normalised composite.  None if the
+    grid holds no such four points.
+
+    The images are raw values of the cleared triples, where
+    `RationalMap.evaluate` would rescale each one by an inverse: projective
+    points are all the projectivity needs, and cleared values keep the
+    arithmetic free of t-denominators.  They only propose M, and nothing is
+    proved here: the caller certifies M by an exact identity of maps."""
+    tower = (before or after)[0].tower
+    zero = tower.zero()
+    chains = [[_cleared(f.coords) for f in chain] for chain in (before, after)]
+
+    def image(chain, p):
+        for coords in chain:
+            p = [c.eval_zero_ok(p, zero) for c in coords]
+            if all(x.is_zero() for x in p):
+                return None  # p lies in the base locus
+        return p
+
+    src, dst = [], []
+    for a, b in _GRID:
+        p = [tower.scalar(a), tower.scalar(b), tower.one()]
+        s, d = image(chains[0], p), image(chains[1], p)
+        if s is None or d is None:
+            continue
+        if _in_general_position(src + [s]) and _in_general_position(dst + [d]):
+            src.append(s)
+            dst.append(d)
+            if len(src) == 4:
+                m = projectivity(src, dst)
+                return _coefficient_rows(tower, _scale_canonical(_linear_forms(m)))
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -1107,15 +1161,6 @@ def _checked_forward(fwd_map: RationalMap, surface: SBSurface, target: SBSurface
     return TwistedMap(fwd_map, surface, target)
 
 
-def _no_three_collinear(components) -> bool:
-    from itertools import combinations
-
-    for triple in combinations(components, 3):
-        if det3(_columns(triple)).is_zero():
-            return False
-    return True
-
-
 def conic_through_five(tower: TowerField, pts) -> MPoly:
     basis, _ = curves_through(tower, pts, 2)
     if len(basis) != 1:
@@ -1132,7 +1177,7 @@ def link_from_6point(surface: SBSurface, point: ClosedPoint) -> Link:
         raise SblinksError("link_from_6point needs a degree-6 point")
     tower = point.tower
     comps = point.components
-    if not _no_three_collinear(comps):
+    if not _in_general_position(comps):
         raise SpecialPosition("three of the six components are collinear")
     full_conics, _ = curves_through(tower, comps, 2)
     if full_conics:

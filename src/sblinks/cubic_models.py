@@ -8,7 +8,19 @@ six named disjoint lines, a contraction to the twisted plane, and an
 order-3 automorphism that descends to a composition of two 3-links.
 
 All identities are verified exactly, reducing modulo the cubic relation
-where a statement only holds on the surface.
+where a statement only holds on the surface.  No normal form is built only
+to be compared:
+
+- whether two lines meet is read off the Pluecker pairing of their plane
+  pairs, the 4x4 determinant of the four planes; a rank is taken only for
+  degenerate or coinciding pairs;
+- the linear map that aligns the second link of the order-3 map is proposed
+  from the images of four grid points and proved by the raw identity
+  rho-hat = chi2 o chi1;
+- order 3 is the raw identity rho-hat o rho-hat = chi1^-1 o chi2^-1, which
+  the links' round trips make rho-hat^-1: no composite is normalised;
+- the section's sanity checks, which no nonzero scalar changes, substitute
+  cleared operands.
 """
 
 from __future__ import annotations
@@ -18,13 +30,16 @@ from dataclasses import dataclass
 from .birational import (
     RationalMap,
     TwistedMap,
+    _cleared,
     _coefficient_rows,
     _composes_to,
     _followed_by_linear,
     _line_image,
     _linear_forms,
+    _linear_through,
     _mat_times,
-    compose,
+    _subst_cleared,
+    _substituted,
     link_from_3point,
     transport_point,
 )
@@ -32,6 +47,7 @@ from .errors import (
     DegenerateTower,
     IdentityFails,
     LambdaIsCube,
+    NotEquivariant,
     SblinksError,
     SectionNotFound,
     ZeroXi,
@@ -367,10 +383,38 @@ def _line_on_cubic(tower, pair, cubic) -> bool:
     return cubic.subst(param).is_zero()
 
 
-def _lines_meet(tower, pair1, pair2):
-    """0 or 1: intersection count of two distinct lines in P^3."""
-    rows = _coefficient_rows(tower, pair1 + pair2)
-    rk = rank(rows)
+# index pairs (i, j), i < j, of the Pluecker coordinates p_ij
+_PLUECKER = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
+
+def _pluecker(tower, pair):
+    """The Pluecker coordinates of the line {f1 = f2 = 0}: the 2x2 minors
+    p_ij = a_i b_j - a_j b_i of its two planes' coefficient rows a, b."""
+    a, b = _coefficient_rows(tower, pair)
+    return tuple(a[i] * b[j] - a[j] * b[i] for i, j in _PLUECKER)
+
+
+def _lines_meet(tower, pair1, pair2, p, q):
+    """0 or 1: intersection count of two distinct lines in P^3, given as
+    plane pairs with their Pluecker coordinates p and q.
+
+    The pairing p01 q23 - p02 q13 + p03 q12 + p12 q03 - p13 q02 + p23 q01
+    is the 4x4 determinant of the four planes, by Laplace expansion along
+    the first two rows: nonzero exactly when the lines are skew.  When it
+    vanishes, two nonzero, non-proportional coordinate vectors are two
+    distinct lines, which then meet in one point.  Every other case (a
+    degenerate plane pair, or coinciding lines, which raise) is decided by
+    the rank of the four planes."""
+    pairing = (
+        p[0] * q[5] - p[1] * q[4] + p[2] * q[3]
+        + p[3] * q[2] - p[4] * q[1] + p[5] * q[0]
+    )
+    if not pairing.is_zero():
+        return 0
+    nonzero = not all(x.is_zero() for x in p) and not all(x.is_zero() for x in q)
+    if nonzero and not _proportional(p, q):
+        return 1
+    rk = rank(_coefficient_rows(tower, pair1 + pair2))
     if rk <= 2:
         raise SblinksError("the two lines coincide")
     return 1 if rk == 3 else 0
@@ -408,9 +452,12 @@ def verify_smooth_model(model: SmoothCubicModel) -> dict:
             raise IdentityFails(f"line E_{i} does not lie on the cubic")
     report["lines_on_cubic"] = True
 
+    # each line's Pluecker coordinates, once
+    pl = [_pluecker(Lh, e) for e in model.lines]
     for i in range(6):
         for j in range(i + 1, 6):
-            if _lines_meet(Lh, model.lines[i], model.lines[j]) != 0:
+            e, f = model.lines[i], model.lines[j]
+            if _lines_meet(Lh, e, f, pl[i], pl[j]) != 0:
                 raise IdentityFails(f"lines E_{i} and E_{j} are not disjoint")
     report["lines_disjoint"] = True
 
@@ -421,8 +468,8 @@ def verify_smooth_model(model: SmoothCubicModel) -> dict:
     ]
     got = []
     for aux in (model.l01, model.conic0, model.conic1):
-        row = [_lines_meet(Lh, aux, e) for e in model.lines]
-        got.append(row)
+        pa = _pluecker(Lh, aux)
+        got.append([_lines_meet(Lh, aux, e, pa, q) for e, q in zip(model.lines, pl)])
     if got != expected_table:
         raise IdentityFails(f"incidence table mismatch: {got}")
     report["incidence_table"] = got
@@ -564,11 +611,16 @@ def section_of_contraction(model: SmoothCubicModel):
 
     section = _strip_vector_content([drop_sr(p) for p in section5])
 
-    # sanity: the section lands on the cubic and splits the contraction
-    if not model.cubic.subst(section).is_zero():
+    # sanity: the section lands on the cubic and splits the contraction.
+    # Neither statement moves when the section, the cubic or the contraction
+    # is scaled by a nonzero constant, so both run on cleared operands.
+    cleared = list(_cleared(section))
+    (cubic,) = _cleared((model.cubic,))
+    if not cubic.subst(cleared).is_zero():
         raise SectionNotFound("section does not satisfy the cubic equation")
     u_vars = [MPoly.variable(3, i, one) for i in range(3)]
-    if not _proportional([f.subst(section) for f in model.contraction], u_vars):
+    images = [f.subst(cleared) for f in _cleared(model.contraction)]
+    if not _proportional(images, u_vars):
         raise SectionNotFound("section is not a right inverse")
     return tuple(section)
 
@@ -576,44 +628,54 @@ def section_of_contraction(model: SmoothCubicModel):
 def order3_selfmap(model: SmoothCubicModel):
     """The order-3 self-map rho-hat of S_xi induced by [w:x:y:z] ->
     [zeta w:x:y:z], together with its factorization into two 3-links with
-    splitting fields K[cbrt lam] and K[cbrt mu]."""
+    splitting fields K[cbrt lam] and K[cbrt mu].
+
+    No composite is normalised.  The second link is aligned by a linear map
+    M proposed pointwise (`_linear_through`: M sends chi2(chi1(p)) to
+    rho-hat(p) at four grid points) and proved by the raw identity
+    rho-hat = chi2' o chi1.  Then rho-hat o rho-hat = chi1^-1 o chi2'^-1,
+    compared raw by `_squares_to`, is rho-hat^-1 by the links' round trips:
+    rho-hat has order 3, with no gcd taken."""
     Lh = model.tower
     surface = model.surface()
     section = section_of_contraction(model)
     zeta = Lh.zeta()
     rho_section = [section[0].scale(zeta)] + list(section[1:])
-    rho_hat = RationalMap(Lh, tuple(f.subst(rho_section) for f in model.contraction))
+    # normalising removes the scale that clearing puts on the raw triple
+    rho_hat = RationalMap(Lh, _subst_cleared(model.contraction, rho_section))
 
-    # rho o (rho o rho) is only compared, so it stays raw; rho o rho is
-    # reduced first (degree 16 to 4), which keeps the outer substitution
-    # small: the raw degree-64 cube costs more than that one gcd
-    ident = RationalMap.identity(Lh)
-    if not _composes_to(rho_hat, compose(rho_hat, rho_hat), ident.coords):
-        raise IdentityFails("rho-hat does not have order 3")
-
-    # first link: at the images of E0,E1,E2, which are the coordinate points
-    p = coordinate_3point(surface)
-    chi1 = link_from_3point(surface, p)
-
-    # second link: at the transported images of E3,E4,E5
-    q_comps = [_image_of_contracted_line(model, model.lines[i]) for i in range(3, 6)]
-    q0 = make_closed_point(surface, q_comps, Lh)
-    q1 = transport_point(chi1.forward.map, q0, chi1.forward.target)
-    chi2 = link_from_3point(chi1.forward.target, q1)
-
-    # align chi2 so that rho-hat = chi2 o chi1 exactly (a trivial relation)
-    m1 = compose(rho_hat, chi1.backward.map)
-    m2 = compose(m1, chi2.backward.map)
-    if m2.degree != 1:
-        raise IdentityFails(
-            f"rho-hat does not factor through the two links (degree {m2.degree})"
-        )
-    chi2 = _followed_by_linear(chi2, m2.matrix(), surface)
+    chi1, chi2 = _two_links(model, surface)
+    m = _linear_through((chi1.forward.map, chi2.forward.map), (rho_hat,))
+    if m is None:
+        raise IdentityFails("no four grid points propose the alignment of chi2")
+    try:
+        chi2 = _followed_by_linear(chi2, m, surface)
+    except NotEquivariant as e:
+        raise IdentityFails(f"the proposed alignment of chi2 fails: {e}") from e
     if not _composes_to(chi2.forward.map, chi1.forward.map, rho_hat.coords):
         raise IdentityFails("rho-hat != chi2 o chi1 after alignment")
+    if not _squares_to(rho_hat, chi1.backward.map, chi2.backward.map):
+        raise IdentityFails("rho-hat does not have order 3")
 
     # chi2 o chi1 = rho-hat, on two certified links: rho-hat is defined over K
     return TwistedMap(rho_hat, surface, surface), chi1, chi2
+
+
+def _two_links(model: SmoothCubicModel, surface):
+    """The two 3-links of the factorization, before the second is aligned:
+    chi1 at the images of E0, E1, E2, which are the coordinate points, and
+    chi2 at the images of E3, E4, E5, transported by chi1."""
+    chi1 = link_from_3point(surface, coordinate_3point(surface))
+    q_comps = [_image_of_contracted_line(model, model.lines[i]) for i in range(3, 6)]
+    q0 = make_closed_point(surface, q_comps, model.tower)
+    q1 = transport_point(chi1.forward.map, q0, chi1.forward.target)
+    return chi1, link_from_3point(chi1.forward.target, q1)
+
+
+def _squares_to(rho: RationalMap, f: RationalMap, h: RationalMap) -> bool:
+    """Whether rho o rho is projectively f o h, both raw composites compared
+    by cross products: with f o h = rho^-1 this is rho^3 = id."""
+    return _composes_to(rho, rho, _substituted(f, h))
 
 
 def _strip_sr_content(p: MPoly) -> MPoly:

@@ -641,7 +641,19 @@ def gcd(f: MPoly, g: MPoly) -> MPoly:
 
 
 def gcd_many(polys) -> MPoly:
-    ordered = sorted(polys, key=lambda p: (len(p.terms), p.total_degree()))
+    """The monic gcd, folded from the smallest input.  An input equal to one
+    already taken is skipped: its gcd with the fold changes nothing, and the
+    gcd of a polynomial with itself (the three dehomogenised coordinates of
+    an identity composite) is a full remainder sequence.  A single input is
+    returned unscaled, several equal ones monic."""
+    polys = list(polys)
+    distinct = []
+    for p in polys:
+        if p not in distinct:
+            distinct.append(p)
+    if len(polys) > 1 and len(distinct) == 1:
+        return distinct[0].monic()
+    ordered = sorted(distinct, key=lambda p: (len(p.terms), p.total_degree()))
     g = ordered[0]
     for p in ordered[1:]:
         g = gcd(g, p)

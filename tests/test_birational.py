@@ -56,7 +56,6 @@ from sblinks.severi_brauer import (
     ClosedPoint,
     auto_between_3points,
     closed_point_from_seed,
-    make_closed_point,
     make_surface,
     normalize_point,
     opposite,
@@ -687,19 +686,13 @@ def _seeded_3points(surface, L, count, seed):
 def _models_second_link():
     """The second link of `order3_selfmap`, before its alignment: at the
     transported images of E3, E4, E5, over the models tower."""
-    from sblinks.cubic_models import _image_of_contracted_line, build_smooth_model
+    from sblinks.cubic_models import _two_links, build_smooth_model
     from sblinks.field_tower import TowerField
-    from sblinks.severi_brauer import coordinate_3point
 
     K = TowerField.rational(2)
     t1, t2 = K.t_var(0), K.t_var(1)
     model = build_smooth_model(t1, (t2 - K.one()) / (K.scalar(27) * t1), K.one())
-    surface = model.surface()
-    chi1 = link_from_3point(surface, coordinate_3point(surface))
-    comps = [_image_of_contracted_line(model, model.lines[i]) for i in range(3, 6)]
-    q0 = make_closed_point(surface, comps, model.tower)
-    q1 = transport_point(chi1.forward.map, q0, chi1.forward.target)
-    return link_from_3point(chi1.forward.target, q1)
+    return _two_links(model, model.surface())[1]
 
 
 @pytest.fixture(scope="module")

@@ -4,9 +4,27 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sblinks.errors import DegenerateTower, IdentityFails, LambdaIsCube, ZeroXi
+import sblinks.birational as birational
+import sblinks.cubic_models as cubic_models
+from sblinks.birational import (
+    _coefficient_rows,
+    _linear_through,
+    compose,
+)
+from sblinks.errors import (
+    DegenerateTower,
+    IdentityFails,
+    LambdaIsCube,
+    SblinksError,
+    ZeroXi,
+)
 from sblinks.cubic_models import (
+    _lines_meet,
+    _pluecker,
+    _squares_to,
+    _two_links,
     build_singular_model,
     build_smooth_model,
     order3_selfmap,
@@ -16,6 +34,7 @@ from sblinks.cubic_models import (
     verify_smooth_model,
 )
 from sblinks.field_tower import TowerField
+from sblinks.linalg import rank
 from sblinks.multipoly import MPoly
 from sblinks.severi_brauer import radicand_class_string
 
@@ -109,8 +128,22 @@ def test_randomized_singular_models(K2m):
         assert report["factorization"] and report["psi_equivariant_to_op"]
 
 
+# the report of `verify_smooth_model` on the `smooth` fixture
+SMOOTH_REPORT = {
+    "fundamental_identity": True,
+    "aaa_identity": True,
+    "lines_on_cubic": True,
+    "lines_disjoint": True,
+    "incidence_table": [[1, 1, 0, 0, 0, 0], [0, 1, 1, 1, 1, 1], [1, 0, 1, 1, 1, 1]],
+    "galois_orbits": True,
+    "contraction_equivariant": True,
+    "xi_norm_status": "no",
+}
+
+
 def test_smooth_model_identities(smooth, K2m):
     report = verify_smooth_model(smooth)
+    assert report == SMOOTH_REPORT
     assert report["fundamental_identity"]
     assert report["aaa_identity"]
     assert report["lines_on_cubic"]
@@ -215,3 +248,158 @@ def test_randomized_smooth_models(K2m):
         assert report["fundamental_identity"]
         assert report["lines_disjoint"]
         assert report["contraction_equivariant"]
+
+
+# ---------------------------------------------------------------------------
+# line incidences by Pluecker coordinates, against the rank of four planes
+
+
+def lines_meet_by_rank(tower, pair1, pair2):
+    """The reference: 0 or 1 from the rank of the four planes, which raises
+    when the two lines coincide."""
+    rk = rank(_coefficient_rows(tower, pair1 + pair2))
+    if rk <= 2:
+        raise SblinksError("the two lines coincide")
+    return 1 if rk == 3 else 0
+
+
+def _meet_outcome(meet, *args):
+    try:
+        return meet(*args)
+    except SblinksError as e:
+        return f"raises: {e}"
+
+
+def test_model_incidences_match_ranks(smooth):
+    """All 33 pairs that `verify_smooth_model` decides: 15 among E0..E5 and
+    18 of an auxiliary line with one of them."""
+    Lh = smooth.tower
+    aux = (smooth.l01, smooth.conic0, smooth.conic1)
+    pairs = [
+        (smooth.lines[i], smooth.lines[j]) for i in range(6) for j in range(i + 1, 6)
+    ] + [(a, e) for a in aux for e in smooth.lines]
+    meets = 0
+    for a, b in pairs:
+        got = _lines_meet(Lh, a, b, _pluecker(Lh, a), _pluecker(Lh, b))
+        assert got == lines_meet_by_rank(Lh, a, b)
+        meets += got
+    assert len(pairs) == 33 and meets == 12
+
+
+def _plane(coeffs):
+    """The linear form in (w, x, y, z) with the given coefficients."""
+    one = {k: tuple(int(i == k) for i in range(4)) for k in range(4)}
+    return MPoly(4, {one[k]: c for k, c in enumerate(coeffs) if not c.is_zero()})
+
+
+@pytest.mark.parametrize("kind", ["skew", "meeting", "coincident", "degenerate"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_pluecker_incidence_matches_rank(smooth, kind, data):
+    """Over the models tower: random plane pairs (mostly skew), a second
+    line inside a plane through the first (meeting), the first line cut out
+    by two other planes of its pencil (coincident: both raise), and two
+    proportional planes (degenerate).
+
+    Each plane has coefficients in K times one radical monomial, which moves
+    no plane: elimination over sums of radicals swells in this tower (a
+    4x4 rank over such entries did not finish in 10 s)."""
+    Lh = smooth.tower
+    one, t1, t2, z = Lh.one(), Lh.t_var(0), Lh.t_var(1), Lh.zeta()
+    u, m = Lh.gen(smooth.ext.radical_name), Lh.gen(smooth.mu_radical)
+    entry = st.sampled_from(
+        [Lh.zero(), one, -one, Lh.scalar(2), t1, t2 - one, z, z + one]
+    )
+    scalar = entry.filter(lambda c: not c.is_zero())
+    radical = st.sampled_from([one, u, m, z * u, u * m, u * u * m])
+
+    def plane():
+        return [data.draw(entry) for _ in range(4)]
+
+    def comb(x, a, y, b):
+        return [x * p + y * q for p, q in zip(a, b)]
+
+    a, b = plane(), plane()
+    if kind == "skew":
+        c, d = plane(), plane()
+    elif kind == "meeting":
+        c, d = comb(data.draw(scalar), a, data.draw(entry), b), plane()
+    elif kind == "coincident":
+        x, y, v, w = (data.draw(entry) for _ in range(4))
+        c, d = comb(x, a, y, b), comb(v, a, w, b)
+    else:
+        b = [data.draw(scalar) * p for p in a]
+        c, d = plane(), plane()
+
+    def line(*planes):
+        scales = [data.draw(radical) for _ in planes]
+        return tuple(_plane([r * x for x in p]) for p, r in zip(planes, scales))
+
+    first, second = line(a, b), line(c, d)
+    if data.draw(st.booleans(), label="swap"):
+        first, second = second, first
+    got = _meet_outcome(
+        _lines_meet, Lh, first, second, _pluecker(Lh, first), _pluecker(Lh, second)
+    )
+    assert got == _meet_outcome(lines_meet_by_rank, Lh, first, second)
+
+
+def test_smooth_model_needs_no_rank(monkeypatch, smooth):
+    """Every incidence of the smooth model is decided by the Pluecker
+    pairing: the rank fallback is never reached."""
+
+    def fail(*args, **kwargs):
+        raise AssertionError("an incidence fell back to the rank")
+
+    monkeypatch.setattr(cubic_models, "rank", fail)
+    assert verify_smooth_model(smooth) == SMOOTH_REPORT
+
+
+# ---------------------------------------------------------------------------
+# the order-3 certificates
+
+
+def test_proposed_alignment_is_the_normalised_composite(smooth, order3):
+    """The pointwise-proposed alignment equals the matrix of the normalised
+    composite rho-hat o chi1^-1 o chi2^-1 of the unaligned links."""
+    rho = order3[0].map
+    chi1, chi2 = _two_links(smooth, smooth.surface())
+    m = _linear_through((chi1.forward.map, chi2.forward.map), (rho,))
+    reference = compose(compose(rho, chi1.backward.map), chi2.backward.map)
+    assert reference.degree == 1
+    assert m == reference.matrix()
+
+
+def test_order3_check_rejects_the_forward_pair(order3):
+    rho, chi1, chi2 = order3
+    assert _squares_to(rho.map, chi1.backward.map, chi2.backward.map)
+    assert not _squares_to(rho.map, chi1.forward.map, chi2.forward.map)
+
+
+@pytest.mark.parametrize("proposal", ["perturbed", "none"])
+def test_wrong_alignment_fails_loudly(monkeypatch, smooth, proposal):
+    """A perturbed alignment matrix, or none found, raises IdentityFails."""
+
+    def propose(before, after):
+        if proposal == "none":
+            return None
+        m = [list(row) for row in _linear_through(before, after)]
+        m[0][0] = m[0][0] + smooth.tower.one()
+        return tuple(map(tuple, m))
+
+    monkeypatch.setattr(cubic_models, "_linear_through", propose)
+    with pytest.raises(IdentityFails):
+        order3_selfmap(smooth)
+
+
+def test_order3_needs_no_compose(monkeypatch, smooth, link_sha):
+    """order3_selfmap normalises no composite, and its output is still
+    pinned."""
+
+    def fail(*args, **kwargs):
+        raise AssertionError("order3_selfmap reached compose")
+
+    monkeypatch.setattr(birational, "compose", fail)
+    rho, chi1, chi2 = order3_selfmap(smooth)
+    rho_sha = hashlib.sha256(json.dumps(rho.to_json(), sort_keys=True).encode())
+    assert (rho_sha.hexdigest(), link_sha(chi1), link_sha(chi2)) == ORDER3_PINS

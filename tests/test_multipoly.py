@@ -13,6 +13,7 @@ from sblinks.multipoly import (
     bareiss_det,
     exact_div,
     gcd,
+    gcd_many,
     gcd_many_homogeneous,
     lc_in,
     mod_reduce,
@@ -552,3 +553,46 @@ def test_resultant_matches_sylvester_determinant(ring, L, data):
     # both orders: res(g, f) = (-1)^(mn) res(f, g) when m < n
     assert resultant(f, g, 0) == bareiss_det(sylvester(f, g, 0))
     assert resultant(g, f, 0) == bareiss_det(sylvester(g, f, 0))
+
+
+# ---------------------------------------------------------------------------
+# gcd_many against the fold over every input
+
+
+def gcd_many_fold(polys):
+    """The reference: the monic gcd folded over every input, equal ones
+    included, from the smallest; a single input unscaled."""
+    ordered = sorted(polys, key=lambda p: (len(p.terms), p.total_degree()))
+    g = ordered[0]
+    for p in ordered[1:]:
+        g = gcd(g, p)
+        if g.is_const() and not g.is_zero():
+            break
+    return g
+
+
+@pytest.mark.parametrize("case", ["duplicates", "scalar multiples", "single"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_gcd_many_skipping_equal_inputs_matches_the_fold(case, data):
+    """Equal inputs are skipped and scalar multiples are not; either way the
+    answer is the fold's, and a single input comes back as it was."""
+    nonzero = COEFFS.filter(lambda c: not c.is_zero())
+    common = MPoly(2, data.draw(terms(2, 2, nonzero, 3), label="common"))
+    if common.is_zero():
+        common = MPoly.const(2, QZeta(2))
+    base = [
+        MPoly(2, data.draw(terms(2, 2, nonzero, 3), label="cofactor")) * common
+        for _ in range(data.draw(st.integers(1, 3), label="distinct"))
+    ]
+    if case == "single":
+        assert gcd_many([base[0]]) is base[0]
+        assert gcd_many([base[0]]) == gcd_many_fold([base[0]])
+        return
+    polys = list(base)
+    for _ in range(data.draw(st.integers(1, 3), label="repeats")):
+        p = data.draw(st.sampled_from(base))
+        if case == "scalar multiples":
+            p = p.scale(data.draw(nonzero.filter(lambda c: not c.is_one())))
+        polys.insert(data.draw(st.integers(0, len(polys))), p)
+    assert gcd_many(polys) == gcd_many_fold(polys)
