@@ -467,7 +467,8 @@ def _linear_through(before, after):
     `RationalMap.evaluate` would rescale each one by an inverse: projective
     points are all the projectivity needs, and cleared values keep the
     arithmetic free of t-denominators.  They only propose M, and nothing is
-    proved here: the caller certifies M by an exact identity of maps."""
+    proved here: the callers, `order3_selfmap` (two short chains) and
+    `hexagon` (two half chains of three maps), certify M by exact identities."""
     tower = (before or after)[0].tower
     zero = tower.zero()
     chains = [[_cleared(f.coords) for f in chain] for chain in (before, after)]

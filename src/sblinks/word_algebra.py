@@ -13,11 +13,11 @@ from dataclasses import dataclass
 
 from .birational import (
     Link,
-    RationalMap,
     TwistedMap,
     _followed_by_linear,
+    _linear_through,
+    _subst_cleared,
     compose,
-    equals,
     image_of_line,
     link_from_3point,
     transport_point,
@@ -29,10 +29,11 @@ from .errors import (
     SblinksError,
     UnclassifiablePoint,
 )
-from .linalg import inverse3
+from .linalg import _proportional, inverse3
 from .severi_brauer import (
     ClosedPoint,
     SBSurface,
+    _is_scalar_matrix,
     closed_point_from_seed,
     is_isomorphic,
 )
@@ -233,9 +234,11 @@ def hexagon(surface: SBSurface, p: ClosedPoint, p_prime: ClosedPoint):
     one point is collinear with two components of the other, two opposite
     vertices of the hexagon merge and the relation core shortens to a
     square; the chain is then completed to six links by the first link and
-    its inverse, a trivial relation.  Returns (links, report); the last link
-    of each closing step absorbs a twisted isomorphism so the chain ends on
-    the original chart.
+    its inverse, a trivial relation.  Otherwise one raw identity of the two
+    half chains proves the six links closed (`_close_in_the_middle`), with
+    no composite of all six maps.  Returns (links, report); the last link of
+    each closing step absorbs a twisted isomorphism so the chain ends on the
+    original chart.
     """
     if p.degree != 3 or p_prime.degree != 3:
         raise DegeneratePair("hexagon needs two degree-3 points")
@@ -270,25 +273,10 @@ def hexagon(surface: SBSurface, p: ClosedPoint, p_prime: ClosedPoint):
         base = nxt
         current = link.forward.target
 
-    closed = False
     if merged:
-        links = _close_merged_square(surface, p, links)
+        closed, links = False, _close_merged_square(surface, p, links)
     else:
-        composite = links[0].forward.map
-        for link in links[1:]:
-            composite = compose(link.forward.map, composite)
-        if composite.degree != 1:
-            raise SblinksError(
-                f"hexagon composite has degree {composite.degree}, expected 1"
-            )
-        closed = equals(
-            composite, RationalMap.identity(composite.tower)
-        ) and links[-1].forward.target == surface
-        if not closed:
-            # compose certified the composite as the linear map eta by exact
-            # division; following the last link by eta^-1 closes the chain
-            # on the original chart with the identity as composite
-            links[-1] = _absorb_into_link(links[-1], composite, surface)
+        closed, links = _close_in_the_middle(surface, links)
 
     word = psi_compose(links)
     descriptors = [lk.base_point.descriptor for lk in links]
@@ -334,14 +322,35 @@ def _close_merged_square(surface: SBSurface, p: ClosedPoint, links):
     comp4 = compose(link4.forward.map, comp3)
     if comp4.degree != 1:
         raise DegeneratePair("square closure failed to reach a linear map")
-    link4 = _absorb_into_link(link4, comp4, surface)
+    link4 = _absorb_into_link(link4, comp4.matrix(), surface)
     return [links[0], links[1], links[2], link4, links[0], links[0].inverse()]
 
 
-def _absorb_into_link(link: Link, composite: RationalMap, home: SBSurface) -> Link:
-    """Compose the last link with the inverse of the residual isomorphism, a
+def _close_in_the_middle(surface: SBSurface, links):
+    """Close six certified links Fk, backward maps Bk, on the home chart: M =
+    F6 o ... o F1 is proposed by M . (B1 o B2 o B3) = F6 o F5 o F4 at grid
+    points, and the last link is followed by M^-1 unless M is scalar there.
+    The raw identity F3 o F2 o F1 = B4 o B5 o B6, with the links' certified
+    round trips, proves the returned chain.  Returns (closed, links)."""
+    fwd = [lk.forward.map for lk in links]
+    m = _linear_through([lk.backward.map for lk in links[2::-1]], fwd[3:])
+    if m is None:
+        raise SblinksError("no grid points propose the closing isomorphism")
+    closed = _is_scalar_matrix(m) and links[-1].forward.target == surface
+    if not closed:
+        links = links[:5] + [_absorb_into_link(links[-1], m, surface)]
+    f1, f2, f3 = (f.coords for f in fwd[:3])
+    b4, b5, b6 = (lk.backward.map.coords for lk in links[3:])
+    half = _subst_cleared(f3, _subst_cleared(f2, f1))
+    if not _proportional(half, _subst_cleared(b4, _subst_cleared(b5, b6))):
+        raise SblinksError("hexagon does not close: F3 o F2 o F1 != B4 o B5 o B6")
+    return closed, links
+
+
+def _absorb_into_link(link: Link, m, home: SBSurface) -> Link:
+    """Follow the last link by the inverse of the residual isomorphism m, a
     trivial relation that closes the hexagon on the original chart."""
     try:
-        return _followed_by_linear(link, inverse3(composite.matrix()), home)
+        return _followed_by_linear(link, inverse3(m), home)
     except NotEquivariant as e:
         raise SblinksError("closing isomorphism is not defined over K") from e

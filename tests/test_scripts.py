@@ -40,8 +40,12 @@ def _run(*argv):
             ("hexagon_walk.py", "1", "1", "1"),
             ["composite is identity: True", "Psi(chain) = 1", "merged square core: True"],
         ),
+        (
+            ("hexagon_walk.py",),  # the general-position point [1:1:2]
+            ["merged square core: False", "composite is identity: True", "Psi(chain) = 1"],
+        ),
     ],
-    ids=["verify_identities", "hexagon_walk"],
+    ids=["verify_identities", "hexagon_walk", "hexagon_walk_general_position"],
 )
 def test_script_runs(argv, expected):
     done = _run(*argv)

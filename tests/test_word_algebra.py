@@ -3,9 +3,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sblinks.errors import DegeneratePair, NotComposable
+from sblinks import word_algebra
+from sblinks.birational import compose, curves_through
+from sblinks.errors import DegeneratePair, NotComposable, SblinksError
+from sblinks.linalg import mat_identity
 from sblinks.severi_brauer import closed_point_from_seed, second_3point
 from sblinks.word_algebra import (
+    _close_in_the_middle,
     GroupWord,
     LinkClass,
     class_of_point,
@@ -157,11 +161,33 @@ def test_hexagon_links_keep_every_fact(
         assert_link_facts(link)
 
 
-def test_hexagon_general_position(surface, coord_point, L, assert_link_facts):
-    q = closed_point_from_seed(
-        surface, (L.one(), L.one(), L.scalar(2)), L
-    )
-    links, report = hexagon(surface, coord_point, q)
+# SHA-256 of the JSON of the six links of the general-position hexagon,
+# computed when the walk was still closed by composing all six maps
+HEXAGON_GP_LINK_PINS = [
+    "9ed5cc9a0ed30f36a7bfccdf28f440e4428b329354d53617d9096aabb50b5d56",
+    "5732c87be4144c861596b333e335bdfbb6687fd6edb240acbfe998be82c58197",
+    "c280103e2c7f096a43b295b7a1d15592fb76b65d0f489368928475cd487fb89d",
+    "4871f85bfb701166d11be29328fec2dd796ea5de2bda211ef8f4e7c753424f75",
+    "0057b819ed8111a80ba65acf73034b6d75a19e5455234ba973a5015d7e1819b7",
+    "e5c224260e658798123ec3fd08d24ccd922359c8bd2af87253ff698269edb260",
+]
+
+
+@pytest.fixture(scope="module")
+def gp_point(surface, L):
+    """The second point of the general-position hexagon: the orbit of [1:1:2]."""
+    return closed_point_from_seed(surface, (L.one(), L.one(), L.scalar(2)), L)
+
+
+@pytest.fixture(scope="module")
+def gp_hexagon(surface, coord_point, gp_point):
+    return hexagon(surface, coord_point, gp_point)
+
+
+def test_hexagon_general_position(
+    coord_point, gp_point, gp_hexagon, assert_link_facts, link_sha
+):
+    links, report = gp_hexagon
     assert len(links) == 6
     assert not report.merged_square
     assert report.composite_identity
@@ -169,8 +195,38 @@ def test_hexagon_general_position(surface, coord_point, L, assert_link_facts):
     assert report.warm_equivalent and report.cold_equivalent
     descriptors = report.descriptors
     assert descriptors[0] == descriptors[2] == descriptors[4] == coord_point.descriptor
-    assert descriptors[1] == descriptors[3] == descriptors[5] == q.descriptor
+    assert descriptors[1] == descriptors[3] == descriptors[5] == gp_point.descriptor
     assert_link_facts(links[-1])
+    assert [link_sha(link) for link in links] == HEXAGON_GP_LINK_PINS
+
+
+def test_half_hexagon_is_the_quintic_of_a_six_link(L, coord_point, gp_point, gp_hexagon):
+    """The paper's picture of the hexagon: its first three links compose to
+    a quintic double at the six components of p and p', the forward map of
+    a 6-link, in a net of such quintics."""
+    f1, f2, f3 = (link.forward.map for link in gp_hexagon[0][:3])
+    half = compose(f3, compose(f2, f1))
+    assert half.degree == 5
+    components = [list(v) for v in coord_point.components + gp_point.components]
+    for c in half.coords:
+        for g in (c, c.derivative(0), c.derivative(1), c.derivative(2)):
+            assert all(g.eval_zero_ok(v, L.zero()).is_zero() for v in components)
+    quintics, _ = curves_through(L, components, 5, double=True)
+    assert len(quintics) == 3
+
+
+def test_chain_that_does_not_close_raises(monkeypatch, surface, L, gp_hexagon):
+    """The proposal proves nothing.  Let it claim that the chain closes on
+    its own, with the identity matrix, and end the chain on the home chart
+    by a certified link that does not close it: the identity of the half
+    chains refuses the chain."""
+    links = gp_hexagon[0]
+    wrong = links[0].inverse()
+    assert wrong.forward.target == surface and wrong != links[5]
+    identity = mat_identity(L)
+    monkeypatch.setattr(word_algebra, "_linear_through", lambda before, after: identity)
+    with pytest.raises(SblinksError, match="does not close"):
+        _close_in_the_middle(surface, links[:5] + [wrong])
 
 
 def test_hexagon_rejects_equal_points(surface, coord_point):
