@@ -15,12 +15,12 @@ costly part, runs only where it is not already known to hold:
   pairwise independent linear forms share no factor;
 - the backward map of a 3-link is the closed form bwd = P . D . sigma(Q^-1 x)
   of `_cremona`, from 3x3 matrices alone, and only rescales:
-  it takes no gcd, and no compose.  `_absorb_linear`, which composes a
-  candidate with the forward map and divides out the linear factor by the
-  projective gcd, serves 6-links only;
+  it takes no gcd, and no compose.  A 6-link's backward map eta^-1 . b0
+  takes neither: `_inverse_by_jacobian` reads eta off the raw b0 o forward
+  by one exact division by J^2, J the forward Jacobian;
 - a link substitutes into one contracted curve, and takes the inverse base
   point as the twisted orbit of its image: the curves are one Galois orbit;
-- `is_equivariant`, the round-trip certificate of a link and every other
+- `is_equivariant`, the round-trip certificate of a 3-link and every other
   check that only compares a composite (`_composes_to`) compare
   unnormalised coordinate triples by 2x2 cross products, which needs no
   normal form.
@@ -92,6 +92,7 @@ from .multipoly import (
     gcd_many_homogeneous,
     resultant,
     squarefree_part,
+    try_div,
 )
 from .severi_brauer import (
     ClosedPoint,
@@ -388,8 +389,10 @@ class Link:
 
     `link_from_3point` and `link_from_6point` certify each fact once: the
     forward map's equivariance, one splitting field for both base points,
-    and, in `_certified`, the forward degree and backward o forward = id,
-    which give the backward map's equivariance and forward o backward = id.
+    the forward degree and backward o forward = id, which give the backward
+    map's equivariance and forward o backward = id.  `_certified` checks the
+    last two for a 3-link; a 6-link's round trip is the exact division in
+    `_inverse_by_jacobian` that builds its backward map.
     Derived links inherit them: `inverse` checks nothing, and
     `_followed_by_linear` checks only that its matrix is defined over K."""
 
@@ -1056,17 +1059,22 @@ def _sigma_after(tower: TowerField, phi) -> RationalMap:
     return _from_coprime(tower, _sigma_forms(phi))
 
 
-def _absorb_linear(b0: RationalMap, forward: RationalMap) -> RationalMap:
-    """Turn an arbitrary contraction b0 at the inverse base point into the
-    exact inverse: compose(b0, forward) is linear, and the linear factor is
-    divided out."""
-    m = compose(b0, forward)
-    if m.degree != 1:
-        raise SblinksError(
-            f"candidate backward map composes to degree {m.degree}, not 1"
-        )
-    eta = m.matrix()
-    return apply_matrix(inverse3(eta), b0)
+def _inverse_by_jacobian(b0: RationalMap, forward: RationalMap) -> RationalMap:
+    """The exact inverse eta^-1 . b0 of forward, b0 double at the inverse base
+    point.  The Jacobian J of forward vanishes exactly on its contracted
+    curves, so the raw b0 o forward is J^2 . eta, eta linear; dividing by J^2
+    proves it, and eta^-1 . b0 o forward = J^2 . id is the round trip.
+    Raises SblinksError when J is zero, a division leaves a remainder or a
+    quotient is not linear, as inverse3 does when eta is singular."""
+    fc = _cleared(forward.coords)
+    jac = det3([[c.derivative(i) for i in range(3)] for c in fc])
+    if jac.is_zero():
+        raise SblinksError("the forward map has a zero Jacobian")
+    jac2 = jac * jac
+    eta = [try_div(c, jac2) for c in _subst_cleared(b0.coords, fc)]
+    if any(q is None or q.total_degree() != 1 for q in eta):
+        raise SblinksError("candidate backward map is not J^2 times a linear map")
+    return apply_matrix(inverse3(_coefficient_rows(forward.tower, eta)), b0)
 
 
 def _columns(points):
@@ -1195,6 +1203,8 @@ def link_from_6point(surface: SBSurface, point: ClosedPoint) -> Link:
     target = opposite(surface)
     triple = equivariant_triple(surface, target, basis, tower)
     fwd_map = RationalMap(tower, triple)
+    if fwd_map.degree != 5:
+        raise SblinksError("a 6-link must have forward degree 5")
     forward = _checked_forward(fwd_map, surface, target)
 
     conic = conic_through_five(tower, comps[1:])
@@ -1213,9 +1223,9 @@ def link_from_6point(surface: SBSurface, point: ClosedPoint) -> Link:
             f"inverse quintic system has rank {21 - len(b_basis)}, not 18"
         )
     b0 = RationalMap(tower, tuple(b_basis))
-    bwd_map = _absorb_linear(b0, fwd_map)
+    bwd_map = _inverse_by_jacobian(b0, fwd_map)
 
-    return _certified(Link(forward, TwistedMap(bwd_map, target, surface), point, q, 6))
+    return Link(forward, TwistedMap(bwd_map, target, surface), point, q, 6)
 
 
 def transport_point(m: RationalMap, point: ClosedPoint, target: SBSurface) -> ClosedPoint:

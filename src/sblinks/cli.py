@@ -262,8 +262,8 @@ def cmd_link6(args):
     def run():
         pt = sixpoint_from_sqrt(surface, alpha.lift_to(surface.tower))
         # raises SpecialPosition unless the double-point system has rank 18,
-        # and SblinksError unless the forward degree is 5 and
-        # backward o forward = id
+        # and SblinksError unless the forward degree is 5 and the raw
+        # b0 o forward divides exactly by J^2, the round-trip certificate
         link = link_from_6point(surface, pt)
         return "pass", {
             "rank": 18,

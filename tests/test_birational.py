@@ -19,7 +19,6 @@ from sblinks.errors import (
 from sblinks.birational import (
     RationalMap,
     TwistedMap,
-    _absorb_linear,
     _certified,
     _cleared,
     _columns,
@@ -29,6 +28,7 @@ from sblinks.birational import (
     _express_in_span,
     _factor_over_base,
     _independent_subset,
+    _inverse_by_jacobian,
     _linear_forms,
     _mat_times,
     _radical_roots,
@@ -59,6 +59,7 @@ from sblinks.severi_brauer import (
     make_surface,
     normalize_point,
     opposite,
+    sixpoint_from_sqrt,
     unit_3point,
 )
 
@@ -704,6 +705,17 @@ def closed_form_links(surface, L, link_at_coords, link_at_unit):
     return links
 
 
+def _absorb_linear(b0: RationalMap, forward: RationalMap) -> RationalMap:
+    """The reference inverse: compose(b0, forward) is linear, and the linear
+    factor is divided out by the projective gcd of the composite."""
+    m = compose(b0, forward)
+    if m.degree != 1:
+        raise SblinksError(
+            f"candidate backward map composes to degree {m.degree}, not 1"
+        )
+    return apply_matrix(inverse3(m.matrix()), b0)
+
+
 def _absorbed_backward(link):
     """The reference backward map: sigma after the inverse of the matrix of
     the inverse base point, with its linear factor divided out of the
@@ -721,6 +733,58 @@ def test_closed_form_backward_matches_absorbed(name, closed_form_links):
     reference = _absorbed_backward(link)
     assert link.backward.map == reference
     assert link.backward.map.to_json() == reference.to_json()
+
+
+def _inverse_quintics(link, extra=None):
+    """The candidate b0 of a 6-link: the quintics double at the components
+    of its inverse base point, or at the first five and the point extra."""
+    q = link.inverse_base_point
+    comps = list(q.components) if extra is None else list(q.components[:5]) + [extra]
+    basis, _ = curves_through(q.tower, comps, 5, double=True)
+    assert len(basis) == 3
+    # the gcd that would normalise a triple Galois does not fix ran for
+    # minutes without finishing; the division needs no normal form
+    return RationalMap(q.tower, tuple(basis), normalize=extra is None)
+
+
+def test_6link_backward_matches_absorbed(six_link):
+    """The backward map that one division by J^2 builds is the one that the
+    projective gcd of the composite gives."""
+    reference = _absorb_linear(_inverse_quintics(six_link), six_link.forward.map)
+    assert six_link.backward.map == reference
+    assert six_link.backward.map.to_json() == reference.to_json()
+
+
+def _perturbed(b0):
+    """b0 with one coefficient of its first coordinate raised by one."""
+    c0 = b0.coords[0]
+    e, c = max(c0.tuple_terms().items())
+    bumped = c0 + MPoly.monomial(c0.nvars, e, c.one())
+    return RationalMap(b0.tower, (bumped,) + b0.coords[1:], normalize=False)
+
+
+def _mutated_inverse_data(name, link):
+    fwd = link.forward.map
+    if name == "coefficient":
+        return _perturbed(_inverse_quintics(link)), fwd
+    if name == "double_point":
+        zero = fwd.tower.zero()
+        off = (zero, zero, zero.one())
+        assert off not in link.inverse_base_point.component_set()
+        return _inverse_quintics(link, off), fwd
+    f0, _, f2 = fwd.coords
+    return _inverse_quintics(link), RationalMap(fwd.tower, (f0, f0, f2), normalize=False)
+
+
+@pytest.mark.parametrize("name", ["coefficient", "double_point", "zero_jacobian"])
+def test_6link_division_rejects_mutations(name, six_link):
+    """A candidate b0 with one coefficient changed, or double at a K-point in
+    place of one component of q, leaves a remainder, and a forward triple
+    with two equal coordinates has zero Jacobian: each raises SblinksError,
+    not ZeroDivisionError or NotDivisible."""
+    b0, fwd = _mutated_inverse_data(name, six_link)
+    with pytest.raises(SblinksError):
+        _inverse_by_jacobian(b0, fwd)
 
 
 def _line_images(forward, components):
@@ -790,17 +854,47 @@ def test_swapped_cremona_scales_fail_the_round_trip(name, closed_form_links):
 
 def test_3link_takes_no_compose(monkeypatch, surface, coord_point, unit_point, L):
     """The backward map of a 3-link comes from 3x3 matrices alone: neither
-    compose nor _absorb_linear runs, on either construction path."""
+    compose nor _inverse_by_jacobian runs, on either construction path."""
     import sblinks.birational as birational
 
     def forbidden(*args):
         raise AssertionError("link_from_3point composed maps")
 
     monkeypatch.setattr(birational, "compose", forbidden)
-    monkeypatch.setattr(birational, "_absorb_linear", forbidden)
+    monkeypatch.setattr(birational, "_inverse_by_jacobian", forbidden)
     (random_point,) = _seeded_3points(surface, L, 1, 20240613)
     for pt in (coord_point, unit_point, random_point):
         assert link_from_3point(surface, pt).forward.map.degree == 2
+
+
+def test_6link_takes_no_compose(monkeypatch, surface, six_point, link_json):
+    """The backward map of a 6-link comes from one exact division by J^2,
+    which is also its round trip: neither compose nor a raw round trip runs,
+    and the link is the pinned one."""
+    import sblinks.birational as birational
+    from test_serialization_pins import LINK_PINS, _digests
+
+    def forbidden(*args):
+        raise AssertionError("link_from_6point composed maps")
+
+    monkeypatch.setattr(birational, "compose", forbidden)
+    monkeypatch.setattr(birational, "_composes_to", forbidden)
+    link = link_from_6point(surface, six_point)
+    assert _digests(link_json(link), repr(link)) == LINK_PINS["six_link"]
+
+
+# SHA-256 of the link's JSON form as the projective-gcd route built it
+# (`_absorb_linear` above)
+SIX_LINK_T2_PLUS_1_SHA = "77c6559bb488c26c0afac768ce7b43102ac3f3c89b0c50089d0b27cbef011d27"
+
+
+def test_6link_at_a_non_monomial_radicand(surface, t_vars, assert_link_facts, link_sha):
+    """alpha = t2 + 1, whose square root the link6 bench workload leaves out:
+    the link is the pinned one and keeps every link fact."""
+    _, t2 = t_vars
+    link = link_from_6point(surface, sixpoint_from_sqrt(surface, t2 + t2.one()))
+    assert link_sha(link) == SIX_LINK_T2_PLUS_1_SHA
+    assert_link_facts(link)
 
 
 def test_each_link_fact_is_checked_once(

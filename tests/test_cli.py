@@ -300,3 +300,11 @@ def test_subcommand_json_report(command, capsys):
     assert obj["check"] == command
     assert obj["status"] == "pass"
     assert set(obj["payload"]) == PAYLOAD_KEYS[command]
+
+
+def test_link6_at_a_non_monomial_radicand(capsys):
+    assert run(["--json", "link6", "--alpha", "t2 + 1"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["check"] == "link6"
+    assert obj["status"] == "pass"
+    assert set(obj["payload"]) == PAYLOAD_KEYS["link6"]
