@@ -1,20 +1,35 @@
 """Rational self-maps of the plane over tower fields, equivariance checks,
 and the construction of Sarkisov 3-links and 6-links from closed points.
 
-Maps are triples of homogeneous polynomials, stored with gcd 1 and the
-grlex-least nonzero coefficient scaled to 1, so projective equality is
-representation equality up to the stored normalisation.
+Maps are triples of homogeneous polynomials with gcd 1.  A map's canonical
+triple has its grlex-least nonzero coefficient scaled to 1, and
+`RationalMap.coords` stores it cleared: scaled by one lcm of the
+t-denominators of its coefficients, common to the three coordinates
+(clearing each one alone would change the map), so every stored
+coefficient has denominator 1.  The cleared canonical triple is unique for
+each projective map, so projective equality is equality of stored
+coordinates, for `==` and `hash` alike.  The canonical triple is a derived
+view (`RationalMap.canonical`) that only `repr`, `to_json` and `matrix`
+read.
 
-Every `RationalMap` keeps that invariant, and the gcd over the tower, the
-costly part, runs only where it is not already known to hold:
+The constructor is the one place that scales and clears a map's
+coordinates.  Substitution into or of a map (`compose`, the round trip,
+`is_equivariant`, the images of contracted curves) runs on the stored
+triples, so `subst` does polynomial arithmetic, not a rational-function gcd
+per add and multiply.  Triples that are not a map's, such as curve
+parametrisations, are cleared where they are substituted.
+
+The gcd over the tower, the costly part of construction, runs only where
+coprimality is not already known; `normalize=False` skips it, for a caller
+that guarantees coprime coordinates:
 
 - `compose`, and construction from arbitrary coordinates, run the full gcd;
-- `apply_matrix` and `subst_linear` with an invertible 3x3 matrix, and the
-  conic maps sigma o phi for invertible phi, only rescale: an invertible
-  linear change keeps a coprime triple coprime, and the products of
-  pairwise independent linear forms share no factor;
+- `identity`, `apply_matrix` and `subst_linear` with an invertible 3x3
+  matrix, and the conic maps sigma o phi for invertible phi, skip it: an
+  invertible linear change keeps a coprime triple coprime, and the products
+  of pairwise independent linear forms share no factor;
 - the backward map of a 3-link is the closed form bwd = P . D . sigma(Q^-1 x)
-  of `_cremona`, from 3x3 matrices alone, and only rescales:
+  of `_cremona`, from 3x3 matrices alone, and skips it too:
   it takes no gcd, and no compose.  A 6-link's backward map eta^-1 . b0
   takes neither: `_inverse_by_jacobian` reads eta off the raw b0 o forward
   by one exact division by J^2, J the forward Jacobian;
@@ -25,18 +40,8 @@ costly part, runs only where it is not already known to hold:
   unnormalised coordinate triples by 2x2 cross products, which needs no
   normal form.
 
-Stored coefficients carry t-denominators from the canonical scaling, so
-substitution (`compose`, the round trip, `is_equivariant`, the images of
-contracted curves) runs on cleared triples: `_cleared` scales a triple by
-one lcm of its coefficients' denominators, common to all three coordinates
-(clearing each one alone would change the map), and `subst` then does
-polynomial arithmetic, not a rational-function gcd per add and multiply.
-
 `TwistedMap` and `Link` are plain records; `Link` says where each link fact
 is checked, once, and why links derived from certified ones inherit them.
-
-`normalize=False` means the caller guarantees coordinates that are already
-coprime and canonically scaled, as `identity` and `_from_coprime` do.
 
 Maps, and the closed points they move, live over one tower: `compose`,
 `equals` and `transport_point` raise `SblinksError` when their arguments do
@@ -111,7 +116,8 @@ from .severi_brauer import (
 
 
 class RationalMap:
-    """A rational map P^(m-1) --> P^2 given by 3 homogeneous polynomials."""
+    """A rational map P^(m-1) --> P^2 given by 3 homogeneous polynomials,
+    stored as its cleared canonical triple (see the module docstring)."""
 
     __slots__ = ("tower", "coords", "degree", "_hash")
 
@@ -124,7 +130,7 @@ class RationalMap:
         if normalize:
             coords = _normalize_coords(coords)
         self.tower = tower
-        self.coords = coords
+        self.coords = _cleared(_scale_canonical(coords))
         degs = {c.total_degree() for c in coords if not c.is_zero()}
         if len(degs) != 1:
             raise SblinksError("map coordinates must share one degree")
@@ -162,11 +168,17 @@ class RationalMap:
 
     # -- queries --------------------------------------------------------------
 
+    @property
+    def canonical(self):
+        """The stored triple scaled so that its grlex-least nonzero
+        coefficient is 1, the form that repr, to_json and matrix show."""
+        return _scale_canonical(self.coords)
+
     def matrix(self):
         """Coefficient matrix of a linear map."""
         if self.degree != 1:
             raise SblinksError("matrix extraction needs a linear map")
-        return _coefficient_rows(self.tower, self.coords)
+        return _coefficient_rows(self.tower, self.canonical)
 
     def evaluate(self, point):
         """Image of a projective point (raises if the point is in the base locus)."""
@@ -191,20 +203,20 @@ class RationalMap:
         return self._hash
 
     def __repr__(self):
-        return "[" + " : ".join(c.terms_str("xyzw") for c in self.coords) + "]"
+        return "[" + " : ".join(c.terms_str("xyzw") for c in self.canonical) + "]"
 
     def to_json(self):
         return {
             "tower": self.tower.to_json(),
             "degree": self.degree,
-            "coords": [poly_to_json(p) for p in self.coords],
+            "coords": [poly_to_json(p) for p in self.canonical],
         }
 
 
 def _cleared(coords):
-    """The triple scaled by one lcm of the t-denominators of all its
-    coefficients: a base-field scale common to the three coordinates, so the
-    map and its gcd are unchanged and substitution stays denominator-free."""
+    """The polynomials scaled by one lcm of the t-denominators of all their
+    coefficients: a base-field scale common to all of them, so the map and
+    its gcd are unchanged and substitution stays denominator-free."""
     coeffs = [c for p in coords for c in p.terms.values()]
     if not coeffs:
         return tuple(coords)
@@ -217,13 +229,13 @@ def _cleared(coords):
 
 
 def _normalize_coords(coords):
+    """The triple divided by the gcd of its coordinates, taken on the cleared
+    triple, where it runs on polynomial coefficients."""
     coords = _cleared(coords)
     g = gcd_many_homogeneous([c for c in coords if not c.is_zero()])
-    if not g.is_const():
-        coords = tuple(
-            c if c.is_zero() else exact_div(c, g) for c in coords
-        )
-    return _scale_canonical(coords)
+    if g.is_const():
+        return coords
+    return tuple(c if c.is_zero() else exact_div(c, g) for c in coords)
 
 
 def _scale_canonical(coords):
@@ -236,11 +248,6 @@ def _scale_canonical(coords):
                 best = (key, c.terms[e])
     scale = best[1].inverse()
     return tuple(c.scale(scale) for c in coords)
-
-
-def _from_coprime(tower: TowerField, coords) -> RationalMap:
-    """A map from coordinates known to be coprime: rescale only."""
-    return RationalMap(tower, _scale_canonical(coords), normalize=False)
 
 
 def _linear_forms(m):
@@ -294,14 +301,13 @@ def equals(f: RationalMap, g: RationalMap) -> bool:
 
 
 def _substituted(f: RationalMap, h: RationalMap):
-    """The coordinates of f after h, before any common factor is removed,
-    up to one base-field scalar: both maps are substituted as cleared
-    triples."""
+    """The coordinates of f after h, before any common factor is removed:
+    the raw composite of the stored triples."""
     if f.nsrc != 3:
         raise SblinksError("outer map must be a plane map")
     if f.tower != h.tower:
         raise SblinksError("compose needs maps over the same tower")
-    coords = _subst_cleared(f.coords, h.coords)
+    coords = _raw_composite(f.coords, h.coords)
     if all(c.is_zero() for c in coords):
         raise IdenticallyZero(
             "composition collapses: the inner map lands in the base locus"
@@ -309,11 +315,17 @@ def _substituted(f: RationalMap, h: RationalMap):
     return coords
 
 
+def _raw_composite(coords, inner):
+    """The polynomials coords after the polynomials inner, with no common
+    factor removed."""
+    inner = list(inner)
+    return tuple(c.subst(inner) for c in coords)
+
+
 def _subst_cleared(coords, inner):
-    """The polynomials coords after the polynomials inner, both substituted
-    as cleared triples: the raw composite, up to one base-field scalar."""
-    inner = list(_cleared(inner))
-    return tuple(c.subst(inner) for c in _cleared(coords))
+    """The raw composite of polynomials that are not a map's stored triple,
+    both cleared first: the composite up to one base-field scalar."""
+    return _raw_composite(_cleared(coords), _cleared(inner))
 
 
 def _composes_to(f: RationalMap, h: RationalMap, coords) -> bool:
@@ -331,7 +343,7 @@ def apply_matrix(m, f: RationalMap) -> RationalMap:
     """The map x -> m . f(x)."""
     coords = _mat_times(m, f.coords)
     if _invertible3(m):
-        return _from_coprime(f.tower, coords)
+        return RationalMap(f.tower, coords, normalize=False)
     return RationalMap(f.tower, coords)
 
 
@@ -340,7 +352,7 @@ def subst_linear(f: RationalMap, m) -> RationalMap:
     forms = _linear_forms(m)
     coords = tuple(c.subst(forms) for c in f.coords)
     if _invertible3(m):
-        return _from_coprime(f.tower, coords)
+        return RationalMap(f.tower, coords, normalize=False)
     return RationalMap(f.tower, coords)
 
 
@@ -352,7 +364,7 @@ def is_equivariant(f: RationalMap, src: SBSurface, tgt: SBSurface) -> bool:
     """Whether f intertwines the twisted Galois actions of src and tgt,
     checked for every radical generator of the map's tower."""
     tower = f.tower
-    coords = _cleared(f.coords)
+    coords = f.coords
     for rad in tower.radicals:
         exps = {rad.name: 1}
         act = GaloisAction(tower, exps)
@@ -466,15 +478,15 @@ def _linear_through(before, after):
     map, so it equals the matrix of the normalised composite.  None if the
     grid holds no such four points.
 
-    The images are raw values of the cleared triples, where
+    The images are raw values of the stored triples, where
     `RationalMap.evaluate` would rescale each one by an inverse: projective
-    points are all the projectivity needs, and cleared values keep the
+    points are all the projectivity needs, and the stored triples keep the
     arithmetic free of t-denominators.  They only propose M, and nothing is
     proved here: the callers, `order3_selfmap` (two short chains) and
     `hexagon` (two half chains of three maps), certify M by exact identities."""
     tower = (before or after)[0].tower
     zero = tower.zero()
-    chains = [[_cleared(f.coords) for f in chain] for chain in (before, after)]
+    chains = [[f.coords for f in chain] for chain in (before, after)]
 
     def image(chain, p):
         for coords in chain:
@@ -714,8 +726,8 @@ def image_of_line(f: RationalMap, va, vb):
 
 
 def _line_image(coords, va, vb, tower: TowerField):
-    """Image point of the line spanned by va, vb under the coordinate
-    triple, assuming the triple contracts it."""
+    """Image point of the line spanned by va, vb under the denominator-free
+    coordinate triple, assuming the triple contracts it."""
     return _contracted_image(coords, _line_param(va, vb, tower), tower)
 
 
@@ -726,10 +738,10 @@ def _line_param(va, vb, tower: TowerField):
 
 
 def _contracted_image(coords, param, tower: TowerField):
-    """Image point of the parametrised curve param under the coordinate
-    triple, assuming the triple contracts it; both are substituted
+    """Image point of the parametrised curve param under the denominator-free
+    coordinate triple, assuming the triple contracts it; param is substituted
     cleared."""
-    vals = _subst_cleared(coords, param)
+    vals = _raw_composite(coords, _cleared(param))
     nonzero = [v for v in vals if not v.is_zero()]
     if not nonzero:
         raise SblinksError("curve lies in the base locus")
@@ -1055,8 +1067,8 @@ def _sigma_forms(m):
 def _sigma_after(tower: TowerField, phi) -> RationalMap:
     """The quadratic map sigma o phi.  phi must be invertible: its rows are
     then pairwise independent linear forms, whose products share no factor,
-    so only the scaling is redone."""
-    return _from_coprime(tower, _sigma_forms(phi))
+    so no gcd is taken."""
+    return RationalMap(tower, _sigma_forms(phi), normalize=False)
 
 
 def _inverse_by_jacobian(b0: RationalMap, forward: RationalMap) -> RationalMap:
@@ -1066,12 +1078,12 @@ def _inverse_by_jacobian(b0: RationalMap, forward: RationalMap) -> RationalMap:
     proves it, and eta^-1 . b0 o forward = J^2 . id is the round trip.
     Raises SblinksError when J is zero, a division leaves a remainder or a
     quotient is not linear, as inverse3 does when eta is singular."""
-    fc = _cleared(forward.coords)
+    fc = forward.coords
     jac = det3([[c.derivative(i) for i in range(3)] for c in fc])
     if jac.is_zero():
         raise SblinksError("the forward map has a zero Jacobian")
     jac2 = jac * jac
-    eta = [try_div(c, jac2) for c in _subst_cleared(b0.coords, fc)]
+    eta = [try_div(c, jac2) for c in _raw_composite(b0.coords, fc)]
     if any(q is None or q.total_degree() != 1 for q in eta):
         raise SblinksError("candidate backward map is not J^2 times a linear map")
     return apply_matrix(inverse3(_coefficient_rows(forward.tower, eta)), b0)
@@ -1103,9 +1115,9 @@ def _cremona(tower: TowerField, P, d, adj_q) -> RationalMap:
     sigma(D y) = det(D) D^-1 sigma(y) and sigma o sigma = xyz . id.  adj(Q)
     is a scalar multiple of Q^-1, so no inverse, compose or gcd is taken.
     adj(Q) is invertible, so the products are coprime, and so is their image
-    under the invertible P . D: only the scaling is redone."""
+    under the invertible P . D: no gcd is taken."""
     PD = tuple(tuple(x * y for x, y in zip(row, d)) for row in P)
-    return _from_coprime(tower, _mat_times(PD, _sigma_forms(adj_q)))
+    return RationalMap(tower, _mat_times(PD, _sigma_forms(adj_q)), normalize=False)
 
 
 def link_from_3point(surface: SBSurface, point: ClosedPoint) -> Link:

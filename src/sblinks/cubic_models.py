@@ -706,4 +706,4 @@ def _image_of_contracted_line(model: SmoothCubicModel, pair):
     basis = nullspace(_coefficient_rows(Lh, pair), Lh)
     if len(basis) != 2:
         raise SblinksError("line is degenerate")
-    return _line_image(model.contraction, *basis, Lh)
+    return _line_image(_cleared(model.contraction), *basis, Lh)

@@ -16,7 +16,7 @@ from .birational import (
     TwistedMap,
     _followed_by_linear,
     _linear_through,
-    _subst_cleared,
+    _raw_composite,
     compose,
     image_of_line,
     link_from_3point,
@@ -341,8 +341,8 @@ def _close_in_the_middle(surface: SBSurface, links):
         links = links[:5] + [_absorb_into_link(links[-1], m, surface)]
     f1, f2, f3 = (f.coords for f in fwd[:3])
     b4, b5, b6 = (lk.backward.map.coords for lk in links[3:])
-    half = _subst_cleared(f3, _subst_cleared(f2, f1))
-    if not _proportional(half, _subst_cleared(b4, _subst_cleared(b5, b6))):
+    half = _raw_composite(f3, _raw_composite(f2, f1))
+    if not _proportional(half, _raw_composite(b4, _raw_composite(b5, b6))):
         raise SblinksError("hexagon does not close: F3 o F2 o F1 != B4 o B5 o B6")
     return closed, links
 

@@ -20,7 +20,6 @@ from sblinks.birational import (
     RationalMap,
     TwistedMap,
     _certified,
-    _cleared,
     _columns,
     _cremona,
     _cremona_scales,
@@ -469,16 +468,40 @@ def _matrix_with_denominators(rng, tower):
 
 
 def _assert_cleared_compose(f, h):
-    """_cleared scales a whole triple by one base-field denominator: no
-    coefficient keeps a t-denominator and the map stays the same; compose,
-    which substitutes cleared triples, gives the map of the raw substitution."""
-    assert not all(d.is_const() for d in _denominators(f.coords + h.coords))
-    for g in (f, h):
-        cleared = _cleared(g.coords)
-        assert all(d.is_const() for d in _denominators(cleared))
-        assert _proportional(cleared, g.coords)
+    """Every stored coefficient is free of t-denominators, and compose,
+    which substitutes the stored triples, gives the map of the raw
+    substitution."""
+    assert all(d.is_const() for d in _denominators(f.coords + h.coords))
     raw = [c.subst(list(h.coords)) for c in f.coords]
     assert compose(f, h) == RationalMap(f.tower, raw)
+
+
+def test_stored_triple_is_one_per_map(L, link_at_unit):
+    """A map built from its canonical triple scaled by 1/(t2 + 3), or by a
+    Q(zeta) constant, is the same map: equal, with one hash, one repr and
+    one JSON, and its stored triple is the canonical one cleared."""
+    f = link_at_unit.forward.map
+    canonical = f.canonical
+    assert not all(d.is_const() for d in _denominators(canonical))
+    assert all(d.is_const() for d in _denominators(f.coords))
+    assert _proportional(canonical, f.coords)
+    for scale in ((L.t_var(1) + L.scalar(3)).inverse(), L.zeta() * L.scalar(2)):
+        g = RationalMap(L, [p.scale(scale) for p in canonical])
+        assert g == f and hash(g) == hash(f)
+        assert g.coords == f.coords and g.canonical == canonical
+        assert repr(g) == repr(f)
+        assert g.to_json() == f.to_json()
+
+
+def test_constructor_refusals(L):
+    one = L.one()
+    x, y, z = (MPoly.variable(3, i, one) for i in range(3))
+    with pytest.raises(SblinksError, match="exactly 3 coordinates"):
+        RationalMap(L, (x, y))
+    with pytest.raises(IdenticallyZero):
+        RationalMap(L, (MPoly.zero(3),) * 3)
+    with pytest.raises(SblinksError, match="share one degree"):
+        RationalMap(L, (x, y, z * z))
 
 
 def test_cleared_compose_over_L(L, link_at_coords, link_at_unit):

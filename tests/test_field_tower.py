@@ -54,6 +54,25 @@ def test_normalize_examples(K2, L):
     assert normalize(u) == u
 
 
+def test_rational_function_sums_match_tower_sums():
+    """RationalFunction.__add__ agrees with the sum of FieldElements over
+    K = Q(zeta)(t1, t2) on denominators that share a factor, coprime and
+    equal ones, and zero operands; from_rf keeps its operand as it is, so a
+    sum that is not reduced would compare unequal."""
+    K = TowerField.rational(2)
+    t1, t2 = (RationalFunction.t_var(2, i) for i in range(2))
+    one = RationalFunction.const(2, 1)
+    zero = one.zero()
+    a = one / (t1 * (t2 + one))
+    b = one / (t1 * t2)
+    c = one / (t2 + one)
+    pairs = [(a, b), (a, c), (b, c), (a, a), (a, -a), (zero, a), (b, zero), (zero, zero)]
+    for x, y in pairs:
+        assert K.from_rf(x + y) == K.from_rf(x) + K.from_rf(y)
+    # the shared factor t1 enters the denominator once
+    assert a + b == (t2 + t2 + one) / (t1 * t2 * (t2 + one))
+
+
 def test_invert_examples(K2, L):
     u = L.gen("u")
     t1 = K2.t_var(0).lift_to(L)
