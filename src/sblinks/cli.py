@@ -216,11 +216,10 @@ def cmd_point(args):
             "components": len(pt.components),
         }
 
-    return _timed(
-        "point",
-        {"lambda": args.lam, "xi": args.xi, "kind": args.kind},
-        run,
-    )
+    params = {"lambda": args.lam, "xi": args.xi, "kind": args.kind}
+    if args.kind == "six":
+        params["alpha"] = args.alpha
+    return _timed("point", params, run)
 
 
 def cmd_link3(args):

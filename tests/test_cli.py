@@ -176,6 +176,19 @@ def test_surface_iso(capsys):
     assert obj["payload"]["result"] == "no"
 
 
+def test_point_six_records_alpha(capsys):
+    """--alpha decides the six-point, so its report records it, also when
+    the point cannot be built; the other kinds do not read it."""
+    assert run(["point", "--kind", "six", "--alpha", "4", "--json"]) == 1
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["parameters"] == {"lambda": "t1", "xi": "t2", "kind": "six", "alpha": "4"}
+    assert obj["payload"]["error"].startswith("AlphaIsSquare")
+    assert run(["point", "--kind", "six", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["parameters"]["alpha"] == "t2"
+    assert run(["point", "--kind", "coords", "--alpha", "4", "--json"]) == 0
+    assert "alpha" not in json.loads(capsys.readouterr().out)["parameters"]
+
+
 def test_point_second(capsys):
     assert run(["point", "--kind", "second"]) == 0
     out = capsys.readouterr().out

@@ -596,3 +596,128 @@ def test_gcd_many_skipping_equal_inputs_matches_the_fold(case, data):
             p = p.scale(data.draw(nonzero.filter(lambda c: not c.is_one())))
         polys.insert(data.draw(st.integers(0, len(polys))), p)
     assert gcd_many(polys) == gcd_many_fold(polys)
+
+
+# ---------------------------------------------------------------------------
+# gcds in one variable (Euclid over the coefficient field) and with a
+# one-term operand, each answer certified independently of how it was found
+
+
+def in_variable(n, v, coeffs):
+    """The polynomial sum coeffs[k] x_v^k of n variables."""
+    return MPoly(n, {tuple(k if i == v else 0 for i in range(n)): c for k, c in coeffs.items()})
+
+
+def assert_is_gcd(h, f, g, v):
+    """h is the monic gcd of f and g, nonzero polynomials in variable v: it
+    divides both, and the cofactors share no root (a constant cofactor is a
+    unit; otherwise their resultant in v is nonzero)."""
+    assert h.lc().is_one()
+    a, b = exact_div(f, h), exact_div(g, h)
+    if a.deg_in(v) > 0 and b.deg_in(v) > 0:
+        assert not resultant(a, b, v).is_zero()
+
+
+MIXED = st.builds(QZeta, st.fractions(-3, 3, max_denominator=4), st.integers(-2, 2)).filter(
+    lambda c: not c.is_zero()
+)
+
+
+@pytest.mark.parametrize("case", ["planted", "constant", "shared power", "equal", "divides", "coprime"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_one_variable_gcd_over_mixed_qzeta(case, data):
+    """Planted common factors a c and b c with coefficients a + b zeta, in
+    one variable v of up to three; every answer is certified."""
+    n = data.draw(st.integers(1, 3), label="nvars")
+    v = data.draw(st.integers(0, n - 1), label="variable")
+
+    def poly(low, high):
+        """A polynomial in x_v of degree in [low, high]."""
+        d = data.draw(st.integers(low, high))
+        coeffs = data.draw(st.dictionaries(st.integers(0, d), MIXED, max_size=3))
+        coeffs[d] = data.draw(MIXED)
+        return in_variable(n, v, coeffs)
+
+    a, b, c = poly(0, 3), poly(0, 3), poly(1, 3)
+    f, g = a * c, b * c
+    if case == "constant":
+        f = in_variable(n, v, {0: data.draw(MIXED)})
+    elif case == "shared power":
+        f = f * in_variable(n, v, {data.draw(st.integers(1, 4)): QZeta(1)})
+        g = g * in_variable(n, v, {data.draw(st.integers(1, 4)): QZeta(1)})
+    elif case == "equal":
+        g = f
+    elif case == "divides":
+        g = f * poly(1, 2)
+    elif case == "coprime":
+        g = f + in_variable(n, v, {0: data.draw(MIXED)})  # gcd(f, f + k) divides k
+    h = gcd(f, g)
+    assert_is_gcd(h, f, g, v)
+    assert h == gcd(g, f)
+    if case == "constant" or case == "coprime":
+        assert h == in_variable(n, v, {0: QZeta(1)})
+    else:
+        exact_div(h, c)  # the planted factor divides the gcd
+    if case == "equal":
+        assert h == f.monic()
+
+
+def tower_coeffs(L):
+    one, u, t1, t2 = L.one(), L.gen("u"), L.t_var(0), L.t_var(1)
+    return [one, L.scalar(-3), u, t2, u * u - t1, L.zeta() * u, one / (t1 + one), u + t2]
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_one_variable_gcd_over_the_tower_matches_the_prs(L, data):
+    """Over L = K[cbrt t1], with a planted factor that contains u: Euclid's
+    gcd of f(x), g(x) is certified, and the PRS takes the same inputs
+    embedded in two variables, f(x + y) and g(x + y), to h(x + y)."""
+    one, u, t2 = L.one(), L.gen("u"), L.t_var(1)
+    pool = tower_coeffs(L)
+    x = MPoly.variable(1, 0, one)
+
+    def poly(d):
+        coeffs = data.draw(st.dictionaries(st.integers(0, d), st.sampled_from(pool), max_size=2))
+        coeffs[d] = data.draw(st.sampled_from(pool))
+        return in_variable(1, 0, coeffs)
+
+    planted = (x - MPoly.const(1, u)) * data.draw(
+        st.sampled_from([x - MPoly.const(1, t2), x + MPoly.const(1, one), MPoly.const(1, one)])
+    )
+    f, g = poly(data.draw(st.integers(0, 1))) * planted, poly(1) * planted
+    h = gcd(f, g)
+    assert_is_gcd(h, f, g, 0)
+    exact_div(h, planted)
+    shift = [MPoly.variable(2, 0, one) + MPoly.variable(2, 1, one)]
+    assert gcd(f.subst(shift), g.subst(shift)) == h.subst(shift)
+
+
+def test_one_variable_gcd_over_the_tower_named_case(L):
+    one, u, t2 = L.one(), L.gen("u"), L.t_var(1)
+    x = MPoly.variable(1, 0, one)
+    xu = x - MPoly.const(1, u)
+    f, g = xu * (x - MPoly.const(1, t2)), xu * (x + MPoly.const(1, one))
+    assert gcd(f, g) == xu
+    assert_is_gcd(xu, f, g, 0)
+
+
+@pytest.mark.parametrize("ring", ["qzeta", "L"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_one_term_gcd_is_the_gcd_with_the_monomial_content(ring, L, data):
+    """gcd(m, p) for a one-term m (a constant included) is m's gcd with the
+    monomial content of p: the fieldwise-minimum monomial, coefficient 1."""
+    if ring == "qzeta":
+        n, coeff, one = data.draw(st.integers(1, 4), label="nvars"), MIXED, QZeta(1)
+    else:
+        n, coeff, one = 2, st.sampled_from(tower_coeffs(L)), L.one()
+    e = data.draw(exps(n, 6), label="monomial")
+    m = MPoly.monomial(n, e, data.draw(coeff))
+    p = MPoly(n, data.draw(st.dictionaries(exps(n, 6), coeff, min_size=1, max_size=4)))
+    content = MPoly.monomial(n, p.min_exps(), one)
+    want = MPoly.monomial(n, tuple(map(min, e, p.min_exps())), one)
+    assert gcd(m, p) == gcd(p, m) == gcd(m, content) == want
+    exact_div(m, want)
+    exact_div(p, want)
