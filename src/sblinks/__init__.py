@@ -10,12 +10,10 @@ from .field_tower import (
     RationalFunction,
     TowerField,
     TriState,
-    invert,
     is_cube,
     is_norm,
     is_square,
     norm,
-    normalize,
 )
 from .severi_brauer import (
     ClosedPoint,

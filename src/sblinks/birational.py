@@ -67,7 +67,6 @@ from .errors import (
 from .field_tower import (
     FieldElement,
     GaloisAction,
-    RationalFunction,
     TowerField,
     _lcm,
     cbrt_in_tower,
@@ -224,7 +223,7 @@ def _cleared(coords):
     den = _lcm((c.den for c in coeffs), tower.unit)
     if den is tower.unit:
         return tuple(coords)
-    scale = tower.from_rf(RationalFunction.from_poly(den))
+    scale = tower.from_poly(den)
     return tuple(p.scale(scale) for p in coords)
 
 
@@ -1142,7 +1141,7 @@ def link_from_3point(surface: SBSurface, point: ClosedPoint) -> Link:
                 "normalized twist parameter leaves the base field"
             )
         fwd_map = _sigma_after(tower, phi)
-        xi_target = surface.tower.from_rf(xi_p.base_rf()).inverse()
+        xi_target = xi_p.to_base().lift_to(surface.tower).inverse()
         target = SBSurface(surface.ext, xi_target, -surface.side)
     else:
         basis, _ = curves_through(tower, point.components, 2)

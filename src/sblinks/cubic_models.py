@@ -123,8 +123,8 @@ class SingularCubicModel:
         )
 
     def equation_string(self) -> str:
-        lam = self.lam.base_rf()
-        xi = self.xi.base_rf()
+        lam = self.lam.to_base()
+        xi = self.xi.to_base()
         return (
             f"({xi!r})*w^3 = ({lam!r})*x^3 + y^3 + ({lam.inverse()!r})*z^3 - 3*x*y*z"
         )
@@ -508,7 +508,7 @@ def verify_smooth_model(model: SmoothCubicModel) -> dict:
     small = model.tower.prefix(1)
     report["xi_norm_status"] = is_norm(
         CubicExtension(small, model.tower.radicals[0].name),
-        small.from_rf(model.xi.base_rf()),
+        model.xi.to_base().lift_to(small),
     ).status
     return report
 

@@ -12,17 +12,23 @@ with denominators reduces once per element (one gcd chain over den and the
 numerators), not once per pair of coefficients; a product of two one-term
 elements cancels crosswise, as for rational functions.
 
-Every radicand is required to be a nonzero element of the base field K, so a
-product reduces with r_j^degree_j = radicand_j alone and each per-radical
-Galois generator scales a monomial by a root of unity: the generators are
-honest automorphisms of the whole tower (a radical never appears inside the
-radicand of a later one).
+K itself is the tower of height 0, `TowerField.rational(n)`: its elements
+are FieldElements with the single key (), one reduced numerator over one
+monic denominator, and K has no other arithmetic.  `FieldElement.to_base()`
+reads an element of a tower that lies in K as an element of K, and
+`lift_to` puts it into a larger tower.  Every radicand is such an element of
+K, nonzero, so a product reduces with r_j^degree_j = radicand_j alone and
+each per-radical Galois generator scales a monomial by a root of unity: the
+generators are honest automorphisms of the whole tower (a radical never
+appears inside the radicand of a later one).
 
 Arithmetic is exact and canonical: equal values have identical
 representations, so equality is structural.  JSON and repr keep the
 per-coefficient layout, each coordinate a reduced rational function of K,
-nested one list per radical with the last radical outermost;
-FieldElement.coefficients() is that derived view.
+nested one list per radical with the last radical outermost.
+`RationalFunction` is only the view of one such coordinate, the (num, den)
+pair that FieldElement.coefficients() and base_rf() give and that JSON and
+repr print; it does no arithmetic of K.
 
 Substitution (`MPoly.subst`) over a tower runs in integers when no
 coefficient of the polynomial or of the values has a t-denominator, as for
@@ -66,6 +72,8 @@ from .multipoly import (
     exact_div,
     gcd,
     squarefree_decomposition,
+    squarefree_part,
+    try_div,
 )
 from .scalars import QZeta, _reduced as _qzeta, qzeta_nth_root
 
@@ -75,7 +83,11 @@ from .scalars import QZeta, _reduced as _qzeta, qzeta_nth_root
 
 
 class RationalFunction:
-    """num / den with gcd(num, den) = 1 and den monic under grlex."""
+    """The reduced view num / den of an element of K: gcd(num, den) = 1 and
+    den monic under grlex.  K's arithmetic is that of FieldElement over
+    TowerField.rational(n); this class only carries the pair that
+    FieldElement.base_rf() and coefficients() expose, and prints it for
+    repr and JSON."""
 
     __slots__ = ("num", "den", "_hash")
 
@@ -88,108 +100,15 @@ class RationalFunction:
         self.den = den
         self._hash = None
 
-    # -- constructors -----------------------------------------------------
-
-    @staticmethod
-    def from_poly(p: MPoly) -> "RationalFunction":
-        return RationalFunction(p, _one_poly(p.nvars), reduce=False)
-
-    @staticmethod
-    def const(nvars: int, c) -> "RationalFunction":
-        if isinstance(c, (int, Fraction)):
-            c = QZeta(c)
-        return RationalFunction.from_poly(MPoly.const(nvars, c))
-
-    @staticmethod
-    def t_var(nvars: int, i: int) -> "RationalFunction":
-        return RationalFunction.from_poly(MPoly.variable(nvars, i, QZeta.one()))
-
-    # -- queries -------------------------------------------------------------
-
     @property
     def nvars(self) -> int:
         return self.num.nvars
 
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def is_one(self) -> bool:
-        return self.den.is_const() and self.num == self.den
-
-    def is_constant(self) -> bool:
-        return self.num.is_const() and self.den.is_const()
-
-    def constant_value(self) -> QZeta:
-        if not self.is_constant():
-            raise ValueError("not a constant")
-        if self.num.is_zero():
-            return QZeta.zero()
-        return self.num.const_coeff() * self.den.const_coeff().inverse()
-
-    def zero(self) -> "RationalFunction":
-        return RationalFunction(MPoly.zero(self.nvars), _one_poly(self.nvars), reduce=False)
-
-    def one(self) -> "RationalFunction":
-        return RationalFunction.const(self.nvars, 1)
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def __add__(self, other: "RationalFunction") -> "RationalFunction":
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        if self.den == other.den:
-            if self.den.is_const():
-                num = self.num + other.num
-                if num.is_zero():
-                    return self.zero()
-                return RationalFunction(num, self.den, reduce=False)
-            return RationalFunction(self.num + other.num, self.den)
-        g = gcd(self.den, other.den)
-        if g.is_const():
-            num = self.num * other.den + other.num * self.den
-            den = self.den * other.den
-            return RationalFunction(num, den)
-        da = exact_div(self.den, g)
-        db = exact_div(other.den, g)
-        num = self.num * db + other.num * da
-        den = da * other.den
-        return RationalFunction(num, den)
-
-    def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.num, self.den, reduce=False)
-
-    def __sub__(self, other: "RationalFunction") -> "RationalFunction":
-        return self + (-other)
-
+    # Kept for the benchmark alone: its tracer wraps this method for the
+    # `field_tower.rf_mul` row, and a test asserts that the method exists.
+    # The library multiplies K's elements as FieldElements.
     def __mul__(self, other: "RationalFunction") -> "RationalFunction":
-        if self.is_zero() or other.is_zero():
-            return self.zero() if self.is_zero() else other.zero()
-        num, den = _cross(
-            self.num, self.den, other.num, other.den, _one_poly(self.nvars)
-        )
-        return RationalFunction(num, den, reduce=False)
-
-    def inverse(self) -> "RationalFunction":
-        if self.is_zero():
-            raise ZeroInverse("0 has no inverse")
-        return RationalFunction(self.den, self.num, reduce=False)._monic_den()
-
-    def __truediv__(self, other: "RationalFunction") -> "RationalFunction":
-        return self * other.inverse()
-
-    def __pow__(self, k: int) -> "RationalFunction":
-        if k < 0:
-            return self.inverse() ** (-k)
-        return _power(self, k) if k else self.one()
-
-    def _monic_den(self) -> "RationalFunction":
-        c = self.den.lc()
-        if c.is_one():
-            return self
-        ci = c.inverse()
-        return RationalFunction(self.num.scale(ci), self.den.scale(ci), reduce=False)
+        return RationalFunction(self.num * other.num, self.den * other.den)
 
     # -- comparisons --------------------------------------------------------
 
@@ -227,10 +146,6 @@ def _one_poly(nvars: int) -> MPoly:
     """The polynomial 1 in nvars variables, one shared object per nvars: an
     element's denominator is 1 exactly when it is this object."""
     return MPoly.const(nvars, QZeta.one())
-
-
-def _zero_rf(nvars: int) -> RationalFunction:
-    return RationalFunction(MPoly.zero(nvars), _one_poly(nvars), reduce=False)
 
 
 def _reduce_pair(num: MPoly, den: MPoly):
@@ -293,7 +208,7 @@ def poly_from_json(data, nvars: int) -> MPoly:
 class Radical:
     name: str
     degree: int  # 2 or 3
-    radicand: RationalFunction  # element of the base field K
+    radicand: FieldElement  # an element of the base field K
 
     def __post_init__(self):
         if self.degree not in (2, 3):
@@ -321,7 +236,7 @@ class TowerField:
         self.unit = _one_poly(nvars)  # the denominator of t-polynomial elements
         # (numerator, denominator) of each radicand, the denominator 1 shared
         self._radicands = tuple(
-            (r.radicand.num, _den(r.radicand.den, self.unit)) for r in self.radicals
+            (r.radicand.nums[()], r.radicand.den) for r in self.radicals
         )
         self._hash = None
         self._one = None
@@ -339,7 +254,7 @@ class TowerField:
                 "radicands must lie in the base field K for Galois generators "
                 "to act on the whole tower"
             )
-        rad = Radical(name, degree, radicand.base_rf())
+        rad = Radical(name, degree, radicand.to_base())
         return TowerField(self.nvars, self.radicals + (rad,))
 
     def height(self) -> int:
@@ -365,12 +280,11 @@ class TowerField:
 
     # -- element constructors ----------------------------------------------
 
-    def from_rf(self, rf: RationalFunction) -> "FieldElement":
-        if rf.nvars != self.nvars:
-            raise SblinksError("rational function arity does not match the tower")
-        if rf.is_zero():
+    def from_poly(self, p: MPoly) -> "FieldElement":
+        """The polynomial p of Q(zeta)[t] as an element of the base field."""
+        if not p.terms:
             return self.zero()
-        return FieldElement(self, {self.origin: rf.num}, _den(rf.den, self.unit))
+        return FieldElement(self, {self.origin: p}, self.unit)
 
     def zero(self) -> "FieldElement":
         if self._zero is None:
@@ -379,17 +293,19 @@ class TowerField:
 
     def one(self) -> "FieldElement":
         if self._one is None:
-            self._one = self.from_rf(RationalFunction.const(self.nvars, 1))
+            self._one = self.from_poly(self.unit)
         return self._one
 
     def scalar(self, c) -> "FieldElement":
-        return self.from_rf(RationalFunction.const(self.nvars, c))
+        if isinstance(c, (int, Fraction)):
+            c = QZeta(c)
+        return self.from_poly(MPoly.const(self.nvars, c))
 
     def t_var(self, i: int) -> "FieldElement":
-        return self.from_rf(RationalFunction.t_var(self.nvars, i))
+        return self.from_poly(MPoly.variable(self.nvars, i, QZeta.one()))
 
     def zeta(self) -> "FieldElement":
-        return self.from_rf(RationalFunction.const(self.nvars, QZeta.zeta()))
+        return self.scalar(QZeta.zeta())
 
     def gen(self, name: str) -> "FieldElement":
         """The radical generator as an element of the tower."""
@@ -437,7 +353,7 @@ class TowerField:
                 {
                     "name": r.name,
                     "degree": r.degree,
-                    "radicand": r.radicand.to_json(),
+                    "radicand": r.radicand.base_rf().to_json(),
                 }
                 for r in self.radicals
             ],
@@ -446,15 +362,11 @@ class TowerField:
     @staticmethod
     def from_json(data) -> "TowerField":
         nvars = data["n_vars"]
+        K = TowerField.rational(nvars)
         rads = []
         for rd in data["radicals"]:
-            rads.append(
-                Radical(
-                    rd["name"],
-                    rd["degree"],
-                    RationalFunction.from_json(rd["radicand"], nvars),
-                )
-            )
+            radicand = _from_coefficients(K, _unfold(rd["radicand"], nvars, ()))
+            rads.append(Radical(rd["name"], rd["degree"], radicand))
         return TowerField(nvars, rads)
 
 
@@ -530,6 +442,15 @@ def _lcm(dens, unit: MPoly) -> MPoly:
         g = gcd(out, d)
         out = out * (d if g.is_const() else exact_div(d, g))
     return out
+
+
+def _from_coefficients(tower: TowerField, coeffs: dict) -> "FieldElement":
+    """The element with the reduced rational function coeffs[e] at each
+    radical exponent e, the inverse of FieldElement.coefficients()."""
+    unit = tower.unit
+    return _over_lcm(
+        tower, [({e: c.num}, _den(c.den, unit)) for e, c in coeffs.items()]
+    )
 
 
 def _over_lcm(tower: TowerField, pieces) -> "FieldElement":
@@ -908,7 +829,7 @@ def _unfold(data, nvars: int, radicals) -> dict:
     """Inverse of the JSON fold: nested coordinate lists to a coefficient map."""
     if not radicals:
         rf = RationalFunction.from_json(data, nvars)
-        return {} if rf.is_zero() else {(): rf}
+        return {(): rf} if rf.num.terms else {}
     if len(data) != radicals[-1].degree:
         raise SblinksError("coordinate arity mismatch in serialized element")
     out = {}
@@ -1035,13 +956,19 @@ class FieldElement:
     def in_base(self) -> bool:
         return all(not any(e) for e in self.nums)
 
-    def base_rf(self) -> RationalFunction:
+    def to_base(self) -> "FieldElement":
+        """The element as an element of K, the tower of height 0."""
         if not self.in_base():
             raise NotInExtension("element has radical coordinates")
-        p = self.nums.get(self.tower.origin)
-        if p is None:
-            return _zero_rf(self.tower.nvars)
-        return RationalFunction(p, self.den, reduce=False)
+        tower = self.tower
+        if not tower.radicals:
+            return self
+        p = self.nums.get(tower.origin)
+        return FieldElement(tower.prefix(0), {} if p is None else {(): p}, self.den)
+
+    def base_rf(self) -> RationalFunction:
+        """The element of K as its reduced (num, den) view."""
+        return RationalFunction(*_num_den(self), reduce=False)
 
     def coefficients(self) -> dict:
         """Radical exponents to the reduced rational function of K at each."""
@@ -1106,7 +1033,7 @@ class FieldElement:
     # -- json ------------------------------------------------------------------
 
     def to_json(self):
-        zero = _zero_rf(self.tower.nvars)
+        zero = RationalFunction(MPoly.zero(self.tower.nvars), self.tower.unit)
         coords = _fold(
             self.coefficients(),
             self.tower.degrees,
@@ -1118,25 +1045,12 @@ class FieldElement:
     @staticmethod
     def from_json(data) -> "FieldElement":
         tower = TowerField.from_json(data["tower"])
-        unit = tower.unit
         coeffs = _unfold(data["coords"], tower.nvars, tower.radicals)
-        return _over_lcm(
-            tower, [({e: c.num}, _den(c.den, unit)) for e, c in coeffs.items()]
-        )
+        return _from_coefficients(tower, coeffs)
 
 
 # ---------------------------------------------------------------------------
-# element operations: normalize / invert / norm
-
-
-def normalize(e: FieldElement) -> FieldElement:
-    """The canonical form of e; arithmetic already keeps every element
-    canonical, so this returns an element equal to e."""
-    return e + e.tower.zero()
-
-
-def invert(e: FieldElement) -> FieldElement:
-    return e.inverse()
+# cubic extensions and the norm
 
 
 @dataclass(frozen=True)
@@ -1156,7 +1070,7 @@ class CubicExtension:
         return self.tower.galois_generator(self.radical_name)
 
     @property
-    def radicand_rf(self) -> RationalFunction:
+    def radicand(self) -> FieldElement:
         return self.tower.radical(self.radical_name).radicand
 
     def root(self) -> FieldElement:
@@ -1188,32 +1102,33 @@ class TriState:
         raise TypeError("TriState is not a boolean; inspect .status")
 
 
-def _nth_power_free_data(p: MPoly, n: int):
-    """(ok, witness_poly, bad_factor, bad_mult): multiplicity structure mod n."""
-    const, parts = squarefree_decomposition(p)
-    witness = MPoly.const(p.nvars, QZeta.one())
-    for g, k in parts:
-        if k % n != 0:
-            return False, None, g, k, const
-        witness = witness * g ** (k // n)
-    return True, witness, None, None, const
+def _num_den(c: FieldElement):
+    """The numerator and the monic denominator of c as an element of K."""
+    k = c.to_base()
+    return k.nums.get((), MPoly.zero(c.tower.nvars)), k.den
 
 
-def _is_nth_power_rf(c: RationalFunction, n: int) -> TriState:
-    if c.is_zero():
+def _nth_root_part(p: MPoly, n: int):
+    """(w, None) with p = lc(p) w^n, or (None, (g, k)) for a squarefree
+    factor g of p whose multiplicity k is not divisible by n."""
+    w = MPoly.const(p.nvars, QZeta.one())
+    for g, k in squarefree_decomposition(p)[1]:
+        if k % n:
+            return None, (g, k)
+        w = w * g ** (k // n)
+    return w, None
+
+
+def _power_test(c: FieldElement, n: int) -> TriState:
+    """Whether the base element c is an n-th power in K; a "yes" carries
+    the root as an element of c's tower.  The leading coefficients of the
+    numerator and denominator of a root give an n-th root of
+    kappa = lc(num) / lc(den) in Q(zeta), so qzeta_nth_root(kappa) = None
+    proves a "no"."""
+    num, den = _num_den(c)
+    if num.is_zero():
         raise SblinksError("power test on 0")
-    if c.is_constant():
-        v = c.constant_value()
-        r = qzeta_nth_root(v, n)
-        if r is not None:
-            return TriState("yes", RationalFunction.const(c.nvars, r))
-        if v.is_rational():
-            return TriState(
-                "no", certificate={"kind": "constant", "value": str(v.re), "n": n}
-            )
-        return TriState("unknown")
-    dnum = c.num.total_degree()
-    dden = c.den.total_degree()
+    dnum, dden = num.total_degree(), den.total_degree()
     if (dnum - dden) % n != 0:
         return TriState(
             "no",
@@ -1224,45 +1139,45 @@ def _is_nth_power_rf(c: RationalFunction, n: int) -> TriState:
                 "n": n,
             },
         )
-    found = []
-    for where, p in (("num", c.num), ("den", c.den)):
-        ok, w, bad, mult, const = _nth_power_free_data(p, n)
-        if not ok:
+    roots = []
+    for where, p in (("num", num), ("den", den)):
+        w, bad = _nth_root_part(p, n)
+        if w is None:
             return TriState(
                 "no",
                 certificate={
                     "kind": "multiplicity",
                     "where": where,
-                    "factor": poly_to_json(bad),
-                    "multiplicity": mult,
+                    "factor": poly_to_json(bad[0]),
+                    "multiplicity": bad[1],
                     "n": n,
                 },
             )
-        found.append((w, const))
-    (wn, cn), (wd, cd) = found
-    const = cn * cd.inverse()
-    cr = qzeta_nth_root(const, n)
-    if cr is None:
-        if const.is_rational():
-            return TriState(
-                "no", certificate={"kind": "constant", "value": str(const.re), "n": n}
-            )
-        return TriState("unknown")
-    witness = RationalFunction(wn.scale(cr), wd)
-    return TriState("yes", witness)
+        roots.append(w)
+    kappa = num.lc() * den.lc().inverse()
+    r = qzeta_nth_root(kappa, n)
+    if r is None:
+        return TriState(
+            "no", certificate={"kind": "constant", "value": repr(kappa), "n": n}
+        )
+    # the roots of num and den are coprime, and monic as products of monic
+    # squarefree factors
+    wn, wd = roots
+    tower = c.tower
+    root = FieldElement(tower, {tower.origin: wn.scale(r)}, _den(wd, tower.unit))
+    return TriState("yes", root)
 
 
 def _is_nth_power(c: FieldElement, n: int) -> TriState:
-    res = _is_nth_power_rf(c.base_rf(), n)
-    if res.status == "yes":
-        res.witness = c.tower.from_rf(res.witness)
-        if res.witness ** n != c:  # pragma: no cover - sanity
-            raise SblinksError("power witness failed re-verification")
+    res = _power_test(c, n)
+    if res.status == "yes" and res.witness ** n != c:  # pragma: no cover - sanity
+        raise SblinksError("power witness failed re-verification")
     return res
 
 
 def is_cube(c: FieldElement) -> TriState:
-    """Decide whether c in K is a cube in K (decidable fragment)."""
+    """Decide whether c in K is a cube in K; a "no" carries a certificate
+    that recheck_power_certificate re-verifies."""
     return _is_nth_power(c, 3)
 
 
@@ -1271,36 +1186,32 @@ def is_square(c: FieldElement) -> TriState:
 
 
 def recheck_power_certificate(c: FieldElement, cert: dict) -> bool:
-    """Independently re-verify a "no" certificate from is_cube/is_square."""
-    rf = c.base_rf()
+    """Independently re-verify a "no" certificate from is_cube/is_square,
+    from c itself.  0 = 0^n, so no certificate holds for it."""
+    num, den = _num_den(c)
+    if num.is_zero():
+        return False
     n = cert["n"]
     kind = cert["kind"]
     if kind == "degree":
         return (
-            rf.num.total_degree() == cert["num_degree"]
-            and rf.den.total_degree() == cert["den_degree"]
+            num.total_degree() == cert["num_degree"]
+            and den.total_degree() == cert["den_degree"]
             and (cert["num_degree"] - cert["den_degree"]) % n != 0
         )
     if kind == "constant":
-        v = Fraction(cert["value"])
-        from .scalars import rational_nth_root
-
-        return rational_nth_root(v, n) is None
+        kappa = num.lc() * den.lc().inverse()
+        return cert["value"] == repr(kappa) and qzeta_nth_root(kappa, n) is None
     if kind == "multiplicity":
-        factor = poly_from_json(cert["factor"], rf.nvars)
-        target = rf.num if cert["where"] == "num" else rf.den
+        factor = poly_from_json(cert["factor"], num.nvars)
+        cur = num if cert["where"] == "num" else den
         m = 0
-        cur = target
-        from .multipoly import try_div
-
         while True:
             nxt = try_div(cur, factor)
             if nxt is None:
                 break
             cur = nxt
             m += 1
-        from .multipoly import squarefree_part
-
         return (
             m == cert["multiplicity"]
             and m % n != 0
@@ -1321,11 +1232,8 @@ def is_norm(ext: CubicExtension, xi: FieldElement) -> TriState:
     """
     if xi.is_zero():
         raise SblinksError("norm test on 0")
-    xi_rf = xi.base_rf()
-    lam = ext.radicand_rf
-    tower = ext.tower
-
-    lam_elem = tower.from_rf(lam)
+    lam = ext.radicand
+    lam_elem = lam.lift_to(ext.tower)
     for j in range(3):
         cand = xi / lam_elem ** j
         res = is_cube(cand)
@@ -1338,9 +1246,7 @@ def is_norm(ext: CubicExtension, xi: FieldElement) -> TriState:
 
     var = _single_variable_index(lam)
     if var is not None:
-        weights = [1] * xi_rf.nvars
-        weights[var] = 3
-        d = xi_rf.num.weighted_degree(weights) - xi_rf.den.weighted_degree(weights)
+        d = _weighted_degree(xi, var)
         if d % 3 != 0:
             return TriState(
                 "no",
@@ -1357,23 +1263,26 @@ def recheck_norm_certificate(ext: CubicExtension, xi: FieldElement, cert: dict) 
     if cert.get("kind") != "norm-degree":
         return False
     var = cert["variable"]
-    lam = ext.radicand_rf
-    if _single_variable_index(lam) != var:
+    if _single_variable_index(ext.radicand) != var:
         return False
-    xi_rf = xi.base_rf()
-    weights = [1] * xi_rf.nvars
-    weights[var] = 3
-    d = xi_rf.num.weighted_degree(weights) - xi_rf.den.weighted_degree(weights)
+    d = _weighted_degree(xi, var)
     return d == cert["weighted_degree"] and d % 3 != 0
 
 
-def _single_variable_index(rf: RationalFunction):
-    """Index i when rf = c * t_i with c a nonzero constant, else None."""
-    if not rf.den.is_const():
+def _weighted_degree(xi: FieldElement, var: int) -> int:
+    """The degree of xi in K with t_var weighted 3 and the others 1."""
+    num, den = _num_den(xi)
+    weights = [1] * num.nvars
+    weights[var] = 3
+    return num.weighted_degree(weights) - den.weighted_degree(weights)
+
+
+def _single_variable_index(lam: FieldElement):
+    """Index i when lam = c * t_i with c a nonzero constant, else None."""
+    num, den = _num_den(lam)
+    if not den.is_const() or len(num.terms) != 1:
         return None
-    if len(rf.num.terms) != 1:
-        return None
-    (exps, _), = rf.num.tuple_terms().items()
+    (exps, _), = num.tuple_terms().items()
     if sum(exps) != 1:
         return None
     return exps.index(1)
@@ -1385,10 +1294,8 @@ def _single_variable_index(rf: RationalFunction):
 
 def nth_root_in_k(c: FieldElement, n: int):
     """Root in K of a base element, or None."""
-    res = _is_nth_power_rf(c.base_rf(), n)
-    if res.status == "yes":
-        return c.tower.from_rf(res.witness)
-    return None
+    res = _power_test(c, n)
+    return res.witness if res.status == "yes" else None
 
 
 def _base_root_in_tower(e: FieldElement, n: int):
@@ -1400,7 +1307,7 @@ def _base_root_in_tower(e: FieldElement, n: int):
         denom = tower.one()
         for r, a in zip(rads, exps):
             if a:
-                denom = denom * tower.from_rf(r.radicand) ** a
+                denom = denom * r.radicand.lift_to(tower) ** a
         w = nth_root_in_k(e / denom, n)
         if w is not None:
             root = w
@@ -1440,7 +1347,7 @@ def sqrt_in_tower(e: FieldElement):
             _reduced(sub, {k[:-1]: p for k, p in e.nums.items() if k[-1] == i}, e.den)
             for i in (0, 1)
         )
-        alpha = sub.from_rf(top.radicand)
+        alpha = top.radicand.lift_to(sub)
         if not b.is_zero():
             disc = a * a - b * b * alpha
             d = sqrt_in_tower(disc)

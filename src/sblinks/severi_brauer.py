@@ -179,11 +179,11 @@ def splitting_descriptor(tower: TowerField, stabilizer: list) -> tuple:
         dim = len(rads)
         vectors = [[h.get(r.name, 0) for r in rads] for h in stabilizer]
         for a in _fixed_exponents(vectors, dim, p):
-            rad = RationalFunction.const(tower.nvars, 1)
+            rad = rads[0].radicand.one()
             for k, r in zip(a, rads):
                 if k:
                     rad = rad * r.radicand ** k
-            entries.append(f"{p}:{radicand_class_string(rad, p)}")
+            entries.append(f"{p}:{radicand_class_string(rad.base_rf(), p)}")
     return tuple(sorted(set(entries)))
 
 

@@ -18,7 +18,7 @@ import sympy
 from sympy.polys.polyerrors import BasePolynomialError
 
 from .errors import BaseLocusNotSplit
-from .field_tower import RationalFunction, TowerField, _lcm
+from .field_tower import TowerField, _lcm
 from .multipoly import MPoly
 from .scalars import QZeta
 
@@ -54,15 +54,15 @@ def factor_univariate_over_k(p: MPoly, tower: TowerField):
     elements into K-irreducible monic factors (over the tower again).
     Raises BaseLocusNotSplit, chained from sympy's error, when sympy fails."""
     nvars = tower.nvars
-    coeffs = {e[0]: c.base_rf() for e, c in p.tuple_terms().items()}
-    den = _lcm((rf.den for rf in coeffs.values()), tower.unit)
+    coeffs = {e[0]: c.to_base() for e, c in p.tuple_terms().items()}
+    den = _lcm((c.den for c in coeffs.values()), tower.unit)
     x = sympy.Symbol("x")
     tsyms = [sympy.Symbol(f"t{i+1}") for i in range(nvars)]
     expr = sympy.Integer(0)
     from .multipoly import exact_div
 
-    for k, rf in coeffs.items():
-        num = rf.num * exact_div(den, rf.den)
+    for k, c in coeffs.items():
+        num = c.nums[()] * exact_div(den, c.den)
         expr += _mpoly_qzeta_to_expr(num, tsyms) * x ** k
     try:
         _, factors = sympy.factor_list(expr, x, *tsyms, extension=[_ZETA_EXPR])
@@ -109,8 +109,6 @@ def _poly_to_univariate(pf, x, tsyms, tower: TowerField) -> MPoly:
         by_x.setdefault(xdeg, {})[texps] = q
     terms = {}
     for xdeg, tdict in by_x.items():
-        num = MPoly(nvars, tdict)
-        rf = RationalFunction.from_poly(num)
-        terms[(xdeg,)] = tower.from_rf(rf)
+        terms[(xdeg,)] = tower.from_poly(MPoly(nvars, tdict))
     out = MPoly(1, terms)
     return out.monic()

@@ -11,17 +11,15 @@ from sblinks.field_tower import (
     RationalFunction,
     TowerField,
     cbrt_in_tower,
-    invert,
     is_cube,
     is_norm,
     is_square,
     norm,
-    normalize,
     recheck_norm_certificate,
     recheck_power_certificate,
     sqrt_in_tower,
 )
-from sblinks.multipoly import gcd
+from sblinks.multipoly import MPoly, exact_div, gcd
 from sblinks.scalars import QZeta
 
 
@@ -51,26 +49,6 @@ def test_normalize_examples(K2, L):
     assert (z * z + z + K2.one()).is_zero()
     # gcd cancellation
     assert (t1 * t1 - t2 * t2) / (t1 - t2) == t1 + t2
-    assert normalize(u) == u
-
-
-def test_rational_function_sums_match_tower_sums():
-    """RationalFunction.__add__ agrees with the sum of FieldElements over
-    K = Q(zeta)(t1, t2) on denominators that share a factor, coprime and
-    equal ones, and zero operands; from_rf keeps its operand as it is, so a
-    sum that is not reduced would compare unequal."""
-    K = TowerField.rational(2)
-    t1, t2 = (RationalFunction.t_var(2, i) for i in range(2))
-    one = RationalFunction.const(2, 1)
-    zero = one.zero()
-    a = one / (t1 * (t2 + one))
-    b = one / (t1 * t2)
-    c = one / (t2 + one)
-    pairs = [(a, b), (a, c), (b, c), (a, a), (a, -a), (zero, a), (b, zero), (zero, zero)]
-    for x, y in pairs:
-        assert K.from_rf(x + y) == K.from_rf(x) + K.from_rf(y)
-    # the shared factor t1 enters the denominator once
-    assert a + b == (t2 + t2 + one) / (t1 * t2 * (t2 + one))
 
 
 def test_invert_examples(K2, L):
@@ -80,7 +58,7 @@ def test_invert_examples(K2, L):
     assert u.inverse() == t1.inverse() * u * u
     assert (K2.one() + K2.zeta()).inverse() == -K2.zeta()
     with pytest.raises(ZeroInverse):
-        invert(L.zero())
+        L.zero().inverse()
 
 
 def test_invert_involution(L):
@@ -89,8 +67,8 @@ def test_invert_involution(L):
         e = rand_element(rng, L)
         if e.is_zero():
             continue
-        assert invert(invert(e)) == e
-        assert (e * invert(e)).is_one()
+        assert e.inverse().inverse() == e
+        assert (e * e.inverse()).is_one()
 
 
 def test_galois_examples(K2, L, ext):
@@ -196,6 +174,40 @@ def test_is_square(K2):
     assert r.status == "yes" and r.witness == t2
     # -3 is a square in Q(zeta)
     assert is_square(K2.scalar(-3)).status == "yes"
+
+
+def test_recheck_refuses_false_constant_certificates(K2):
+    # the value must be lc(num)/lc(den) of c, without an n-th root in
+    # Q(zeta): 4 = 2^2, 8 t1^3 = (2 t1)^3, and -3 = (1 + 2 zeta)^2
+    t1 = K2.t_var(0)
+    for c, value, n in [
+        (K2.scalar(4), "2", 2),
+        (K2.scalar(8) * t1 ** 3, "2", 3),
+        (K2.scalar(-3), "-3", 2),
+    ]:
+        cert = {"kind": "constant", "value": value, "n": n}
+        assert not recheck_power_certificate(c, cert)
+    # 0 = 0^n: not even a certificate that its own degrees satisfy holds
+    zero_degree = {"kind": "degree", "num_degree": -1, "den_degree": 0, "n": 2}
+    assert not recheck_power_certificate(K2.zero(), zero_degree)
+    r = is_cube(K2.scalar(2) * t1 ** 3)
+    assert r.status == "no" and r.certificate == {"kind": "constant", "value": "2", "n": 3}
+    assert recheck_power_certificate(K2.scalar(2) * t1 ** 3, r.certificate)
+
+
+def test_mixed_constants_are_certified_non_cubes(K2):
+    # the norm of 2 + zeta is 3, not a cube, so 2 + zeta has no cube root
+    # in Q(zeta), and neither has the leading coefficient of any cube root
+    # of (2 + zeta) t1^3
+    z = K2.scalar(QZeta(2, 1))
+    for c in (z, z * K2.t_var(0) ** 3):
+        r = is_cube(c)
+        assert r.status == "no"
+        assert r.certificate == {"kind": "constant", "value": "(2 + zeta)", "n": 3}
+        assert recheck_power_certificate(c, r.certificate)
+        changed = dict(r.certificate, value="(1 + zeta)")
+        assert not recheck_power_certificate(c, changed)
+        assert not recheck_power_certificate(c * K2.scalar(8), r.certificate)
 
 
 def test_is_norm(K2, L, ext):
@@ -379,9 +391,55 @@ def test_models_tower_inverse():
 
 
 # a per-coefficient reference: an element as a map from radical exponents to
-# reduced rational functions of K, with the tower arithmetic done coefficient
-# by coefficient; the stored form over one shared denominator must agree with
-# it on every operation, and JSON and repr keep its layout
+# reduced fractions of K, with the tower arithmetic done coefficient by
+# coefficient; the stored form over one shared denominator must agree with
+# it on every operation, and JSON and repr keep its layout.  A fraction is a
+# pair of polynomials reduced by one `multipoly.gcd`, so the reference
+# shares no code with the tower's own sums, products and reductions.
+
+
+class _Frac:
+    """num / den over Q(zeta)[t], with gcd(num, den) = 1 and den monic."""
+
+    def __init__(self, num, den):
+        if num.is_zero():
+            den = MPoly.const(num.nvars, QZeta.one())
+        else:
+            g = gcd(num, den)
+            num, den = exact_div(num, g), exact_div(den, g)
+        c = den.lc().inverse()
+        self.num, self.den = num.scale(c), den.scale(c)
+
+    def is_zero(self):
+        return self.num.is_zero()
+
+    def __add__(self, other):
+        return _Frac(self.num * other.den + other.num * self.den, self.den * other.den)
+
+    def __neg__(self):
+        return _Frac(-self.num, self.den)
+
+    def __mul__(self, other):
+        return _Frac(self.num * other.num, self.den * other.den)
+
+    def scale(self, c):
+        return _Frac(self.num.scale(c), self.den)
+
+    def inverse(self):
+        return _Frac(self.den, self.num)
+
+    def view(self):
+        """The fraction as the library prints it."""
+        return RationalFunction(self.num, self.den, reduce=False)
+
+
+def _frac(rf):
+    return _Frac(rf.num, rf.den)
+
+
+def _ref_of(x):
+    """The reference of a tower element, read from its coefficients."""
+    return {e: _frac(c) for e, c in x.coefficients().items()}
 
 
 def _ref_add(a, b):
@@ -404,7 +462,7 @@ def _ref_mul(tower, a, b):
             for j, r in enumerate(tower.radicals):
                 if e[j] >= r.degree:
                     e[j] -= r.degree
-                    c = c * r.radicand
+                    c = c * _frac(r.radicand.base_rf())
             out = _ref_add(out, {tuple(e): c})
     return out
 
@@ -415,12 +473,13 @@ def _ref_galois(tower, j, k, a):
     out = {}
     for e, c in a.items():
         unity = QZeta.zeta_pow(k * e[j]) if d == 3 else QZeta((-1) ** (k * e[j]))
-        out[e] = RationalFunction.const(tower.nvars, unity) * c
+        out[e] = c.scale(unity)
     return out
 
 
 def _ref_inverse(tower, a):
-    n, conj = a, {tower.origin: RationalFunction.const(tower.nvars, 1)}
+    one = MPoly.const(tower.nvars, QZeta.one())
+    n, conj = a, {tower.origin: _Frac(one, one)}
     for j in reversed(range(tower.height())):
         if not any(e[j] for e in n):
             continue
@@ -457,13 +516,13 @@ def _ref_repr(tower, a):
         ]
         return " + ".join(bits) if bits else "0"
 
-    return _ref_layout(tower, a, lambda c: "0" if c is None else repr(c), node)
+    return _ref_layout(tower, a, lambda c: "0" if c is None else repr(c.view()), node)
 
 
 def _ref_json(tower, a):
-    zero = RationalFunction.const(tower.nvars, 0)
+    zero = _Frac(MPoly.zero(tower.nvars), MPoly.const(tower.nvars, QZeta.one()))
     coords = _ref_layout(
-        tower, a, lambda c: (zero if c is None else c).to_json(), lambda _, p: p
+        tower, a, lambda c: (zero if c is None else c).view().to_json(), lambda _, p: p
     )
     return {"tower": tower.to_json(), "coords": coords}
 
@@ -482,7 +541,7 @@ def _assert_matches(x, ref):
         assert x.den is unit
     if not ref:
         assert x.nums == {} and x.den is unit
-    assert x.coefficients() == ref
+    assert x.coefficients() == {e: c.view() for e, c in ref.items()}
     assert repr(x) == _ref_repr(x.tower, ref)
     data = x.to_json()
     assert data == _ref_json(x.tower, ref)
@@ -507,7 +566,7 @@ def test_arithmetic_matches_per_coefficient_reference(data):
     M = data.draw(_towers)
     a = data.draw(fractions_of(M))
     b = data.draw(fractions_of(M, max_terms=2))
-    ra, rb = a.coefficients(), b.coefficients()
+    ra, rb = _ref_of(a), _ref_of(b)
     _assert_matches(a, ra)
     _assert_matches(a + b, _ref_add(ra, rb))
     neg_b = {e: -c for e, c in rb.items()}
@@ -523,6 +582,33 @@ def test_arithmetic_matches_per_coefficient_reference(data):
         _assert_matches(a / b, _ref_mul(M, ra, inv))
 
 
+def test_base_field_arithmetic_matches_fraction_reference():
+    """Sums, products and inverses over K = Q(zeta)(t1, t2) agree with the
+    fraction reference on denominators that share a factor, coprime and
+    equal ones, and zero operands.  The operands are built in K and in the
+    reference apart, so a result that is not reduced would compare
+    unequal."""
+    K = TowerField.rational(2)
+    t1, t2, one = K.t_var(0), K.t_var(1), K.one()
+    T1, T2 = (MPoly.variable(2, i, QZeta.one()) for i in range(2))
+    ONE = MPoly.const(2, QZeta.one())
+    a = (one / (t1 * (t2 + one)), {(): _Frac(ONE, T1 * (T2 + ONE))})
+    b = (one / (t1 * t2), {(): _Frac(ONE, T1 * T2)})
+    c = (one / (t2 + one), {(): _Frac(ONE, T2 + ONE)})
+    minus_a = (-a[0], {(): -a[1][()]})
+    zero = (K.zero(), {})
+    for x, rx in (a, b, c, minus_a, zero):
+        _assert_matches(x, rx)
+    pairs = [(a, b), (a, c), (b, c), (a, a), (a, minus_a), (zero, a), (b, zero), (zero, zero)]
+    for (x, rx), (y, ry) in pairs:
+        _assert_matches(x + y, _ref_add(rx, ry))
+        _assert_matches(x * y, _ref_mul(K, rx, ry))
+        if ry:
+            _assert_matches(y.inverse(), _ref_inverse(K, ry))
+    # the shared factor t1 enters the denominator once
+    assert a[0] + b[0] == (t2 + t2 + one) / (t1 * t2 * (t2 + one))
+
+
 @given(st.data())
 @settings(max_examples=30, deadline=None)
 def test_galois_and_lift_match_per_coefficient_reference(data):
@@ -530,12 +616,12 @@ def test_galois_and_lift_match_per_coefficient_reference(data):
     a = data.draw(fractions_of(M))
     for j, rad in enumerate(M.radicals):
         g = M.galois_generator(rad.name)
-        _assert_matches(g.apply(a), _ref_galois(M, j, 1, a.coefficients()))
+        _assert_matches(g.apply(a), _ref_galois(M, j, 1, _ref_of(a)))
     for sub in _SUBTOWERS[M]:
         x = data.draw(fractions_of(sub)) if sub.radicals else data.draw(elements_of(sub))
         pos = [M.radical_index(r.name) for r in sub.radicals]
         ref = {}
-        for e, c in x.coefficients().items():
+        for e, c in _ref_of(x).items():
             k = list(M.origin)
             for i, v in zip(pos, e):
                 k[i] = v
@@ -548,7 +634,7 @@ def test_galois_and_lift_match_per_coefficient_reference(data):
 # the four towers of the suite; the hexagon tower is K[cbrt(c t_i)]
 
 from sblinks.field_tower import _free_subst
-from sblinks.multipoly import MPoly, _horner, _poly
+from sblinks.multipoly import _horner, _poly
 
 _HEX_h = _K_h.extend("u", 3, _K_h.scalar(Fraction(-3, 2)) * _t2_h)
 _SUBST_TOWERS = [_L_h, *_TWO_RADICALS, _HEX_h]

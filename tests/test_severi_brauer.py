@@ -144,7 +144,7 @@ def test_normalize_3point_unit_orbit(surface, unit_point, ext):
     assert g.apply(xi_p) == xi_p
     assert xi_p.in_base()
     # building the surface with xi' stays in the same isomorphism class
-    s2 = make_surface(ext, tower.from_rf(xi_p.base_rf()))
+    s2 = make_surface(ext, xi_p.to_base().lift_to(tower))
     assert is_isomorphic(surface, s2).status in ("yes", "unknown")
 
 
@@ -288,7 +288,7 @@ def test_normalized_xi_stays_isomorphic_on_random_points(surface, L):
         if pt.degree != 3:
             continue
         phi, xi_p, tower = normalize_3point(surface, pt)
-        s2 = make_surface(surface.ext, tower.from_rf(xi_p.base_rf()))
+        s2 = make_surface(surface.ext, xi_p.to_base().lift_to(tower))
         assert is_isomorphic(surface, s2).status in ("yes", "unknown")
         checked += 1
         if checked == 4:
