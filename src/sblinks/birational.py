@@ -19,26 +19,30 @@ triples, so `subst` does polynomial arithmetic, not a rational-function gcd
 per add and multiply.  Triples that are not a map's, such as curve
 parametrisations, are cleared where they are substituted.
 
-The gcd over the tower, the costly part of construction, runs only where
-coprimality is not already known; `normalize=False` skips it, for a caller
-that guarantees coprime coordinates:
+The constructor trusts its input, as `FieldElement` does: the coordinates
+must be coprime, and it does not check this.  `_normalize_coords`, the one
+reducer, runs only where a raw composite becomes a map: in `compose` and
+for rho-hat in `cubic_models`.  Every other map is coprime by construction
+(the linear systems are those of Alberich-Carramiñana, LNM 1769):
 
-- `compose`, and construction from arbitrary coordinates, run the full gcd;
-- `identity`, `apply_matrix` and `subst_linear` with an invertible 3x3
-  matrix, and the conic maps sigma o phi for invertible phi, skip it: an
-  invertible linear change keeps a coprime triple coprime, and the products
-  of pairwise independent linear forms share no factor;
-- the backward map of a 3-link is the closed form bwd = P . D . sigma(Q^-1 x)
-  of `_cremona`, from 3x3 matrices alone, and skips it too:
-  it takes no gcd, and no compose.  A 6-link's backward map eta^-1 . b0
-  takes neither: `_inverse_by_jacobian` reads eta off the raw b0 o forward
-  by one exact division by J^2, J the forward Jacobian;
-- a link substitutes into one contracted curve, and takes the inverse base
-  point as the twisted orbit of its image: the curves are one Galois orbit;
-- `is_equivariant`, the round-trip certificate of a 3-link and every other
-  check that only compares a composite (`_composes_to`) compare
-  unnormalised coordinate triples by 2x2 cross products, which needs no
-  normal form.
+- `identity`, `standard_involution` and sigma o phi, phi invertible, are
+  products of pairwise independent linear forms, which share no factor;
+- `from_matrix`, `apply_matrix` and `subst_linear` refuse a singular
+  matrix, and an invertible linear change keeps a coprime triple coprime;
+- a 3-link's forward map is three independent conics through three
+  non-collinear points: they span the net that holds the line pairs through
+  the points, which share no factor.  Its backward map is `_cremona`'s
+  P . D . sigma(adj(Q) x), a conic map moved by an invertible matrix;
+- a 6-link's forward map and b0 are three independent quintics double at
+  six points with no three collinear and no conic through all six (checked
+  for p and q): that net has no fixed component.  Its backward map is
+  eta^-1 . b0, eta read off the raw b0 o forward by one exact division by
+  J^2, J the forward Jacobian (`_inverse_by_jacobian`).
+
+A link takes its inverse base point as the twisted orbit of the image of
+one contracted curve.  `is_equivariant`, the round trip of a 3-link and
+every check of a composite (`_composes_to`) compare raw triples by 2x2
+cross products, which needs no normal form.
 
 `TwistedMap` and `Link` are plain records; `Link` says where each link fact
 is checked, once, and why links derived from certified ones inherit them.
@@ -120,14 +124,12 @@ class RationalMap:
 
     __slots__ = ("tower", "coords", "degree", "_hash")
 
-    def __init__(self, tower: TowerField, coords, normalize: bool = True):
+    def __init__(self, tower: TowerField, coords):
         coords = tuple(coords)
         if len(coords) != 3:
             raise SblinksError("a map to the plane needs exactly 3 coordinates")
         if all(c.is_zero() for c in coords):
             raise IdenticallyZero("all map coordinates vanish")
-        if normalize:
-            coords = _normalize_coords(coords)
         self.tower = tower
         self.coords = _cleared(_scale_canonical(coords))
         degs = {c.total_degree() for c in coords if not c.is_zero()}
@@ -146,7 +148,7 @@ class RationalMap:
     def identity(tower: TowerField) -> "RationalMap":
         one = tower.one()
         coords = tuple(MPoly.variable(3, i, one) for i in range(3))
-        return RationalMap(tower, coords, normalize=False)
+        return RationalMap(tower, coords)
 
     @staticmethod
     def standard_involution(tower: TowerField) -> "RationalMap":
@@ -163,7 +165,7 @@ class RationalMap:
 
     @staticmethod
     def from_matrix(tower: TowerField, m) -> "RationalMap":
-        return RationalMap(tower, _linear_forms(m))
+        return RationalMap(tower, _linear_forms(_invertible(m)))
 
     # -- queries --------------------------------------------------------------
 
@@ -228,9 +230,7 @@ def _cleared(coords):
 
 
 def _normalize_coords(coords):
-    """The triple divided by the gcd of its coordinates, taken on the cleared
-    triple, where it runs on polynomial coefficients."""
-    coords = _cleared(coords)
+    """A denominator-free raw triple divided by the gcd of its coordinates."""
     g = gcd_many_homogeneous([c for c in coords if not c.is_zero()])
     if g.is_const():
         return coords
@@ -286,8 +286,11 @@ def _mat_times(m, coords):
     return out
 
 
-def _invertible3(m) -> bool:
-    return len(m) == 3 and all(len(r) == 3 for r in m) and not det3(m).is_zero()
+def _invertible(m):
+    """The 3x3 matrix m, refused as `inverse3` refuses it when singular."""
+    if det3(m).is_zero():
+        raise SblinksError("singular 3x3 matrix")
+    return m
 
 
 def equals(f: RationalMap, g: RationalMap) -> bool:
@@ -335,24 +338,18 @@ def _composes_to(f: RationalMap, h: RationalMap, coords) -> bool:
 
 def compose(f: RationalMap, h: RationalMap) -> RationalMap:
     """f after h: substitute the coordinates of h into f and reduce."""
-    return RationalMap(f.tower, _substituted(f, h))
+    return RationalMap(f.tower, _normalize_coords(_substituted(f, h)))
 
 
 def apply_matrix(m, f: RationalMap) -> RationalMap:
-    """The map x -> m . f(x)."""
-    coords = _mat_times(m, f.coords)
-    if _invertible3(m):
-        return RationalMap(f.tower, coords, normalize=False)
-    return RationalMap(f.tower, coords)
+    """The map x -> m . f(x), m invertible."""
+    return RationalMap(f.tower, _mat_times(_invertible(m), f.coords))
 
 
 def subst_linear(f: RationalMap, m) -> RationalMap:
-    """The map x -> f(m x)."""
-    forms = _linear_forms(m)
-    coords = tuple(c.subst(forms) for c in f.coords)
-    if _invertible3(m):
-        return RationalMap(f.tower, coords, normalize=False)
-    return RationalMap(f.tower, coords)
+    """The map x -> f(m x), m invertible."""
+    forms = _linear_forms(_invertible(m))
+    return RationalMap(f.tower, tuple(c.subst(forms) for c in f.coords))
 
 
 # ---------------------------------------------------------------------------
@@ -473,9 +470,10 @@ def _linear_through(before, after):
     before and after are chains of maps applied left to right: the
     projectivity between the images of four K-points (a : b : 1) of `_GRID`,
     each off the base locus of every map of both chains, no three of either
-    image set collinear.  M is scaled as `_scale_canonical` scales a linear
-    map, so it equals the matrix of the normalised composite.  None if the
-    grid holds no such four points.
+    image set collinear, and confirmed at the next grid point off those base
+    loci.  M is scaled as `_scale_canonical` scales a linear map, so it
+    equals the matrix of the normalised composite.  None if the grid holds
+    no such five points or M fails at the fifth, where no linear map fits.
 
     The images are raw values of the stored triples, where
     `RationalMap.evaluate` would rescale each one by an inverse: projective
@@ -494,18 +492,21 @@ def _linear_through(before, after):
                 return None  # p lies in the base locus
         return p
 
-    src, dst = [], []
+    src, dst, m = [], [], None
     for a, b in _GRID:
         p = [tower.scalar(a), tower.scalar(b), tower.one()]
         s, d = image(chains[0], p), image(chains[1], p)
         if s is None or d is None:
             continue
+        if m is not None:
+            if _proportional(mat_vec(m, s), d):
+                return _coefficient_rows(tower, _scale_canonical(_linear_forms(m)))
+            return None
         if _in_general_position(src + [s]) and _in_general_position(dst + [d]):
             src.append(s)
             dst.append(d)
             if len(src) == 4:
                 m = projectivity(src, dst)
-                return _coefficient_rows(tower, _scale_canonical(_linear_forms(m)))
     return None
 
 
@@ -1059,15 +1060,8 @@ def _radical_roots(p: MPoly, tower: TowerField):
 def _sigma_forms(m):
     """The raw triple sigma(m x) = [l1 l2 : l0 l2 : l0 l1], l_i the rows of m
     as linear forms."""
-    l0, l1, l2 = _linear_forms(m)
+    l0, l1, l2 = _cleared(_linear_forms(m))
     return (l1 * l2, l0 * l2, l0 * l1)
-
-
-def _sigma_after(tower: TowerField, phi) -> RationalMap:
-    """The quadratic map sigma o phi.  phi must be invertible: its rows are
-    then pairwise independent linear forms, whose products share no factor,
-    so no gcd is taken."""
-    return RationalMap(tower, _sigma_forms(phi), normalize=False)
 
 
 def _inverse_by_jacobian(b0: RationalMap, forward: RationalMap) -> RationalMap:
@@ -1112,11 +1106,9 @@ def _cremona(tower: TowerField, P, d, adj_q) -> RationalMap:
     forward = Q . D . sigma(P^-1 x), P and Q invertible with columns p_i and
     q_i, q_i the image of the line that misses p_i, because
     sigma(D y) = det(D) D^-1 sigma(y) and sigma o sigma = xyz . id.  adj(Q)
-    is a scalar multiple of Q^-1, so no inverse, compose or gcd is taken.
-    adj(Q) is invertible, so the products are coprime, and so is their image
-    under the invertible P . D: no gcd is taken."""
+    is a scalar multiple of Q^-1, so no inverse or compose is taken."""
     PD = tuple(tuple(x * y for x, y in zip(row, d)) for row in P)
-    return RationalMap(tower, _mat_times(PD, _sigma_forms(adj_q)), normalize=False)
+    return RationalMap(tower, _mat_times(PD, _sigma_forms(adj_q)))
 
 
 def link_from_3point(surface: SBSurface, point: ClosedPoint) -> Link:
@@ -1140,7 +1132,7 @@ def link_from_3point(surface: SBSurface, point: ClosedPoint) -> Link:
             raise EquivariantBasisNotFound(
                 "normalized twist parameter leaves the base field"
             )
-        fwd_map = _sigma_after(tower, phi)
+        fwd_map = RationalMap(tower, _sigma_forms(phi))
         xi_target = xi_p.to_base().lift_to(surface.tower).inverse()
         target = SBSurface(surface.ext, xi_target, -surface.side)
     else:
@@ -1190,6 +1182,15 @@ def conic_through_five(tower: TowerField, pts) -> MPoly:
     return basis[0]
 
 
+def _check_six_general(tower: TowerField, comps):
+    """Raises SpecialPosition if three of the six points are collinear or a
+    conic passes through all six."""
+    if not _in_general_position(comps):
+        raise SpecialPosition("three of the six components are collinear")
+    if curves_through(tower, comps, 2)[0]:
+        raise SpecialPosition("the six components lie on a conic")
+
+
 def link_from_6point(surface: SBSurface, point: ClosedPoint) -> Link:
     """The Sarkisov 6-link: quintics with double points at the six components;
     q is the twisted orbit of the image of the conic through five of them."""
@@ -1197,11 +1198,7 @@ def link_from_6point(surface: SBSurface, point: ClosedPoint) -> Link:
         raise SblinksError("link_from_6point needs a degree-6 point")
     tower = point.tower
     comps = point.components
-    if not _in_general_position(comps):
-        raise SpecialPosition("three of the six components are collinear")
-    full_conics, _ = curves_through(tower, comps, 2)
-    if full_conics:
-        raise SpecialPosition("the six components lie on a conic")
+    _check_six_general(tower, comps)
 
     # the basis spans the nullspace of the 18x21 system: rank 21 - len(basis)
     basis, _ = curves_through(tower, comps, 5, double=True)
@@ -1228,6 +1225,7 @@ def link_from_6point(surface: SBSurface, point: ClosedPoint) -> Link:
             "inverse base point has a different splitting field than the base point"
         )
 
+    _check_six_general(tower, q.components)
     b_basis, _ = curves_through(tower, q.components, 5, double=True)
     if len(b_basis) != 3:
         raise SpecialPosition(

@@ -38,6 +38,7 @@ from .birational import (
     _linear_forms,
     _linear_through,
     _mat_times,
+    _normalize_coords,
     _subst_cleared,
     _substituted,
     link_from_3point,
@@ -630,19 +631,19 @@ def order3_selfmap(model: SmoothCubicModel):
     [zeta w:x:y:z], together with its factorization into two 3-links with
     splitting fields K[cbrt lam] and K[cbrt mu].
 
-    No composite is normalised.  The second link is aligned by a linear map
+    Only rho-hat's raw triple is normalised.  The second link is aligned by a linear map
     M proposed pointwise (`_linear_through`: M sends chi2(chi1(p)) to
-    rho-hat(p) at four grid points) and proved by the raw identity
+    rho-hat(p) at grid points) and proved by the raw identity
     rho-hat = chi2' o chi1.  Then rho-hat o rho-hat = chi1^-1 o chi2'^-1,
     compared raw by `_squares_to`, is rho-hat^-1 by the links' round trips:
-    rho-hat has order 3, with no gcd taken."""
+    rho-hat has order 3, with no further gcd taken."""
     Lh = model.tower
     surface = model.surface()
     section = section_of_contraction(model)
     zeta = Lh.zeta()
     rho_section = [section[0].scale(zeta)] + list(section[1:])
-    # normalising removes the scale that clearing puts on the raw triple
-    rho_hat = RationalMap(Lh, _subst_cleared(model.contraction, rho_section))
+    raw = _subst_cleared(model.contraction, rho_section)
+    rho_hat = RationalMap(Lh, _normalize_coords(raw))  # raw has a common factor
 
     chi1, chi2 = _two_links(model, surface)
     m = _linear_through((chi1.forward.map, chi2.forward.map), (rho_hat,))

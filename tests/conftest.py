@@ -130,3 +130,16 @@ def assert_link_facts():
         assert fwd.map.degree == {3: 2, 6: 5}[link.degree_class]
 
     return check
+
+
+@pytest.fixture(scope="session")
+def assert_coprime():
+    """Assert that the coordinates of each map share no common factor: the
+    constructor trusts them to, and does not check."""
+    from sblinks.multipoly import gcd_many_homogeneous
+
+    def check(*maps):
+        for f in maps:
+            assert gcd_many_homogeneous([c for c in f.coords if not c.is_zero()]).is_const()
+
+    return check

@@ -30,8 +30,9 @@ from sblinks.birational import (
     _inverse_by_jacobian,
     _linear_forms,
     _mat_times,
+    _normalize_coords,
     _radical_roots,
-    _sigma_after,
+    _sigma_forms,
     _twisted_action,
     _univariate_roots,
     apply_matrix,
@@ -87,7 +88,6 @@ def test_compose_collapses(L):
             MPoly.zero(3),
             MPoly.monomial(3, (0, 0, 1), one),
         ),
-        normalize=False,
     )
     with pytest.raises(IdenticallyZero):
         compose(f, zero_map)
@@ -171,7 +171,6 @@ def test_base_points_rejects_common_factor(L):
             MPoly.monomial(3, (1, 1, 0), one),
             MPoly.monomial(3, (1, 0, 1), one),
         ),
-        normalize=False,
     )
     with pytest.raises(NonFiniteBaseLocus):
         base_points(f)
@@ -412,8 +411,13 @@ def _raw_forms(m):
     ]
 
 
+def _reduced(tower, raw):
+    """The reference map of a raw triple: its common factor divided out."""
+    return RationalMap(tower, _normalize_coords(raw))
+
+
 def test_coprime_paths_match_full_gcd(L, link_at_coords, link_at_unit):
-    """apply_matrix, subst_linear and sigma o phi skip the gcd for invertible
+    """apply_matrix, subst_linear and sigma o phi take no gcd for invertible
     matrices; the result must be the map the full gcd gives."""
     rng = random.Random(20240612)
     maps = [
@@ -423,30 +427,30 @@ def test_coprime_paths_match_full_gcd(L, link_at_coords, link_at_unit):
     ]
     for f in maps:
         m = _random_invertible(rng, L)
-        assert apply_matrix(m, f) == RationalMap(L, _raw_apply(m, f.coords))
+        assert apply_matrix(m, f) == _reduced(L, _raw_apply(m, f.coords))
         m = _random_invertible(rng, L, radical=False)
         forms = _raw_forms(m)
-        assert subst_linear(f, m) == RationalMap(L, [c.subst(forms) for c in f.coords])
+        assert subst_linear(f, m) == _reduced(L, [c.subst(forms) for c in f.coords])
     for _ in range(3):
         m = _random_invertible(rng, L)
         l0, l1, l2 = _raw_forms(m)
-        assert _sigma_after(L, m) == RationalMap(L, (l1 * l2, l0 * l2, l0 * l1))
+        sigma_phi = RationalMap(L, _sigma_forms(m))
+        assert sigma_phi == _reduced(L, (l1 * l2, l0 * l2, l0 * l1))
 
 
-def test_singular_matrix_takes_full_gcd(L):
+def test_linear_constructors_refuse_singular_matrices(L):
+    """A singular matrix would leave a common factor, (yz, xz, xz) after
+    sigma, which the constructor does not look for: it is refused."""
     sig = RationalMap.standard_involution(L)
     one, zero = L.one(), L.zero()
-    # (yz, xz, xz): the common factor z must still be removed
     m = ((one, zero, zero), (zero, one, zero), (zero, one, zero))
-    g = apply_matrix(m, sig)
-    assert g.degree == 1
-    assert g == RationalMap(L, _raw_apply(m, sig.coords))
-    # sigma(x, x, z) = (xz, xz, x^2): the common factor x must be removed
-    m = ((one, zero, zero), (one, zero, zero), (zero, zero, one))
-    h = subst_linear(sig, m)
-    assert h.degree == 1
-    forms = _raw_forms(m)
-    assert h == RationalMap(L, [c.subst(forms) for c in sig.coords])
+    for build in (
+        lambda: apply_matrix(m, sig),
+        lambda: subst_linear(sig, m),
+        lambda: RationalMap.from_matrix(L, m),
+    ):
+        with pytest.raises(SblinksError, match="singular"):
+            build()
 
 
 def _denominators(coords):
@@ -473,7 +477,7 @@ def _assert_cleared_compose(f, h):
     substitution."""
     assert all(d.is_const() for d in _denominators(f.coords + h.coords))
     raw = [c.subst(list(h.coords)) for c in f.coords]
-    assert compose(f, h) == RationalMap(f.tower, raw)
+    assert compose(f, h) == _reduced(f.tower, raw)
 
 
 def test_stored_triple_is_one_per_map(L, link_at_unit):
@@ -707,16 +711,22 @@ def _seeded_3points(surface, L, count, seed):
     raise AssertionError(f"only {len(points)} of {count} 3-points in {ATTEMPTS} seeds")
 
 
-def _models_second_link():
-    """The second link of `order3_selfmap`, before its alignment: at the
-    transported images of E3, E4, E5, over the models tower."""
-    from sblinks.cubic_models import _two_links, build_smooth_model
+def _models_model():
+    """The smooth cubic model of the models tower K[cbrt t1][cbrt mu]."""
+    from sblinks.cubic_models import build_smooth_model
     from sblinks.field_tower import TowerField
 
     K = TowerField.rational(2)
     t1, t2 = K.t_var(0), K.t_var(1)
-    model = build_smooth_model(t1, (t2 - K.one()) / (K.scalar(27) * t1), K.one())
-    return _two_links(model, model.surface())[1]
+    return build_smooth_model(t1, (t2 - K.one()) / (K.scalar(27) * t1), K.one())
+
+
+def _models_two_links(model):
+    """The two links of `order3_selfmap`, the second before its alignment:
+    at the coordinate points, then at the transported images of E3, E4, E5."""
+    from sblinks.cubic_models import _two_links
+
+    return _two_links(model, model.surface())
 
 
 @pytest.fixture(scope="module")
@@ -724,7 +734,7 @@ def closed_form_links(surface, L, link_at_coords, link_at_unit):
     links = {"coords": link_at_coords, "unit": link_at_unit}
     for i, pt in enumerate(_seeded_3points(surface, L, 3, 20240613)):
         links[f"random{i}"] = link_from_3point(surface, pt)
-    links["models_chi2"] = _models_second_link()
+    links["models_chi2"] = _models_two_links(_models_model())[1]
     return links
 
 
@@ -745,7 +755,7 @@ def _absorbed_backward(link):
     composite with the forward map by the projective gcd."""
     fwd = link.forward.map
     m = _columns(link.inverse_base_point.components)
-    return _absorb_linear(_sigma_after(fwd.tower, inverse3(m)), fwd)
+    return _absorb_linear(RationalMap(fwd.tower, _sigma_forms(inverse3(m))), fwd)
 
 
 @pytest.mark.parametrize(
@@ -765,9 +775,7 @@ def _inverse_quintics(link, extra=None):
     comps = list(q.components) if extra is None else list(q.components[:5]) + [extra]
     basis, _ = curves_through(q.tower, comps, 5, double=True)
     assert len(basis) == 3
-    # the gcd that would normalise a triple Galois does not fix ran for
-    # minutes without finishing; the division needs no normal form
-    return RationalMap(q.tower, tuple(basis), normalize=extra is None)
+    return RationalMap(q.tower, tuple(basis))
 
 
 def test_6link_backward_matches_absorbed(six_link):
@@ -783,7 +791,7 @@ def _perturbed(b0):
     c0 = b0.coords[0]
     e, c = max(c0.tuple_terms().items())
     bumped = c0 + MPoly.monomial(c0.nvars, e, c.one())
-    return RationalMap(b0.tower, (bumped,) + b0.coords[1:], normalize=False)
+    return RationalMap(b0.tower, (bumped,) + b0.coords[1:])
 
 
 def _mutated_inverse_data(name, link):
@@ -796,7 +804,7 @@ def _mutated_inverse_data(name, link):
         assert off not in link.inverse_base_point.component_set()
         return _inverse_quintics(link, off), fwd
     f0, _, f2 = fwd.coords
-    return _inverse_quintics(link), RationalMap(fwd.tower, (f0, f0, f2), normalize=False)
+    return _inverse_quintics(link), RationalMap(fwd.tower, (f0, f0, f2))
 
 
 @pytest.mark.parametrize("name", ["coefficient", "double_point", "zero_jacobian"])
@@ -904,6 +912,67 @@ def test_6link_takes_no_compose(monkeypatch, surface, six_point, link_json):
     monkeypatch.setattr(birational, "_composes_to", forbidden)
     link = link_from_6point(surface, six_point)
     assert _digests(link_json(link), repr(link)) == LINK_PINS["six_link"]
+
+
+@pytest.mark.parametrize("name", ["coords", "unit", "models", "six"])
+def test_links_take_no_gcd(
+    monkeypatch, name, surface, coord_point, unit_point, six_point, link_sha
+):
+    """The link constructors trust their triples to be coprime, on the
+    pure-g 3-link branch (coordinate and unit points), the descent branch
+    (the models tower's two links) and for a 6-link: the reducer never
+    runs, and each link is the one pinned or built without the guard."""
+    import sblinks.birational as birational
+
+    builds = {
+        "coords": lambda: [link_from_3point(surface, coord_point)],
+        "unit": lambda: [link_from_3point(surface, unit_point)],
+        "six": lambda: [link_from_6point(surface, six_point)],
+    }
+    if name == "models":
+        model = _models_model()
+        builds["models"] = lambda: _models_two_links(model)
+    expected = [link_sha(link) for link in builds[name]()]
+
+    def forbidden(*args):
+        raise AssertionError("a link construction took a gcd")
+
+    monkeypatch.setattr(birational, "_normalize_coords", forbidden)
+    assert [link_sha(link) for link in builds[name]()] == expected
+
+
+@pytest.mark.parametrize("name", ["link_at_coords", "link_at_unit", "six_link"])
+def test_pinned_link_maps_are_coprime(name, request, assert_coprime):
+    link = request.getfixturevalue(name)
+    assert_coprime(link.forward.map, link.backward.map)
+
+
+@pytest.mark.parametrize("defect", ["collinear", "conic"])
+def test_6link_checks_q_before_b0(monkeypatch, defect, surface, six_point):
+    """An inverse base point q in special position, forced here by the
+    general-position check reporting one at q, raises SpecialPosition before
+    b0 is built: the quintics double at q are never solved for."""
+    import sblinks.birational as birational
+
+    p = list(six_point.components)
+    real_general, real_curves = birational._in_general_position, birational.curves_through
+    quintics_at = []
+
+    def general(points):
+        return real_general(points) and (defect != "collinear" or list(points) == p)
+
+    def curves(tower, comps, degree, double=False):
+        if degree == 5:
+            quintics_at.append(list(comps))
+        if defect == "conic" and degree == 2 and len(comps) == 6 and list(comps) != p:
+            return real_curves(tower, comps[:5], 2)
+        return real_curves(tower, comps, degree, double)
+
+    monkeypatch.setattr(birational, "_in_general_position", general)
+    monkeypatch.setattr(birational, "curves_through", curves)
+    with pytest.raises(SpecialPosition):
+        link_from_6point(surface, six_point)
+    assert quintics_at == [p]
 
 
 # SHA-256 of the link's JSON form as the projective-gcd route built it

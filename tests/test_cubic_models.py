@@ -228,6 +228,12 @@ def test_order3_selfmap(smooth, order3, link_sha):
     assert e1 != 0 and e2 != 0
 
 
+def test_order3_maps_are_coprime(order3, assert_coprime):
+    rho, chi1, chi2 = order3
+    assert_coprime(rho.map, chi1.forward.map, chi1.backward.map)
+    assert_coprime(chi2.forward.map, chi2.backward.map)
+
+
 def test_order3_links_keep_every_fact(order3, assert_link_facts):
     """chi1, and chi2 after its alignment by a linear map, keep every link
     fact."""
@@ -393,8 +399,8 @@ def test_wrong_alignment_fails_loudly(monkeypatch, smooth, proposal):
 
 
 def test_order3_needs_no_compose(monkeypatch, smooth, link_sha):
-    """order3_selfmap normalises no composite, and its output is still
-    pinned."""
+    """order3_selfmap composes no maps (only rho-hat's raw triple is
+    normalised), and its output is still pinned."""
 
     def fail(*args, **kwargs):
         raise AssertionError("order3_selfmap reached compose")

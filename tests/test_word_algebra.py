@@ -229,6 +229,32 @@ def test_chain_that_does_not_close_raises(monkeypatch, surface, L, gp_hexagon):
         _close_in_the_middle(surface, links[:5] + [wrong])
 
 
+def test_chain_that_does_not_close_is_refused_by_the_proposal(
+    monkeypatch, surface, gp_hexagon
+):
+    """Unpatched, the proposal itself refuses a chain that does not close:
+    the matrix through four grid points fails at a fifth, so the last link
+    is never followed by it."""
+    links = gp_hexagon[0]
+
+    def unreachable(*args):
+        raise AssertionError("the last link was followed by a linear map")
+
+    monkeypatch.setattr(word_algebra, "_followed_by_linear", unreachable)
+    with pytest.raises(SblinksError, match="no grid points propose"):
+        _close_in_the_middle(surface, links[:5] + [links[0].inverse()])
+
+
+def test_hexagon_maps_are_coprime(
+    surface, coord_point, unit_point, gp_hexagon, assert_coprime
+):
+    """Every map of both hexagons has coprime coordinates, which the
+    constructor trusts and does not check."""
+    links, _ = hexagon(surface, coord_point, unit_point)
+    for link in links + gp_hexagon[0]:
+        assert_coprime(link.forward.map, link.backward.map)
+
+
 def test_hexagon_rejects_equal_points(surface, coord_point):
     with pytest.raises(DegeneratePair):
         hexagon(surface, coord_point, coord_point)
