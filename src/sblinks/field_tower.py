@@ -43,6 +43,10 @@ once to the walk's result (`_free_fold`) gives the substituted element;
 `_reduced` puts each coefficient in the canonical form, so the output is
 identical to that of the per-coefficient walk.  With a t-denominator
 anywhere, the per-coefficient walk over FieldElement runs instead.
+
+The free ring serves products as well: `MPoly.__mul__` sends a product of
+more than four pairs of terms to `_free_mul`, lifted as by `_free_subst`,
+one integer convolution folded once (a radicand may have a t-denominator).
 """
 
 from __future__ import annotations
@@ -610,7 +614,7 @@ def _inverse(tower: TowerField, a: "FieldElement") -> "FieldElement":
     return inv if conj is None else _mul(tower, conj, inv)
 
 
-# -- substitution in the free ring Q(zeta)[x, r, t] ----------------------------
+# -- substitution and products in the free ring Q(zeta)[x, r, t] ---------------
 
 
 class _Free:
@@ -689,17 +693,17 @@ class _Free:
         )
 
 
-def _free_subst(tower: TowerField, f: MPoly, values):
-    """f.subst(values), for f and values over the tower, by `_horner` over
-    `_Free`, or None when some coefficient has a t-denominator or lies in
-    another tower.  The radical exponents stay unreduced through the walk
-    and are folded once, by `_free_fold`."""
+def _lifter(tower: TowerField, polys, nx: int):
+    """(lift, tw, xs) for the polynomials in nx variables over the tower, or
+    None when a coefficient has a t-denominator or lies in another tower:
+    lift maps pairs (x-key, coefficient) to the free polynomial of their
+    sum, and tw and xs shift the radical and x exponents in its keys."""
     unit = tower.unit
-    for p in (f, *values):
+    for p in polys:
         for c in p.terms.values():
             if c.den is not unit or (c.tower is not tower and c.tower != tower):
                 return None
-    nt, nx = tower.nvars, values[0].nvars
+    nt = tower.nvars
     tw = _BITS * (nt + 1)  # the t-monomial, its degree field included
     xs = tw + _BITS * tower.height()  # the shift of the x-monomial
     top = xs + _BITS * (nx + 1)
@@ -712,7 +716,6 @@ def _free_subst(tower: TowerField, f: MPoly, values):
         return rk << tw, sum(e)
 
     def lift(terms) -> _Free:
-        """The sum of the pairs (x-key, coefficient) as a free polynomial."""
         items = []
         for xk, c in terms:
             dx = xk >> _BITS * nx
@@ -727,8 +730,32 @@ def _free_subst(tower: TowerField, f: MPoly, values):
             return _Free({k: (q.a, q.b) for k, q in items}, 1, top)
         return _Free({k: (q.a * (d // q.d), q.b * (d // q.d)) for k, q in items}, d, top)
 
+    return lift, tw, xs
+
+
+def _free_subst(tower: TowerField, f: MPoly, values):
+    """f.subst(values), for f and values over the tower, by `_horner` over
+    `_Free`, or None when some coefficient has a t-denominator or lies in
+    another tower.  The radical exponents stay unreduced through the walk
+    and are folded once, by `_free_fold`."""
+    nx = values[0].nvars
+    lifter = _lifter(tower, (f, *values), nx)
+    if lifter is None:
+        return None
+    lift, tw, xs = lifter
     lifted = [lift(v.terms.items()) for v in values]
     return _free_fold(tower, _horner(f, lifted, lambda c: lift(((0, c),))), nx, tw, xs)
+
+
+def _free_mul(tower: TowerField, f: MPoly, g: MPoly):
+    """f * g over the tower as one integer convolution in the free ring and
+    one `_free_fold`, or None when some coefficient has a t-denominator or
+    lies in another tower."""
+    lifter = _lifter(tower, (f, g), f.nvars)
+    if lifter is None:
+        return None
+    lift, tw, xs = lifter
+    return _free_fold(tower, lift(f.terms.items()) * lift(g.terms.items()), f.nvars, tw, xs)
 
 
 def _free_fold(tower: TowerField, p: _Free, nx: int, tw: int, xs: int) -> MPoly:
@@ -996,6 +1023,11 @@ class FieldElement:
         element's tower, or None (see `MPoly.subst`)."""
         return _free_subst(self.tower, f, values)
 
+    def free_mul(self, f: MPoly, g: MPoly):
+        """f * g in the free ring for f and g over this element's tower, or
+        None (see `MPoly.__mul__`)."""
+        return _free_mul(self.tower, f, g)
+
     # -- comparisons -------------------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -1187,11 +1219,12 @@ def is_square(c: FieldElement) -> TriState:
 
 def recheck_power_certificate(c: FieldElement, cert: dict) -> bool:
     """Independently re-verify a "no" certificate from is_cube/is_square,
-    from c itself.  0 = 0^n, so no certificate holds for it."""
+    from c itself.  0 = 0^n, so no certificate holds for it, nor one for an
+    n other than 2 or 3."""
     num, den = _num_den(c)
-    if num.is_zero():
-        return False
     n = cert["n"]
+    if num.is_zero() or n not in (2, 3):
+        return False
     kind = cert["kind"]
     if kind == "degree":
         return (

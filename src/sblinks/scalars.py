@@ -228,8 +228,11 @@ def qzeta_nth_root(x: QZeta, n: int):
     a rational square.  For x = (a + b zeta)/d and a root y, c y lies in the
     integrally closed Z[zeta] for every integer c with d | c^n; only 3
     ramifies, so d = 3^k r^n with 3 not dividing r, and c = 3^ceil(k/n) r.
-    Every element of Z[zeta] with the norm of c y is tried.
+    The norm and trace of (c y)^n leave for the trace of c y the integer
+    roots of one polynomial (see below), so no search over norms is made.
     """
+    if n not in (2, 3):
+        raise ValueError(f"qzeta_nth_root: n = {n} is not 2 or 3")
     if x.is_zero():
         return QZeta.zero()
     if x.is_rational():
@@ -254,15 +257,40 @@ def qzeta_nth_root(x: QZeta, n: int):
     m = _int_nth_root(a * a - a * b + b * b, n)
     if m is None:
         return None
-    # Y = U + V zeta of norm m: U^2 - UV + V^2 = m, so V = (U +- s)/2 with
-    # s^2 = 4m - 3U^2
+    # Y = u + v zeta of norm m has trace s = 2u - v, and 4m = s^2 + 3v^2.
+    # Its n-th power has trace 2a - b, which is s^2 - 2m for n = 2 and
+    # s^3 - 3ms for n = 3; each integer root s gives v = +-sqrt((4m - s^2)/3)
+    # and u = (s + v)/2.  The least root (u, v) is returned.
     target = _qz(a, b, 1)
-    bound = isqrt(4 * m // 3)
-    for u in range(-bound, bound + 1):
-        s = _int_nth_root(4 * m - 3 * u * u, 2)
-        if s is None:
-            continue
-        for v2 in (u - s, u + s):
-            if v2 % 2 == 0 and _qz(u, v2 // 2, 1) ** n == target:
-                return _reduced(u, v2 // 2, c)
-    return None
+    trace = 2 * a - b
+    if n == 2:
+        s = _int_nth_root(trace + 2 * m, 2)  # |2a - b| <= 2 |a + b zeta| = 2m
+        traces = () if s is None else {s, -s}
+    else:
+        traces = _cubic_trace_roots(m, trace)
+    roots = []
+    for s in traces:
+        v2, rest = divmod(4 * m - s * s, 3)
+        w = None if rest else _int_nth_root(v2, 2)
+        for v in () if w is None else {w, -w}:
+            if (s + v) % 2 == 0 and _qz((s + v) // 2, v, 1) ** n == target:
+                roots.append(((s + v) // 2, v))
+    return _reduced(*min(roots), c) if roots else None
+
+
+def _cubic_trace_roots(m: int, trace: int) -> list:
+    """The integer roots s of s^3 - 3ms = trace with s^2 <= 4m, by bisection
+    on the three pieces where the cubic is monotone, split at +-sqrt(m)."""
+    r, bound = isqrt(m), isqrt(4 * m)
+    out = []
+    for lo, hi, sign in ((-bound, -r - 1, 1), (-r, r, -1), (r + 1, bound, 1)):
+        # sign * (s^3 - 3ms - trace) increases on [lo, hi]
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if sign * (mid ** 3 - 3 * m * mid - trace) < 0:
+                lo = mid + 1
+            else:
+                hi = mid
+        if lo == hi and lo ** 3 - 3 * m * lo == trace:
+            out.append(lo)
+    return out

@@ -190,6 +190,11 @@ def test_recheck_refuses_false_constant_certificates(K2):
     # 0 = 0^n: not even a certificate that its own degrees satisfy holds
     zero_degree = {"kind": "degree", "num_degree": -1, "den_degree": 0, "n": 2}
     assert not recheck_power_certificate(K2.zero(), zero_degree)
+    # (2 + zeta)^4 = 9 zeta: certificates come only for squares and cubes
+    nine_zeta = K2.scalar(QZeta(0, 9))
+    for n in (4, 5):
+        cert = {"kind": "constant", "value": repr(QZeta(0, 9)), "n": n}
+        assert not recheck_power_certificate(nine_zeta, cert)
     r = is_cube(K2.scalar(2) * t1 ** 3)
     assert r.status == "no" and r.certificate == {"kind": "constant", "value": "2", "n": 3}
     assert recheck_power_certificate(K2.scalar(2) * t1 ** 3, r.certificate)
@@ -676,9 +681,44 @@ def free_polys(draw, tower, nvars, degree=None, max_terms=3):
     return MPoly(nvars, {e: c for e, c in terms.items() if not c.is_zero()})
 
 
+def _pairwise(f, g):
+    """f * g over the tower, summed pair by pair of terms: the reference for
+    every path of `MPoly.__mul__`."""
+    terms = {}
+    for ea, ca in f.tuple_terms().items():
+        for eb, cb in g.tuple_terms().items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            c = ca * cb
+            terms[e] = terms[e] + c if e in terms else c
+    return MPoly(f.nvars, {e: c for e, c in terms.items() if not c.is_zero()})
+
+
+class _Pairwise:
+    """A polynomial whose products are `_pairwise`, so that a walk over it
+    takes neither the one-term nor the free-ring path of `MPoly.__mul__`."""
+
+    def __init__(self, p):
+        self.p = p
+
+    def __add__(self, other):
+        return _Pairwise(self.p + other.p)
+
+    def __mul__(self, other):
+        return _Pairwise(_pairwise(self.p, other.p))
+
+
 def _per_coefficient(f, values):
     nv = values[0].nvars
-    return _horner(f, values, lambda c: _poly(nv, {0: c}))
+    walk = _horner(f, [_Pairwise(v) for v in values], lambda c: _Pairwise(_poly(nv, {0: c})))
+    return walk.p
+
+
+def _assert_same(out, ref):
+    assert out == ref
+    assert repr(out) == repr(ref)
+    assert [(e, c.to_json()) for e, c in out.sorted_terms()] == [
+        (e, c.to_json()) for e, c in ref.sorted_terms()
+    ]
 
 
 def _assert_free_walk_matches(f, values):
@@ -686,11 +726,8 @@ def _assert_free_walk_matches(f, values):
     out = _free_subst(tower, f, values)
     assert out is not None  # every coefficient is denominator-free
     ref = _per_coefficient(f, values)
-    assert out == ref and f.subst(values) == ref
-    assert repr(out) == repr(ref)
-    assert [(e, c.to_json()) for e, c in out.sorted_terms()] == [
-        (e, c.to_json()) for e, c in ref.sorted_terms()
-    ]
+    _assert_same(out, ref)
+    assert f.subst(values) == ref
     return out
 
 
@@ -758,3 +795,207 @@ def test_free_walk_raises_at_the_packing_bound():
     # the exponent of u unreduced: (u x)^(2^14) has degree 2^15 in u and x
     with pytest.raises(OverflowError):
         MPoly(1, {(2 ** 14,): one}).subst([x.scale(u)])
+
+
+# products by operand shape: `MPoly.__mul__` sends a product of more than
+# `_FREE_PAIRS` pairs of terms over a tower to the free ring, and one-term
+# operands to shortcuts; each path against `_pairwise` or the general one
+
+import sblinks.field_tower as field_tower
+import sblinks.multipoly as multipoly
+from sblinks.errors import SblinksError
+from sblinks.field_tower import _cross, _free_mul
+from sblinks.multipoly import _FREE_PAIRS, NotDivisible
+
+# heights 0, 1 and 2: K, L = K[cbrt t1], the link6 tower L[sqrt t2], the
+# models tower L[cbrt((t2 - 1)/(27 t1))] and the hexagon tower
+_PRODUCT_TOWERS = [_K_h, *_SUBST_TOWERS]
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_free_product_matches_pairwise_reference(data):
+    M = data.draw(st.sampled_from(_PRODUCT_TOWERS))
+    nv = data.draw(st.integers(1, 3))
+    f = data.draw(free_polys(M, nv, max_terms=6))
+    g = data.draw(free_polys(M, nv, max_terms=6))
+    ref = _pairwise(f, g)
+    out = _free_mul(M, f, g)
+    assert out is not None  # every coefficient is denominator-free
+    _assert_same(out, ref)
+    _assert_same(f * g, ref)
+    # (c x + y + w)(c x - y - w) = c^2 x^2 - (y + w)^2: the terms in x y
+    # and x cancel
+    c = data.draw(free_coefficients(M))
+    w = MPoly.const(2, data.draw(free_coefficients(M)))
+    x, y = (MPoly.variable(2, i, M.one()) for i in range(2))
+    p, q = x.scale(c) + y + w, x.scale(c) - y - w
+    out = _free_mul(M, p, q)
+    _assert_same(out, _pairwise(p, q))
+    assert len(out.terms) == 4
+
+
+def test_free_product_folds_radicand_denominators():
+    # over the models tower v^3 = (t2 - 1)/(27 t1): products whose terms
+    # reach v^3 and v^6 next to terms that do not come over t1^2
+    M = _TWO_RADICALS[1]
+    u, v, one = M.gen("u"), M.gen("v"), M.one()
+    f = MPoly(2, {(2, 0): v * v, (1, 1): u * v, (0, 2): one, (1, 0): v})
+    g = MPoly(2, {(1, 0): v * v, (0, 1): M.zeta() * v, (0, 0): u * u})
+    assert len(f.terms) * len(g.terms) > _FREE_PAIRS
+    out = _free_mul(M, f, g)
+    _assert_same(out, _pairwise(f, g))
+    _assert_same(f * g, out)
+    assert any(c.den is not M.unit for c in out.terms.values())
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_one_term_products_match_pairwise_reference(data):
+    M = data.draw(st.sampled_from(_PRODUCT_TOWERS))
+    nv = data.draw(st.integers(1, 3))
+    # radical exponents that overflow: r^(k-1) times r^(k-1)
+    big = M.one()
+    for r in M.radicals:
+        big = big * M.gen(r.name) ** (r.degree - 1)
+    m = MPoly.monomial(nv, data.draw(st.tuples(*[st.integers(0, 2)] * nv)), big * data.draw(free_coefficients(M)))
+    n = MPoly.monomial(nv, data.draw(st.tuples(*[st.integers(0, 2)] * nv)), big)
+    f = data.draw(free_polys(M, nv, max_terms=5))
+    for a, b in ((m, n), (m, f), (f, m)):
+        _assert_same(a * b, _pairwise(a, b))
+    one = MPoly.const(nv, M.one())
+    assert one * f == f == f * one
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_one_term_division_matches_the_general_path(data):
+    M = data.draw(st.sampled_from(_PRODUCT_TOWERS))
+    nv = data.draw(st.integers(1, 3))
+    f = data.draw(free_polys(M, nv, max_terms=4))
+    c = data.draw(free_coefficients(M))
+    e = data.draw(st.tuples(*[st.integers(0, 2)] * nv))
+    m = MPoly.monomial(nv, e, c)
+    # two terms in the divisor take the general path to the same quotient
+    h = MPoly.variable(nv, 0, M.one()) + MPoly.const(nv, M.t_var(1))
+    q = exact_div(f * m, m)
+    assert q == f == exact_div(f * m * h, m * h)
+    _assert_same(q, f)
+    # a monomial that misses some term of f
+    x = MPoly.variable(nv, nv - 1, M.one())
+    g = f * m + MPoly.const(nv, M.one())
+    with pytest.raises(NotDivisible) as info:
+        exact_div(g, m * x)
+    assert str(info.value) == f"{m * x!r} does not divide {g!r}"
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_gcd_with_a_constant_is_one(data):
+    M = data.draw(st.sampled_from(_PRODUCT_TOWERS))
+    nv = data.draw(st.integers(1, 3))
+    f = data.draw(free_polys(M, nv, max_terms=4))
+    c = MPoly.const(nv, data.draw(free_coefficients(M)))
+    one = MPoly.const(nv, M.one())
+    # the general one-term path: the fieldwise-minimum monomial of both
+    want = MPoly.monomial(nv, tuple(map(min, (0,) * nv, f.min_exps())), M.one())
+    assert gcd(f, c) == gcd(c, f) == gcd(c, c) == want == one
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_one_term_cancellation_matches_gcd(data):
+    """`_cross` cancels a monomial over a monomial, or any one-term
+    operand, through the one-term paths of `gcd` and `exact_div`: it leaves
+    a monic denominator coprime to the numerator, the shared unit when it
+    is 1."""
+    unit = _K_h.unit
+    draw_e = st.tuples(st.integers(0, 3), st.integers(0, 3))
+
+    def poly(k):
+        return MPoly(2, data.draw(st.dictionaries(draw_e, _constants, min_size=k, max_size=k)))
+
+    kn, kd = data.draw(st.sampled_from([(1, 1), (1, 3), (3, 1)]))
+    n, d = poly(kn), poly(kd).monic()
+    if d.is_const():
+        return  # a denominator 1 is the unit, and is never cancelled
+    cn, cd = _cross(n, unit, unit, d, unit)
+    g = gcd(n, d)
+    assert cn == exact_div(n, g) and cd == exact_div(d, g)
+    assert cd.lc().is_one() and gcd(cn, cd).is_const()
+    if cd.is_const():
+        assert cd is unit
+    # and through the tower: one-term elements over monomial denominators
+    M = data.draw(st.sampled_from(_PRODUCT_TOWERS))
+    a = M.from_poly(n) / M.from_poly(poly(1).monic())
+    b = M.from_poly(d) / M.from_poly(poly(1))
+    _assert_matches(a * b, _ref_mul(M, _ref_of(a), _ref_of(b)))
+    assert (a * b).den is M.unit or (a * b).den.lc().is_one()
+
+
+# guards: which path a product takes
+
+
+def test_6link_jacobian_square_takes_the_free_path(monkeypatch, six_link):
+    """J^2 of the 6-link's forward map, 784 pairs of terms, is one integer
+    convolution: it multiplies no two tower elements."""
+    from sblinks.linalg import det3
+
+    fc = six_link.forward.map.coords
+    jac = det3([[c.derivative(i) for i in range(3)] for c in fc])
+    assert len(jac.terms) ** 2 == 784
+    ref = _pairwise(jac, jac)
+
+    def forbidden(*args):
+        raise AssertionError("a tower product in the free path")
+
+    monkeypatch.setattr(FieldElement, "__mul__", forbidden)
+    _assert_same(jac * jac, ref)
+
+
+def test_products_with_t_denominators_take_the_pair_loop(monkeypatch):
+    M = _TWO_RADICALS[0]
+    u, s = M.gen("u"), M.gen("s")
+    inv = M.one() / (M.t_var(0) + M.one())  # a t-denominator
+    x, y = (MPoly.variable(2, i, M.one()) for i in range(2))
+    f = x.scale(u) + y.scale(inv) + MPoly.const(2, s)
+    g = x.scale(s) + y.scale(u * u) + MPoly.const(2, M.t_var(1))
+    assert len(f.terms) * len(g.terms) > _FREE_PAIRS
+    assert _free_mul(M, f, g) is None
+    ref = _pairwise(f, g)
+
+    def forbidden(*args):
+        raise AssertionError("the free ring with a t-denominator")
+
+    monkeypatch.setattr(field_tower, "_free_fold", forbidden)
+    _assert_same(f * g, ref)
+
+
+def test_products_across_towers_still_raise():
+    L, M = _L_h, _TWO_RADICALS[0]
+    x, y = (MPoly.variable(2, i, L.one()) for i in range(2))
+    f = x + y + MPoly.const(2, L.gen("u"))
+    g = MPoly(2, {(1, 0): M.gen("s"), (0, 1): M.one(), (0, 0): M.t_var(0)})
+    assert len(f.terms) * len(g.terms) > _FREE_PAIRS
+    with pytest.raises(SblinksError, match="tower mismatch"):
+        f * g
+    with pytest.raises(SblinksError, match="tower mismatch"):
+        g * f
+
+
+def test_degree_check_fires_before_either_path(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a product path ran past the degree bound")
+
+    monkeypatch.setattr(field_tower, "_free_mul", forbidden)
+    one = _L_h.one()
+    high = MPoly.monomial(2, (2 ** 14, 0), one)
+    x, y = (MPoly.variable(2, i, one) for i in range(2))
+    big = high + high.mul_monomial((0, 1), one) + x + y + MPoly.const(2, one)
+    assert len(big.terms) ** 2 > _FREE_PAIRS
+    for a, b in ((big, big), (high, high), (high, big)):
+        with pytest.raises(OverflowError):
+            a * b
+    monkeypatch.setattr(multipoly, "_poly", forbidden)
+    with pytest.raises(OverflowError):
+        high * high

@@ -127,6 +127,68 @@ def test_qzeta_roots_of_seeded_powers():
         assert r is not None and r ** n == y ** n, (y, n)
 
 
+def _brute_nth_root(x, n):
+    """The least root (u + v zeta)/c of x by (u, v), searched over every
+    u + v zeta of norm m: the reference for `qzeta_nth_root` on a mixed x,
+    with the same c and m."""
+    k, rest = 0, x.d
+    while rest % 3 == 0:
+        k, rest = k + 1, rest // 3
+    r = round(rest ** (1 / n))
+    if r ** n != rest:
+        return None
+    c = 3 ** -(-k // n) * r
+    y = x * QZeta(c ** n)
+    norm = y.norm_rational()
+    m = round(float(norm) ** (1 / n))
+    if m ** n != norm:
+        return None
+    bound = math.isqrt(4 * m // 3)
+    for u in range(-bound, bound + 1):
+        for v in range(-bound, bound + 1):
+            if u * u - u * v + v * v == m and QZeta(u, v) ** n == y:
+                return QZeta(Fraction(u, c), Fraction(v, c))
+    return None
+
+
+def test_qzeta_roots_match_the_search():
+    """Every mixed x = (a + b zeta)/d and x^n, n in {2, 3}, for a, b in
+    [-9, 9] and seven denominators: the root (or None) of the search."""
+    for n in (2, 3):
+        for d in (1, 2, 3, 4, 8, 9, 27):
+            for a in range(-9, 10):
+                for b in range(-9, 10):
+                    x = QZeta(Fraction(a, d), Fraction(b, d))
+                    for y in (x, x ** n):
+                        if y.is_rational():
+                            continue  # rationals take another path
+                        got, want = qzeta_nth_root(y, n), _brute_nth_root(y, n)
+                        assert got == want, (y, n, got, want)
+
+
+def test_qzeta_roots_without_a_search():
+    """pi = 3000 + 5017 zeta has norm 19119289: the non-powers below have
+    norms that are n-th powers, and a search over the elements of that norm
+    tried about sqrt(4m/3) of them."""
+    pi = QZeta(3000, 5017)
+    assert pi.norm_rational() == 19119289
+    assert qzeta_nth_root(pi ** 3 * pi.conj(), 2) is None
+    assert qzeta_nth_root(pi ** 2 * pi.conj(), 3) is None
+    # the least of the roots +-pi, and of pi zeta^k
+    assert qzeta_nth_root(pi ** 2, 2) == -pi
+    roots = [pi * QZeta.zeta_pow(k) for k in range(3)]
+    assert qzeta_nth_root(pi ** 3, 3) == min(roots, key=lambda y: (y.a, y.b))
+
+
+def test_qzeta_roots_refuse_other_exponents():
+    """Only n = 2 and n = 3 are solved: (2 + zeta)^4 = 9 zeta has a fourth
+    root, which the trace equations of n = 2 and n = 3 do not see."""
+    assert QZeta(2, 1) ** 4 == QZeta(0, 9)
+    for n in (1, 4, 6):
+        with pytest.raises(ValueError, match="is not 2 or 3"):
+            qzeta_nth_root(QZeta(0, 9), n)
+
+
 class _TwoFractions:
     """Reference for QZeta: a + b*zeta held as two Fractions a, b."""
 
