@@ -479,8 +479,10 @@ def _linear_through(before, after):
     `RationalMap.evaluate` would rescale each one by an inverse: projective
     points are all the projectivity needs, and the stored triples keep the
     arithmetic free of t-denominators.  They only propose M, and nothing is
-    proved here: the callers, `order3_selfmap` (two short chains) and
-    `hexagon` (two half chains of three maps), certify M by exact identities."""
+    proved here: the callers, `order3_selfmap` (two short chains),
+    `_close_in_the_middle` (two half chains of three maps) and
+    `_close_merged_square` (no map before, F2 then F3 after), certify M by
+    exact identities."""
     tower = (before or after)[0].tower
     zero = tower.zero()
     chains = [[f.coords for f in chain] for chain in (before, after)]

@@ -13,12 +13,15 @@ from dataclasses import dataclass
 
 from .birational import (
     Link,
+    RationalMap,
     TwistedMap,
+    _composes_to,
     _followed_by_linear,
+    _linear_forms,
     _linear_through,
     _raw_composite,
     compose,
-    image_of_line,
+    equals,
     link_from_3point,
     transport_point,
 )
@@ -30,20 +33,13 @@ from .errors import (
     UnclassifiablePoint,
 )
 from .linalg import _proportional, inverse3
-from .severi_brauer import (
-    ClosedPoint,
-    SBSurface,
-    _is_scalar_matrix,
-    closed_point_from_seed,
-    is_isomorphic,
-)
+from .severi_brauer import ClosedPoint, SBSurface, _is_scalar_matrix, is_isomorphic
 
 
 @dataclass(frozen=True)
 class LinkClass:
     degree: int
     splitting: tuple
-    orientation: str = "S->Sop"
     invariant_only: bool = False
 
     def sort_key(self):
@@ -232,13 +228,13 @@ def hexagon(surface: SBSurface, p: ClosedPoint, p_prime: ClosedPoint):
     elementary relation: each step blows up the transported image of the
     orbit untouched so far and blows down the next one.  When a component of
     one point is collinear with two components of the other, two opposite
-    vertices of the hexagon merge and the relation core shortens to a
-    square; the chain is then completed to six links by the first link and
-    its inverse, a trivial relation.  Otherwise one raw identity of the two
-    half chains proves the six links closed (`_close_in_the_middle`), with
-    no composite of all six maps.  Returns (links, report); the last link of
-    each closing step absorbs a twisted isomorphism so the chain ends on the
-    original chart.
+    vertices merge: the third link undoes the second up to a linear map,
+    and the first link closes the square (`_close_merged_square`).
+    Otherwise one raw identity of the two half chains proves the six links
+    closed (`_close_in_the_middle`).  Neither path composes the maps of the
+    chain; `recheck_hexagon` does.  Returns (links, report); the closing
+    link absorbs a twisted isomorphism so the chain ends on the original
+    chart.
     """
     if p.degree != 3 or p_prime.degree != 3:
         raise DegeneratePair("hexagon needs two degree-3 points")
@@ -260,21 +256,21 @@ def hexagon(surface: SBSurface, p: ClosedPoint, p_prime: ClosedPoint):
         links.append(link)
         if step == 5:
             break
+        if carry.component_set() == link.base_point.component_set():
+            merged = True
+            break
         try:
             nxt = transport_point(link.forward.map, carry, link.forward.target)
         except SblinksError:
-            if carry.component_set() != link.base_point.component_set():
-                raise DegeneratePair(
-                    "transported orbit hits the base locus in an unexpected way"
-                )
-            merged = True
-            break
+            raise DegeneratePair(
+                "transported orbit hits the base locus in an unexpected way"
+            )
         carry = link.inverse_base_point
         base = nxt
         current = link.forward.target
 
     if merged:
-        closed, links = False, _close_merged_square(surface, p, links)
+        closed, links = False, _close_merged_square(links)
     else:
         closed, links = _close_in_the_middle(surface, links)
 
@@ -294,35 +290,29 @@ def hexagon(surface: SBSurface, p: ClosedPoint, p_prime: ClosedPoint):
     return links, report
 
 
-def _close_merged_square(surface: SBSurface, p: ClosedPoint, links):
+def _close_merged_square(links):
     """Complete the merged (square) walk to a closed chain of six links.
 
-    The collision means the relation core has length four: the fourth link
-    blows up the images of the lines through the pairs of p under the
-    running composite, and the exact division of its compose certifies the
-    four links as the identity.  The remaining two links are the first link
-    and its inverse, the trivial relation chi^-1 o chi = id, which the first
-    link's own round-trip check certifies.
+    The third link blows up the second link's inverse base point, the base
+    locus of the second backward map B2.  Two quadratic maps with the same
+    three base points differ by a linear map, so F3 = M . B2 and F3 o F2 = M
+    is linear.  M is proposed at grid points and proved by one raw identity
+    of F3 o F2 against the linear forms of M.  The fourth link is the first
+    link followed by M, inverted: its forward map B1 o M^-1 makes the four
+    links the identity by the first link's certified round trip.  The
+    remaining two links are the first link and its inverse, the trivial
+    relation chi^-1 o chi = id.
     """
     if len(links) != 3:
         raise DegeneratePair(
             f"vertex merge after {len(links)} links is outside the supported "
             "degenerations"
         )
-    comp3 = links[0].forward.map
-    for link in links[1:]:
-        comp3 = compose(link.forward.map, comp3)
-    if comp3.degree != 2:
-        raise DegeneratePair("merged walk did not shorten to a quadratic map")
-    # comp3, a composite of certified links, is equivariant from surface to cur
-    cur = links[-1].forward.target
-    c = p.components
-    r4 = closed_point_from_seed(cur, image_of_line(comp3, c[1], c[2]), p.tower)
-    link4 = link_from_3point(cur, r4)
-    comp4 = compose(link4.forward.map, comp3)
-    if comp4.degree != 1:
-        raise DegeneratePair("square closure failed to reach a linear map")
-    link4 = _absorb_into_link(link4, comp4.matrix(), surface)
+    f2, f3 = links[1].forward.map, links[2].forward.map
+    m = _linear_through([], [f2, f3])
+    if m is None or not _composes_to(f3, f2, _linear_forms(m)):
+        raise DegeneratePair("merged walk did not shorten to a linear map")
+    link4 = _followed_over_k(links[0], m, links[2].forward.target).inverse()
     return [links[0], links[1], links[2], link4, links[0], links[0].inverse()]
 
 
@@ -338,7 +328,7 @@ def _close_in_the_middle(surface: SBSurface, links):
         raise SblinksError("no grid points propose the closing isomorphism")
     closed = _is_scalar_matrix(m) and links[-1].forward.target == surface
     if not closed:
-        links = links[:5] + [_absorb_into_link(links[-1], m, surface)]
+        links = links[:5] + [_followed_over_k(links[-1], inverse3(m), surface)]
     f1, f2, f3 = (f.coords for f in fwd[:3])
     b4, b5, b6 = (lk.backward.map.coords for lk in links[3:])
     half = _raw_composite(f3, _raw_composite(f2, f1))
@@ -347,10 +337,20 @@ def _close_in_the_middle(surface: SBSurface, links):
     return closed, links
 
 
-def _absorb_into_link(link: Link, m, home: SBSurface) -> Link:
-    """Follow the last link by the inverse of the residual isomorphism m, a
-    trivial relation that closes the hexagon on the original chart."""
+def _followed_over_k(link: Link, m, target: SBSurface) -> Link:
+    """The link followed by the closing isomorphism m onto target, a trivial
+    relation; refused when m is not defined over K."""
     try:
-        return _followed_by_linear(link, inverse3(m), home)
+        return _followed_by_linear(link, m, target)
     except NotEquivariant as e:
         raise SblinksError("closing isomorphism is not defined over K") from e
+
+
+def recheck_hexagon(links) -> bool:
+    """Whether the forward maps of a chain of links compose, left to right,
+    to the identity: the check `hexagon` itself does not run, recomputed
+    with `compose` and decided by `equals`."""
+    composite = links[0].forward.map
+    for link in links[1:]:
+        composite = compose(link.forward.map, composite)
+    return equals(composite, RationalMap.identity(composite.tower))

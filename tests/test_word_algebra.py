@@ -3,11 +3,15 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sblinks import word_algebra
-from sblinks.birational import compose, curves_through
+from sblinks import birational, word_algebra
+from sblinks.birational import compose, curves_through, link_from_3point
 from sblinks.errors import DegeneratePair, NotComposable, SblinksError
 from sblinks.linalg import mat_identity
-from sblinks.severi_brauer import closed_point_from_seed, second_3point
+from sblinks.severi_brauer import (
+    closed_point_from_seed,
+    make_closed_point,
+    second_3point,
+)
 from sblinks.word_algebra import (
     _close_in_the_middle,
     GroupWord,
@@ -17,6 +21,7 @@ from sblinks.word_algebra import (
     project_basepoint,
     psi_compose,
     psi_link,
+    recheck_hexagon,
     reduce as word_reduce,
     word_from_list,
 )
@@ -255,6 +260,70 @@ def test_hexagon_maps_are_coprime(
         assert_coprime(link.forward.map, link.backward.map)
 
 
+@pytest.fixture(scope="module")
+def mixed_pair(surface, coord_point):
+    """The coordinate point and the second 3-point, whose splitting fields
+    differ, over one tower."""
+    sp = second_3point(surface)
+    return make_closed_point(surface, coord_point.components, sp.tower), sp
+
+
+@pytest.mark.parametrize("pair", ["merged", "mixed"])
+def test_hexagon_composes_no_maps(
+    monkeypatch, pair, surface, coord_point, unit_point, mixed_pair, link_sha
+):
+    """Neither closing path divides out a common factor, and the merged
+    square builds only its three links: the fourth is the first link
+    followed by F3 o F2, a linear map."""
+    p, q = (coord_point, unit_point) if pair == "merged" else mixed_pair
+
+    def forbidden(*args):
+        raise AssertionError("hexagon took a gcd")
+
+    built = []
+
+    def counted(surface, point):
+        built.append(point)
+        return link_from_3point(surface, point)
+
+    monkeypatch.setattr(birational, "_normalize_coords", forbidden)
+    monkeypatch.setattr(word_algebra, "link_from_3point", counted)
+    links, report = hexagon(surface, p, q)
+    assert report.merged_square == (pair == "merged")
+    if pair == "merged":
+        assert len(built) == 3
+        assert [link_sha(link) for link in links] == HEXAGON_LINK_PINS
+    else:
+        assert len(built) == 6
+
+
+def _row_doubled(m):
+    return [[c + c for c in m[0]], list(m[1]), list(m[2])]
+
+
+@pytest.mark.parametrize("propose", [lambda m: None, _row_doubled])
+def test_merged_square_refuses_a_wrong_proposal(
+    monkeypatch, propose, surface, coord_point, unit_point
+):
+    """The proposal proves nothing: with no matrix, or with an invertible
+    matrix that F3 o F2 is not, the raw identity refuses the merged square."""
+    real = word_algebra._linear_through
+    monkeypatch.setattr(
+        word_algebra, "_linear_through", lambda *chains: propose(real(*chains))
+    )
+    with pytest.raises(DegeneratePair, match="did not shorten"):
+        hexagon(surface, coord_point, unit_point)
+
+
+def test_recheck_hexagon(surface, coord_point, unit_point, mixed_pair):
+    """The left-to-right compose accepts both closed chains and refuses the
+    merged chain with its fourth link replaced by the inverse of the first."""
+    merged, _ = hexagon(surface, coord_point, unit_point)
+    assert recheck_hexagon(merged)
+    assert recheck_hexagon(hexagon(surface, *mixed_pair)[0])
+    assert not recheck_hexagon(merged[:3] + [merged[0].inverse()] + merged[4:])
+
+
 def test_hexagon_rejects_equal_points(surface, coord_point):
     with pytest.raises(DegeneratePair):
         hexagon(surface, coord_point, coord_point)
@@ -290,13 +359,10 @@ def test_theorem_b_witness_on_links(surface, link_at_coords):
     assert project_basepoint(w, cp) == word_from_list([(cq, 1)])
 
 
-def test_hexagon_mixed_splitting(surface, coord_point):
+def test_hexagon_mixed_splitting(surface, coord_point, mixed_pair):
     """Two points with distinct splitting fields give the alternating
     hexagon with descriptor pattern (d(p), d(p'), d(p), ...)."""
-    from sblinks.severi_brauer import make_closed_point, second_3point
-
-    sp = second_3point(surface)
-    p_lifted = make_closed_point(surface, coord_point.components, sp.tower)
+    p_lifted, sp = mixed_pair
     links, report = hexagon(surface, p_lifted, sp)
     assert len(links) == 6
     assert not report.merged_square
