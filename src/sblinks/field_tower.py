@@ -967,10 +967,11 @@ class FieldElement:
         return not self.nums
 
     def is_one(self) -> bool:
-        if self.den is not self.tower.unit or len(self.nums) != 1:
+        unit = self.tower.unit
+        if self.den is not unit or len(self.nums) != 1:
             return False
         p = self.nums.get(self.tower.origin)
-        return p is not None and p == self.den
+        return p is unit or (p is not None and p.terms == unit.terms)
 
     def zero(self) -> "FieldElement":
         return self.tower.zero()

@@ -3,10 +3,22 @@
 Matrices are tuples of row tuples.  Sizes stay tiny (at most 21 columns),
 so plain Gaussian elimination with exact field arithmetic is enough.  It
 runs forward only: each pivot clears its column below itself, which gives
-the rank and the pivot columns.  `nullspace` and `solve` then find the
-pivot variables by back-substitution from the last pivot row up, a few
-products per free column where clearing each column above its pivot as
-well (Gauss-Jordan) would update every earlier row.
+the rank and the pivot columns.  The pivot row of a column is the
+candidate with the fewest nonzeros from that column on, the row half of
+the rule in H. M. Markowitz, "The elimination form of the inverse and its
+application to linear programming", Management Science 3 (1957).  It keeps
+sparse systems such as the 18x21 double-point system sparse, and every
+entry it does not fill in is a tower product with its gcds saved.
+`nullspace` and `solve` then find the pivot variables by
+back-substitution from the last pivot row up, a few products per free
+column where clearing each column above its pivot as well (Gauss-Jordan)
+would update every earlier row.
+
+The row order cannot change an answer.  Column c is a pivot exactly when
+it is not in the span of the columns before it, so the pivots depend only
+on the matrix.  For fixed pivots, the nullspace vector with a one at its
+free column and zeros at the other free columns is unique, and so is the
+solution of `solve` whose free variables are zero.
 """
 
 from __future__ import annotations
@@ -137,25 +149,25 @@ def _proportional(a, b) -> bool:
 def _row_echelon(rows):
     """Forward Gaussian elimination; returns (echelon rows, pivots).
 
-    Each pivot row is scaled to a leading one and cleared out of the rows
-    below it, never out of the rows above: the result is upper echelon, not
-    reduced.  The rows at and below each pivot, and hence the pivots, are
-    those of full Gauss-Jordan elimination; `nullspace` and `solve` read
-    their answers off the echelon rows by back-substitution, and `rank` and
-    the pivot readers need nothing more."""
+    The pivot row of column c is, among the rows from the current one down
+    with a nonzero at c, the one with the fewest nonzeros in columns c and
+    after, ties going to the lowest index.  It is scaled to a leading one
+    and cleared out of the rows below it, never out of the rows above: the
+    result is upper echelon, not reduced.  The pivots are those of any
+    elimination (see the module docstring), while the echelon rows depend
+    on the row order; `nullspace` and `solve` read their unique answers off
+    them by back-substitution, and `rank` and the pivot readers need
+    nothing more."""
     m = [list(r) for r in rows]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     pivots = []
     r = 0
     for c in range(ncols):
-        pivot = None
-        for i in range(r, nrows):
-            if not m[i][c].is_zero():
-                pivot = i
-                break
-        if pivot is None:
+        candidates = [i for i in range(r, nrows) if not m[i][c].is_zero()]
+        if not candidates:
             continue
+        pivot = min(candidates, key=lambda i: sum(not x.is_zero() for x in m[i][c:]))
         m[r], m[pivot] = m[pivot], m[r]
         # entries left of c are zero in every row from r down
         row = m[r]

@@ -2,9 +2,10 @@ from itertools import combinations
 
 from hypothesis import assume, given, settings, strategies as st
 
-from sblinks.birational import curves_through
+from sblinks.birational import curves_through, link_from_6point
 from sblinks.linalg import (
     _proportional,
+    _row_echelon,
     adjugate3,
     det3,
     mat_identity,
@@ -157,12 +158,19 @@ def _combination(rows, coeffs):
 @given(st.data())
 def test_elimination_matches_gauss_jordan(L, data):
     pool = _pool(L)
-    entry = st.sampled_from(pool)
-    # underdetermined, square and overdetermined shapes
+    # underdetermined, square and overdetermined shapes; the larger ones
+    # draw mostly zeros, so that rows differ in their nonzero counts and the
+    # sparsest candidate is often not the first
     nrows, ncols = data.draw(
-        st.sampled_from([(2, 4), (3, 5), (1, 3), (3, 3), (4, 4), (2, 2), (4, 2), (3, 1), (4, 3)]),
+        st.sampled_from([
+            (2, 4), (3, 5), (1, 3), (3, 3), (4, 4), (2, 2), (4, 2), (3, 1), (4, 3),
+            (5, 7), (6, 6), (6, 8),
+        ]),
         label="shape",
     )
+    if nrows * ncols > 20 or data.draw(st.booleans(), label="sparse"):
+        pool = pool + [L.zero()] * 12
+    entry = st.sampled_from(pool)
     rows = [tuple(data.draw(st.lists(entry, min_size=ncols, max_size=ncols))) for _ in range(nrows)]
     if nrows > 1 and data.draw(st.booleans(), label="dependent row"):
         # rank-deficient: the last row is a combination of the others
@@ -188,19 +196,51 @@ def test_elimination_matches_gauss_jordan(L, data):
             assert [_row_times(r, sol) for r in rows] == list(rhs)
 
 
+def test_pivot_row_is_the_sparsest_candidate(L):
+    """Of the rows with a nonzero in the pivot column, the one with the
+    fewest nonzeros from that column on is the pivot row, ties going to the
+    lowest index; the answers are those of Gauss-Jordan all the same."""
+    u, t1 = L.gen("u"), L.t_var(0)
+    one, zero, s = L.one(), L.zero(), L.scalar
+    rows = [
+        (u, t1, one, s(2), u + one),  # dense: the first candidate
+        (zero, s(3), zero, u, zero),  # no candidate for column 0
+        (s(-2), zero, t1, zero, zero),  # 2 nonzeros: ties with the next
+        (t1, zero, zero, u * u, zero),  # 2 nonzeros, later
+    ]
+    m, pivots = _row_echelon(rows)
+    assert pivots == [0, 1, 2, 3]
+    # the first echelon row is the third row scaled to a leading one
+    assert m[0] == [one, zero, t1 / s(-2), zero, zero]
+    basis = nullspace(rows, L)
+    assert basis == _reference_nullspace(rows, L) and len(basis) == 1
+    assert rank(rows) == len(_gauss_jordan(rows)[1]) == 4
+    for rhs in ([u, one, zero, t1], [zero, zero, zero, zero]):
+        assert solve(rows, rhs, L) == _reference_solve(rows, rhs, L)
+    # an inconsistent system: the fifth row repeats the first with another
+    # right-hand side
+    rows5 = rows + [rows[0]]
+    rhs5 = [u, one, zero, t1, u + one]
+    assert solve(rows5, rhs5, L) is None
+    assert _reference_solve(rows5, rhs5, L) is None
+
+
 def test_elimination_on_the_six_point_double_system(surface, K2, t_vars):
-    # the 18x21 double-point system of quintics at the six-point of
-    # alpha = -5 t2, the link6 bench input of seed 1
+    # the 18x21 double-point systems of quintics at the six-point of
+    # alpha = -5 t2, the link6 bench input of seed 1, and at the inverse
+    # base point of its link
     _, t2 = t_vars
     point = sixpoint_from_sqrt(surface, K2.scalar(-5) * t2)
+    q = link_from_6point(surface, point).inverse_base_point
     tower = point.tower
-    _, rows = curves_through(tower, point.components, 5, double=True)
-    assert (len(rows), len(rows[0])) == (18, 21)
-    basis = nullspace(rows, tower)
-    assert len(basis) == 3 and rank(rows) == 18
-    assert basis == _reference_nullspace(rows, tower)
-    for v in basis:
-        assert all(_row_times(r, v).is_zero() for r in rows)
+    for comps in (point.components, q.components):
+        _, rows = curves_through(tower, comps, 5, double=True)
+        assert (len(rows), len(rows[0])) == (18, 21)
+        basis = nullspace(rows, tower)
+        assert len(basis) == 3 and rank(rows) == 18
+        assert basis == _reference_nullspace(rows, tower)
+        for v in basis:
+            assert all(_row_times(r, v).is_zero() for r in rows)
 
 
 @settings(max_examples=20, deadline=None)
