@@ -21,9 +21,9 @@ parametrisations, are cleared where they are substituted.
 
 The constructor trusts its input, as `FieldElement` does: the coordinates
 must be coprime, and it does not check this.  `_normalize_coords`, the one
-reducer, runs only where a raw composite becomes a map: in `compose` and
-for rho-hat in `cubic_models`.  Every other map is coprime by construction
-(the linear systems are those of Alberich-Carramiñana, LNM 1769):
+reducer, runs in `compose`, for rho-hat and on the smooth cubic's section
+in `cubic_models`.  Every other map is coprime by construction (the linear
+systems are those of Alberich-Carramiñana, LNM 1769):
 
 - `identity`, `standard_involution` and sigma o phi, phi invertible, are
   products of pairwise independent linear forms, which share no factor;
@@ -747,7 +747,7 @@ def _contracted_image(coords, param, tower: TowerField):
     nonzero = [v for v in vals if not v.is_zero()]
     if not nonzero:
         raise SblinksError("curve lies in the base locus")
-    g = gcd_many(nonzero) if len(nonzero) > 1 else nonzero[0].monic()
+    g = gcd_many(nonzero)
     out = []
     for v in vals:
         if v.is_zero():

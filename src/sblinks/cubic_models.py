@@ -21,6 +21,8 @@ to be compared:
   the links' round trips make rho-hat^-1: no composite is normalised;
 - the section's sanity checks, which no nonzero scalar changes, substitute
   cleared operands.
+
+Homogeneous vectors lose their content by `birational._normalize_coords`.
 """
 
 from __future__ import annotations
@@ -565,7 +567,7 @@ def section_of_contraction(model: SmoothCubicModel):
     for omit_p in range(4):
         cand = null_vector(omit_p)
         if any(not c.is_zero() for c in cand):
-            cand = _strip_vector_content(cand)
+            cand = _normalize_coords(cand)
             if P is None:
                 P = cand
             elif not _proportional(P, cand):
@@ -610,7 +612,7 @@ def section_of_contraction(model: SmoothCubicModel):
             terms[e[2:]] = c
         return MPoly(3, terms)
 
-    section = _strip_vector_content([drop_sr(p) for p in section5])
+    section = _normalize_coords([drop_sr(p) for p in section5])
 
     # sanity: the section lands on the cubic and splits the contraction.
     # Neither statement moves when the section, the cubic or the contraction
@@ -690,14 +692,6 @@ def _strip_sr_content(p: MPoly) -> MPoly:
     if g.is_const():
         return p
     return exact_div(p, g)
-
-
-def _strip_vector_content(vec):
-    nonzero = [p for p in vec if not p.is_zero()]
-    g = gcd_many(nonzero)
-    if g.is_const():
-        return vec
-    return [p if p.is_zero() else exact_div(p, g) for p in vec]
 
 
 def _image_of_contracted_line(model: SmoothCubicModel, pair):

@@ -38,15 +38,12 @@ the ring map that sends r_j^k_j to radicand_j.  The same Horner walk
 (`multipoly._horner`) runs in the free ring, on `_Free` polynomials: one
 dict from packed (x, r, t) exponents to Z[zeta] pairs over one integer
 denominator, so a product is one integer convolution with one gcd pass and
-no tower arithmetic.  Because the map is a ring homomorphism, applying it
-once to the walk's result (`_free_fold`) gives the substituted element;
-`_reduced` puts each coefficient in the canonical form, so the output is
-identical to that of the per-coefficient walk.  With a t-denominator
-anywhere, the per-coefficient walk over FieldElement runs instead.
-
-The free ring serves products as well: `MPoly.__mul__` sends a product of
-more than four pairs of terms to `_free_mul`, lifted as by `_free_subst`,
-one integer convolution folded once (a radicand may have a t-denominator).
+no tower arithmetic; `MPoly.__mul__` sends a product of more than four
+pairs of terms there too (`_free_mul`).  With a t-denominator anywhere, the
+per-coefficient walk over FieldElement runs instead.  The map is a ring
+homomorphism, so products and substitution end in one fold of the same
+rule, `_fold_radicals`: each x-monomial of a free-ring result, and the raw
+pair products of a tower product whose operands are not both one term.
 """
 
 from __future__ import annotations
@@ -56,7 +53,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import product
 from math import gcd as _igcd, lcm as _ilcm
-from operator import add
+from operator import add, floordiv, mod
 
 from .errors import (
     ActionMismatch,
@@ -536,30 +533,47 @@ def _mul(tower: TowerField, a: "FieldElement", b: "FieldElement") -> "FieldEleme
             p = pa * pb
             q = raw.get(e)
             raw[e] = p if q is None else q + p
-    # radicals whose radicand has a denominator that some term takes: the
-    # other terms are brought over it too
-    over = {
-        j for j, k in enumerate(degrees)
-        if radicands[j][1] is not unit
-        and any(e[j] >= k for e, p in raw.items() if p.terms)
-    }
-    out = {}
-    for e, p in raw.items():
-        if not p.terms:
-            continue
-        for j, k in enumerate(degrees):
-            if e[j] >= k:
-                # r_j^(d + k) = radicand_j * r_j^k
-                e = e[:j] + (e[j] - k,) + e[j + 1:]
-                p = p * radicands[j][0]
-            elif j in over:
-                p = p * radicands[j][1]
-        q = out.get(e)
-        out[e] = p if q is None else q + p
-    den = _den_mul(a.den, b.den, unit)
-    for j in over:
-        den = _den_mul(den, radicands[j][1], unit)
-    return _reduced(tower, {e: p for e, p in out.items() if p.terms}, den)
+    return _fold_radicals(tower, raw.items(), _den_mul(a.den, b.den, unit), {})
+
+
+def _fold_radicals(tower: TowerField, parts, den: MPoly, memo: dict) -> "FieldElement":
+    """The element sum num r^e / den over the pairs (e, num), whose radical
+    exponents may reach the degrees k_j.  Each e_j = q k_j + r becomes r_j^r
+    times radicand_j^q: num times the radicand's numerator to the q and its
+    denominator to the Q - q, over den times that denominator to the Q, Q
+    the largest q of the nonzero parts.  This is the ring map from the free
+    ring onto the tower; `_reduced` puts the sum in canonical form.  memo
+    holds the radicand factors by Q and q for the caller's one call."""
+    degrees, radicands, unit = tower.degrees, tower._radicands, tower.unit
+    split = [
+        (tuple(map(floordiv, e, degrees)), tuple(map(mod, e, degrees)), num)
+        for e, num in parts
+        if num.terms
+    ]
+    big = tuple(
+        max(q[j] for q, _, _ in split) if rd is not unit else 0
+        for j, (_, rd) in enumerate(radicands)
+    )
+    factors = memo.setdefault(big, {})
+    nums = {}
+    for q, r, num in split:
+        m = factors.get(q)
+        if m is None:
+            m = unit
+            for (rn, rd), k, most in zip(radicands, q, big):
+                for base, n in ((rn, k), (rd, most - k)):
+                    if n and base is not unit:
+                        x = _power(base, n)
+                        m = x if m is unit else m * x
+            factors[q] = m
+        if m is not unit:
+            num = num * m
+        old = nums.get(r)
+        nums[r] = num if old is None else old + num
+    for (_, rd), k in zip(radicands, big):
+        if k:
+            den = _den_mul(den, _power(rd, k), unit)
+    return _reduced(tower, {r: n for r, n in nums.items() if n.terms}, den)
 
 
 def _galois(weights, a: "FieldElement") -> "FieldElement":
@@ -759,15 +773,10 @@ def _free_mul(tower: TowerField, f: MPoly, g: MPoly):
 
 
 def _free_fold(tower: TowerField, p: _Free, nx: int, tw: int, xs: int) -> MPoly:
-    """The polynomial over the tower that p stands for, one element per
-    x-monomial.  Each radical exponent e_j = q k_j + r, with k_j the
-    radical's degree, becomes r_j^r times radicand_j^q: the numerator to the
-    q, times its denominator to the Q - q over a denominator to the Q, Q the
-    largest q in that x-monomial.  That is the ring map from the free ring
-    onto the tower, so its sum is the substituted element; `_reduced` puts
-    it in canonical form."""
-    nt, degrees, radicands = tower.nvars, tower.degrees, tower._radicands
-    unit = tower.unit
+    """The polynomial over the tower that p stands for: the terms of each
+    x-monomial, by unreduced radical exponent, go through `_fold_radicals`,
+    which shares its radicand factors across the x-monomials."""
+    nt, h = tower.nvars, tower.height()
     tmask = (1 << tw) - 1
     rmask = (1 << (xs - tw)) - 1
     xmask = (1 << _BITS * (nx + 1)) - 1
@@ -776,43 +785,17 @@ def _free_fold(tower: TowerField, p: _Free, nx: int, tw: int, xs: int) -> MPoly:
     for key, v in p.terms.items():
         g = groups.setdefault(key >> xs & xmask, {})
         g.setdefault(key >> tw & rmask, {})[key & tmask] = v
-
-    @cache
-    def factor(q, big):
-        """The product of the radicand powers for (q, Q), None for 1."""
-        out = None
-        for (num, den), k, most in zip(radicands, q, big):
-            for base, m in ((num, k), (den, most - k)):
-                if m and base is not unit:
-                    x = _power(base, m)
-                    out = x if out is None else out * x
-        return out
-
+    memo: dict = {}
     terms = {}
     for xk, g in groups.items():
-        parts = []
-        for rk, ts in g.items():
-            e = [rk >> _BITS * i & _MASK for i in range(len(degrees) - 1, -1, -1)]
-            q = tuple(x // k for x, k in zip(e, degrees))
-            r = tuple(x % k for x, k in zip(e, degrees))
-            num = _poly(nt, {tk: _qzeta(a, b, d) for tk, (a, b) in ts.items()})
-            parts.append((q, r, num))
-        big = tuple(
-            max(q[j] for q, _, _ in parts) if radicands[j][1] is not unit else 0
-            for j in range(len(degrees))
-        )
-        nums = {}
-        for q, r, num in parts:
-            m = factor(q, big)
-            if m is not None:
-                num = num * m
-            old = nums.get(r)
-            nums[r] = num if old is None else old + num
-        den = unit
-        for (_, rd), k in zip(radicands, big):
-            if k:
-                den = _den_mul(den, _power(rd, k), unit)
-        c = _reduced(tower, {r: n for r, n in nums.items() if n.terms}, den)
+        parts = [
+            (
+                tuple(rk >> _BITS * i & _MASK for i in range(h - 1, -1, -1)),
+                _poly(nt, {tk: _qzeta(a, b, d) for tk, (a, b) in ts.items()}),
+            )
+            for rk, ts in g.items()
+        ]
+        c = _fold_radicals(tower, parts, tower.unit, memo)
         if c.nums:
             terms[xk] = c
     return _poly(nx, terms)

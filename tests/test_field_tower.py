@@ -849,6 +849,45 @@ def test_free_product_folds_radicand_denominators():
     assert any(c.den is not M.unit for c in out.terms.values())
 
 
+def test_products_and_substitution_share_one_fold(monkeypatch):
+    """A tower product with a many-term operand, a free-ring product and a
+    free-ring substitution all bring the radicals down in `_fold_radicals`.
+    Over the models tower u^3 = t1 and v^3 = (t2 - 1)/(27 t1): in the
+    element product some pairs of terms overflow u only, some v only and
+    some neither, so the terms that do not reach v^3 come over t1 too."""
+    M = _TWO_RADICALS[1]
+    u, v, one, t2 = M.gen("u"), M.gen("v"), M.one(), M.t_var(1)
+    a = u * u + v * v + t2
+    b = u + M.scalar(2) * v + one
+    overflows = {
+        tuple(x >= k for x, k in zip(map(sum, zip(ea, eb)), M.degrees))
+        for ea in a.nums
+        for eb in b.nums
+    }
+    assert overflows == {(True, False), (False, True), (False, False)}
+    x, y = (MPoly.variable(2, i, one) for i in range(2))
+    f = MPoly(2, {(2, 0): v * v, (1, 1): u * v, (0, 2): one, (1, 0): v})
+    g = MPoly(2, {(1, 0): v * v, (0, 1): M.zeta() * v, (0, 0): u * u})
+    values = [x.scale(v * v) + y, x.scale(u * v) - y.scale(M.zeta())]
+
+    folds = []
+    fold = field_tower._fold_radicals
+
+    def counted(tower, *args):
+        folds.append(tower)
+        return fold(tower, *args)
+
+    monkeypatch.setattr(field_tower, "_fold_radicals", counted)
+    product = a * b
+    assert folds == [M]
+    assert product.den is not M.unit
+    _assert_matches(product, _ref_mul(M, _ref_of(a), _ref_of(b)))
+    for path in (lambda: _free_mul(M, f, g), lambda: _free_subst(M, f, values)):
+        folds.clear()
+        out = path()
+        assert folds and set(folds) == {M} and not out.is_zero()
+
+
 @given(st.data())
 @settings(max_examples=40, deadline=None)
 def test_one_term_products_match_pairwise_reference(data):

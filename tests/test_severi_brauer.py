@@ -1,8 +1,11 @@
+import dataclasses
 import hashlib
 import json
 import random
 
 import pytest
+
+import sblinks.severi_brauer as severi_brauer
 
 from sblinks.errors import (
     AlphaIsSquare,
@@ -15,8 +18,8 @@ from sblinks.errors import (
     XiIsCube,
     ZeroXi,
 )
-from sblinks.field_tower import CubicExtension
-from sblinks.linalg import mat_galois, mat_identity, mat_mul
+from sblinks.field_tower import CubicExtension, GaloisAction
+from sblinks.linalg import inverse3, mat_galois, mat_identity, mat_mul
 from sblinks.severi_brauer import (
     SBSurface,
     auto_between_3points,
@@ -31,6 +34,7 @@ from sblinks.severi_brauer import (
     sixpoint_from_sqrt,
     splitting_descriptor,
     _is_scalar_matrix,
+    _nu_matrix,
 )
 
 
@@ -271,6 +275,47 @@ def test_splitting_field_equal_for_xi_and_xi_squared(ext, L, t_vars):
     q1 = second_3point(s1)
     q2 = second_3point(s2)
     assert q1.descriptor == q2.descriptor
+
+
+def _mixed_cycle_point(surface):
+    """The second 3-point, cycled by the element that moves both radicals:
+    u fixes its first component, so u v1 cycles the three components as v1
+    does, and its twist is nu, not the identity."""
+    sp = second_3point(surface)
+    c = {surface.ext.radical_name: 1, sp.tower.radicals[-1].name: 1}
+    v0 = sp.components[0]
+    v1 = surface.twisted_apply(c, v0, sp.tower)
+    v2 = surface.twisted_apply(c, v1, sp.tower)
+    assert {v0, v1, v2} == sp.component_set() and len({v0, v1, v2}) == 3
+    return dataclasses.replace(sp, components=(v0, v1, v2), cycle_element=c)
+
+
+@pytest.mark.parametrize("kind", ["coords", "unit", "seed", "mixed"])
+def test_normalize_3point_gives_the_standard_twist(kind, surface, coord_point, unit_point, L):
+    """phi . A_tau . tau(phi)^-1 is exactly nu_{xi'}: the normal form that
+    normalize_3point reads xi' off without building."""
+    if kind == "seed":  # as the link3 bench draws its points
+        point = closed_point_from_seed(surface, tuple(L.scalar(c) for c in (2, 3, 5)), L)
+    else:
+        point = {"coords": coord_point, "unit": unit_point}.get(kind) or _mixed_cycle_point(surface)
+    assert point.degree == 3
+    phi, xi_p, tower = normalize_3point(surface, point)
+    tau = point.cycle_element
+    act = GaloisAction(tower, tau)
+    A_tau = surface.twist_matrix(tau, tower)
+    assert mat_mul(phi, mat_mul(A_tau, mat_galois(inverse3(phi), act))) == _nu_matrix(tower, xi_p)
+
+
+def test_normalize_3point_inverts_one_matrix(monkeypatch, surface, unit_point):
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return inverse3(m)
+
+    monkeypatch.setattr(severi_brauer, "inverse3", counted)
+    normalize_3point(surface, unit_point)
+    assert len(calls) == 1
 
 
 def test_normalized_xi_stays_isomorphic_on_random_points(surface, L):
