@@ -14,10 +14,10 @@ read.
 
 The constructor is the one place that scales and clears a map's
 coordinates.  Substitution into or of a map (`compose`, the round trip,
-`is_equivariant`, the images of contracted curves) runs on the stored
-triples, so `subst` does polynomial arithmetic, not a rational-function gcd
-per add and multiply.  Triples that are not a map's, such as curve
-parametrisations, are cleared where they are substituted.
+`is_equivariant`) runs on the stored triples, so `subst` does polynomial
+arithmetic, not a rational-function gcd per add and multiply.  Triples that
+are not a map's, such as the smooth cubic's section, are cleared where they
+are substituted.
 
 The constructor trusts its input, as `FieldElement` does: the coordinates
 must be coprime, and it does not check this.  `_normalize_coords`, the one
@@ -39,10 +39,15 @@ systems are those of Alberich-Carramiñana, LNM 1769):
   eta^-1 . b0, eta read off the raw b0 o forward by one exact division by
   J^2, J the forward Jacobian (`_inverse_by_jacobian`).
 
-A link takes its inverse base point as the twisted orbit of the image of
-one contracted curve.  `is_equivariant`, the round trip of a 3-link and
-every check of a composite (`_composes_to`) compare raw triples by 2x2
-cross products, which needs no normal form.
+A link takes its inverse base point q as the twisted orbit of the forward
+map's value at one point of one contracted curve, off the base locus
+(`_image_at`).  No substitution checks that the curve is contracted: the
+round trip proves q.  A 3-link's backward map P . D . sigma(adj(Q) x) has
+exactly the columns of Q as base points, and backward o forward = id is
+certified; a 6-link's b0 is double at q, and b0 o forward = J^2 eta is
+certified.  `is_equivariant`, the round trip of a 3-link and every check
+of a composite (`_composes_to`) compare raw triples by 2x2 cross products,
+which needs no normal form.
 
 `TwistedMap` and `Link` are plain records; `Link` says where each link fact
 is checked, once, and why links derived from certified ones inherit them.
@@ -96,7 +101,6 @@ from .multipoly import (
     MPoly,
     exact_div,
     gcd,
-    gcd_many,
     gcd_many_homogeneous,
     resultant,
     squarefree_part,
@@ -183,11 +187,7 @@ class RationalMap:
 
     def evaluate(self, point):
         """Image of a projective point (raises if the point is in the base locus)."""
-        zero = self.tower.zero()
-        vals = tuple(c.eval_zero_ok(list(point), zero) for c in self.coords)
-        if all(v.is_zero() for v in vals):
-            raise SblinksError("point lies in the base locus")
-        return normalize_point(vals)
+        return _image_at(self.coords, (point,), self.tower)
 
     # -- comparisons ------------------------------------------------------------
 
@@ -722,86 +722,29 @@ def _independent_subset(vectors):
 # images of contracted curves
 
 
-def image_of_line(f: RationalMap, va, vb):
-    """Image point of the line spanned by va, vb, assuming f contracts it."""
-    return _line_image(f.coords, va, vb, f.tower)
+def _image_at(coords, points, tower: TowerField):
+    """The value of the denominator-free triple coords at the first of the
+    points off its base locus, normalised.  Raises SblinksError when every
+    point lies in the base locus.  At a point of a contracted curve this is
+    the curve's image, checked by the caller's round trip, not here."""
+    zero = tower.zero()
+    for p in points:
+        vals = tuple(c.eval_zero_ok(list(p), zero) for c in coords)
+        if not all(v.is_zero() for v in vals):
+            return normalize_point(vals)
+    raise SblinksError("point lies in the base locus")
 
 
-def _line_image(coords, va, vb, tower: TowerField):
-    """Image point of the line spanned by va, vb under the denominator-free
-    coordinate triple, assuming the triple contracts it."""
-    return _contracted_image(coords, _line_param(va, vb, tower), tower)
-
-
-def _line_param(va, vb, tower: TowerField):
-    """The line va + s vb in the parameter s."""
-    s = MPoly.variable(1, 0, tower.one())
-    return [MPoly.const(1, a) + s.scale(b) for a, b in zip(va, vb)]
-
-
-def _contracted_image(coords, param, tower: TowerField):
-    """Image point of the parametrised curve param under the denominator-free
-    coordinate triple, assuming the triple contracts it; param is substituted
-    cleared."""
-    vals = _raw_composite(coords, _cleared(param))
-    nonzero = [v for v in vals if not v.is_zero()]
-    if not nonzero:
-        raise SblinksError("curve lies in the base locus")
-    g = gcd_many(nonzero)
-    out = []
-    for v in vals:
-        if v.is_zero():
-            out.append(tower.zero())
-        else:
-            q = exact_div(v, g)
-            if not q.is_const():
-                raise SblinksError("curve is not contracted by the map")
-            out.append(q.const_coeff())
-    return normalize_point(tuple(out))
-
-
-def parametrize_conic(conic: MPoly, v, tower: TowerField):
-    """Quadratic parametrization of a conic through the point v on it."""
+def _conic_points(conic: MPoly, v, tower: TowerField):
+    """Points of the conic C through v: its second intersection
+    C(d) v - B(v, d) d with the line through v in direction d, for d = e0,
+    e1, e2 and (1 : 1 : 1) in turn, B(v, d) = C(v + d) - C(d) the polar
+    form (C(v) = 0)."""
     one, zero = tower.one(), tower.zero()
-    units = [
-        (one, zero, zero),
-        (zero, one, zero),
-        (zero, zero, one),
-    ]
-    u_pair = None
-    for i in range(3):
-        for j in range(i + 1, 3):
-            m = mat([[v[k], units[i][k], units[j][k]] for k in range(3)])
-            if not det3(m).is_zero():
-                u_pair = (units[i], units[j])
-                break
-        if u_pair:
-            break
-    if u_pair is None:  # pragma: no cover
-        raise SblinksError("degenerate point for conic parametrization")
-    u1, u2 = u_pair
-
-    def ev(vec):
-        return conic.eval(list(vec))
-
-    d = _line_param(u1, u2, tower)
-    # C(d(s)) and the polar B(v, d(s)) = C(v + d) - C(v) - C(d)
-    c_d = conic.subst(d)
-    vd = [MPoly.const(1, a) + p for a, p in zip(v, d)]
-    c_vd = conic.subst(vd)
-    c_v = ev(v)
-    b_vd = c_vd - c_d - MPoly.const(1, c_v)
-    # P(s) = C(d) * v - B(v, d) * d
-    param = [c_d.scale(a) - b_vd * p for a, p in zip(v, d)]
-    # sanity: the parametrization stays on the conic
-    if not conic.subst(param).is_zero():  # pragma: no cover
-        raise SblinksError("conic parametrization failed")
-    return param
-
-
-def image_of_conic(f: RationalMap, conic: MPoly, through, tower: TowerField):
-    param = parametrize_conic(conic, through, tower)
-    return _contracted_image(f.coords, param, f.tower)
+    for d in ((one, zero, zero), (zero, one, zero), (zero, zero, one), (one, one, one)):
+        c_d = conic.eval(list(d))
+        b = conic.eval([a + x for a, x in zip(v, d)]) - c_d
+        yield tuple(c_d * a - b * x for a, x in zip(v, d))
 
 
 # ---------------------------------------------------------------------------
@@ -1116,8 +1059,8 @@ def _cremona(tower: TowerField, P, d, adj_q) -> RationalMap:
 def link_from_3point(surface: SBSurface, point: ClosedPoint) -> Link:
     """The Sarkisov 3-link blowing up p = (v, c v, c^2 v) and blowing down the
     lines through pairs of its components.  Line i misses p_i and is c^i(line
-    0), so q is the twisted orbit of the image of line 0, ordered like p when
-    its cycling element is c.  `_cremona` gives the backward map in closed
+    0), so q is the twisted orbit of the image of line 0, the forward map's
+    value at p_1 + p_2, ordered like p when its cycling element is c.  `_cremona` gives the backward map in closed
     form; `_certified` checks the round trip."""
     if point.degree != 3:
         raise SblinksError("link_from_3point needs a degree-3 point")
@@ -1150,7 +1093,9 @@ def link_from_3point(surface: SBSurface, point: ClosedPoint) -> Link:
     forward = _checked_forward(fwd_map, surface, target)
 
     c = point.components
-    q = closed_point_from_seed(target, image_of_line(fwd_map, c[1], c[2]), tower)
+    on_line = tuple(a + b for a, b in zip(c[1], c[2]))
+    image = _image_at(fwd_map.coords, (on_line,), tower)
+    q = closed_point_from_seed(target, image, tower)
     if q.degree != 3 or q.cycle_element != point.cycle_element:
         raise SblinksError("line images are not a degree-3 orbit cycled like p")
     if q.descriptor != point.descriptor:
@@ -1195,7 +1140,8 @@ def _check_six_general(tower: TowerField, comps):
 
 def link_from_6point(surface: SBSurface, point: ClosedPoint) -> Link:
     """The Sarkisov 6-link: quintics with double points at the six components;
-    q is the twisted orbit of the image of the conic through five of them."""
+    q is the twisted orbit of the image of the conic through the last five,
+    the forward map's value at the first of `_conic_points` off the six."""
     if point.degree != 6:
         raise SblinksError("link_from_6point needs a degree-6 point")
     tower = point.tower
@@ -1218,7 +1164,7 @@ def link_from_6point(surface: SBSurface, point: ClosedPoint) -> Link:
     forward = _checked_forward(fwd_map, surface, target)
 
     conic = conic_through_five(tower, comps[1:])
-    image = image_of_conic(fwd_map, conic, comps[1], tower)
+    image = _image_at(fwd_map.coords, _conic_points(conic, comps[1], tower), tower)
     q = closed_point_from_seed(target, image, tower)
     if q.degree != 6:
         raise SblinksError(f"conic images form an orbit of degree {q.degree}, not 6")

@@ -36,7 +36,7 @@ from .birational import (
     _coefficient_rows,
     _composes_to,
     _followed_by_linear,
-    _line_image,
+    _image_at,
     _linear_forms,
     _linear_through,
     _mat_times,
@@ -667,7 +667,9 @@ def order3_selfmap(model: SmoothCubicModel):
 def _two_links(model: SmoothCubicModel, surface):
     """The two 3-links of the factorization, before the second is aligned:
     chi1 at the images of E0, E1, E2, which are the coordinate points, and
-    chi2 at the images of E3, E4, E5, transported by chi1."""
+    chi2 at the images of E3, E4, E5, transported by chi1.  Each image is
+    the contraction's value at one point of the line, not a substitution of
+    the whole line."""
     chi1 = link_from_3point(surface, coordinate_3point(surface))
     q_comps = [_image_of_contracted_line(model, model.lines[i]) for i in range(3, 6)]
     q0 = make_closed_point(surface, q_comps, model.tower)
@@ -696,9 +698,14 @@ def _strip_sr_content(p: MPoly) -> MPoly:
 
 def _image_of_contracted_line(model: SmoothCubicModel, pair):
     """Image point of a contracted line of the smooth model under the
-    contraction (f0 : f1 : f2)."""
+    contraction (f0 : f1 : f2): its value at the first of a, b, a + b off
+    the base locus, a and b spanning the line.  No substitution checks the
+    contraction: the identity rho-hat = chi2 o chi1 of `order3_selfmap`,
+    chi2 built at these images, proves them."""
     Lh = model.tower
     basis = nullspace(_coefficient_rows(Lh, pair), Lh)
     if len(basis) != 2:
         raise SblinksError("line is degenerate")
-    return _line_image(_cleared(model.contraction), *basis, Lh)
+    a, b = basis
+    points = (a, b, tuple(x + y for x, y in zip(a, b)))
+    return _image_at(_cleared(model.contraction), points, Lh)

@@ -1,13 +1,13 @@
 """Tiny expression grammar for field-element literals on the command line.
 
-    expr    := term (("+" | "-") term)*
-    term    := factor (("*" | "/") factor)*
-    factor  := base ("^" integer)?
-    base    := rational | "zeta" | variable | "(" expr ")" | "-" base
-    variable:= "t" digits          (t1 .. tn)
-    rational:= digits ("/" digits)?
+    expr     = term , { ( "+" | "-" ) , term } ;
+    term     = factor , { ( "*" | "/" ) , factor } ;
+    factor   = base , [ "^" , [ "-" ] , integer ] ;
+    base     = integer | "zeta" | variable | "(" , expr , ")" | "-" , base ;
+    variable = "t" , integer ;                     (* t1 .. tn *)
+    integer  = digit , { digit } ;
 
-A literal is an element of the one tower it is parsed in; no name stands for
+This is the EBNF of `docs/cli.md`; a quotient is the term `a / b`.  A literal is an element of the one tower it is parsed in; no name stands for
 a radical, so `cbrt(...)` and `sqrt(...)` are unknown names.
 """
 

@@ -21,11 +21,13 @@ from sblinks.birational import (
     TwistedMap,
     _certified,
     _columns,
+    _conic_points,
     _cremona,
     _cremona_scales,
     _followed_by_linear,
     _express_in_span,
     _factor_over_base,
+    _image_at,
     _independent_subset,
     _inverse_by_jacobian,
     _linear_forms,
@@ -41,8 +43,6 @@ from sblinks.birational import (
     conic_through_five,
     curves_through,
     equals,
-    image_of_conic,
-    image_of_line,
     is_equivariant,
     link_from_3point,
     link_from_6point,
@@ -820,18 +820,21 @@ def test_6link_division_rejects_mutations(name, six_link):
 
 def _line_images(forward, components):
     """Images of the lines through pairs of the three components, ordered so
-    that line_i misses component_i, each line substituted on its own."""
+    that line_i misses component_i, each line evaluated at c_j + 2 c_k, not
+    at the point c_j + c_k where the constructor evaluates it."""
     out = []
     for i in range(3):
         j, k = [a for a in range(3) if a != i]
-        out.append(image_of_line(forward, components[j], components[k]))
+        cj, ck = components[j], components[k]
+        out.append(forward.evaluate(tuple(a + b + b for a, b in zip(cj, ck))))
     return out
 
 
 @pytest.mark.parametrize("name", ["coords", "unit", "random0", "models_chi2"])
 def test_3link_inverse_base_point_is_the_line_images(name, closed_form_links):
     """The twisted orbit of one line image is every line image, and its
-    component i is the image of the line that misses base component i."""
+    component i is the image of the line that misses base component i, here
+    at a second point of each line."""
     link = closed_form_links[name]
     images = _line_images(link.forward.map, link.base_point.components)
     assert list(link.inverse_base_point.components) == images
@@ -839,14 +842,18 @@ def test_3link_inverse_base_point_is_the_line_images(name, closed_form_links):
 
 def test_6link_inverse_base_point_is_the_conic_images(six_link, six_point):
     """The twisted orbit of one conic image is the images of all six conics
-    through five of the six components."""
+    through five of the six components, each conic evaluated with its line
+    directions in reverse order, so the constructor's conic at a second
+    point."""
     fwd = six_link.forward.map
     comps = six_point.components
+    tower = six_point.tower
     images = set()
     for i in range(6):
         others = [comps[j] for j in range(6) if j != i]
-        conic = conic_through_five(six_point.tower, others)
-        images.add(image_of_conic(fwd, conic, others[0], six_point.tower))
+        conic = conic_through_five(tower, others)
+        points = list(_conic_points(conic, others[0], tower))[::-1]
+        images.add(_image_at(fwd.coords, points, tower))
     assert len(images) == 6
     assert six_link.inverse_base_point.component_set() == images
 
@@ -860,9 +867,32 @@ def test_6link_rejects_a_conic_image_off_a_degree_6_orbit(
 
     tower = six_point.tower
     one, zero = tower.one(), tower.zero()
-    monkeypatch.setattr(birational, "image_of_conic", lambda *args: (one, zero, zero))
+    monkeypatch.setattr(birational, "_image_at", lambda *args: (one, zero, zero))
     with pytest.raises(SblinksError, match="orbit of degree 3, not 6"):
         link_from_6point(surface, six_point)
+
+
+def test_3link_round_trip_refuses_a_point_off_the_contracted_line(monkeypatch):
+    """The inverse base point is proposed by one evaluation and proved only
+    by the round trip: the forward map's value at c1 + c2 + (1, 2, 5), off
+    the contracted line, is a degree-3 orbit too, and each of the four
+    seed-1 link3 bench inputs then fails backward o forward = id."""
+    import sblinks.birational as birational
+    from perfbench.workloads import Link3
+
+    work = Link3()
+    points, _ = work.setup(1, 4)
+    real = birational._image_at
+
+    def shifted(coords, points, tower):
+        (p,) = points
+        off = tuple(a + tower.scalar(k) for a, k in zip(p, (1, 2, 5)))
+        return real(coords, (off,), tower)
+
+    monkeypatch.setattr(birational, "_image_at", shifted)
+    for point in points:
+        with pytest.raises(SblinksError, match="backward o forward is not the identity"):
+            link_from_3point(work.S, point)
 
 
 @pytest.mark.parametrize("name", ["random0", "random1", "models_chi2"])
@@ -918,10 +948,12 @@ def test_6link_takes_no_compose(monkeypatch, surface, six_point, link_json):
 def test_links_take_no_gcd(
     monkeypatch, name, surface, coord_point, unit_point, six_point, link_sha
 ):
-    """The link constructors trust their triples to be coprime, on the
-    pure-g 3-link branch (coordinate and unit points), the descent branch
-    (the models tower's two links) and for a 6-link: the reducer never
-    runs, and each link is the one pinned or built without the guard."""
+    """The link constructors trust their triples to be coprime and find the
+    inverse base point by evaluation, on the pure-g 3-link branch
+    (coordinate and unit points), the descent branch (the models tower's two
+    links) and for a 6-link: no projective gcd runs, neither the reducer nor
+    `gcd_many_homogeneous` nor `gcd`, and each link is the one pinned or
+    built without the guard."""
     import sblinks.birational as birational
 
     builds = {
@@ -937,7 +969,8 @@ def test_links_take_no_gcd(
     def forbidden(*args):
         raise AssertionError("a link construction took a gcd")
 
-    monkeypatch.setattr(birational, "_normalize_coords", forbidden)
+    for helper in ("_normalize_coords", "gcd_many_homogeneous", "gcd"):
+        monkeypatch.setattr(birational, helper, forbidden)
     assert [link_sha(link) for link in builds[name]()] == expected
 
 
