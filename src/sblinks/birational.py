@@ -49,6 +49,13 @@ certified.  `is_equivariant`, the round trip of a 3-link and every check
 of a composite (`_composes_to`) compare raw triples by 2x2 cross products,
 which needs no normal form.
 
+`base_points` needs coordinates that share no curve, and proves it by one
+image mod p (`modular.coprime_certificate`), which is a proof when it
+exists.  Only when it returns None does `gcd_many_homogeneous` decide.  The
+solver then works on the map's own coordinates, shears only when they are
+degenerate for its projection, and takes a squarefree part only when the
+radical formulas find fewer distinct roots than the degree.
+
 `TwistedMap` and `Link` are plain records; `Link` says where each link fact
 is checked, once, and why links derived from certified ones inherit them.
 
@@ -97,6 +104,7 @@ from .linalg import (
     rank,
     solve,
 )
+from .modular import coprime_certificate
 from .multipoly import (
     MPoly,
     exact_div,
@@ -755,36 +763,42 @@ def base_points(f: RationalMap):
     """The finite common zero locus of the three coordinates, solved over the
     map's tower by shearing, resultants and radical-fragment root extraction.
 
+    The coordinates must share no curve.  One image mod p proves that
+    (`modular.coprime_certificate`); only when it gives no certificate does
+    `gcd_many_homogeneous` decide, and a common factor raises
+    NonFiniteBaseLocus.  The map's own coordinates are solved first; a
+    sheared copy is built only when they are degenerate for the projection.
     The points are listed once each, in no specified order; every caller
     compares them as a set.  Polynomials of degree at most 3 go to the
     radical formulas before any factoring, so the base locus of a 3-link is
     solved without sympy, which only factors what the formulas leave
-    (`_univariate_roots`)."""
+    (`_univariate_roots`), and without a squarefree pass when the formulas
+    find as many distinct roots as the degree (`_binary_form_roots`)."""
     if f.nsrc != 3:
         raise SblinksError("base points are computed for plane maps")
     tower = f.tower
-    g = gcd_many_homogeneous([c for c in f.coords if not c.is_zero()])
-    if not g.is_const():
+    nonzero = [c for c in f.coords if not c.is_zero()]
+    if (
+        coprime_certificate(nonzero) is None
+        and not gcd_many_homogeneous(nonzero).is_const()
+    ):
         raise NonFiniteBaseLocus(
             "the three coordinates share a common curve (malformed map)"
         )
     if f.degree == 1:
         return []
-    shears = _shear_matrices(tower)
     last_err = None
-    for m in shears:
+    for coords, m in _shears(f):
         try:
-            pts = _base_points_sheared(f, m)
-        except (_RetryShear,) as e:
+            pts = _base_points_sheared(coords, m, tower)
+        except _RetryShear as e:
             last_err = e
             continue
-        out = []
         zero = tower.zero()
-        for p in pts:
-            vals = [c.eval_zero_ok(list(p), zero) for c in f.coords]
-            if all(v.is_zero() for v in vals):
-                out.append(p)
-        return out
+        return [
+            p for p in pts
+            if all(c.eval_zero_ok(list(p), zero).is_zero() for c in f.coords)
+        ]
     raise BaseLocusNotSplit(f"no shear produced a solvable system: {last_err}")
 
 
@@ -792,26 +806,28 @@ class _RetryShear(Exception):
     pass
 
 
-def _shear_matrices(tower: TowerField):
-    one, zero = tower.one(), tower.zero()
-
-    def s(c):
-        return tower.scalar(c)
-
-    candidates = [
-        [[one, zero, zero], [zero, one, zero], [zero, zero, one]],
-        [[one, s(1), s(2)], [zero, one, s(3)], [zero, zero, one]],
-        [[one, s(2), s(1)], [s(1), one, s(1)], [zero, s(1), one]],
-        [[one, s(3), s(5)], [s(2), one, s(7)], [s(1), s(1), one]],
-        [[one, s(5), s(11)], [s(3), one, s(2)], [s(2), s(5), one]],
-    ]
-    return [mat(c) for c in candidates if not det3(mat(c)).is_zero()]
+# the shears tried after the map's own coordinates, all of determinant != 0
+_SHEARS = (
+    ((1, 1, 2), (0, 1, 3), (0, 0, 1)),
+    ((1, 2, 1), (1, 1, 1), (0, 1, 1)),
+    ((1, 3, 5), (2, 1, 7), (1, 1, 1)),
+    ((1, 5, 11), (3, 1, 2), (2, 5, 1)),
+)
 
 
-def _base_points_sheared(f: RationalMap, m):
-    tower = f.tower
-    fs = subst_linear(f, m)
-    c1, c2, c3 = fs.coords
+def _shears(f: RationalMap):
+    """(coordinates, matrix m) pairs to solve: f's own coordinates with
+    m = None, then f's coordinates under each matrix of _SHEARS, built only
+    when the pair before was degenerate."""
+    yield f.coords, None
+    for rows in _SHEARS:
+        m = mat([[f.tower.scalar(c) for c in row] for row in rows])
+        yield subst_linear(f, m).coords, m
+
+
+def _base_points_sheared(coords, m, tower: TowerField):
+    """The common zeros of coords, mapped back by m (None for no shear)."""
+    c1, c2, c3 = coords
     if c1.deg_in(0) <= 0:
         raise _RetryShear("first coordinate independent of x")
     u = c2 + c3.scale(tower.scalar(1))
@@ -826,17 +842,19 @@ def _base_points_sheared(f: RationalMap, m):
     if r_a.is_zero() or r_b.is_zero():
         raise _RetryShear("vanishing resultant (shared factor)")
     gb = gcd(r_a, r_b)
+
+    def back(p):
+        return normalize_point(p if m is None else mat_vec(m, p))
+
     pts = []
     # (1:0:0) projects nowhere on the (y:z) line; test it directly
     origin = (tower.one(), tower.zero(), tower.zero())
     zero = tower.zero()
     if all(c.eval_zero_ok(list(origin), zero).is_zero() for c in (c1, c2, c3)):
-        pts.append(normalize_point(mat_vec(m, origin)))
+        pts.append(back(origin))
     if gb.is_const():
         return pts
-    gb = squarefree_part(gb)
-    proj = _binary_form_roots(gb, tower)
-    for (y0, z0) in proj:
+    for (y0, z0) in _binary_form_roots(gb, tower):
         uni = []
         for c in (c1, c2, c3):
             p = _substitute_yz(c, y0, z0, tower)
@@ -850,7 +868,7 @@ def _base_points_sheared(f: RationalMap, m):
         if gx.is_const():
             continue
         for x0 in _univariate_roots(gx, tower):
-            pts.append(normalize_point(mat_vec(m, (x0, y0, z0))))
+            pts.append(back((x0, y0, z0)))
     # dedupe
     out = []
     for p in pts:
@@ -871,8 +889,13 @@ def _substitute_yz(c: MPoly, y0, z0, tower: TowerField):
 
 
 def _binary_form_roots(b: MPoly, tower: TowerField):
-    """Projective roots (y0, z0) of a squarefree binary form in (y, z),
-    stored as a 3-variable polynomial with x-degree 0."""
+    """Projective roots (y0, z0) of a nonzero binary form in (y, z), stored
+    as a 3-variable polynomial with x-degree 0.
+
+    The radical formulas run on the dehomogenised form p itself.  When they
+    find as many distinct roots as p's degree, p is squarefree and those are
+    all its roots.  Only otherwise is p replaced by its squarefree part and
+    solved in full (`_univariate_roots`)."""
     roots = []
     me = b.min_exps()
     if any(me):
@@ -887,7 +910,10 @@ def _binary_form_roots(b: MPoly, tower: TowerField):
     uni = b.subst(
         [MPoly.zero(1), MPoly.variable(1, 0, one), MPoly.const(1, one)]
     )
-    for r in _univariate_roots(uni, tower):
+    found = _roots_among(uni, _radical_roots(uni, tower))
+    if len(found) < uni.total_degree():
+        found = _univariate_roots(squarefree_part(uni), tower)
+    for r in found:
         roots.append(normalize_point((r, one)))
     return roots
 

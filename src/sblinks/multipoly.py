@@ -247,8 +247,6 @@ class MPoly:
             a, b, big = b, a, self
         if len(a) == 1:
             ((ea, ca),) = a.items()
-            if not ea and ca.is_one():
-                return big
             return big._mul_key(ea, ca)  # which checks the degree
         # the leading keys add without a carry, so this is the product's degree
         _check_degree((max(a) + max(b)) >> (_BITS * self.nvars))
@@ -286,9 +284,12 @@ class MPoly:
         return self._mul_key(_pack(self.nvars, exps), c)
 
     def _mul_key(self, m: int, c) -> "MPoly":
-        """c times the monomial with key m times self."""
+        """c times the monomial with key m times self; for c = 1 the terms
+        are re-keyed, and no coefficient is multiplied."""
         if c.is_zero():
             return MPoly.zero(self.nvars)
+        if c.is_one():
+            return self._shift_key(m)
         if self.terms:
             _check_degree(self.total_degree() + (m >> (_BITS * self.nvars)))
         return _poly(self.nvars, {e + m: k * c for e, k in self.terms.items()})

@@ -135,11 +135,18 @@ def assert_link_facts():
 @pytest.fixture(scope="session")
 def assert_coprime():
     """Assert that the coordinates of each map share no common factor: the
-    constructor trusts them to, and does not check."""
+    constructor trusts them to, and does not check.  A certificate by one
+    image mod p, rechecked, proves it; the projective gcd runs only when no
+    certificate is found."""
+    from sblinks.modular import coprime_certificate, recheck_coprime_certificate
     from sblinks.multipoly import gcd_many_homogeneous
 
     def check(*maps):
         for f in maps:
-            assert gcd_many_homogeneous([c for c in f.coords if not c.is_zero()]).is_const()
+            cert = coprime_certificate(f.coords)
+            if cert is None:
+                assert gcd_many_homogeneous([c for c in f.coords if not c.is_zero()]).is_const()
+            else:
+                assert recheck_coprime_certificate(cert, f.coords)
 
     return check

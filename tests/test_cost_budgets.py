@@ -1,0 +1,46 @@
+"""Deterministic cost budgets: upper bounds on the exact operation counts of
+a traced bench op.  Wall times drift with the host, but traced call counts
+repeat exactly, so a change that adds work to an op fails here even when
+nobody runs the benchmark.  A change that must raise a bound says so, with
+the reason; lowering one after a gain is routine."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# The counts of the traced seed-1 link3 op (one link, its round trip and
+# its base locus) when these bounds were set.  Each bound is the count plus
+# a margin of a tenth, rounded down.
+LINK3_COUNTS = {
+    "multipoly.gcd_many_homogeneous": 1,
+    "multipoly.gcd": 241,
+    "multipoly.subst": 19,
+    "field_tower.mul": 777,
+    "field_tower.inverse": 37,
+    "scalars.qzeta_mul": 3459,
+}
+
+
+def _traced_calls(workload: str, seed: int) -> dict:
+    out = subprocess.run(
+        [sys.executable, "-m", "perfbench.worker", "--workload", workload,
+         "--seed", str(seed), "--mode", "trace"],
+        cwd=ROOT, capture_output=True, text=True, timeout=170,
+    )
+    assert out.returncode == 0, out.stderr
+    layers = json.loads(out.stdout.splitlines()[-1])["layers"]["layers"]
+    return {name: v["calls"] for name, v in layers.items()}
+
+
+def test_link3_op_stays_within_its_budget():
+    calls = _traced_calls("link3", 1)
+    over = {
+        name: calls.get(name, 0)
+        for name, count in LINK3_COUNTS.items()
+        if calls.get(name, 0) > count + count // 10
+    }
+    assert over == {}
+    assert calls["birational.base_points"] == 1

@@ -414,6 +414,21 @@ def test_overflow_at_the_bound():
     assert (half * MPoly.monomial(2, (BOUND // 2 - 1, 0), one)).total_degree() == BOUND - 1
 
 
+def test_unit_monomial_product_rekeys_the_coefficients(L):
+    """A product with c = 1 times a monomial re-keys the terms and keeps
+    each coefficient object; any other c multiplies them."""
+    one, u, t1 = L.one(), L.gen("u"), L.t_var(0)
+    f = MPoly(3, {(1, 0, 1): u + t1, (0, 2, 0): t1 * t1, (0, 0, 2): one})
+    x = MPoly.variable(3, 0, one)
+    for g in (f.mul_monomial((1, 0, 0), one), x * f, f * x):
+        assert g == MPoly(3, {(e[0] + 1,) + e[1:]: c for e, c in f.tuple_terms().items()})
+        assert all(
+            g.tuple_terms()[(e[0] + 1,) + e[1:]] is c for e, c in f.tuple_terms().items()
+        )
+    doubled = f.mul_monomial((0, 0, 0), L.scalar(2))
+    assert doubled == MPoly(3, {e: L.scalar(2) * c for e, c in f.tuple_terms().items()})
+
+
 # ---------------------------------------------------------------------------
 # substitution and evaluation over a tower: sparse exponents with gaps, as
 # in the quintics of a 6-link, against products of powers term by term
