@@ -773,7 +773,16 @@ def base_points(f: RationalMap):
     radical formulas before any factoring, so the base locus of a 3-link is
     solved without sympy, which only factors what the formulas leave
     (`_univariate_roots`), and without a squarefree pass when the formulas
-    find as many distinct roots as the degree (`_binary_form_roots`)."""
+    find as many distinct roots as the degree (`_binary_form_roots`).
+
+    Every point the solve returns is a common zero, once, so no closing
+    evaluation re-proves it and nothing is deduplicated.  The origin is
+    tested directly.  Each other point is (x0 : y0 : z0), with x0 a root,
+    checked by evaluation, of the gcd of the coordinates restricted to the
+    line through the origin and (0 : y0 : z0).  The projections (y0 : z0)
+    are listed once each, and so are the roots x0 on one of them.  No
+    such line makes all three restrictions zero: it would be a common
+    factor, which the guard above has excluded."""
     if f.nsrc != 3:
         raise SblinksError("base points are computed for plane maps")
     tower = f.tower
@@ -790,15 +799,9 @@ def base_points(f: RationalMap):
     last_err = None
     for coords, m in _shears(f):
         try:
-            pts = _base_points_sheared(coords, m, tower)
+            return _base_points_sheared(coords, m, tower)
         except _RetryShear as e:
             last_err = e
-            continue
-        zero = tower.zero()
-        return [
-            p for p in pts
-            if all(c.eval_zero_ok(list(p), zero).is_zero() for c in f.coords)
-        ]
     raise BaseLocusNotSplit(f"no shear produced a solvable system: {last_err}")
 
 
@@ -855,13 +858,8 @@ def _base_points_sheared(coords, m, tower: TowerField):
     if gb.is_const():
         return pts
     for (y0, z0) in _binary_form_roots(gb, tower):
-        uni = []
-        for c in (c1, c2, c3):
-            p = _substitute_yz(c, y0, z0, tower)
-            if not p.is_zero():
-                uni.append(p)
-        if not uni:
-            raise _RetryShear("projection annihilates all coordinates")
+        uni = [_substitute_yz(c, y0, z0, tower) for c in (c1, c2, c3)]
+        uni = [p for p in uni if not p.is_zero()]
         gx = uni[0]
         for p in uni[1:]:
             gx = gcd(gx, p)
@@ -869,12 +867,7 @@ def _base_points_sheared(coords, m, tower: TowerField):
             continue
         for x0 in _univariate_roots(gx, tower):
             pts.append(back((x0, y0, z0)))
-    # dedupe
-    out = []
-    for p in pts:
-        if p not in out:
-            out.append(p)
-    return out
+    return pts
 
 
 def _substitute_yz(c: MPoly, y0, z0, tower: TowerField):
@@ -895,7 +888,14 @@ def _binary_form_roots(b: MPoly, tower: TowerField):
     The radical formulas run on the dehomogenised form p itself.  When they
     find as many distinct roots as p's degree, p is squarefree and those are
     all its roots.  Only otherwise is p replaced by its squarefree part and
-    solved in full (`_univariate_roots`)."""
+    solved in full (`_univariate_roots`).
+
+    The forward map of a 3-link at a point cycled by g takes that pass.  It
+    is sigma o phi (`link_from_3point`), with coordinates l1 l2, l0 l2,
+    l0 l1 for lines l_i, l_i missing the base point p_i.  So c1 = l1 l2 is
+    a line pair singular at p0, and c2 + c3 = l0 (l1 + l2) passes through
+    p0: the resultant counts p0 twice and p1, p2 once each, and its
+    degree-4 form has a double root at p0's projection."""
     roots = []
     me = b.min_exps()
     if any(me):

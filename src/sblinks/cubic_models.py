@@ -22,6 +22,14 @@ to be compared:
 - the section's sanity checks, which no nonzero scalar changes, substitute
   cleared operands.
 
+The section of the contraction u = (xi A1A2 : B0B2 : A1B0) is the kernel of
+three linear equations over u, xi A2 u2 = B0 u0, B2 u2 = A1 u1 and
+A0 u0 = B1 u1: the four 3x3 minors of their matrix.  The first two are the
+contraction's own proportions.  The third holds on the cubic: under the
+first two, xi A0A1A2 = B0B1B2 times u2^2 becomes
+A1 B0 u2 (A0 u0 - B1 u1) = 0, and the section point lies off A1 = 0 and
+B0 = 0.
+
 Homogeneous vectors lose their content by `birational._normalize_coords`.
 """
 
@@ -63,8 +71,8 @@ from .field_tower import (
     is_cube,
     is_norm,
 )
-from .linalg import _proportional, nullspace, rank
-from .multipoly import MPoly, NotDivisible, exact_div, gcd_many, mod_reduce
+from .linalg import _proportional, det3, nullspace, rank
+from .multipoly import MPoly, mod_reduce
 from .severi_brauer import (
     SBSurface,
     _fresh_name,
@@ -521,98 +529,34 @@ def verify_smooth_model(model: SmoothCubicModel) -> dict:
 
 
 def section_of_contraction(model: SmoothCubicModel):
-    """A rational section of the contraction: the residual intersection of
-    the fibre line of the quadric system with the cubic, after removing the
-    two intersections with the auxiliary lines."""
+    """A rational section of the contraction u = (xi A1A2 : B0B2 : A1B0),
+    cut out over u by three linear equations in (w, x, y, z):
+
+        xi A2 u2 = B0 u0,    B2 u2 = A1 u1,    A0 u0 = B1 u1.
+
+    The first two are the contraction's own proportions u0 : u2 and
+    u1 : u2 with the factors A1 and B0 cancelled.  The third holds on the
+    cubic: multiply xi A0A1A2 = B0B1B2 by u2^2 and substitute the first two
+    to get A1 B0 u2 (A0 u0 - B1 u1) = 0.  A1 = 0 and B0 = 0 are where the
+    fibre meets the auxiliary lines, and the section point lies off both.
+    The point is the kernel of the 3x4 matrix of the equations, its four
+    signed 3x3 minors: cubic forms in u, divided by their gcd."""
     Lh = model.tower
-    one = Lh.one()
-    # variables: (s, r, u0, u1, u2)
-    NV = 5
-
-    a1, a2, b0, b2 = _coefficient_rows(
-        Lh, (model.A[1], model.A[2], model.B[0], model.B[2])
-    )
-
-    def u_mono(i):
-        e = [0] * NV
-        e[2 + i] = 1
-        return e
-
-    # R1 = xi A2 u2 - B0 u0, R2 = B2 u2 - A1 u1: rows over L[u]
-    row1 = [
-        MPoly.monomial(NV, tuple(u_mono(2)), model.xi * a2[k])
-        - MPoly.monomial(NV, tuple(u_mono(0)), b0[k])
-        for k in range(4)
+    u0, u1, u2 = (MPoly.variable(3, i, Lh.one()) for i in range(3))
+    a0, a1, a2 = _coefficient_rows(Lh, model.A)
+    b0, b1, b2 = _coefficient_rows(Lh, model.B)
+    rows = [
+        [u2.scale(model.xi * a2[k]) - u0.scale(b0[k]) for k in range(4)],
+        [u2.scale(b2[k]) - u1.scale(a1[k]) for k in range(4)],
+        [u0.scale(a0[k]) - u1.scale(b1[k]) for k in range(4)],
     ]
-    row2 = [
-        MPoly.monomial(NV, tuple(u_mono(2)), b2[k])
-        - MPoly.monomial(NV, tuple(u_mono(1)), a1[k])
-        for k in range(4)
-    ]
-
-    def det2(c1, c2):
-        return row1[c1] * row2[c2] - row1[c2] * row2[c1]
-
-    # Cramer nullspace vectors of the 2x4 system, omitting one column each
-    def null_vector(omit):
-        cols = [c for c in range(4) if c != omit]
-        v = [MPoly.zero(NV)] * 4
-        v[cols[0]] = det2(cols[1], cols[2])
-        v[cols[1]] = -det2(cols[0], cols[2])
-        v[cols[2]] = det2(cols[0], cols[1])
-        return v
-
-    P = None
-    Q = None
-    for omit_p in range(4):
-        cand = null_vector(omit_p)
-        if any(not c.is_zero() for c in cand):
-            cand = _normalize_coords(cand)
-            if P is None:
-                P = cand
-            elif not _proportional(P, cand):
-                Q = cand
-                break
-    if P is None or Q is None:
-        raise SectionNotFound("fibre line of the contraction is degenerate")
-
-    s = MPoly.variable(NV, 0, one)
-    r = MPoly.variable(NV, 1, one)
-    line = [s * p + r * q for p, q in zip(P, Q)]
-
-    cubic5 = model.cubic.subst(line)
-
-    # the fibre line meets the two auxiliary conic-lines where A1 resp. A2 vanish
-    at_p = _mat_times((a1, a2), P)
-    at_q = _mat_times((a1, a2), Q)
-    l1, l2 = (_strip_sr_content(s * vp + r * vq) for vp, vq in zip(at_p, at_q))
-    try:
-        rest = exact_div(cubic5, l1)
-        rest = exact_div(rest, l2)
-    except NotDivisible as e:
-        raise SectionNotFound(f"spurious roots do not divide the fibre cubic: {e}")
-    # rest = a s + b r: the residual root (s : r) = (b : -a)
-    a = MPoly.zero(NV)
-    b = MPoly.zero(NV)
-    for e, c in rest.tuple_terms().items():
-        if e[0] == 1 and e[1] == 0:
-            a = a + MPoly.monomial(NV, (0, 0) + e[2:], c)
-        elif e[0] == 0 and e[1] == 1:
-            b = b + MPoly.monomial(NV, (0, 0) + e[2:], c)
-        else:
-            raise SectionNotFound("residual factor is not linear in the fibre")
-    section5 = [b * p - a * q for p, q in zip(P, Q)]
-
-    # drop the (now unused) s, r slots: results live in u only
-    def drop_sr(p5):
-        terms = {}
-        for e, c in p5.tuple_terms().items():
-            if e[0] or e[1]:
-                raise SectionNotFound("section still depends on the fibre parameter")
-            terms[e[2:]] = c
-        return MPoly(3, terms)
-
-    section = _normalize_coords([drop_sr(p) for p in section5])
+    minors = []
+    for j in range(4):
+        m = det3([[row[k] for k in range(4) if k != j] for row in rows])
+        minors.append(-m if j % 2 else m)
+    if all(m.is_zero() for m in minors):
+        raise SectionNotFound("the equations of the fibre have no unique kernel")
+    section = _normalize_coords(minors)
 
     # sanity: the section lands on the cubic and splits the contraction.
     # Neither statement moves when the section, the cubic or the contraction
@@ -621,9 +565,8 @@ def section_of_contraction(model: SmoothCubicModel):
     (cubic,) = _cleared((model.cubic,))
     if not cubic.subst(cleared).is_zero():
         raise SectionNotFound("section does not satisfy the cubic equation")
-    u_vars = [MPoly.variable(3, i, one) for i in range(3)]
     images = [f.subst(cleared) for f in _cleared(model.contraction)]
-    if not _proportional(images, u_vars):
+    if not _proportional(images, [u0, u1, u2]):
         raise SectionNotFound("section is not a right inverse")
     return tuple(section)
 
@@ -681,19 +624,6 @@ def _squares_to(rho: RationalMap, f: RationalMap, h: RationalMap) -> bool:
     """Whether rho o rho is projectively f o h, both raw composites compared
     by cross products: with f o h = rho^-1 this is rho^3 = id."""
     return _composes_to(rho, rho, _substituted(f, h))
-
-
-def _strip_sr_content(p: MPoly) -> MPoly:
-    """Remove the u-content of a polynomial in (s, r, u0, u1, u2)."""
-    buckets = {}
-    for e, c in p.tuple_terms().items():
-        key = e[:2]
-        buckets.setdefault(key, {})[(0, 0) + e[2:]] = c
-    polys = [MPoly(p.nvars, t) for t in buckets.values()]
-    g = gcd_many(polys)
-    if g.is_const():
-        return p
-    return exact_div(p, g)
 
 
 def _image_of_contracted_line(model: SmoothCubicModel, pair):

@@ -11,16 +11,27 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# The counts of the traced seed-1 link3 op (one link, its round trip and
-# its base locus) when these bounds were set.  Each bound is the count plus
-# a margin of a tenth, rounded down.
+# The counts of the traced seed-1 ops when these bounds were set.  Each
+# bound is the count plus a margin of a tenth, rounded down.
+
+# link3: one link, its round trip and its base locus
 LINK3_COUNTS = {
     "multipoly.gcd_many_homogeneous": 1,
     "multipoly.gcd": 241,
     "multipoly.subst": 19,
-    "field_tower.mul": 777,
+    "field_tower.mul": 696,
     "field_tower.inverse": 37,
-    "scalars.qzeta_mul": 3459,
+    "scalars.qzeta_mul": 3339,
+}
+
+# models: both cubic models with their checks, and the order-3 map
+MODELS_COUNTS = {
+    "multipoly.gcd_many_homogeneous": 5,
+    "multipoly.gcd": 3999,
+    "multipoly.exact_div": 3197,
+    "field_tower.mul": 10819,
+    "field_tower.inverse": 268,
+    "scalars.qzeta_mul": 19971,
 }
 
 
@@ -35,12 +46,21 @@ def _traced_calls(workload: str, seed: int) -> dict:
     return {name: v["calls"] for name, v in layers.items()}
 
 
-def test_link3_op_stays_within_its_budget():
-    calls = _traced_calls("link3", 1)
-    over = {
+def _over_budget(calls: dict, counts: dict) -> dict:
+    return {
         name: calls.get(name, 0)
-        for name, count in LINK3_COUNTS.items()
+        for name, count in counts.items()
         if calls.get(name, 0) > count + count // 10
     }
-    assert over == {}
+
+
+def test_link3_op_stays_within_its_budget():
+    calls = _traced_calls("link3", 1)
+    assert _over_budget(calls, LINK3_COUNTS) == {}
     assert calls["birational.base_points"] == 1
+
+
+def test_models_op_stays_within_its_budget():
+    calls = _traced_calls("models", 1)
+    assert _over_budget(calls, MODELS_COUNTS) == {}
+    assert calls["cubic_models.section_of_contraction"] == 1

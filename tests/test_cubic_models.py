@@ -18,6 +18,7 @@ from sblinks.errors import (
     IdentityFails,
     LambdaIsCube,
     SblinksError,
+    SectionNotFound,
     ZeroXi,
 )
 from sblinks.cubic_models import (
@@ -34,7 +35,7 @@ from sblinks.cubic_models import (
     verify_smooth_model,
 )
 from sblinks.field_tower import TowerField
-from sblinks.linalg import rank
+from sblinks.linalg import _proportional, rank
 from sblinks.multipoly import MPoly
 from sblinks.severi_brauer import radicand_class_string
 
@@ -179,9 +180,46 @@ def test_reduce_mod_cubic(smooth):
     assert r.is_zero()
 
 
-def test_section(smooth):
-    section = section_of_contraction(smooth)
-    assert smooth.cubic.subst(list(section)).is_zero()
+@pytest.fixture(scope="module")
+def smooth_plain(K2m):
+    """The smooth model at (lam, mu, nu) = (t1, t2, 1)."""
+    return build_smooth_model(K2m.t_var(0), K2m.t_var(1), K2m.one())
+
+
+def test_section(smooth, smooth_plain):
+    """On both models the section lies on the cubic and is a right inverse
+    of the contraction: contraction o section is proportional to
+    (u0, u1, u2)."""
+    for model in (smooth, smooth_plain):
+        section = list(section_of_contraction(model))
+        assert model.cubic.subst(section).is_zero()
+        one = model.tower.one()
+        u = [MPoly.variable(3, i, one) for i in range(3)]
+        assert _proportional([f.subst(section) for f in model.contraction], u)
+
+
+def _swapped(triple, i, j):
+    out = list(triple)
+    out[i], out[j] = out[j], out[i]
+    return tuple(out)
+
+
+@pytest.mark.parametrize("mutation", ["swap-B1-B2", "swap-A0-A2", "cubic"])
+def test_section_refuses_a_changed_model(smooth, mutation):
+    """Swapping two lines of a family, or changing the cubic, breaks the
+    identities the section rests on, and its sanity checks refuse it."""
+    if mutation == "swap-B1-B2":
+        model = dataclasses.replace(smooth, B=_swapped(smooth.B, 1, 2))
+        message = "right inverse"
+    elif mutation == "swap-A0-A2":
+        model = dataclasses.replace(smooth, A=_swapped(smooth.A, 0, 2))
+        message = "right inverse"
+    else:
+        x3 = MPoly.monomial(4, (0, 3, 0, 0), smooth.tower.one())
+        model = dataclasses.replace(smooth, cubic=smooth.cubic + x3)
+        message = "cubic equation"
+    with pytest.raises(SectionNotFound, match=message):
+        section_of_contraction(model)
 
 
 # SHA-256 of the JSON of rho-hat, chi1 and chi2 for the `smooth` model
