@@ -36,18 +36,20 @@ systems are those of Alberich-Carramiñana, LNM 1769):
 - a 6-link's forward map and b0 are three independent quintics double at
   six points with no three collinear and no conic through all six (checked
   for p and q): that net has no fixed component.  Its backward map is
-  eta^-1 . b0, eta read off the raw b0 o forward by one exact division by
-  J^2, J the forward Jacobian (`_inverse_by_jacobian`).
+  eta^-1 . b0, eta linear with b0 o forward = J^2 . eta, J the forward
+  Jacobian, and read off the values of b0 o forward and J at three points
+  (`_inverse_by_values`), so an invertible matrix moves b0.
 
 A link takes its inverse base point q as the twisted orbit of the forward
 map's value at one point of one contracted curve, off the base locus
 (`_image_at`).  No substitution checks that the curve is contracted: the
 round trip proves q.  A 3-link's backward map P . D . sigma(adj(Q) x) has
-exactly the columns of Q as base points, and backward o forward = id is
-certified; a 6-link's b0 is double at q, and b0 o forward = J^2 eta is
-certified.  `is_equivariant`, the round trip of a 3-link and every check
-of a composite (`_composes_to`) compare raw triples by 2x2 cross products,
-which needs no normal form.
+exactly the columns of Q as base points, a 6-link's eta^-1 . b0 is double
+at q, and for both backward o forward = id is certified by one rule
+(`_certified`).  That round trip and every other check of a composite
+(`_composes_to`) compare raw triples by 2x2 cross products, which needs no
+normal form.  `equals` and `is_equivariant` compare coprime triples, so one
+constant decides them (`_constant_multiple`).
 
 `base_points` needs coordinates that share no curve, and proves it by one
 image mod p (`modular.coprime_certificate`), which is a proof when it
@@ -107,12 +109,12 @@ from .linalg import (
 from .modular import coprime_certificate
 from .multipoly import (
     MPoly,
+    _var_key,
     exact_div,
     gcd,
     gcd_many_homogeneous,
     resultant,
     squarefree_part,
-    try_div,
 )
 from .severi_brauer import (
     ClosedPoint,
@@ -302,12 +304,35 @@ def _invertible(m):
 
 
 def equals(f: RationalMap, g: RationalMap) -> bool:
-    """Projective equality of maps via vanishing 2x2 cross products."""
+    """Projective equality of maps, decided by one constant
+    (`_constant_multiple`).  The triples must be coprime, as every
+    `RationalMap`'s are; a yes is never false."""
     if f.tower != g.tower:
         raise SblinksError("equals needs maps over the same tower")
     if f.nsrc != g.nsrc:
         return False
-    return _proportional(f.coords, g.coords)
+    return _constant_multiple(f.coords, g.coords)
+
+
+def _constant_multiple(a, b) -> bool:
+    """Whether the polynomial triples a and b are nonzero and b = c . a for a
+    constant c: with alpha one coefficient of the first nonzero a_k and beta
+    the coefficient of b_k at the same monomial, whether
+    beta . a_i == alpha . b_i for every i.  No inverse and no polynomial
+    product is taken.
+
+    A yes is never false: it gives b = (beta / alpha) . a.  A no is false
+    only when b is a multiple of a by a nonconstant factor, which coprime
+    triples never are: two coprime triples of one map differ by a constant.
+    `_proportional` decides raw triples, such as composites."""
+    k = next((i for i, x in enumerate(a) if not x.is_zero()), None)
+    if k is None:
+        return False
+    e, alpha = next(iter(a[k].terms.items()))
+    beta = b[k].terms.get(e)
+    if beta is None:
+        return False
+    return all(x.scale(beta) == y.scale(alpha) for x, y in zip(a, b))
 
 
 def _substituted(f: RationalMap, h: RationalMap):
@@ -366,7 +391,11 @@ def subst_linear(f: RationalMap, m) -> RationalMap:
 
 def is_equivariant(f: RationalMap, src: SBSurface, tgt: SBSurface) -> bool:
     """Whether f intertwines the twisted Galois actions of src and tgt,
-    checked for every radical generator of the map's tower."""
+    checked for every radical generator of the map's tower: f o A_src is
+    A_tgt . sigma(f) up to one constant (`_constant_multiple`).  f's
+    coordinates must be coprime, as every `RationalMap`'s are; both sides
+    then are, since an invertible linear change and a field automorphism
+    keep a triple coprime.  A yes is never false."""
     tower = f.tower
     coords = f.coords
     for rad in tower.radicals:
@@ -376,7 +405,7 @@ def is_equivariant(f: RationalMap, src: SBSurface, tgt: SBSurface) -> bool:
         lhs = [c.subst(forms) for c in coords]
         moved = [c.map_coeffs(act.apply) for c in coords]
         rhs = _mat_times(tgt.twist_matrix(exps, tower), moved)
-        if not _proportional(lhs, rhs):
+        if not _constant_multiple(lhs, rhs):
             return False
     return True
 
@@ -407,8 +436,7 @@ class Link:
     forward map's equivariance, one splitting field for both base points,
     the forward degree and backward o forward = id, which give the backward
     map's equivariance and forward o backward = id.  `_certified` checks the
-    last two for a 3-link; a 6-link's round trip is the exact division in
-    `_inverse_by_jacobian` that builds its backward map.
+    last two for both link types, on the raw composite.
     Derived links inherit them: `inverse` checks nothing, and
     `_followed_by_linear` checks only that its matrix is defined over K."""
 
@@ -1035,22 +1063,53 @@ def _sigma_forms(m):
     return (l1 * l2, l0 * l2, l0 * l1)
 
 
-def _inverse_by_jacobian(b0: RationalMap, forward: RationalMap) -> RationalMap:
-    """The exact inverse eta^-1 . b0 of forward, b0 double at the inverse base
-    point.  The Jacobian J of forward vanishes exactly on its contracted
-    curves, so the raw b0 o forward is J^2 . eta, eta linear; dividing by J^2
-    proves it, and eta^-1 . b0 o forward = J^2 . id is the round trip.
-    Raises SblinksError when J is zero, a division leaves a remainder or a
-    quotient is not linear, as inverse3 does when eta is singular."""
+def _inverse_by_values(b0: RationalMap, forward: RationalMap) -> RationalMap:
+    """The backward map eta^-1 . b0 of a 6-link, b0 double at the inverse
+    base point, from values alone.  The Jacobian J of forward vanishes
+    exactly on its contracted curves, so b0 o forward = J^2 . eta with eta
+    linear, and eta p = b0(forward(p)) / J(p)^2 at each point p with
+    J(p) != 0.  Three independent such points p_j, the coordinate points
+    first and then the K-points (a : b : 1) of `_GRID`, give
+    eta = V . D^-1 . P^-1, with the columns p_j in P, the values
+    b0(forward(p_j)) in V and D = diag(J(p_j)^2), so
+    eta^-1 = P . D . V^-1, taken up to scale as P . D . adj(V): no division.
+    At e_j a form's value is its x_j^d coefficient.
+
+    Nothing is proved here: the link's round trip (`_certified`) proves the
+    map.  When b0 o forward = J^2 . eta holds, the three values give that
+    eta up to one scalar, so the same map.  Raises SblinksError when no three such points exist (J = 0
+    at every one) or V is singular."""
+    tower = forward.tower
+    one, zero = tower.one(), tower.zero()
     fc = forward.coords
-    jac = det3([[c.derivative(i) for i in range(3)] for c in fc])
-    if jac.is_zero():
-        raise SblinksError("the forward map has a zero Jacobian")
-    jac2 = jac * jac
-    eta = [try_div(c, jac2) for c in _raw_composite(b0.coords, fc)]
-    if any(q is None or q.total_degree() != 1 for q in eta):
-        raise SblinksError("candidate backward map is not J^2 times a linear map")
-    return apply_matrix(inverse3(_coefficient_rows(forward.tower, eta)), b0)
+    partials = [[c.derivative(i) for i in range(3)] for c in fc]
+    axes = [(j, tuple(one if i == j else zero for i in range(3))) for j in range(3)]
+    grid = [(None, (tower.scalar(a), tower.scalar(b), one)) for a, b in _GRID]
+    points, squares, values = [], [], []
+    for axis, p in axes + grid:
+        if not _in_general_position(points + [p]):
+            continue
+        jac = det3([[_value_at(d, p, axis, zero) for d in row] for row in partials])
+        if jac.is_zero():
+            continue
+        image = [_value_at(c, p, axis, zero) for c in fc]
+        points.append(p)
+        squares.append(jac * jac)
+        values.append([c.eval_zero_ok(image, zero) for c in b0.coords])
+        if len(points) == 3:
+            PD = tuple(
+                tuple(x * s for x, s in zip(row, squares)) for row in _columns(points)
+            )
+            return apply_matrix(mat_mul(PD, adjugate3(_columns(values))), b0)
+    raise SblinksError("the forward map's Jacobian vanishes at the trial points")
+
+
+def _value_at(form: MPoly, p, axis, zero):
+    """form(p); at the coordinate point p = e_axis (axis not None) the
+    form's x_axis^d coefficient, read off with no evaluation."""
+    if axis is None:
+        return form.eval_zero_ok(list(p), zero)
+    return form.terms.get(_var_key(3, axis, form.total_degree()), zero)
 
 
 def _columns(points):
@@ -1156,23 +1215,28 @@ def conic_through_five(tower: TowerField, pts) -> MPoly:
 
 
 def _check_six_general(tower: TowerField, comps):
-    """Raises SpecialPosition if three of the six points are collinear or a
-    conic passes through all six."""
+    """The conic through the last five of the six points.  Raises
+    SpecialPosition if three of the six are collinear or that conic, the
+    only one through the five, passes through the first."""
     if not _in_general_position(comps):
         raise SpecialPosition("three of the six components are collinear")
-    if curves_through(tower, comps, 2)[0]:
+    conic = conic_through_five(tower, comps[1:])
+    if conic.eval(list(comps[0])).is_zero():
         raise SpecialPosition("the six components lie on a conic")
+    return conic
 
 
 def link_from_6point(surface: SBSurface, point: ClosedPoint) -> Link:
     """The Sarkisov 6-link: quintics with double points at the six components;
     q is the twisted orbit of the image of the conic through the last five,
-    the forward map's value at the first of `_conic_points` off the six."""
+    the forward map's value at the first of `_conic_points` off the six.
+    The backward map comes from values (`_inverse_by_values`), and
+    `_certified` proves it."""
     if point.degree != 6:
         raise SblinksError("link_from_6point needs a degree-6 point")
     tower = point.tower
     comps = point.components
-    _check_six_general(tower, comps)
+    conic = _check_six_general(tower, comps)
 
     # the basis spans the nullspace of the 18x21 system: rank 21 - len(basis)
     basis, _ = curves_through(tower, comps, 5, double=True)
@@ -1185,11 +1249,8 @@ def link_from_6point(surface: SBSurface, point: ClosedPoint) -> Link:
     target = opposite(surface)
     triple = equivariant_triple(surface, target, basis, tower)
     fwd_map = RationalMap(tower, triple)
-    if fwd_map.degree != 5:
-        raise SblinksError("a 6-link must have forward degree 5")
     forward = _checked_forward(fwd_map, surface, target)
 
-    conic = conic_through_five(tower, comps[1:])
     image = _image_at(fwd_map.coords, _conic_points(conic, comps[1], tower), tower)
     q = closed_point_from_seed(target, image, tower)
     if q.degree != 6:
@@ -1206,9 +1267,9 @@ def link_from_6point(surface: SBSurface, point: ClosedPoint) -> Link:
             f"inverse quintic system has rank {21 - len(b_basis)}, not 18"
         )
     b0 = RationalMap(tower, tuple(b_basis))
-    bwd_map = _inverse_by_jacobian(b0, fwd_map)
+    bwd_map = _inverse_by_values(b0, fwd_map)
 
-    return Link(forward, TwistedMap(bwd_map, target, surface), point, q, 6)
+    return _certified(Link(forward, TwistedMap(bwd_map, target, surface), point, q, 6))
 
 
 def transport_point(m: RationalMap, point: ClosedPoint, target: SBSurface) -> ClosedPoint:

@@ -262,7 +262,7 @@ def cmd_link6(args):
         pt = sixpoint_from_sqrt(surface, alpha.lift_to(surface.tower))
         # raises SpecialPosition unless the double-point system has rank 18,
         # and SblinksError unless the forward degree is 5 and the raw
-        # b0 o forward divides exactly by J^2, the round-trip certificate
+        # backward o forward is proportional to (x, y, z), the round trip
         link = link_from_6point(surface, pt)
         return "pass", {
             "rank": 18,

@@ -66,6 +66,7 @@ from .multipoly import (
     _BITS,
     _MASK,
     MPoly,
+    NotDivisible,
     _check_degree,
     _horner,
     _poly,
@@ -74,7 +75,6 @@ from .multipoly import (
     gcd,
     squarefree_decomposition,
     squarefree_part,
-    try_div,
 )
 from .scalars import QZeta, _reduced as _qzeta, qzeta_nth_root
 
@@ -1221,19 +1221,20 @@ def recheck_power_certificate(c: FieldElement, cert: dict) -> bool:
         return cert["value"] == repr(kappa) and qzeta_nth_root(kappa, n) is None
     if kind == "multiplicity":
         factor = poly_from_json(cert["factor"], num.nvars)
+        if factor.total_degree() <= 0:
+            return False  # a constant divides forever
         cur = num if cert["where"] == "num" else den
         m = 0
         while True:
-            nxt = try_div(cur, factor)
-            if nxt is None:
+            try:
+                cur = exact_div(cur, factor)
+            except NotDivisible:
                 break
-            cur = nxt
             m += 1
         return (
             m == cert["multiplicity"]
             and m % n != 0
             and squarefree_part(factor) == factor.monic()
-            and factor.total_degree() > 0
         )
     return False
 

@@ -136,14 +136,13 @@ def _proportional(a, b) -> bool:
     are nonzero and agree projectively: every 2x2 cross product
     a_i b_j - a_j b_i vanishes.  Those against the first nonzero a_k
     suffice, since they give b = (b_k / a_k) a.  Any representatives give
-    the same answer."""
+    the same answer.  Each is tested as a_k b_i == a_i b_k, two products
+    compared in canonical form, so no difference is built."""
     k = next((i for i, x in enumerate(a) if not x.is_zero()), None)
     if k is None or b[k].is_zero():
         return False
     ak, bk = a[k], b[k]
-    return all(
-        (ak * y - x * bk).is_zero() for i, (x, y) in enumerate(zip(a, b)) if i != k
-    )
+    return all(ak * y == x * bk for i, (x, y) in enumerate(zip(a, b)) if i != k)
 
 
 def _row_echelon(rows):

@@ -20,7 +20,9 @@ from sblinks.birational import (
     RationalMap,
     TwistedMap,
     _certified,
+    _coefficient_rows,
     _columns,
+    _constant_multiple,
     _conic_points,
     _cremona,
     _cremona_scales,
@@ -29,7 +31,7 @@ from sblinks.birational import (
     _factor_over_base,
     _image_at,
     _independent_subset,
-    _inverse_by_jacobian,
+    _inverse_by_values,
     _linear_forms,
     _mat_times,
     _normalize_coords,
@@ -51,7 +53,7 @@ from sblinks.birational import (
 )
 from sblinks.field_tower import CubicExtension, GaloisAction
 from sblinks.linalg import _proportional, adjugate3, det3, inverse3, mat_identity, rank
-from sblinks.multipoly import MPoly
+from sblinks.multipoly import MPoly, exact_div
 from sblinks.severi_brauer import (
     ClosedPoint,
     auto_between_3points,
@@ -127,6 +129,53 @@ def test_is_equivariant(surface, L):
     assert is_equivariant(sig, surface, sop)
     assert not is_equivariant(RationalMap.identity(L), surface, sop)
     assert is_equivariant(RationalMap.identity(L), surface, surface)
+
+
+def _equivariant_by_cross_products(f, src, tgt):
+    """is_equivariant's reference: the same two sides, compared by
+    `_proportional`'s 2x2 cross products."""
+    tower = f.tower
+    for rad in tower.radicals:
+        exps = {rad.name: 1}
+        act = GaloisAction(tower, exps)
+        forms = _linear_forms(src.twist_matrix(exps, tower))
+        lhs = [c.subst(forms) for c in f.coords]
+        moved = [c.map_coeffs(act.apply) for c in f.coords]
+        if not _proportional(lhs, _mat_times(tgt.twist_matrix(exps, tower), moved)):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("name", ["link_at_coords", "link_at_unit", "six_link"])
+def test_one_constant_agrees_with_cross_products(name, request):
+    """On the coprime maps of the fixture links, and on their triples scaled
+    by constants with t-denominators and radicals, comparison by one
+    constant answers as the cross products do, for `equals` and
+    `is_equivariant` alike; a one-coefficient mutation fails both."""
+    link = request.getfixturevalue(name)
+    tower = link.forward.map.tower
+    t1 = tower.t_var(0)
+    r = tower.gen(tower.radicals[-1].name)
+    scales = (tower.one(), tower.scalar(-3), t1 / (tower.t_var(1) + tower.one()), r + t1)
+    maps = (link.forward.map, link.backward.map)
+    for f in maps:
+        for g in maps:
+            same = f == g  # stored triples are canonical
+            assert equals(f, g) == _proportional(f.coords, g.coords) == same
+            for k in scales:
+                scaled = [c.scale(k) for c in g.coords]
+                assert _constant_multiple(f.coords, scaled) == same
+                assert _proportional(f.coords, scaled) == same
+        bad = _perturbed(f)
+        assert not _constant_multiple(f.coords, bad.coords)
+        assert not _proportional(f.coords, bad.coords)
+        assert not equals(f, bad)
+    for twisted in (link.forward, link.backward):
+        f, src, tgt = twisted.map, twisted.source, twisted.target
+        assert is_equivariant(f, src, tgt) and _equivariant_by_cross_products(f, src, tgt)
+        bad = _perturbed(f)
+        assert not is_equivariant(bad, src, tgt)
+        assert not _equivariant_by_cross_products(bad, src, tgt)
 
 
 def test_link_at_coordinates(surface, link_at_coords, L):
@@ -779,15 +828,16 @@ def _inverse_quintics(link, extra=None):
 
 
 def test_6link_backward_matches_absorbed(six_link):
-    """The backward map that one division by J^2 builds is the one that the
-    projective gcd of the composite gives."""
+    """The backward map that three values of b0 o forward build is the one
+    that the projective gcd of the composite gives."""
     reference = _absorb_linear(_inverse_quintics(six_link), six_link.forward.map)
     assert six_link.backward.map == reference
     assert six_link.backward.map.to_json() == reference.to_json()
 
 
 def _perturbed(b0):
-    """b0 with one coefficient of its first coordinate raised by one."""
+    """b0 with one coefficient of its first coordinate raised by one: a
+    one-coefficient mutation."""
     c0 = b0.coords[0]
     e, c = max(c0.tuple_terms().items())
     bumped = c0 + MPoly.monomial(c0.nvars, e, c.one())
@@ -807,15 +857,71 @@ def _mutated_inverse_data(name, link):
     return _inverse_quintics(link), RationalMap(fwd.tower, (f0, f0, f2))
 
 
-@pytest.mark.parametrize("name", ["coefficient", "double_point", "zero_jacobian"])
-def test_6link_division_rejects_mutations(name, six_link):
-    """A candidate b0 with one coefficient changed, or double at a K-point in
-    place of one component of q, leaves a remainder, and a forward triple
-    with two equal coordinates has zero Jacobian: each raises SblinksError,
-    not ZeroDivisionError or NotDivisible."""
+@pytest.mark.parametrize(
+    "name, match",
+    [
+        ("coefficient", "backward o forward is not the identity"),
+        ("double_point", "singular 3x3 matrix"),
+        ("zero_jacobian", "Jacobian vanishes at the trial points"),
+    ],
+    ids=["coefficient", "double_point", "zero_jacobian"],
+)
+def test_6link_division_rejects_mutations(name, match, six_link):
+    """A candidate b0 with one coefficient changed gives a backward map that
+    fails the round trip, one double at a K-point in place of one component
+    of q gives singular values, and a forward triple with two equal
+    coordinates has zero Jacobian at every trial point: each raises
+    SblinksError, not an arithmetic error, from the backward map's values
+    followed by `_certified`."""
     b0, fwd = _mutated_inverse_data(name, six_link)
-    with pytest.raises(SblinksError):
-        _inverse_by_jacobian(b0, fwd)
+    forward = TwistedMap(fwd, six_link.forward.source, six_link.forward.target)
+    with pytest.raises(SblinksError, match=match):
+        bwd = _inverse_by_values(b0, fwd)
+        _certified(_with_backward(dataclasses.replace(six_link, forward=forward), bwd))
+
+
+def _backward_by_jacobian_division(b0, forward):
+    """The reference backward map eta^-1 . b0: eta from the raw b0 o forward
+    divided exactly by J^2, J the Jacobian determinant of forward."""
+    fc = forward.coords
+    jac = det3([[c.derivative(i) for i in range(3)] for c in fc])
+    jac2 = jac * jac
+    eta = [exact_div(c.subst(list(fc)), jac2) for c in b0.coords]
+    assert all(q.total_degree() == 1 for q in eta)
+    return apply_matrix(inverse3(_coefficient_rows(forward.tower, eta)), b0)
+
+
+@pytest.mark.parametrize("moved", [False, True], ids=["fixture", "base-point-at-e0"])
+def test_6link_backward_by_values_matches_jacobian_division(moved, six_link, six_point):
+    """The backward map read off three values is byte for byte the one that
+    the exact division of b0 o forward by J^2 gives: on the fixture's
+    forward map, and on that map moved by `subst_linear` so that the first
+    component of p sits at (1 : 0 : 0), where J vanishes and a grid point
+    stands in for the coordinate point."""
+    b0 = _inverse_quintics(six_link)
+    fwd = six_link.forward.map
+    if moved:
+        tower = six_point.tower
+        one, zero = tower.one(), tower.zero()
+        e0, e1, e2 = (tuple(one if i == j else zero for i in range(3)) for j in range(3))
+        p0 = six_point.components[0]
+        # m e0 = p0, the other columns two coordinate points that keep m invertible
+        m = next(
+            m
+            for m in (_columns([p0, a, b]) for a, b in ((e1, e2), (e0, e2), (e0, e1)))
+            if not det3(m).is_zero()
+        )
+        fwd = subst_linear(fwd, m)
+        jac = det3(
+            [[c.derivative(i).eval_zero_ok(list(e0), zero) for i in range(3)] for c in fwd.coords]
+        )
+        assert jac.is_zero()
+    bwd = _inverse_by_values(b0, fwd)
+    reference = _backward_by_jacobian_division(b0, fwd)
+    assert repr(bwd) == repr(reference)
+    assert json.dumps(bwd.to_json(), sort_keys=True) == json.dumps(
+        reference.to_json(), sort_keys=True
+    )
 
 
 def _line_images(forward, components):
@@ -915,23 +1021,24 @@ def test_swapped_cremona_scales_fail_the_round_trip(name, closed_form_links):
 
 def test_3link_takes_no_compose(monkeypatch, surface, coord_point, unit_point, L):
     """The backward map of a 3-link comes from 3x3 matrices alone: neither
-    compose nor _inverse_by_jacobian runs, on either construction path."""
+    compose nor the 6-link's `_inverse_by_values` runs, on either
+    construction path."""
     import sblinks.birational as birational
 
     def forbidden(*args):
         raise AssertionError("link_from_3point composed maps")
 
     monkeypatch.setattr(birational, "compose", forbidden)
-    monkeypatch.setattr(birational, "_inverse_by_jacobian", forbidden)
+    monkeypatch.setattr(birational, "_inverse_by_values", forbidden)
     (random_point,) = _seeded_3points(surface, L, 1, 20240613)
     for pt in (coord_point, unit_point, random_point):
         assert link_from_3point(surface, pt).forward.map.degree == 2
 
 
 def test_6link_takes_no_compose(monkeypatch, surface, six_point, link_json):
-    """The backward map of a 6-link comes from one exact division by J^2,
-    which is also its round trip: neither compose nor a raw round trip runs,
-    and the link is the pinned one."""
+    """The backward map of a 6-link comes from three values of b0 o forward,
+    and its raw round trip is the certificate: compose never runs, and the
+    link is the pinned one."""
     import sblinks.birational as birational
     from test_serialization_pins import LINK_PINS, _digests
 
@@ -939,7 +1046,6 @@ def test_6link_takes_no_compose(monkeypatch, surface, six_point, link_json):
         raise AssertionError("link_from_6point composed maps")
 
     monkeypatch.setattr(birational, "compose", forbidden)
-    monkeypatch.setattr(birational, "_composes_to", forbidden)
     link = link_from_6point(surface, six_point)
     assert _digests(link_json(link), repr(link)) == LINK_PINS["six_link"]
 
@@ -984,25 +1090,34 @@ def test_pinned_link_maps_are_coprime(name, request, assert_coprime):
 def test_6link_checks_q_before_b0(monkeypatch, defect, surface, six_point):
     """An inverse base point q in special position, forced here by the
     general-position check reporting one at q, raises SpecialPosition before
-    b0 is built: the quintics double at q are never solved for."""
+    b0 is built: the quintics double at q are never solved for.  The conic
+    defect hands the check the conic through q's first five components in
+    place of the one through its last five, so it passes through the first."""
     import sblinks.birational as birational
 
     p = list(six_point.components)
     real_general, real_curves = birational._in_general_position, birational.curves_through
-    quintics_at = []
+    real_conic = birational.conic_through_five
+    quintics_at, sixes = [], []
 
     def general(points):
+        if len(points) == 6:
+            sixes.append(list(points))
         return real_general(points) and (defect != "collinear" or list(points) == p)
 
     def curves(tower, comps, degree, double=False):
         if degree == 5:
             quintics_at.append(list(comps))
-        if defect == "conic" and degree == 2 and len(comps) == 6 and list(comps) != p:
-            return real_curves(tower, comps[:5], 2)
         return real_curves(tower, comps, degree, double)
+
+    def conic(tower, five):
+        if defect == "conic" and sixes[-1] != p:
+            return real_conic(tower, sixes[-1][:5])
+        return real_conic(tower, five)
 
     monkeypatch.setattr(birational, "_in_general_position", general)
     monkeypatch.setattr(birational, "curves_through", curves)
+    monkeypatch.setattr(birational, "conic_through_five", conic)
     with pytest.raises(SpecialPosition):
         link_from_6point(surface, six_point)
     assert quintics_at == [p]

@@ -17,21 +17,31 @@ ROOT = Path(__file__).resolve().parents[1]
 # link3: one link, its round trip and its base locus
 LINK3_COUNTS = {
     "multipoly.gcd_many_homogeneous": 1,
-    "multipoly.gcd": 241,
+    "multipoly.gcd": 219,
     "multipoly.subst": 19,
-    "field_tower.mul": 696,
+    "field_tower.mul": 663,
     "field_tower.inverse": 37,
-    "scalars.qzeta_mul": 3339,
+    "scalars.qzeta_mul": 2758,
+}
+
+# link6: one link, its round trip and the bench's check
+LINK6_COUNTS = {
+    "multipoly.gcd_many_homogeneous": 1,
+    "multipoly.gcd": 1853,
+    "multipoly.exact_div": 1819,
+    "field_tower.mul": 5920,
+    "field_tower.inverse": 141,
+    "scalars.qzeta_mul": 2043,
 }
 
 # models: both cubic models with their checks, and the order-3 map
 MODELS_COUNTS = {
     "multipoly.gcd_many_homogeneous": 5,
-    "multipoly.gcd": 3999,
-    "multipoly.exact_div": 3197,
-    "field_tower.mul": 10819,
+    "multipoly.gcd": 3987,
+    "multipoly.exact_div": 3173,
+    "field_tower.mul": 10560,
     "field_tower.inverse": 268,
-    "scalars.qzeta_mul": 19971,
+    "scalars.qzeta_mul": 19887,
 }
 
 
@@ -58,6 +68,14 @@ def test_link3_op_stays_within_its_budget():
     calls = _traced_calls("link3", 1)
     assert _over_budget(calls, LINK3_COUNTS) == {}
     assert calls["birational.base_points"] == 1
+
+
+def test_link6_op_stays_within_its_budget():
+    calls = _traced_calls("link6", 1)
+    assert _over_budget(calls, LINK6_COUNTS) == {}
+    # conics through five components of p and of q, quintics double at
+    # p and at q, and the check's quintics at p: one elimination each
+    assert calls["birational.curves_through"] == 5
 
 
 def test_models_op_stays_within_its_budget():

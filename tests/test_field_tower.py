@@ -200,6 +200,18 @@ def test_recheck_refuses_false_constant_certificates(K2):
     assert recheck_power_certificate(K2.scalar(2) * t1 ** 3, r.certificate)
 
 
+def test_recheck_refuses_a_constant_multiplicity_factor(K2):
+    """A multiplicity certificate whose factor is a constant is refused at
+    once: a constant divides every polynomial, so counting its divisions
+    would never end."""
+    c = K2.t_var(0) ** 2 * K2.t_var(1)
+    r = is_cube(c)
+    assert r.status == "no" and r.certificate["kind"] == "multiplicity"
+    assert recheck_power_certificate(c, r.certificate)
+    one = [{"monomial": [0, 0], "coeff": QZeta(1).to_json()}]
+    assert not recheck_power_certificate(c, dict(r.certificate, factor=one))
+
+
 def test_mixed_constants_are_certified_non_cubes(K2):
     # the norm of 2 + zeta is 3, not a cube, so 2 + zeta has no cube root
     # in Q(zeta), and neither has the leading coefficient of any cube root

@@ -57,6 +57,35 @@ def test_exact_div():
         exact_div(f + MPoly.const(2, QZeta.one()), x + y)
 
 
+def test_exact_div_one_term_quotient(K2):
+    """f with as many terms as g, and g's keys shifted by lead(f) - lead(g)
+    f's keys: the quotient is one term, here over coefficients with
+    t-denominators, and a changed coefficient of f is NotDivisible."""
+    t1, t2 = K2.t_var(0), K2.t_var(1)
+    x, y, z = (MPoly.variable(3, i, K2.one()) for i in range(3))
+    g = x.scale(t1 / (t2 + K2.one())) + y.scale(t2) + z.scale(K2.scalar(3))
+    q = MPoly.monomial(3, (2, 1, 0), K2.one() / (t1 * t1 - t2))
+    f = g * q
+    assert len(f.terms) == len(g.terms)
+    assert exact_div(f, g) == q
+    changed = f + MPoly.monomial(3, (2, 2, 0), K2.one())
+    assert len(changed.terms) == len(g.terms)
+    with pytest.raises(NotDivisible):
+        exact_div(changed, g)
+
+
+def test_exact_div_same_length_operands():
+    """(x^2 - y^2) / (x + y): as many terms, but the shifted keys of x + y
+    are x^2 and x y, so the quotient is not one term and the loop finds
+    x - y; x^2 + 2 x y has the shifted keys of x + y, and x (x + y) is not
+    it, so it is NotDivisible."""
+    x = MPoly.variable(2, 0, QZeta.one())
+    y = MPoly.variable(2, 1, QZeta.one())
+    assert exact_div(x * x - y * y, x + y) == x - y
+    with pytest.raises(NotDivisible):
+        exact_div(x * x + (x * y).scale(QZeta(2)), x + y)
+
+
 def test_gcd_known_factor():
     rng = random.Random(7)
     for _ in range(25):
