@@ -48,8 +48,9 @@ exactly the columns of Q as base points, a 6-link's eta^-1 . b0 is double
 at q, and for both backward o forward = id is certified by one rule
 (`_certified`).  That round trip and every other check of a composite
 (`_composes_to`) compare raw triples by 2x2 cross products, which needs no
-normal form.  `equals` and `is_equivariant` compare coprime triples, so one
-constant decides them (`_constant_multiple`).
+normal form.  `equals` compares stored triples, which are canonical, and
+`is_equivariant` compares two coprime triples, so one constant decides it
+(`_constant_multiple`).
 
 `base_points` needs coordinates that share no curve, and proves it by one
 image mod p (`modular.coprime_certificate`), which is a proof when it
@@ -109,7 +110,6 @@ from .linalg import (
 from .modular import coprime_certificate
 from .multipoly import (
     MPoly,
-    _var_key,
     exact_div,
     gcd,
     gcd_many_homogeneous,
@@ -304,14 +304,13 @@ def _invertible(m):
 
 
 def equals(f: RationalMap, g: RationalMap) -> bool:
-    """Projective equality of maps, decided by one constant
-    (`_constant_multiple`).  The triples must be coprime, as every
-    `RationalMap`'s are; a yes is never false."""
+    """Projective equality of maps: equality of the stored triples, which
+    are cleared canonical and so unique for each map."""
     if f.tower != g.tower:
         raise SblinksError("equals needs maps over the same tower")
     if f.nsrc != g.nsrc:
         return False
-    return _constant_multiple(f.coords, g.coords)
+    return f.coords == g.coords
 
 
 def _constant_multiple(a, b) -> bool:
@@ -324,6 +323,7 @@ def _constant_multiple(a, b) -> bool:
     A yes is never false: it gives b = (beta / alpha) . a.  A no is false
     only when b is a multiple of a by a nonconstant factor, which coprime
     triples never are: two coprime triples of one map differ by a constant.
+    So a and b must be coprime, as both sides of `is_equivariant` are;
     `_proportional` decides raw triples, such as composites."""
     k = next((i for i, x in enumerate(a) if not x.is_zero()), None)
     if k is None:
@@ -1073,26 +1073,25 @@ def _inverse_by_values(b0: RationalMap, forward: RationalMap) -> RationalMap:
     eta = V . D^-1 . P^-1, with the columns p_j in P, the values
     b0(forward(p_j)) in V and D = diag(J(p_j)^2), so
     eta^-1 = P . D . V^-1, taken up to scale as P . D . adj(V): no division.
-    At e_j a form's value is its x_j^d coefficient.
 
     Nothing is proved here: the link's round trip (`_certified`) proves the
     map.  When b0 o forward = J^2 . eta holds, the three values give that
-    eta up to one scalar, so the same map.  Raises SblinksError when no three such points exist (J = 0
-    at every one) or V is singular."""
+    eta up to one scalar, so the same map.  Raises SblinksError when no
+    three such points exist (J = 0 at every one) or V is singular."""
     tower = forward.tower
     one, zero = tower.one(), tower.zero()
     fc = forward.coords
     partials = [[c.derivative(i) for i in range(3)] for c in fc]
-    axes = [(j, tuple(one if i == j else zero for i in range(3))) for j in range(3)]
-    grid = [(None, (tower.scalar(a), tower.scalar(b), one)) for a, b in _GRID]
+    axes = [tuple(one if i == j else zero for i in range(3)) for j in range(3)]
+    grid = [(tower.scalar(a), tower.scalar(b), one) for a, b in _GRID]
     points, squares, values = [], [], []
-    for axis, p in axes + grid:
+    for p in axes + grid:
         if not _in_general_position(points + [p]):
             continue
-        jac = det3([[_value_at(d, p, axis, zero) for d in row] for row in partials])
+        jac = det3([[d.eval_zero_ok(p, zero) for d in row] for row in partials])
         if jac.is_zero():
             continue
-        image = [_value_at(c, p, axis, zero) for c in fc]
+        image = [c.eval_zero_ok(p, zero) for c in fc]
         points.append(p)
         squares.append(jac * jac)
         values.append([c.eval_zero_ok(image, zero) for c in b0.coords])
@@ -1102,14 +1101,6 @@ def _inverse_by_values(b0: RationalMap, forward: RationalMap) -> RationalMap:
             )
             return apply_matrix(mat_mul(PD, adjugate3(_columns(values))), b0)
     raise SblinksError("the forward map's Jacobian vanishes at the trial points")
-
-
-def _value_at(form: MPoly, p, axis, zero):
-    """form(p); at the coordinate point p = e_axis (axis not None) the
-    form's x_axis^d coefficient, read off with no evaluation."""
-    if axis is None:
-        return form.eval_zero_ok(list(p), zero)
-    return form.terms.get(_var_key(3, axis, form.total_degree()), zero)
 
 
 def _columns(points):

@@ -47,9 +47,10 @@ it is one integer convolution in the free ring of `field_tower`.  The
 rest, and those `free_mul` declines, multiply pair by pair.  Timed on the
 products of one op of each bench workload whose operands both have
 several terms, the free ring was 4.5 times faster on the square of a
-6-link's Jacobian (784 pairs), 1.5 to 2.7 times faster above 64 pairs and 1.7 to 2.6 times
-slower at 4 pairs or fewer; between, the coefficients decide (1.8 times
-faster over the 3-link tower, up to 2.6 times slower over the hexagon's).
+6-link's Jacobian (784 pairs), 1.5 to 2.7 times faster above 64 pairs and
+1.7 to 2.6 times slower at 4 pairs or fewer; between, the coefficients
+decide (1.8 times faster over the 3-link tower, up to 2.6 times slower
+over the hexagon's).
 A bound of 4 to 32 pairs kept all but 1 ms of the 6-link and models gain,
 and only 4 or 6 kept the 3-link's.  Both paths give the canonical form.
 """
@@ -493,14 +494,7 @@ class NotDivisible(ArithmeticError):
 
 def exact_div(f: MPoly, g: MPoly) -> MPoly:
     """Exact division f / g; raises NotDivisible when the remainder is
-    nonzero.  A one-term g divides each term of f alone, by its key.
-
-    When f has as many terms as g and g's keys, shifted by lead(f) -
-    lead(g), are f's keys, the quotient can only be the one term
-    q = lead(f) / lead(g): the Newton polytope of a product is the
-    Minkowski sum of its factors', and Newt(g) + Newt(q) = Newt(g) + m
-    leaves Newt(q) = {m}.  So one product per term of g and one equality
-    decide the division, both ways."""
+    nonzero.  A one-term g divides each term of f alone, by its key."""
     if g.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     if f.is_zero():
@@ -517,19 +511,6 @@ def exact_div(f: MPoly, g: MPoly) -> MPoly:
                 raise NotDivisible(f"{g!r} does not divide {f!r}")
         q = f._div_key(ge)
         return q if gci is None else q.scale(gci)
-    fe = max(f.terms)
-    if (
-        len(f.terms) == len(g.terms)
-        and ((fe | guard) - ge) & guard == guard
-        and all(e + fe - ge in f.terms for e in g.terms)
-    ):
-        # a one-term quotient, by the Newton polytope argument above
-        qc = f.terms[fe]
-        if gci is not None:
-            qc = qc * gci
-        if g._mul_key(fe - ge, qc).terms != f.terms:
-            raise NotDivisible(f"{g!r} does not divide {f!r}")
-        return _poly(nv, {fe - ge: qc})
     tail = [(e, k) for e, k in g.terms.items() if e != ge]
     rem = dict(f.terms)
     q: dict = {}

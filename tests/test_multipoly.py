@@ -58,9 +58,8 @@ def test_exact_div():
 
 
 def test_exact_div_one_term_quotient(K2):
-    """f with as many terms as g, and g's keys shifted by lead(f) - lead(g)
-    f's keys: the quotient is one term, here over coefficients with
-    t-denominators, and a changed coefficient of f is NotDivisible."""
+    """A one-term quotient over coefficients with t-denominators, f with as
+    many terms as g; a changed coefficient of f is NotDivisible."""
     t1, t2 = K2.t_var(0), K2.t_var(1)
     x, y, z = (MPoly.variable(3, i, K2.one()) for i in range(3))
     g = x.scale(t1 / (t2 + K2.one())) + y.scale(t2) + z.scale(K2.scalar(3))
@@ -75,10 +74,8 @@ def test_exact_div_one_term_quotient(K2):
 
 
 def test_exact_div_same_length_operands():
-    """(x^2 - y^2) / (x + y): as many terms, but the shifted keys of x + y
-    are x^2 and x y, so the quotient is not one term and the loop finds
-    x - y; x^2 + 2 x y has the shifted keys of x + y, and x (x + y) is not
-    it, so it is NotDivisible."""
+    """(x^2 - y^2) / (x + y): as many terms, but the quotient x - y is not
+    one term; x^2 + 2 x y has the keys of x (x + y) and is NotDivisible."""
     x = MPoly.variable(2, 0, QZeta.one())
     y = MPoly.variable(2, 1, QZeta.one())
     assert exact_div(x * x - y * y, x + y) == x - y
