@@ -150,8 +150,9 @@ def _equivariant_by_cross_products(f, src, tgt):
 def test_one_constant_agrees_with_cross_products(name, request):
     """On the coprime maps of the fixture links, and on their triples scaled
     by constants with t-denominators and radicals, comparison by one
-    constant answers as the cross products do, for `equals` and
-    `is_equivariant` alike; a one-coefficient mutation fails both."""
+    constant answers as the cross products do, and so does `is_equivariant`;
+    `equals` on stored triples agrees with both.  A one-coefficient
+    mutation fails every one."""
     link = request.getfixturevalue(name)
     tower = link.forward.map.tower
     t1 = tower.t_var(0)
