@@ -472,19 +472,20 @@ def _certified(link: Link) -> Link:
 
 def _followed_by_linear(link: Link, m, target: SBSurface) -> Link:
     """The link followed by the linear isomorphism m onto target: forward
-    m . f, backward b o m^-1, and the inverse base point moved by m.  Raises
-    NotEquivariant when m is not defined over K; the rest the new link
-    inherits from the certified one."""
+    m . f, backward b o adj(m) (m^-1 up to scale, so no inverse is taken),
+    and the inverse base point moved by m.  Raises NotEquivariant when m is
+    not defined over K; then m carries q's twisted orbit onto the moved one,
+    which keeps q's degree, splitting field, cycle element and component
+    order.  The rest the new link inherits from the certified one."""
     tower = link.forward.map.tower
     if not matrix_is_equivariant(m, link.forward.target, target, tower):
         raise NotEquivariant("the linear map is not defined over K")
     forward = TwistedMap(apply_matrix(m, link.forward.map), link.forward.source, target)
     q = link.inverse_base_point
-    moved = make_closed_point(
-        target, [normalize_point(mat_vec(m, v)) for v in q.components], q.tower
-    )
+    comps = tuple(normalize_point(mat_vec(m, v)) for v in q.components)
+    moved = ClosedPoint(target, q.tower, comps, q.degree, q.descriptor, q.cycle_element)
     backward = TwistedMap(
-        subst_linear(link.backward.map, inverse3(m)), target, link.backward.target
+        subst_linear(link.backward.map, adjugate3(m)), target, link.backward.target
     )
     return Link(forward, backward, link.base_point, moved, link.degree_class)
 
@@ -515,11 +516,10 @@ def _linear_through(before, after):
     `RationalMap.evaluate` would rescale each one by an inverse: projective
     points are all the projectivity needs, and the stored triples keep the
     arithmetic free of t-denominators.  They only propose M, and nothing is
-    proved here: the callers, `order3_selfmap` (two short chains),
-    `_close_in_the_middle` (two half chains of three maps) and
-    `_close_merged_square` (no map before, F2 then F3 after), certify M by
-    exact identities."""
-    tower = (before or after)[0].tower
+    proved here: the two callers, `order3_selfmap` (two maps before, one
+    after) and `_close_in_the_middle` (two half chains of three maps),
+    certify M by exact identities."""
+    tower = before[0].tower
     zero = tower.zero()
     chains = [[f.coords for f in chain] for chain in (before, after)]
 
@@ -624,15 +624,15 @@ def curves_through(tower: TowerField, components, degree: int, double: bool = Fa
 # equivariant basis descent
 
 
-def _express_in_span(p: MPoly, basis, tower: TowerField):
-    """Coefficients of p over the basis, or None when outside the span."""
-    monos = sorted({e for q in basis for e in q.terms} | set(p.terms))
+def _express_in_span(polys, basis, tower: TowerField):
+    """The coefficients of each polynomial over the basis, a row each, from
+    one elimination; None when any lies outside the span.  A row gives its
+    polynomial exactly, coefficient by coefficient."""
+    monos = sorted({e for q in (*basis, *polys) for e in q.terms})
     zero = tower.zero()
-    rows = []
-    for e in monos:
-        rows.append(tuple(q.terms.get(e, zero) for q in basis))
-    rhs = tuple(p.terms.get(e, zero) for e in monos)
-    return solve(rows, rhs, tower)
+    rows = [tuple(q.terms.get(e, zero) for q in basis) for e in monos]
+    rhss = [tuple(p.terms.get(e, zero) for e in monos) for p in polys]
+    return solve(rows, rhss, tower)
 
 
 def _twisted_action(src: SBSurface, tgt: SBSurface, w_basis, tower: TowerField, name):
@@ -642,16 +642,12 @@ def _twisted_action(src: SBSurface, tgt: SBSurface, w_basis, tower: TowerField, 
     act_inv = GaloisAction(tower, {name: -1})
     B = mat_galois(inverse3(tgt.twist_matrix(exps, tower)), act_inv)
     src_forms = _linear_forms(src.twist_matrix(exps, tower))
-    Pt = []
-    for w in w_basis:
-        row = _express_in_span(
-            w.subst(src_forms).map_coeffs(act_inv.apply), w_basis, tower
+    moved = [w.subst(src_forms).map_coeffs(act_inv.apply) for w in w_basis]
+    Pt = _express_in_span(moved, w_basis, tower)
+    if Pt is None:
+        raise EquivariantBasisNotFound(
+            "curve space is not stable under the twisted action"
         )
-        if row is None:
-            raise EquivariantBasisNotFound(
-                "curve space is not stable under the twisted action"
-            )
-        Pt.append(row)
 
     def apply(vec):
         V = mat_galois(_rows3(vec), act_inv)
@@ -676,9 +672,9 @@ def equivariant_triple(
     A triple is V . w, V its 3 x k coefficient matrix over w = w_basis.  The
     operator c -> sigma^-1(A_tgt^-1 (c o A_src)) acts on V as
     V -> B . sigma^-1(V) . P^T, with B = sigma^-1(A_tgt^-1) and row j of P^T
-    the coordinates of sigma^-1(w_j o A_src): one substitution and one span
-    solve per basis form.  The basis forms are independent, so V . w is an
-    independent triple exactly when rank(V) = 3."""
+    the coordinates of sigma^-1(w_j o A_src): one substitution per basis
+    form and one span solve for them all.  The basis forms are independent,
+    so V . w is an independent triple exactly when rank(V) = 3."""
     k = 3 * len(w_basis)
     one, zero = tower.one(), tower.zero()
     current = []

@@ -17,7 +17,7 @@ would update every earlier row.
 The row order cannot change an answer.  Column c is a pivot exactly when
 it is not in the span of the columns before it, so the pivots depend only
 on the matrix.  For fixed pivots, the nullspace vector with a one at its
-free column and zeros at the other free columns is unique, and so is the
+free column and zeros at the other free columns is unique, and so is each
 solution of `solve` whose free variables are zero.
 """
 
@@ -233,16 +233,19 @@ def nullspace(rows, tower):
     return basis
 
 
-def solve(rows, rhs, tower):
-    """One solution of A x = b, the free variables zero, or None if
-    inconsistent: the echelon augmented matrix then has a pivot in its last
-    column."""
-    n = len(rows)
-    aug = [list(rows[i]) + [rhs[i]] for i in range(n)]
-    m, pivots = _row_echelon(aug)
+def solve(rows, rhss, tower):
+    """One solution of A x = b for each right-hand side b of rhss, the free
+    variables zero, read off one elimination of A augmented by all of them;
+    None when any b is inconsistent: the echelon matrix then has a pivot
+    past A's columns."""
     ncols = len(rows[0])
-    if pivots and pivots[-1] == ncols:
+    aug = [list(row) + [b[i] for b in rhss] for i, row in enumerate(rows)]
+    m, pivots = _row_echelon(aug)
+    if pivots and pivots[-1] >= ncols:
         return None
     echelon = m[: len(pivots)]
-    rhs = [row[ncols] for row in echelon]
-    return _back_substitute(echelon, pivots, rhs, [tower.zero()] * ncols)
+    zero = tower.zero()
+    return tuple(
+        _back_substitute(echelon, pivots, [row[c] for row in echelon], [zero] * ncols)
+        for c in range(ncols, ncols + len(rhss))
+    )

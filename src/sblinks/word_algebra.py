@@ -15,9 +15,8 @@ from .birational import (
     Link,
     RationalMap,
     TwistedMap,
-    _composes_to,
+    _express_in_span,
     _followed_by_linear,
-    _linear_forms,
     _linear_through,
     _raw_composite,
     compose,
@@ -28,11 +27,10 @@ from .birational import (
 from .errors import (
     DegeneratePair,
     NotComposable,
-    NotEquivariant,
     SblinksError,
     UnclassifiablePoint,
 )
-from .linalg import _proportional, inverse3
+from .linalg import _proportional, adjugate3
 from .severi_brauer import ClosedPoint, SBSurface, _is_scalar_matrix, is_isomorphic
 
 
@@ -228,8 +226,10 @@ def hexagon(surface: SBSurface, p: ClosedPoint, p_prime: ClosedPoint):
     elementary relation: each step blows up the transported image of the
     orbit untouched so far and blows down the next one.  When a component of
     one point is collinear with two components of the other, two opposite
-    vertices merge: the third link undoes the second up to a linear map,
-    and the first link closes the square (`_close_merged_square`).
+    vertices merge: the third link undoes the second up to a linear map M,
+    read off the third forward map's coefficients over the second backward
+    map's by one span solve, and the first link followed by M closes the
+    square (`_close_merged_square`).
     Otherwise one raw identity of the two half chains proves the six links
     closed (`_close_in_the_middle`).  Neither path composes the maps of the
     chain; `recheck_hexagon` does.  Returns (links, report); the closing
@@ -295,10 +295,12 @@ def _close_merged_square(links):
 
     The third link blows up the second link's inverse base point, the base
     locus of the second backward map B2.  Two quadratic maps with the same
-    three base points differ by a linear map, so F3 = M . B2 and F3 o F2 = M
-    is linear.  M is proposed at grid points and proved by one raw identity
-    of F3 o F2 against the linear forms of M.  The fourth link is the first
-    link followed by M, inverted: its forward map B1 o M^-1 makes the four
+    three base points differ by a linear map, so F3 = M . B2.  M is read off
+    the coefficients: row i holds those of F3's i-th coordinate over B2's
+    coordinates, from one span solve, which makes F3 = M . B2 an exact
+    identity of stored triples.  The second link's certified round trip
+    B2 o F2 = id turns it into F3 o F2 = M.  The fourth link is the first
+    link followed by M, inverted: its forward map B1 o adj(M) makes the four
     links the identity by the first link's certified round trip.  The
     remaining two links are the first link and its inverse, the trivial
     relation chi^-1 o chi = id.
@@ -308,18 +310,19 @@ def _close_merged_square(links):
             f"vertex merge after {len(links)} links is outside the supported "
             "degenerations"
         )
-    f2, f3 = links[1].forward.map, links[2].forward.map
-    m = _linear_through([], [f2, f3])
-    if m is None or not _composes_to(f3, f2, _linear_forms(m)):
+    f3 = links[2].forward.map
+    m = _express_in_span(f3.coords, links[1].backward.map.coords, f3.tower)
+    if m is None:
         raise DegeneratePair("merged walk did not shorten to a linear map")
-    link4 = _followed_over_k(links[0], m, links[2].forward.target).inverse()
+    link4 = _followed_by_linear(links[0], m, links[2].forward.target).inverse()
     return [links[0], links[1], links[2], link4, links[0], links[0].inverse()]
 
 
 def _close_in_the_middle(surface: SBSurface, links):
     """Close six certified links Fk, backward maps Bk, on the home chart: M =
     F6 o ... o F1 is proposed by M . (B1 o B2 o B3) = F6 o F5 o F4 at grid
-    points, and the last link is followed by M^-1 unless M is scalar there.
+    points, and the last link is followed by adj(M), which is M^-1 up to
+    scale, unless M is scalar there.
     The raw identity F3 o F2 o F1 = B4 o B5 o B6, with the links' certified
     round trips, proves the returned chain.  Returns (closed, links)."""
     fwd = [lk.forward.map for lk in links]
@@ -328,22 +331,13 @@ def _close_in_the_middle(surface: SBSurface, links):
         raise SblinksError("no grid points propose the closing isomorphism")
     closed = _is_scalar_matrix(m) and links[-1].forward.target == surface
     if not closed:
-        links = links[:5] + [_followed_over_k(links[-1], inverse3(m), surface)]
+        links = links[:5] + [_followed_by_linear(links[-1], adjugate3(m), surface)]
     f1, f2, f3 = (f.coords for f in fwd[:3])
     b4, b5, b6 = (lk.backward.map.coords for lk in links[3:])
     half = _raw_composite(f3, _raw_composite(f2, f1))
     if not _proportional(half, _raw_composite(b4, _raw_composite(b5, b6))):
         raise SblinksError("hexagon does not close: F3 o F2 o F1 != B4 o B5 o B6")
     return closed, links
-
-
-def _followed_over_k(link: Link, m, target: SBSurface) -> Link:
-    """The link followed by the closing isomorphism m onto target, a trivial
-    relation; refused when m is not defined over K."""
-    try:
-        return _followed_by_linear(link, m, target)
-    except NotEquivariant as e:
-        raise SblinksError("closing isomorphism is not defined over K") from e
 
 
 def recheck_hexagon(links) -> bool:

@@ -667,11 +667,18 @@ def test_independent_subset_is_the_greedy_subset(L):
 
 
 def test_express_in_span(L):
-    one, u = L.one(), L.gen("u")
+    one, zero, u = L.one(), L.zero(), L.gen("u")
     x, y, z = (MPoly.variable(3, i, one) for i in range(3))
     basis = [x * y, y * z]
-    assert _express_in_span(x * z, basis, L) is None
-    assert _express_in_span((x * y).scale(u) - y * z, basis, L) == (u, -one)
+    inside = (x * y).scale(u) - y * z
+    assert _express_in_span([x * z], basis, L) is None
+    assert _express_in_span([inside], basis, L) == ((u, -one),)
+    # several polynomials from one elimination: a row each, or None when
+    # any one of them lies outside the span
+    assert _express_in_span([x * y, inside, z * y], basis, L) == (
+        (one, zero), (u, -one), (zero, one),
+    )
+    assert _express_in_span([inside, x * z], basis, L) is None
 
 
 @pytest.fixture(scope="module")
@@ -693,7 +700,7 @@ def _action_from_definition(src, tgt, basis, tower, name, V):
     mixed = _mat_times(inverse3(tgt.twist_matrix(exps, tower)), pulled)
     act_inv = GaloisAction(tower, {name: -1})
     return tuple(
-        _express_in_span(q.map_coeffs(act_inv.apply), basis, tower) for q in mixed
+        _express_in_span([q.map_coeffs(act_inv.apply)], basis, tower)[0] for q in mixed
     )
 
 

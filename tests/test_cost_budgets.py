@@ -30,18 +30,29 @@ LINK6_COUNTS = {
     "multipoly.gcd": 1853,
     "multipoly.exact_div": 1819,
     "field_tower.mul": 6355,
-    "field_tower.inverse": 141,
-    "scalars.qzeta_mul": 2046,
+    "field_tower.inverse": 129,
+    "scalars.qzeta_mul": 2022,
+}
+
+# hexagon: the merged hexagon at the coordinate and unit points (three
+# links built, the square closed by one span solve) and the bench's check
+HEXAGON_COUNTS = {
+    "multipoly.gcd_many_homogeneous": 15,
+    "multipoly.gcd": 1843,
+    "multipoly.exact_div": 1596,
+    "field_tower.mul": 5146,
+    "field_tower.inverse": 237,
+    "scalars.qzeta_mul": 3780,
 }
 
 # models: both cubic models with their checks, and the order-3 map
 MODELS_COUNTS = {
     "multipoly.gcd_many_homogeneous": 5,
-    "multipoly.gcd": 3987,
-    "multipoly.exact_div": 3173,
-    "field_tower.mul": 10819,
-    "field_tower.inverse": 268,
-    "scalars.qzeta_mul": 19971,
+    "multipoly.gcd": 3903,
+    "multipoly.exact_div": 3103,
+    "field_tower.mul": 10699,
+    "field_tower.inverse": 250,
+    "scalars.qzeta_mul": 19621,
 }
 
 
@@ -76,6 +87,13 @@ def test_link6_op_stays_within_its_budget():
     # conics through five components of p and of q, quintics double at
     # p and at q, and the check's quintics at p: one elimination each
     assert calls["birational.curves_through"] == 5
+
+
+def test_hexagon_op_stays_within_its_budget():
+    calls = _traced_calls("hexagon", 1)
+    assert _over_budget(calls, HEXAGON_COUNTS) == {}
+    # the hexagon solves no base locus
+    assert calls.get("birational.base_points", 0) == 0
 
 
 def test_models_op_stays_within_its_budget():

@@ -34,8 +34,7 @@ def test_solve_overdetermined_consistent(L):
     rows = [(s(1), s(0)), (s(0), s(1)), (s(1), s(1)), (s(2), t1)]
     x = (u + t1, t1.inverse() - u * u)
     rhs = [_row_times(r, x) for r in rows]
-    sol = solve(rows, rhs, L)
-    assert sol is not None
+    (sol,) = solve(rows, [rhs], L)
     for r, b in zip(rows, rhs):
         assert _row_times(r, sol) == b
 
@@ -44,10 +43,26 @@ def test_solve_inconsistent_is_none(L):
     u = L.gen("u")
     s = L.scalar
     # a zero row with a nonzero right-hand side after elimination
-    assert solve([(s(1), s(1)), (s(2), s(2))], [u, u * s(2) + s(1)], L) is None
+    assert solve([(s(1), s(1)), (s(2), s(2))], [[u, u * s(2) + s(1)]], L) is None
     # three equations in two unknowns with no common solution
     rows = [(s(1), s(0)), (s(0), s(1)), (s(1), s(1))]
-    assert solve(rows, [s(1), u, u], L) is None
+    assert solve(rows, [[s(1), u, u]], L) is None
+
+
+def test_solve_several_right_hand_sides(L):
+    """One elimination answers every right-hand side, each as alone; one
+    inconsistent right-hand side among consistent ones makes the answer
+    None."""
+    u, t1 = L.gen("u"), L.t_var(0)
+    s = L.scalar
+    rows = [(s(1), s(0)), (s(0), s(1)), (s(1), s(1)), (s(2), t1)]
+    xs = [(u + t1, t1.inverse() - u * u), (s(0), s(3)), (u, u)]
+    rhss = [[_row_times(r, x) for r in rows] for x in xs]
+    assert solve(rows, rhss, L) == tuple(xs)
+    assert solve(rows, rhss, L) == tuple(solve(rows, [b], L)[0] for b in rhss)
+    inconsistent = [s(1), u, u, s(0)]
+    assert solve(rows, [inconsistent], L) is None
+    assert solve(rows, rhss[:2] + [inconsistent] + rhss[2:], L) is None
 
 
 def _vectors(L, n):
@@ -186,14 +201,19 @@ def test_elimination_matches_gauss_jordan(L, data):
     # a consistent right-hand side, and one drawn freely (often inconsistent
     # when the rows are dependent)
     x = data.draw(st.lists(entry, min_size=ncols, max_size=ncols))
-    for rhs in (
+    rhss = [
         [_row_times(r, x) for r in rows],
         data.draw(st.lists(entry, min_size=nrows, max_size=nrows)),
-    ):
-        sol = solve(rows, rhs, L)
-        assert sol == _reference_solve(rows, rhs, L)
+    ]
+    expected = [_reference_solve(rows, rhs, L) for rhs in rhss]
+    for rhs, ref in zip(rhss, expected):
+        sol = solve(rows, [rhs], L)
+        assert sol == (None if ref is None else (ref,))
         if sol is not None:
-            assert [_row_times(r, sol) for r in rows] == list(rhs)
+            assert [_row_times(r, sol[0]) for r in rows] == list(rhs)
+    # both from one elimination: None when either is inconsistent
+    both = solve(rows, rhss, L)
+    assert both == (None if None in expected else tuple(expected))
 
 
 def test_pivot_row_is_the_sparsest_candidate(L):
@@ -215,13 +235,13 @@ def test_pivot_row_is_the_sparsest_candidate(L):
     basis = nullspace(rows, L)
     assert basis == _reference_nullspace(rows, L) and len(basis) == 1
     assert rank(rows) == len(_gauss_jordan(rows)[1]) == 4
-    for rhs in ([u, one, zero, t1], [zero, zero, zero, zero]):
-        assert solve(rows, rhs, L) == _reference_solve(rows, rhs, L)
+    rhss = ([u, one, zero, t1], [zero, zero, zero, zero])
+    assert solve(rows, rhss, L) == tuple(_reference_solve(rows, rhs, L) for rhs in rhss)
     # an inconsistent system: the fifth row repeats the first with another
     # right-hand side
     rows5 = rows + [rows[0]]
     rhs5 = [u, one, zero, t1, u + one]
-    assert solve(rows5, rhs5, L) is None
+    assert solve(rows5, [rhs5], L) is None
     assert _reference_solve(rows5, rhs5, L) is None
 
 

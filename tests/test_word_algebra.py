@@ -3,17 +3,21 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sblinks import birational, word_algebra
+from sblinks import birational, cubic_models, linalg, severi_brauer, word_algebra
 from sblinks.birational import compose, curves_through, link_from_3point
+from sblinks.cubic_models import build_smooth_model, order3_selfmap
 from sblinks.errors import DegeneratePair, NotComposable, SblinksError
-from sblinks.linalg import mat_identity
+from sblinks.linalg import mat_identity, mat_vec
 from sblinks.severi_brauer import (
     closed_point_from_seed,
     make_closed_point,
+    normalize_point,
     second_3point,
+    unit_3point,
 )
 from sblinks.word_algebra import (
     _close_in_the_middle,
+    _close_merged_square,
     GroupWord,
     LinkClass,
     class_of_point,
@@ -274,20 +278,40 @@ def test_hexagon_composes_no_maps(
 ):
     """Neither closing path divides out a common factor, and the merged
     square builds only its three links: the fourth is the first link
-    followed by F3 o F2, a linear map."""
+    followed by F3 o F2, a linear map read off F3's coefficients.  Outside
+    its links, the merged square proposes nothing at grid points, checks no
+    raw composite and takes no matrix inverse."""
     p, q = (coord_point, unit_point) if pair == "merged" else mixed_pair
 
     def forbidden(*args):
         raise AssertionError("hexagon took a gcd")
 
-    built = []
+    built, building = [], []
 
     def counted(surface, point):
         built.append(point)
-        return link_from_3point(surface, point)
+        building.append(point)
+        try:
+            return link_from_3point(surface, point)
+        finally:
+            building.pop()
+
+    def outside_links(name, real):
+        def call(*args):
+            if not building:
+                raise AssertionError(f"the merged square called {name}")
+            return real(*args)
+
+        return call
 
     monkeypatch.setattr(birational, "_normalize_coords", forbidden)
     monkeypatch.setattr(word_algebra, "link_from_3point", counted)
+    if pair == "merged":
+        for name in ("_linear_through", "_composes_to", "inverse3"):
+            for module in (birational, linalg, severi_brauer, word_algebra):
+                if hasattr(module, name):
+                    real = getattr(module, name)
+                    monkeypatch.setattr(module, name, outside_links(name, real))
     links, report = hexagon(surface, p, q)
     assert report.merged_square == (pair == "merged")
     if pair == "merged":
@@ -297,22 +321,60 @@ def test_hexagon_composes_no_maps(
         assert len(built) == 6
 
 
-def _row_doubled(m):
-    return [[c + c for c in m[0]], list(m[1]), list(m[2])]
-
-
-@pytest.mark.parametrize("propose", [lambda m: None, _row_doubled])
-def test_merged_square_refuses_a_wrong_proposal(
-    monkeypatch, propose, surface, coord_point, unit_point
+@pytest.mark.parametrize("third", ["solve_patched", "unit_point"])
+def test_merged_square_refuses_a_third_link_off_the_span(
+    monkeypatch, third, surface, coord_point, unit_point
 ):
-    """The proposal proves nothing: with no matrix, or with an invertible
-    matrix that F3 o F2 is not, the raw identity refuses the merged square."""
-    real = word_algebra._linear_through
-    monkeypatch.setattr(
-        word_algebra, "_linear_through", lambda *chains: propose(real(*chains))
-    )
+    """The merged square stands only on F3 = M . B2: when the third link's
+    forward map is not a linear image of the second backward map, the span
+    solve finds no M and the square is refused.  Either the solve is
+    patched to find none, or the third link blows up the unit point of the
+    second link's target, not the second link's inverse base point."""
+    links, _ = hexagon(surface, coord_point, unit_point)
+    links = links[:3]
+    if third == "solve_patched":
+        monkeypatch.setattr(word_algebra, "_express_in_span", lambda *args: None)
+    else:
+        target = links[1].forward.target
+        point = unit_3point(target)
+        assert point.component_set() != links[1].inverse_base_point.component_set()
+        links[2] = link_from_3point(target, point)
     with pytest.raises(DegeneratePair, match="did not shorten"):
+        _close_merged_square(links)
+
+
+@pytest.mark.parametrize("closing", ["merged", "general_position", "order3"])
+def test_moved_inverse_base_point_is_the_rebuilt_orbit(
+    monkeypatch, closing, K2, surface, coord_point, unit_point, gp_point
+):
+    """A link followed by a matrix defined over K keeps its inverse base
+    point's degree, splitting field and cycle element, with the components
+    moved in order: the point equals the one `make_closed_point` rebuilds
+    from the moved components, for each caller of the step."""
+    real = birational._followed_by_linear
+    moved = []
+
+    def checked(link, m, target):
+        out = real(link, m, target)
+        q = link.inverse_base_point
+        comps = [normalize_point(mat_vec(m, v)) for v in q.components]
+        rebuilt = make_closed_point(target, comps, q.tower)
+        assert out.inverse_base_point == rebuilt
+        assert out.inverse_base_point.cycle_element == rebuilt.cycle_element
+        moved.append(out)
+        return out
+
+    monkeypatch.setattr(word_algebra, "_followed_by_linear", checked)
+    monkeypatch.setattr(cubic_models, "_followed_by_linear", checked)
+    if closing == "merged":
         hexagon(surface, coord_point, unit_point)
+    elif closing == "general_position":
+        hexagon(surface, coord_point, gp_point)
+    else:
+        t1, t2 = K2.t_var(0), K2.t_var(1)
+        mu = (t2 - K2.one()) / (K2.scalar(27) * t1)
+        order3_selfmap(build_smooth_model(t1, mu, K2.one()))
+    assert len(moved) == 1
 
 
 def test_recheck_hexagon(surface, coord_point, unit_point, mixed_pair):
