@@ -103,7 +103,6 @@ from .linalg import (
     mat_mul,
     mat_vec,
     nullspace,
-    projectivity,
     rank,
     solve,
 )
@@ -490,7 +489,7 @@ def _followed_by_linear(link: Link, m, target: SBSurface) -> Link:
     return Link(forward, backward, link.base_point, moved, link.degree_class)
 
 
-# K-points (a : b : 1), |a|, |b| <= 2, that propose a linear map pointwise
+# K-points (a : b : 1), |a|, |b| <= 2, where a map is read off its values
 _GRID = tuple((a, b) for a in (1, -1, 2, -2, 0) for b in (1, -1, 2, -2, 0))
 
 
@@ -500,52 +499,6 @@ def _in_general_position(points) -> bool:
     if len(points) < 3:
         return len(points) < 2 or not _proportional(*points)
     return all(not det3(t).is_zero() for t in combinations(points, 3))
-
-
-def _linear_through(before, after):
-    """A 3x3 matrix M, proposed so that M . before(p) = after(p), where
-    before and after are chains of maps applied left to right: the
-    projectivity between the images of four K-points (a : b : 1) of `_GRID`,
-    each off the base locus of every map of both chains, no three of either
-    image set collinear, and confirmed at the next grid point off those base
-    loci.  M is scaled as `_scale_canonical` scales a linear map, so it
-    equals the matrix of the normalised composite.  None if the grid holds
-    no such five points or M fails at the fifth, where no linear map fits.
-
-    The images are raw values of the stored triples, where
-    `RationalMap.evaluate` would rescale each one by an inverse: projective
-    points are all the projectivity needs, and the stored triples keep the
-    arithmetic free of t-denominators.  They only propose M, and nothing is
-    proved here: the two callers, `order3_selfmap` (two maps before, one
-    after) and `_close_in_the_middle` (two half chains of three maps),
-    certify M by exact identities."""
-    tower = before[0].tower
-    zero = tower.zero()
-    chains = [[f.coords for f in chain] for chain in (before, after)]
-
-    def image(chain, p):
-        for coords in chain:
-            p = [c.eval_zero_ok(p, zero) for c in coords]
-            if all(x.is_zero() for x in p):
-                return None  # p lies in the base locus
-        return p
-
-    src, dst, m = [], [], None
-    for a, b in _GRID:
-        p = [tower.scalar(a), tower.scalar(b), tower.one()]
-        s, d = image(chains[0], p), image(chains[1], p)
-        if s is None or d is None:
-            continue
-        if m is not None:
-            if _proportional(mat_vec(m, s), d):
-                return _coefficient_rows(tower, _scale_canonical(_linear_forms(m)))
-            return None
-        if _in_general_position(src + [s]) and _in_general_position(dst + [d]):
-            src.append(s)
-            dst.append(d)
-            if len(src) == 4:
-                m = projectivity(src, dst)
-    return None
 
 
 # ---------------------------------------------------------------------------

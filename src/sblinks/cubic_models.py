@@ -14,9 +14,9 @@ to be compared:
 - whether two lines meet is read off the Pluecker pairing of their plane
   pairs, the 4x4 determinant of the four planes; a rank is taken only for
   degenerate or coinciding pairs;
-- the linear map that aligns the second link of the order-3 map is proposed
-  from the images of four grid points and proved by the raw identity
-  rho-hat = chi2 o chi1;
+- the linear map M that aligns the second link of the order-3 map is read
+  off rho-hat's coefficients over those of the raw composite chi2 o chi1 by
+  one span solve, which makes rho-hat = M . (chi2 o chi1) exact;
 - order 3 is the raw identity rho-hat o rho-hat = chi1^-1 o chi2^-1, which
   the links' round trips make rho-hat^-1: no composite is normalised;
 - the section's sanity checks, which no nonzero scalar changes, substitute
@@ -43,10 +43,10 @@ from .birational import (
     _cleared,
     _coefficient_rows,
     _composes_to,
+    _express_in_span,
     _followed_by_linear,
     _image_at,
     _linear_forms,
-    _linear_through,
     _mat_times,
     _normalize_coords,
     _subst_cleared,
@@ -576,12 +576,13 @@ def order3_selfmap(model: SmoothCubicModel):
     [zeta w:x:y:z], together with its factorization into two 3-links with
     splitting fields K[cbrt lam] and K[cbrt mu].
 
-    Only rho-hat's raw triple is normalised.  The second link is aligned by a linear map
-    M proposed pointwise (`_linear_through`: M sends chi2(chi1(p)) to
-    rho-hat(p) at grid points) and proved by the raw identity
-    rho-hat = chi2' o chi1.  Then rho-hat o rho-hat = chi1^-1 o chi2'^-1,
-    compared raw by `_squares_to`, is rho-hat^-1 by the links' round trips:
-    rho-hat has order 3, with no further gcd taken."""
+    Only rho-hat's raw triple is normalised.  rho-hat and the raw composite
+    F2 o F1 of the links' forward maps both have degree 4, so one span
+    solve reads off the M with rho-hat = M . (F2 o F1) = chi2' o chi1
+    exactly, and `_followed_by_linear` checks that M is defined over K.
+    Then rho-hat o rho-hat = chi1^-1 o chi2'^-1, compared raw by
+    `_squares_to`, is rho-hat^-1 by the links' round trips: rho-hat has
+    order 3, with no further gcd taken."""
     Lh = model.tower
     surface = model.surface()
     section = section_of_contraction(model)
@@ -591,15 +592,14 @@ def order3_selfmap(model: SmoothCubicModel):
     rho_hat = RationalMap(Lh, _normalize_coords(raw))  # raw has a common factor
 
     chi1, chi2 = _two_links(model, surface)
-    m = _linear_through((chi1.forward.map, chi2.forward.map), (rho_hat,))
+    composite = _substituted(chi2.forward.map, chi1.forward.map)
+    m = _express_in_span(rho_hat.coords, composite, Lh)
     if m is None:
-        raise IdentityFails("no four grid points propose the alignment of chi2")
+        raise IdentityFails("rho-hat is not a linear image of chi2 o chi1")
     try:
         chi2 = _followed_by_linear(chi2, m, surface)
     except NotEquivariant as e:
-        raise IdentityFails(f"the proposed alignment of chi2 fails: {e}") from e
-    if not _composes_to(chi2.forward.map, chi1.forward.map, rho_hat.coords):
-        raise IdentityFails("rho-hat != chi2 o chi1 after alignment")
+        raise IdentityFails(f"the alignment of chi2 fails: {e}") from e
     if not _squares_to(rho_hat, chi1.backward.map, chi2.backward.map):
         raise IdentityFails("rho-hat does not have order 3")
 
@@ -630,8 +630,8 @@ def _image_of_contracted_line(model: SmoothCubicModel, pair):
     """Image point of a contracted line of the smooth model under the
     contraction (f0 : f1 : f2): its value at the first of a, b, a + b off
     the base locus, a and b spanning the line.  No substitution checks the
-    contraction: the identity rho-hat = chi2 o chi1 of `order3_selfmap`,
-    chi2 built at these images, proves them."""
+    contraction: the span solve rho-hat = M . (chi2 o chi1) of
+    `order3_selfmap`, chi2 built at these images, proves them."""
     Lh = model.tower
     basis = nullspace(_coefficient_rows(Lh, pair), Lh)
     if len(basis) != 2:

@@ -106,31 +106,6 @@ def inverse3(a):
     return tuple(tuple(x * di for x in row) for row in adjugate3(a))
 
 
-def _frame(points):
-    """The matrix, up to scale, that sends the coordinate points and
-    (1 : 1 : 1) to four points of the plane: columns lam_k p_k for k < 3,
-    with lam = adj(P) p_3, so that they sum to det(P) p_3.  None when three
-    of the points are collinear: det(P) = 0, or some lam_k = 0, which by
-    Cramer's rule is the determinant of p_3 and the two other columns."""
-    cols = tuple(zip(*points[:3]))
-    if det3(cols).is_zero():
-        return None
-    lam = mat_vec(adjugate3(cols), points[3])
-    if any(x.is_zero() for x in lam):
-        return None
-    return tuple(tuple(x * y for x, y in zip(row, lam)) for row in cols)
-
-
-def projectivity(src, dst):
-    """A 3x3 matrix M, up to scale, with M src_k proportional to dst_k for
-    k < 4; None when three points of either list are collinear.
-    M = F_dst . adj(F_src) for the two frames: no division is taken."""
-    a, b = _frame(src), _frame(dst)
-    if a is None or b is None:
-        return None
-    return mat_mul(b, adjugate3(a))
-
-
 def _proportional(a, b) -> bool:
     """Whether two vectors of one length, of field elements or polynomials,
     are nonzero and agree projectively: every 2x2 cross product

@@ -10,15 +10,20 @@ form in which equality is syllable-by-syllable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 
 from .birational import (
+    _GRID,
     Link,
     RationalMap,
     TwistedMap,
+    _coefficient_rows,
+    _columns,
     _express_in_span,
     _followed_by_linear,
-    _linear_through,
+    _linear_forms,
     _raw_composite,
+    _scale_canonical,
     compose,
     equals,
     link_from_3point,
@@ -30,7 +35,7 @@ from .errors import (
     SblinksError,
     UnclassifiablePoint,
 )
-from .linalg import _proportional, adjugate3
+from .linalg import _proportional, adjugate3, mat_mul, mat_vec
 from .severi_brauer import ClosedPoint, SBSurface, _is_scalar_matrix, is_isomorphic
 
 
@@ -230,11 +235,12 @@ def hexagon(surface: SBSurface, p: ClosedPoint, p_prime: ClosedPoint):
     read off the third forward map's coefficients over the second backward
     map's by one span solve, and the first link followed by M closes the
     square (`_close_merged_square`).
-    Otherwise one raw identity of the two half chains proves the six links
-    closed (`_close_in_the_middle`).  Neither path composes the maps of the
-    chain; `recheck_hexagon` does.  Returns (links, report); the closing
-    link absorbs a twisted isomorphism so the chain ends on the original
-    chart.
+    Otherwise M = F6 o ... o F1 is read off p', the sixth link's inverse
+    base point and one grid value, and one raw identity of the two half
+    chains proves the six links closed (`_close_in_the_middle`).  Neither
+    path composes the maps of the chain; `recheck_hexagon` does.  Returns
+    (links, report); the closing link absorbs a twisted isomorphism so the
+    chain ends on the original chart.
     """
     if p.degree != 3 or p_prime.degree != 3:
         raise DegeneratePair("hexagon needs two degree-3 points")
@@ -272,7 +278,7 @@ def hexagon(surface: SBSurface, p: ClosedPoint, p_prime: ClosedPoint):
     if merged:
         closed, links = False, _close_merged_square(links)
     else:
-        closed, links = _close_in_the_middle(surface, links)
+        closed, links = _close_in_the_middle(surface, links, p_prime)
 
     word = psi_compose(links)
     descriptors = [lk.base_point.descriptor for lk in links]
@@ -318,15 +324,18 @@ def _close_merged_square(links):
     return [links[0], links[1], links[2], link4, links[0], links[0].inverse()]
 
 
-def _close_in_the_middle(surface: SBSurface, links):
-    """Close six certified links Fk, backward maps Bk, on the home chart: M =
-    F6 o ... o F1 is proposed by M . (B1 o B2 o B3) = F6 o F5 o F4 at grid
-    points, and the last link is followed by adj(M), which is M^-1 up to
-    scale, unless M is scalar there.
+def _close_in_the_middle(surface: SBSurface, links, p_prime: ClosedPoint):
+    """Close six certified links Fk, backward maps Bk, on the home chart.
+    The linear map M = F6 o ... o F1 carries p' onto q, the sixth link's
+    inverse base point, and M . (B1 o B2 o B3) = F6 o F5 o F4
+    (`_closing_isomorphism`).  The last link is followed by adj(M), which
+    is M^-1 up to scale, unless M is scalar there.
     The raw identity F3 o F2 o F1 = B4 o B5 o B6, with the links' certified
     round trips, proves the returned chain.  Returns (closed, links)."""
     fwd = [lk.forward.map for lk in links]
-    m = _linear_through([lk.backward.map for lk in links[2::-1]], fwd[3:])
+    backs = [lk.backward.map for lk in links[2::-1]]
+    q = links[-1].inverse_base_point
+    m = _closing_isomorphism(backs, fwd[3:], p_prime.components, q.components)
     if m is None:
         raise SblinksError("no grid points propose the closing isomorphism")
     closed = _is_scalar_matrix(m) and links[-1].forward.target == surface
@@ -338,6 +347,59 @@ def _close_in_the_middle(surface: SBSurface, links):
     if not _proportional(half, _raw_composite(b4, _raw_composite(b5, b6))):
         raise SblinksError("hexagon does not close: F3 o F2 o F1 != B4 o B5 o B6")
     return closed, links
+
+
+def _closing_isomorphism(before, after, sources, targets):
+    """The matrix M that carries the points sources onto targets, in some
+    order, with M . before(g) proportional to after(g) at grid points g;
+    before and after are chains of maps applied left to right.  With the
+    points as the columns of P and Q, M = Q . D . adj(P): at the first
+    usable g of `_GRID`, s = before(g), d = after(g), w = adj(P) s and
+    r = adj(Q) d give D = diag(r_i w_j w_k), {i, j, k} = {0, 1, 2}, so
+    M s = w0 w1 w2 det(Q) d with no division.  A grid point is usable off
+    both chains' base loci, with no entry of w or r zero.  The next usable
+    one confirms M in the orbits' frame: M s2 is proportional to d2 exactly
+    when D w2 is to adj(Q) d2.  The orders of targets are tried, the given
+    one first; None when none is confirmed.  The confirmed M is scaled
+    canonically: adj(M) with the swollen entries of raw values makes the
+    followed link slow to build.  Nothing is proved here; the caller's raw
+    identity proves M."""
+    tower = before[0].tower
+    zero = tower.zero()
+
+    def value(chain, g):
+        for f in chain:
+            g = [c.eval_zero_ok(g, zero) for c in f.coords]
+            if all(x.is_zero() for x in g):
+                return None  # g lies in the base locus
+        return g
+
+    adj_p = adjugate3(_columns(sources))
+    adj_q = adjugate3(_columns(targets))
+    usable = []
+    for a, b in _GRID:
+        g = [tower.scalar(a), tower.scalar(b), tower.one()]
+        s, d = value(before, g), value(after, g)
+        if s is None or d is None:
+            continue
+        w = mat_vec(adj_p, s)
+        if not any(x.is_zero() for x in w + mat_vec(adj_q, d)):
+            usable.append((w, d))
+        if len(usable) == 2:
+            break
+    else:
+        return None
+    (w, d), (w2, d2) = usable
+    for order in permutations(targets):
+        cols = _columns(order)
+        adj_q = adjugate3(cols)
+        r = mat_vec(adj_q, d)
+        diag = (r[0] * w[1] * w[2], r[1] * w[0] * w[2], r[2] * w[0] * w[1])
+        if _proportional([x * y for x, y in zip(diag, w2)], mat_vec(adj_q, d2)):
+            qd = tuple(tuple(x * y for x, y in zip(row, diag)) for row in cols)
+            m = mat_mul(qd, adj_p)
+            return _coefficient_rows(tower, _scale_canonical(_linear_forms(m)))
+    return None
 
 
 def recheck_hexagon(links) -> bool:

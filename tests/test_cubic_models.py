@@ -10,7 +10,8 @@ import sblinks.birational as birational
 import sblinks.cubic_models as cubic_models
 from sblinks.birational import (
     _coefficient_rows,
-    _linear_through,
+    _express_in_span,
+    _substituted,
     compose,
 )
 from sblinks.errors import (
@@ -404,14 +405,16 @@ def test_smooth_model_needs_no_rank(monkeypatch, smooth):
 
 
 def test_proposed_alignment_is_the_normalised_composite(smooth, order3):
-    """The pointwise-proposed alignment equals the matrix of the normalised
-    composite rho-hat o chi1^-1 o chi2^-1 of the unaligned links."""
+    """The alignment read off rho-hat's coefficients over the raw composite
+    chi2 o chi1 of the unaligned links is, up to scale, the matrix of the
+    normalised composite rho-hat o chi1^-1 o chi2^-1."""
     rho = order3[0].map
     chi1, chi2 = _two_links(smooth, smooth.surface())
-    m = _linear_through((chi1.forward.map, chi2.forward.map), (rho,))
+    composite = _substituted(chi2.forward.map, chi1.forward.map)
+    m = _express_in_span(rho.coords, composite, smooth.tower)
     reference = compose(compose(rho, chi1.backward.map), chi2.backward.map)
     assert reference.degree == 1
-    assert m == reference.matrix()
+    assert _proportional(sum(m, ()), sum(reference.matrix(), ()))
 
 
 def test_order3_check_rejects_the_forward_pair(order3):
@@ -420,19 +423,21 @@ def test_order3_check_rejects_the_forward_pair(order3):
     assert not _squares_to(rho.map, chi1.forward.map, chi2.forward.map)
 
 
-@pytest.mark.parametrize("proposal", ["perturbed", "none"])
-def test_wrong_alignment_fails_loudly(monkeypatch, smooth, proposal):
-    """A perturbed alignment matrix, or none found, raises IdentityFails."""
+@pytest.mark.parametrize("solve", ["perturbed", "none"])
+def test_wrong_alignment_fails_loudly(monkeypatch, smooth, solve):
+    """A perturbed alignment matrix, or none found by the span solve, raises
+    IdentityFails: the perturbed one is not defined over K."""
 
-    def propose(before, after):
-        if proposal == "none":
+    def solved(polys, basis, tower):
+        if solve == "none":
             return None
-        m = [list(row) for row in _linear_through(before, after)]
-        m[0][0] = m[0][0] + smooth.tower.one()
+        m = [list(row) for row in _express_in_span(polys, basis, tower)]
+        m[0][0] = m[0][0] + tower.one()
         return tuple(map(tuple, m))
 
-    monkeypatch.setattr(cubic_models, "_linear_through", propose)
-    with pytest.raises(IdentityFails):
+    monkeypatch.setattr(cubic_models, "_express_in_span", solved)
+    message = {"perturbed": "not defined over K", "none": "not a linear image"}
+    with pytest.raises(IdentityFails, match=message[solve]):
         order3_selfmap(smooth)
 
 

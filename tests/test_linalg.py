@@ -1,6 +1,4 @@
-from itertools import combinations
-
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from sblinks.birational import curves_through, link_from_6point
 from sblinks.linalg import (
@@ -10,14 +8,11 @@ from sblinks.linalg import (
     det3,
     mat_identity,
     mat_mul,
-    mat_vec,
     nullspace,
-    projectivity,
     rank,
     solve,
 )
 from sblinks.multipoly import MPoly
-from sblinks.scalars import QZeta
 from sblinks.severi_brauer import sixpoint_from_sqrt
 
 
@@ -273,29 +268,3 @@ def test_adjugate_times_matrix_is_the_determinant(L, data):
     scaled = tuple(tuple(x * d for x in row) for row in mat_identity(L))
     assert mat_mul(adjugate3(a), a) == scaled
     assert mat_mul(a, adjugate3(a)) == scaled
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.data())
-def test_projectivity_through_four_points(data):
-    """M from four points and their images under an invertible matrix A is
-    A up to scale; with three collinear points on either side, None."""
-    entry = st.builds(QZeta, st.integers(-3, 3), st.integers(-1, 1))
-    a = tuple(tuple(data.draw(st.lists(entry, min_size=3, max_size=3))) for _ in range(3))
-    assume(not det3(a).is_zero())
-    src = [tuple(data.draw(st.lists(entry, min_size=3, max_size=3))) for _ in range(4)]
-    dst = [mat_vec(a, p) for p in src]
-    m = projectivity(src, dst)
-    general = all(not det3(t).is_zero() for t in combinations(src, 3))
-    if not general:
-        assert m is None
-        return
-    assert m is not None and _proportional(sum(m, ()), sum(a, ()))
-    # a point of the source on the line through two others: no frame
-    i, j = data.draw(st.sampled_from([(0, 1), (1, 2), (0, 3)]))
-    on_line = tuple(x + y for x, y in zip(src[i], src[j]))
-    k = next(k for k in range(4) if k not in (i, j))
-    bad = list(src)
-    bad[k] = on_line
-    assert projectivity(bad, dst) is None
-    assert projectivity(src, [mat_vec(a, p) for p in bad]) is None

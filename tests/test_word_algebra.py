@@ -4,11 +4,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sblinks import birational, cubic_models, linalg, severi_brauer, word_algebra
-from sblinks.birational import compose, curves_through, link_from_3point
+from sblinks.birational import (
+    _followed_by_linear,
+    compose,
+    curves_through,
+    link_from_3point,
+)
 from sblinks.cubic_models import build_smooth_model, order3_selfmap
 from sblinks.errors import DegeneratePair, NotComposable, SblinksError
-from sblinks.linalg import mat_identity, mat_vec
+from sblinks.linalg import adjugate3, mat_identity, mat_vec
 from sblinks.severi_brauer import (
+    _is_scalar_matrix,
     closed_point_from_seed,
     make_closed_point,
     normalize_point,
@@ -18,6 +24,7 @@ from sblinks.severi_brauer import (
 from sblinks.word_algebra import (
     _close_in_the_middle,
     _close_merged_square,
+    _closing_isomorphism,
     GroupWord,
     LinkClass,
     class_of_point,
@@ -209,6 +216,76 @@ def test_hexagon_general_position(
     assert [link_sha(link) for link in links] == HEXAGON_GP_LINK_PINS
 
 
+# SHA-256 of the JSON of the six links of the hexagon at the coordinate
+# point and the orbit of each seed, computed when the middle closing still
+# proposed its isomorphism from the values at five grid points
+HEXAGON_GP_SEED_PINS = {
+    (-1, -2, 1): [
+        "9ed5cc9a0ed30f36a7bfccdf28f440e4428b329354d53617d9096aabb50b5d56",
+        "2ac4b2e8e8cce6e001b3665970e7287d7e47181214d8da7fa479eb52db25b6a9",
+        "d376c5edbe8dc6e809f12bf63cb2a9ece193a9180dc19f23a44a1aada2c6187d",
+        "ac0095188f66aa9d06f404641023a848c0d07d38ae6d8dbb9bd222a006b144c0",
+        "4e6929f6bd2cf39eb7d45f9b7ecde8e5cf8a67d6e0206b21839af0e6058f6ff5",
+        "557f54a7c56d278aefba558702c86b16f9ddbe0d1e1403bf1d7c2f7b5bf9a3fe",
+    ],
+    (-2, 2, 2): [
+        "9ed5cc9a0ed30f36a7bfccdf28f440e4428b329354d53617d9096aabb50b5d56",
+        "ea0533020fc9f43f159c5d572d243f37f19bd13a42c03f4b1daa4f5c9be180a9",
+        "bba8b9790c1b2c5fe2cd3cc6dd5a7efc676f3273af05a8889b917f24a08e9463",
+        "95831653672b783108fb4a87176cd7481f30a649379fb776e74a655edf8fda5c",
+        "dc983d940e0a739e47ac1b1488a85a4ce78cdadb9d12bf1d3efa30b1fdd2f6f9",
+        "1ad7849799ef9dcedf4ef192056b611b626b1d0d18762b73cd77280ef4442f7d",
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "seed", sorted(HEXAGON_GP_SEED_PINS), ids=lambda s: ":".join(map(str, s))
+)
+def test_hexagon_general_position_pins(seed, surface, L, coord_point, link_sha):
+    """The middle closing beyond the fixture: the coordinate point against
+    the orbit of a small integer seed closes in general position, with
+    every link pinned."""
+    q = closed_point_from_seed(surface, tuple(L.scalar(x) for x in seed), L)
+    links, report = hexagon(surface, coord_point, q)
+    assert not report.merged_square and report.ok()
+    assert [link_sha(link) for link in links] == HEXAGON_GP_SEED_PINS[seed]
+
+
+class _CountedGrid:
+    """A grid that counts the points drawn from it."""
+
+    def __init__(self, points):
+        self.points, self.drawn = points, 0
+
+    def __iter__(self):
+        for point in self.points:
+            self.drawn += 1
+            yield point
+
+
+@pytest.mark.parametrize("alignment", ["order3", "general_position"])
+def test_alignments_read_few_grid_values(
+    monkeypatch, alignment, K2, surface, coord_point, gp_point
+):
+    """Neither linear alignment proposes from grid values: the order-3 map
+    draws no grid point, and the general-position closing draws two, one
+    to fix M from the orbits and one to confirm it."""
+    grid = _CountedGrid(birational._GRID)
+    for module in (birational, cubic_models, word_algebra):
+        if hasattr(module, "_GRID"):
+            monkeypatch.setattr(module, "_GRID", grid)
+    if alignment == "order3":
+        t1, t2 = K2.t_var(0), K2.t_var(1)
+        mu = (t2 - K2.one()) / (K2.scalar(27) * t1)
+        order3_selfmap(build_smooth_model(t1, mu, K2.one()))
+        assert grid.drawn == 0
+    else:
+        _, report = hexagon(surface, coord_point, gp_point)
+        assert not report.merged_square
+        assert grid.drawn <= 2
+
+
 def test_half_hexagon_is_the_quintic_of_a_six_link(L, coord_point, gp_point, gp_hexagon):
     """The paper's picture of the hexagon: its first three links compose to
     a quintic double at the six components of p and p', the forward map of
@@ -224,26 +301,28 @@ def test_half_hexagon_is_the_quintic_of_a_six_link(L, coord_point, gp_point, gp_
     assert len(quintics) == 3
 
 
-def test_chain_that_does_not_close_raises(monkeypatch, surface, L, gp_hexagon):
-    """The proposal proves nothing.  Let it claim that the chain closes on
-    its own, with the identity matrix, and end the chain on the home chart
-    by a certified link that does not close it: the identity of the half
-    chains refuses the chain."""
+def test_chain_that_does_not_close_raises(
+    monkeypatch, surface, L, gp_point, gp_hexagon
+):
+    """The closing isomorphism proves nothing.  Let it claim that the chain
+    closes on its own, with the identity matrix, and end the chain on the
+    home chart by a certified link that does not close it: the identity of
+    the half chains refuses the chain."""
     links = gp_hexagon[0]
     wrong = links[0].inverse()
     assert wrong.forward.target == surface and wrong != links[5]
     identity = mat_identity(L)
-    monkeypatch.setattr(word_algebra, "_linear_through", lambda before, after: identity)
+    monkeypatch.setattr(word_algebra, "_closing_isomorphism", lambda *args: identity)
     with pytest.raises(SblinksError, match="does not close"):
-        _close_in_the_middle(surface, links[:5] + [wrong])
+        _close_in_the_middle(surface, links[:5] + [wrong], gp_point)
 
 
 def test_chain_that_does_not_close_is_refused_by_the_proposal(
-    monkeypatch, surface, gp_hexagon
+    monkeypatch, surface, gp_point, gp_hexagon
 ):
-    """Unpatched, the proposal itself refuses a chain that does not close:
-    the matrix through four grid points fails at a fifth, so the last link
-    is never followed by it."""
+    """Unpatched, the closing isomorphism itself refuses a chain that does
+    not close: the matrix from the orbits and one grid point fails at the
+    next, in every order, so the last link is never followed by it."""
     links = gp_hexagon[0]
 
     def unreachable(*args):
@@ -251,7 +330,22 @@ def test_chain_that_does_not_close_is_refused_by_the_proposal(
 
     monkeypatch.setattr(word_algebra, "_followed_by_linear", unreachable)
     with pytest.raises(SblinksError, match="no grid points propose"):
-        _close_in_the_middle(surface, links[:5] + [links[0].inverse()])
+        _close_in_the_middle(surface, links[:5] + [links[0].inverse()], gp_point)
+
+
+def test_closing_isomorphism_tries_the_orders_of_q(surface, gp_point, gp_hexagon):
+    """M carries p' onto q, the inverse base point of the sixth link before
+    it is followed, in q's stored order; with q's components rotated, the
+    order loop finds the same M."""
+    links = gp_hexagon[0]
+    sixth = link_from_3point(links[5].forward.source, links[5].base_point)
+    before = [lk.backward.map for lk in links[2::-1]]
+    after = [lk.forward.map for lk in links[3:5]] + [sixth.forward.map]
+    q = sixth.inverse_base_point.components
+    m = _closing_isomorphism(before, after, gp_point.components, q)
+    assert m is not None and not _is_scalar_matrix(m)
+    assert _closing_isomorphism(before, after, gp_point.components, q[1:] + q[:1]) == m
+    assert _followed_by_linear(sixth, adjugate3(m), surface) == links[5]
 
 
 def test_hexagon_maps_are_coprime(
@@ -307,7 +401,7 @@ def test_hexagon_composes_no_maps(
     monkeypatch.setattr(birational, "_normalize_coords", forbidden)
     monkeypatch.setattr(word_algebra, "link_from_3point", counted)
     if pair == "merged":
-        for name in ("_linear_through", "_composes_to", "inverse3"):
+        for name in ("_closing_isomorphism", "_composes_to", "inverse3"):
             for module in (birational, linalg, severi_brauer, word_algebra):
                 if hasattr(module, name):
                     real = getattr(module, name)
