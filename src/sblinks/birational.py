@@ -21,9 +21,10 @@ are substituted.
 
 The constructor trusts its input, as `FieldElement` does: the coordinates
 must be coprime, and it does not check this.  `_normalize_coords`, the one
-reducer, runs in `compose`, for rho-hat and on the smooth cubic's section
-in `cubic_models`.  Every other map is coprime by construction (the linear
-systems are those of Alberich-Carramiñana, LNM 1769):
+reducer, runs in `compose` on a composite of no monomial shape (below), for
+rho-hat and on the smooth cubic's section in `cubic_models`.  Every other
+map is coprime by construction (the linear systems are those of
+Alberich-Carramiñana, LNM 1769):
 
 - `identity`, `standard_involution` and sigma o phi, phi invertible, are
   products of pairwise independent linear forms, which share no factor;
@@ -47,10 +48,22 @@ round trip proves q.  A 3-link's backward map P . D . sigma(adj(Q) x) has
 exactly the columns of Q as base points, a 6-link's eta^-1 . b0 is double
 at q, and for both backward o forward = id is certified by one rule
 (`_certified`).  That round trip and every other check of a composite
-(`_composes_to`) compare raw triples by 2x2 cross products, which needs no
+(`_composes_to`) compare triples by 2x2 cross products, which needs no
 normal form.  `equals` compares stored triples, which are canonical, and
 `is_equivariant` compares two coprime triples, so one constant decides it
 (`_constant_multiple`).
+
+`compose` and `_composes_to` decide a composite's shape before the fold
+(`_composite`).  `field_tower.substitute_triple` walks each coordinate in
+the free ring, where the radicals are free variables.  When every walked
+coordinate is x^(m_i) times one free polynomial S, and S does not fold to
+zero, the composite over the tower is x^(m_i) . fold(S): the fold is a ring
+homomorphism.  That is the coprime monomial map x^(m_i - m), m the
+fieldwise least m_i, so no fold, gcd or division runs, and a round trip
+compares exponents.  Every link's round trip and every identity closing of
+a check has this shape.  Any other composite is folded; `compose` reduces
+it and `_composes_to` compares it raw.  A failed test decides nothing, since
+two coordinates may fold equal from different free forms.
 
 `base_points` needs coordinates that share no curve, and proves it by one
 image mod p (`modular.coprime_certificate`), which is a proof when it
@@ -72,6 +85,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import sub
 
 from .errors import (
     Collinear,
@@ -91,6 +105,7 @@ from .field_tower import (
     cbrt_in_tower,
     poly_to_json,
     sqrt_in_tower,
+    substitute_triple,
 )
 from .linalg import (
     _proportional,
@@ -337,11 +352,34 @@ def _constant_multiple(a, b) -> bool:
 def _substituted(f: RationalMap, h: RationalMap):
     """The coordinates of f after h, before any common factor is removed:
     the raw composite of the stored triples."""
+    _check_composable(f, h)
+    return _nonzero(_raw_composite(f.coords, h.coords))
+
+
+def _composite(f: RationalMap, h: RationalMap):
+    """f after h as (triple, coprime).  When the raw composite is
+    x^(m_i) . S for one polynomial S, decided in the free ring before any
+    fold (`field_tower.substitute_triple`), the triple is the coprime
+    x^(m_i - m), m the fieldwise least m_i, and coprime is True: no fold,
+    gcd or division runs.  Otherwise it is the raw composite, and False."""
+    _check_composable(f, h)
+    exps, coords = substitute_triple(f.tower, f.coords, h.coords)
+    if exps is None:
+        return _nonzero(coords), False
+    low = tuple(map(min, *exps))
+    one = f.tower.one()
+    return tuple(MPoly.monomial(h.nsrc, tuple(map(sub, e, low)), one) for e in exps), True
+
+
+def _check_composable(f: RationalMap, h: RationalMap):
     if f.nsrc != 3:
         raise SblinksError("outer map must be a plane map")
     if f.tower != h.tower:
         raise SblinksError("compose needs maps over the same tower")
-    coords = _raw_composite(f.coords, h.coords)
+
+
+def _nonzero(coords):
+    """A composite's coordinates, refused when they all vanish."""
     if all(c.is_zero() for c in coords):
         raise IdenticallyZero(
             "composition collapses: the inner map lands in the base locus"
@@ -363,14 +401,18 @@ def _subst_cleared(coords, inner):
 
 
 def _composes_to(f: RationalMap, h: RationalMap, coords) -> bool:
-    """Whether f after h is projectively the triple coords, decided on the
-    raw composite by cross products: no common factor is removed."""
-    return _proportional(_substituted(f, h), coords)
+    """Whether f after h is projectively the triple coords, decided by cross
+    products on `_composite`'s triple: the monomial one when the composite
+    has that shape, so a round trip compares exponents, else the raw
+    composite.  No common factor is removed."""
+    return _proportional(_composite(f, h)[0], coords)
 
 
 def compose(f: RationalMap, h: RationalMap) -> RationalMap:
-    """f after h: substitute the coordinates of h into f and reduce."""
-    return RationalMap(f.tower, _normalize_coords(_substituted(f, h)))
+    """f after h: substitute the coordinates of h into f and reduce, unless
+    `_composite` finds the monomial triple, which is coprime already."""
+    coords, coprime = _composite(f, h)
+    return RationalMap(f.tower, coords if coprime else _normalize_coords(coords))
 
 
 def apply_matrix(m, f: RationalMap) -> RationalMap:

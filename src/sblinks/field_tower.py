@@ -44,6 +44,9 @@ per-coefficient walk over FieldElement runs instead.  The map is a ring
 homomorphism, so products and substitution end in one fold of the same
 rule, `_fold_radicals`: each x-monomial of a free-ring result, and the raw
 pair products of a tower product whose operands are not both one term.
+`substitute_triple`, the composite of a map's triple, reads its shape off
+the free ring first: a triple x^(m_i) . S with one free S needs no fold
+beyond a nonzero x-monomial of S.
 """
 
 from __future__ import annotations
@@ -69,8 +72,10 @@ from .multipoly import (
     NotDivisible,
     _check_degree,
     _horner,
+    _min_key,
     _poly,
     _power,
+    _unpack,
     exact_div,
     gcd,
     squarefree_decomposition,
@@ -752,13 +757,30 @@ def _free_subst(tower: TowerField, f: MPoly, values):
     `_Free`, or None when some coefficient has a t-denominator or lies in
     another tower.  The radical exponents stay unreduced through the walk
     and are folded once, by `_free_fold`."""
+    walked = _free_walks(tower, (f,), values)
+    if walked is None:
+        return None
+    (p,), nx, tw, xs = walked
+    return _free_fold(tower, p, nx, tw, xs)
+
+
+def _free_walks(tower: TowerField, polys, values):
+    """(walked, nx, tw, xs): each of the polynomials after values, as a
+    `_Free` polynomial by one `_horner` walk, with the shifts its keys were
+    packed with; or None when some coefficient has a t-denominator or lies
+    in another tower."""
     nx = values[0].nvars
-    lifter = _lifter(tower, (f, *values), nx)
+    lifter = _lifter(tower, (*polys, *values), nx)
     if lifter is None:
         return None
     lift, tw, xs = lifter
     lifted = [lift(v.terms.items()) for v in values]
-    return _free_fold(tower, _horner(f, lifted, lambda c: lift(((0, c),))), nx, tw, xs)
+
+    def leaf(c):
+        return lift(((0, c),))
+
+    walked = [_horner(p, lifted, leaf) if p.terms else _Free({}, 1, 0) for p in polys]
+    return walked, nx, tw, xs
 
 
 def _free_mul(tower: TowerField, f: MPoly, g: MPoly):
@@ -773,9 +795,14 @@ def _free_mul(tower: TowerField, f: MPoly, g: MPoly):
 
 
 def _free_fold(tower: TowerField, p: _Free, nx: int, tw: int, xs: int) -> MPoly:
-    """The polynomial over the tower that p stands for: the terms of each
-    x-monomial, by unreduced radical exponent, go through `_fold_radicals`,
-    which shares its radicand factors across the x-monomials."""
+    """The polynomial over the tower that p stands for."""
+    return _poly(nx, {xk: c for xk, c in _folded_groups(tower, p, nx, tw, xs) if c.nums})
+
+
+def _folded_groups(tower: TowerField, p: _Free, nx: int, tw: int, xs: int):
+    """(x-key, coefficient over the tower) for each x-monomial of p, one at
+    a time: its terms, by unreduced radical exponent, go through
+    `_fold_radicals`, which shares its radicand factors across them."""
     nt, h = tower.nvars, tower.height()
     tmask = (1 << tw) - 1
     rmask = (1 << (xs - tw)) - 1
@@ -786,7 +813,6 @@ def _free_fold(tower: TowerField, p: _Free, nx: int, tw: int, xs: int) -> MPoly:
         g = groups.setdefault(key >> xs & xmask, {})
         g.setdefault(key >> tw & rmask, {})[key & tmask] = v
     memo: dict = {}
-    terms = {}
     for xk, g in groups.items():
         parts = [
             (
@@ -795,10 +821,56 @@ def _free_fold(tower: TowerField, p: _Free, nx: int, tw: int, xs: int) -> MPoly:
             )
             for rk, ts in g.items()
         ]
-        c = _fold_radicals(tower, parts, tower.unit, memo)
-        if c.nums:
-            terms[xk] = c
-    return _poly(nx, terms)
+        yield xk, _fold_radicals(tower, parts, tower.unit, memo)
+
+
+def substitute_triple(tower: TowerField, coords, values):
+    """The polynomials coords after the polynomials values, all over the
+    tower, as a pair (exps, composite) with one of them None.
+
+    The Horner walk of each coordinate runs in the free ring when no
+    coefficient has a t-denominator.  When every walked coordinate is
+    x^(m_i) . S, one free polynomial S times an x-monomial, and S is not in
+    the kernel of the fold, the composite is x^(m_i) . fold(S) over the
+    tower, since the fold is a ring homomorphism.  Then exps lists the m_i
+    and nothing is folded but S's first x-monomials: only up to the first
+    whose fold is nonzero.  Otherwise composite holds the folded
+    coordinates, as `MPoly.subst` gives them.  A failed test decides
+    nothing: equal folds with different free forms are folded."""
+    walked = _free_walks(tower, coords, values)
+    if walked is None:
+        return None, tuple(c.subst(values) for c in coords)
+    free, nx, tw, xs = walked
+    exps = _monomial_contents(tower, free, nx, tw, xs)
+    if exps is not None:
+        return exps, None
+    return None, tuple(_free_fold(tower, p, nx, tw, xs) for p in free)
+
+
+def _monomial_contents(tower: TowerField, free, nx: int, tw: int, xs: int):
+    """The x-monomial contents m_i of the free polynomials, as exponent
+    tuples, when each is x^(m_i) times one S whose fold is nonzero; else
+    None.  Every term of the first, its x-exponents moved from m_0 to m_i,
+    is a term of the i-th with the same value, over the same denominator
+    and with as many terms.  No exponent field goes negative on the way,
+    since each is at least m_0's, so keys add without a borrow."""
+    if not all(p.terms for p in free):
+        return None
+    xbits = _BITS * nx
+    xmask = (1 << xbits + _BITS) - 1
+    top = free[0].top
+    mins = [_min_key(nx, {k >> xs & xmask for k in p.terms}) for p in free]
+    first, m0 = free[0], mins[0]
+    for p, m in zip(free[1:], mins[1:]):
+        if p.d != first.d or len(p.terms) != len(first.terms):
+            return None
+        shift = (m - m0 << xs) + ((m >> xbits) - (m0 >> xbits) << top)
+        get = p.terms.get
+        if any(get(k + shift) != v for k, v in first.terms.items()):
+            return None
+    if not any(c.nums for _, c in _folded_groups(tower, first, nx, tw, xs)):
+        return None
+    return [_unpack(nx, m) for m in mins]
 
 
 def _lift_positions(src: TowerField, dst: TowerField):

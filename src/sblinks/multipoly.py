@@ -764,9 +764,8 @@ def _euclid(a: list, b: list) -> list:
 def gcd_many(polys) -> MPoly:
     """The monic gcd, folded from the smallest input.  An input equal to one
     already taken is skipped: its gcd with the fold changes nothing, and the
-    gcd of a polynomial with itself (the three dehomogenised coordinates of
-    an identity composite) is a full remainder sequence.  A single input is
-    returned unscaled, several equal ones monic."""
+    gcd of a polynomial with itself is a full remainder sequence.  A single
+    input is returned unscaled, several equal ones monic."""
     polys = list(polys)
     distinct = []
     for p in polys:

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import random
+from fractions import Fraction
 
 import pytest
 import sympy
@@ -22,6 +23,8 @@ from sblinks.birational import (
     _certified,
     _coefficient_rows,
     _columns,
+    _composes_to,
+    _composite,
     _constant_multiple,
     _conic_points,
     _cremona,
@@ -34,7 +37,7 @@ from sblinks.birational import (
     _inverse_by_values,
     _linear_forms,
     _mat_times,
-    _normalize_coords,
+    _monomials,
     _radical_roots,
     _sigma_forms,
     _twisted_action,
@@ -53,7 +56,7 @@ from sblinks.birational import (
 )
 from sblinks.field_tower import CubicExtension, GaloisAction
 from sblinks.linalg import _proportional, adjugate3, det3, inverse3, mat_identity, rank
-from sblinks.multipoly import MPoly, exact_div
+from sblinks.multipoly import MPoly, exact_div, gcd_many_homogeneous
 from sblinks.severi_brauer import (
     ClosedPoint,
     auto_between_3points,
@@ -462,8 +465,11 @@ def _raw_forms(m):
 
 
 def _reduced(tower, raw):
-    """The reference map of a raw triple: its common factor divided out."""
-    return RationalMap(tower, _normalize_coords(raw))
+    """The reference map of a raw triple: its nonzero coordinates divided by
+    their projective gcd, taken here by `gcd_many_homogeneous` and exact
+    division, not by the library's reducer."""
+    g = gcd_many_homogeneous([c for c in raw if not c.is_zero()])
+    return RationalMap(tower, [c if c.is_zero() else exact_div(c, g) for c in raw])
 
 
 def test_coprime_paths_match_full_gcd(L, link_at_coords, link_at_unit):
@@ -595,6 +601,197 @@ def test_tampered_maps_fail_checks(surface, L, link_at_unit):
     fwd = link.forward
     assert is_equivariant(fwd.map, fwd.source, fwd.target)
     assert not is_equivariant(apply_matrix(_diag(L, 1, 1, 2), fwd.map), fwd.source, fwd.target)
+
+
+# composites that are one polynomial times monomials
+
+
+def _monomial_triple(tower, exps, scales=None):
+    one = tower.one()
+    scales = scales or (one,) * 3
+    return tuple(
+        MPoly.zero(len(e)) if c.is_zero() else MPoly.monomial(len(e), e, c)
+        for e, c in zip(exps, scales)
+    )
+
+
+def _shape_towers(L):
+    """L; L[sqrt t2]; and the models tower K[cbrt t1][cbrt mu], whose
+    radicand mu = (t2 - 1) / (27 t1) has a t-denominator."""
+    t1, t2 = L.t_var(0).to_base(), L.t_var(1).to_base()
+    K = t1.tower
+    mu = (t2 - K.one()) / (K.scalar(27) * t1)
+    return {
+        "L": L,
+        "L[sqrt t2]": L.extend("s", 2, t2),
+        "models": K.extend("u", 3, t1).extend("m", 3, mu),
+    }
+
+
+def _coefficient_pool(tower):
+    """Nonzero coefficients with and without radicals and t."""
+    one = tower.one()
+    pool = [one, tower.scalar(-2), tower.scalar(Fraction(1, 2)), tower.zeta(),
+            tower.t_var(1) + one]
+    for rad in tower.radicals:
+        r = tower.gen(rad.name)
+        pool += [r, r * r + tower.t_var(0)]
+    return pool
+
+
+# outer monomial maps, as exponent triples: the identity, sigma, (x^2, xy, yz)
+_OUTER = {
+    "identity": ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+    "sigma": ((0, 1, 1), (1, 0, 1), (1, 1, 0)),
+    "x2-xy-yz": ((2, 0, 0), (1, 1, 0), (0, 1, 1)),
+}
+
+
+def _inner_map(tower, name):
+    """Inner maps: the identity, sigma, the top radical on x (which gives
+    the coordinates free forms that differ by radical factors), and the
+    monomial map (xy, yz, zw) from P^3."""
+    one = tower.one()
+    if name == "identity":
+        return RationalMap.identity(tower)
+    if name == "sigma":
+        return RationalMap.standard_involution(tower)
+    if name == "radical-on-x":
+        r = tower.gen(tower.radicals[-1].name)
+        return RationalMap(tower, _monomial_triple(tower, _OUTER["identity"], (r, one, one)))
+    return RationalMap(
+        tower, _monomial_triple(tower, ((1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1)))
+    )
+
+
+def _gcd_route(f, h):
+    """The reference compose: the raw composite by `MPoly.subst`, divided by
+    `gcd_many_homogeneous` with `exact_div`."""
+    return _reduced(f.tower, [c.subst(list(h.coords)) for c in f.coords])
+
+
+def _same_bytes(a, b):
+    return repr(a) == repr(b) and json.dumps(a.to_json(), sort_keys=True) == json.dumps(
+        b.to_json(), sort_keys=True
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_monomial_composites_match_the_gcd_route(L, data):
+    """compose of (c_i . P . x^(a_i)) after a monomial or radical-diagonal
+    map, P a random polynomial, is byte for byte the map that the full gcd
+    route gives, over three towers.  Unequal c_i, radicals on x and zero
+    coordinates give free forms that differ across coordinates: those fall
+    back to the fold and still agree."""
+    towers = _shape_towers(L)
+    tower = towers[data.draw(st.sampled_from(sorted(towers)))]
+    pool = _coefficient_pool(tower)
+    one, zero = tower.one(), tower.zero()
+    monos = _monomials(3, data.draw(st.integers(0, 2)))
+    chosen = data.draw(st.lists(st.sampled_from(monos), min_size=1, max_size=3, unique=True))
+    P = MPoly(3, {e: data.draw(st.sampled_from(pool)) for e in chosen})
+    if data.draw(st.booleans()):
+        scales = (one,) * 3
+    else:
+        scales = tuple(data.draw(st.sampled_from(pool + [zero])) for _ in range(3))
+        if all(c.is_zero() for c in scales):
+            scales = (one, zero, one)
+    outer = _monomial_triple(tower, _OUTER[data.draw(st.sampled_from(sorted(_OUTER)))], scales)
+    f = RationalMap(tower, [P * m for m in outer])
+    h = _inner_map(tower, data.draw(
+        st.sampled_from(["identity", "sigma", "radical-on-x", "from-P3"])
+    ))
+    expected = _gcd_route(f, h)
+    assert _same_bytes(compose(f, h), expected)
+    assert _composes_to(f, h, expected.coords)
+
+
+def test_shape_rule_takes_the_monomial_path_and_falls_back(L):
+    """The rule fires on x^(m_i) . S with one free S, and only there: the
+    same fold reached by different free forms (u^3 against t1), a factor
+    1/2 that changes only the free denominator, and a zero coordinate all
+    fold first, and every answer is the gcd route's."""
+    one, zero = L.one(), L.zero()
+    u, t1 = L.gen("u"), L.t_var(0)
+    x, y, z = (MPoly.variable(3, i, one) for i in range(3))
+    P = x + y.scale(L.zeta())
+    cubes = ((3, 0, 0), (0, 3, 0), (0, 0, 3))
+    radical_x = RationalMap(L, _monomial_triple(L, _OUTER["identity"], (u, one, one)))
+    identity = RationalMap.identity(L)
+    cases = [
+        (RationalMap(L, [P * x, P * y, P * z]), identity, True),
+        (RationalMap(L, [P * y, P * z, (P * x).scale(L.scalar(Fraction(1, 2)))]), identity, False),
+        (RationalMap(L, _monomial_triple(L, cubes, (one, t1, t1))), radical_x, False),
+        (RationalMap(L, [P * x, MPoly.zero(3), P * z]), identity, False),
+    ]
+    for f, h, coprime in cases:
+        coords, found = _composite(f, h)
+        assert found is coprime
+        expected = _gcd_route(f, h)
+        assert _same_bytes(compose(f, h), expected)
+        assert _composes_to(f, h, expected.coords)
+    # the factor 1/2 is kept: the map is (2y : 2z : x), not (y : z : x)
+    f = cases[1][0]
+    assert compose(f, identity) != RationalMap(L, (y, z, x))
+
+
+def test_common_factor_that_folds_to_zero_collapses(L):
+    """f = P . (y, y, z) after (u x, x, y), P = x^3 - t1 y^3: every free
+    coordinate is x^(m_i) (u^3 - t1), which folds to zero, so compose
+    raises IdenticallyZero rather than return (x : x : y)."""
+    one = L.one()
+    u, t1 = L.gen("u"), L.t_var(0)
+    x, y, z = (MPoly.variable(3, i, one) for i in range(3))
+    P = x * x * x - (y * y * y).scale(t1)
+    f = RationalMap(L, [P * y, P * y, P * z])
+    h = RationalMap(L, [x.scale(u), x, y])
+    with pytest.raises(IdenticallyZero):
+        compose(f, h)
+    with pytest.raises(IdenticallyZero):
+        _composes_to(f, h, RationalMap.identity(L).coords)
+
+
+@pytest.mark.parametrize("name", ["link_at_coords", "link_at_unit", "six_link"])
+def test_round_trips_take_no_gcd_division_or_fold(monkeypatch, name, request):
+    """backward o forward is x^(e_i) . S with one free S: compose and
+    `_certified` decide it with no projective gcd, no exact division and no
+    fold of the composite."""
+    import sblinks.birational as birational
+    import sblinks.field_tower as field_tower
+
+    link = request.getfixturevalue(name)
+
+    def forbidden(*args):
+        raise AssertionError("an identity composite took a gcd, a division or a fold")
+
+    for module, helper in (
+        (birational, "gcd_many_homogeneous"),
+        (birational, "exact_div"),
+        (field_tower, "_free_fold"),
+    ):
+        monkeypatch.setattr(module, helper, forbidden)
+    fwd, bwd = link.forward.map, link.backward.map
+    assert compose(bwd, fwd) == RationalMap.identity(fwd.tower)
+    assert _certified(link) is link
+
+
+@pytest.mark.parametrize("name", ["link_at_unit", "six_link"])
+def test_tampered_round_trips_are_refused(name, request):
+    """The backward map after diag(1, 1, 2), whose composite falls back to
+    the fold, or after swapping x and y, whose composite is monomial but
+    not the identity: `_certified` refuses both, and neither composes with
+    the forward map to the identity."""
+    link = request.getfixturevalue(name)
+    L = link.forward.map.tower
+    one, zero = L.one(), L.zero()
+    swap = ((zero, one, zero), (one, zero, zero), (zero, zero, one))
+    identity = RationalMap.identity(L)
+    for m in (_diag(L, 1, 1, 2), swap):
+        bad = apply_matrix(m, link.backward.map)
+        with pytest.raises(SblinksError, match="backward o forward is not the identity"):
+            _certified(_with_backward(link, bad))
+        assert compose(bad, link.forward.map) != identity
 
 
 def test_base_points_sympy_failure_is_loud(monkeypatch, six_link):
@@ -1177,6 +1374,7 @@ def test_each_link_fact_is_checked_once(
 
     monkeypatch.setattr(birational, "is_equivariant", forbidden)
     monkeypatch.setattr(birational, "_substituted", forbidden)
+    monkeypatch.setattr(birational, "_composite", forbidden)
     back = links[0].inverse()
     moved = _followed_by_linear(back, alpha.matrix, surface)
     monkeypatch.undo()

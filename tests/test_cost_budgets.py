@@ -14,23 +14,26 @@ ROOT = Path(__file__).resolve().parents[1]
 # The counts of the traced seed-1 ops when these bounds were set.  Each
 # bound is the count plus a margin of a tenth, rounded down.
 
-# link3: one link, its round trip and its base locus
+# link3: one link, its round trip and its base locus; both round trips
+# (the link's and the check's compose) are decided in the free ring by
+# `field_tower.substitute_triple`, with no projective gcd
 LINK3_COUNTS = {
-    "multipoly.gcd_many_homogeneous": 1,
-    "multipoly.gcd": 219,
-    "multipoly.subst": 19,
-    "field_tower.mul": 660,
-    "field_tower.inverse": 37,
-    "scalars.qzeta_mul": 3019,
+    "multipoly.gcd_many_homogeneous": 0,
+    "multipoly.gcd": 185,
+    "multipoly.subst": 13,
+    "field_tower.mul": 620,
+    "field_tower.inverse": 36,
+    "scalars.qzeta_mul": 2080,
 }
 
-# link6: one link, its round trip and the bench's check
+# link6: one link, its round trip and the bench's check, whose round trips
+# take no projective gcd either
 LINK6_COUNTS = {
-    "multipoly.gcd_many_homogeneous": 1,
-    "multipoly.gcd": 1853,
-    "multipoly.exact_div": 1819,
-    "field_tower.mul": 6355,
-    "field_tower.inverse": 129,
+    "multipoly.gcd_many_homogeneous": 0,
+    "multipoly.gcd": 1543,
+    "multipoly.exact_div": 1196,
+    "field_tower.mul": 5991,
+    "field_tower.inverse": 128,
     "scalars.qzeta_mul": 2022,
 }
 
@@ -81,6 +84,8 @@ def test_link3_op_stays_within_its_budget():
     calls = _traced_calls("link3", 1)
     assert _over_budget(calls, LINK3_COUNTS) == {}
     assert calls["birational.base_points"] == 1
+    # the link's round trip and the check's compose, one free walk each
+    assert calls["field_tower.substitute_triple"] == 2
 
 
 def test_link6_op_stays_within_its_budget():
@@ -89,6 +94,7 @@ def test_link6_op_stays_within_its_budget():
     # conics through five components of p and of q, quintics double at
     # p and at q, and the check's quintics at p: one elimination each
     assert calls["birational.curves_through"] == 5
+    assert calls["field_tower.substitute_triple"] == 2
 
 
 def test_hexagon_op_stays_within_its_budget():
