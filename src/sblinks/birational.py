@@ -22,9 +22,11 @@ are substituted.
 The constructor trusts its input, as `FieldElement` does: the coordinates
 must be coprime, and it does not check this.  `_normalize_coords`, the one
 reducer, runs in `compose` on a composite of no monomial shape (below), for
-rho-hat and on the smooth cubic's section in `cubic_models`.  Every other
-map is coprime by construction (the linear systems are those of
-Alberich-Carramiñana, LNM 1769):
+rho-hat and on the smooth cubic's section in `cubic_models`.  Its gcd runs
+in the flat ring Q(zeta)[t, x] when every coefficient lies in Q(zeta)[t] and
+some t has lower degree than every x (`field_tower.to_flat`), else over the
+tower.  Every other map is coprime by construction (the linear systems are
+those of Alberich-Carramiñana, LNM 1769):
 
 - `identity`, `standard_involution` and sigma o phi, phi invertible, are
   products of pairwise independent linear forms, which share no factor;
@@ -106,6 +108,7 @@ from .field_tower import (
     poly_to_json,
     sqrt_in_tower,
     substitute_triple,
+    to_flat,
 )
 from .linalg import (
     _proportional,
@@ -115,6 +118,7 @@ from .linalg import (
     inverse3,
     mat,
     mat_galois,
+    mat_identity,
     mat_mul,
     mat_vec,
     nullspace,
@@ -124,6 +128,7 @@ from .linalg import (
 from .modular import coprime_certificate
 from .multipoly import (
     MPoly,
+    _gcd_homogeneous,
     exact_div,
     gcd,
     gcd_many_homogeneous,
@@ -254,11 +259,24 @@ def _cleared(coords):
 
 
 def _normalize_coords(coords):
-    """A denominator-free raw triple divided by the gcd of its coordinates."""
-    g = gcd_many_homogeneous([c for c in coords if not c.is_zero()])
+    """A denominator-free raw triple divided by the gcd of its coordinates.
+    When `field_tower.to_flat` takes the triple, the gcd, of polynomials
+    homogeneous in x, and the divisions run in the flat ring Q(zeta)[t, x].
+    That gcd may hold a factor in t alone, so the triple is the tower
+    gcd's times a scalar of K: the same map.  Otherwise they run over the
+    tower."""
+    nonzero = [c for c in coords if not c.is_zero()]
+    flat = to_flat(nonzero[0].some_coeff().tower, coords)
+    if flat is None:
+        g = gcd_many_homogeneous(nonzero)
+        if g.is_const():
+            return coords
+        return tuple(c if c.is_zero() else exact_div(c, g) for c in coords)
+    polys, back = flat
+    g = _gcd_homogeneous([p for p in polys if not p.is_zero()], nonzero[0].nvars)
     if g.is_const():
         return coords
-    return tuple(c if c.is_zero() else exact_div(c, g) for c in coords)
+    return tuple(c if c.is_zero() else back(exact_div(p, g)) for c, p in zip(coords, polys))
 
 
 def _scale_canonical(coords):
@@ -417,12 +435,24 @@ def compose(f: RationalMap, h: RationalMap) -> RationalMap:
 
 def apply_matrix(m, f: RationalMap) -> RationalMap:
     """The map x -> m . f(x), m invertible."""
-    return RationalMap(f.tower, _mat_times(_invertible(m), f.coords))
+    return _applied(_invertible(m), f)
+
+
+def _applied(m, f: RationalMap) -> RationalMap:
+    """apply_matrix for a matrix known to be invertible."""
+    return RationalMap(f.tower, _mat_times(m, f.coords))
 
 
 def subst_linear(f: RationalMap, m) -> RationalMap:
     """The map x -> f(m x), m invertible."""
-    forms = _linear_forms(_invertible(m))
+    return _after_linear(f, _invertible(m))
+
+
+def _after_linear(f: RationalMap, m) -> RationalMap:
+    """subst_linear for a matrix known to be invertible.  The forms are
+    cleared by one lcm of their t-denominators, a base-field scalar that
+    does not change the map, so the substitution runs in the free ring."""
+    forms = _cleared(_linear_forms(m))
     return RationalMap(f.tower, tuple(c.subst(forms) for c in f.coords))
 
 
@@ -521,12 +551,13 @@ def _followed_by_linear(link: Link, m, target: SBSurface) -> Link:
     tower = link.forward.map.tower
     if not matrix_is_equivariant(m, link.forward.target, target, tower):
         raise NotEquivariant("the linear map is not defined over K")
-    forward = TwistedMap(apply_matrix(m, link.forward.map), link.forward.source, target)
+    # det(adj m) = det(m)^2, so one determinant proves both invertible
+    forward = TwistedMap(_applied(_invertible(m), link.forward.map), link.forward.source, target)
     q = link.inverse_base_point
     comps = tuple(normalize_point(mat_vec(m, v)) for v in q.components)
     moved = ClosedPoint(target, q.tower, comps, q.degree, q.descriptor, q.cycle_element)
     backward = TwistedMap(
-        subst_linear(link.backward.map, adjugate3(m)), target, link.backward.target
+        _after_linear(link.backward.map, adjugate3(m)), target, link.backward.target
     )
     return Link(forward, backward, link.base_point, moved, link.degree_class)
 
@@ -1113,14 +1144,51 @@ def _cremona_scales(forward: RationalMap, P, adj_q):
     return d
 
 
+# `_cremona` builds its triple in the free ring above this many pairs of
+# free-ring terms of PD and adj(Q).  Measured per call in process on a
+# 2-core host: 9-135 pairs (the 3-links of the link3 and hexagon inputs over
+# K[cbrt t1], and chi1 over the models tower) took 0.04-0.84 ms by tower
+# products against 0.17-1.36 ms in the free ring; 3780 (chi2) and 4050
+# (3-links at other points over the models tower) took 20-36 ms against
+# 8-27 ms
+_CREMONA_FREE_PAIRS = 1000
+
+
 def _cremona(tower: TowerField, P, d, adj_q) -> RationalMap:
     """The quadratic map P . D . sigma(adj(Q) x), D = diag(d): the inverse of
     forward = Q . D . sigma(P^-1 x), P and Q invertible with columns p_i and
     q_i, q_i the image of the line that misses p_i, because
     sigma(D y) = det(D) D^-1 sigma(y) and sigma o sigma = xyz . id.  adj(Q)
-    is a scalar multiple of Q^-1, so no inverse or compose is taken."""
+    is a scalar multiple of Q^-1, so no inverse or compose is taken.
+
+    The triple is PD . sigma(y) after y = adj(Q) x.  Its 54 coefficient
+    products are tower products (`_cremona_tower`) unless the entries of PD
+    and adj(Q) have more than `_CREMONA_FREE_PAIRS` pairs of free-ring
+    terms; then it is one substitution in the free ring (`_cremona_free`).
+    Both give the same map."""
     PD = tuple(tuple(x * y for x, y in zip(row, d)) for row in P)
-    return RationalMap(tower, _mat_times(PD, _sigma_forms(adj_q)))
+    if _free_terms(PD) * _free_terms(adj_q) > _CREMONA_FREE_PAIRS:
+        return RationalMap(tower, _cremona_free(tower, PD, adj_q))
+    return RationalMap(tower, _cremona_tower(PD, adj_q))
+
+
+def _free_terms(m) -> int:
+    """The free-ring terms of a matrix's entries: over each radical monomial
+    of an entry, the terms of its numerator in t."""
+    return sum(len(p.terms) for row in m for x in row for p in x.nums.values())
+
+
+def _cremona_tower(PD, adj_q):
+    """The raw triple PD . sigma(adj(Q) x) by products over the tower."""
+    return _mat_times(PD, _sigma_forms(adj_q))
+
+
+def _cremona_free(tower: TowerField, PD, adj_q):
+    """The raw triple PD . sigma(y), y = adj(Q) x, up to one base-field
+    scalar, as one substitution in the free ring: each side is cleared by
+    one lcm of its t-denominators, and each coordinate folds once."""
+    sigma = _mat_times(PD, _sigma_forms(mat_identity(tower)))
+    return _subst_cleared(sigma, _linear_forms(adj_q))
 
 
 def link_from_3point(surface: SBSurface, point: ClosedPoint) -> Link:

@@ -47,6 +47,20 @@ pair products of a tower product whose operands are not both one term.
 `substitute_triple`, the composite of a map's triple, reads its shape off
 the free ring first: a triple x^(m_i) . S with one free S needs no fold
 beyond a nonzero x-monomial of S.
+
+Work that can be cleared of t-denominators is done once in the free ring and
+folded once, by three routes of `birational`, each of which gives the same
+map as the tower arithmetic it replaces:
+
+- the projective gcd of `_normalize_coords` runs in the flat ring
+  Q(zeta)[t, x], the free ring with no radical (`to_flat`), when every
+  coefficient lies in Q(zeta)[t] and some t has lower degree than every x;
+  that t leads the remainder sequence;
+- `subst_linear` clears its matrix by one lcm, a scalar of K, so that the
+  substitution walks the free ring;
+- `_cremona` builds a 3-link's backward map as one free-ring substitution
+  when its operands have more pairs of free-ring terms than a bound, as over
+  the two-radical models tower; below it, tower products are faster.
 """
 
 from __future__ import annotations
@@ -871,6 +885,83 @@ def _monomial_contents(tower: TowerField, free, nx: int, tw: int, xs: int):
     if not any(c.nums for _, c in _folded_groups(tower, first, nx, tw, xs)):
         return None
     return [_unpack(nx, m) for m in mins]
+
+
+def _field_maxima(nvars: int, keys) -> list:
+    """The largest exponent of each variable over the packed keys."""
+    return [
+        max((k >> _BITS * i & _MASK for k in keys), default=0)
+        for i in range(nvars - 1, -1, -1)
+    ]
+
+
+def to_flat(tower: TowerField, polys):
+    """(flat, back) for polynomials over the tower, or None.  flat lists
+    them in the flat ring Q(zeta)[t_k, t..., x...], and back(p) is the flat
+    polynomial p over the tower.
+
+    The flat ring is the free ring with no radical: it takes polynomials
+    whose coefficients all lie in K with denominator 1.  `multipoly.gcd`
+    runs its remainder sequence in the first variable, and that pays only in
+    a variable of least degree (W. S. Brown, J. ACM 18, 1971).  So the
+    polynomials are taken only when some t that occurs has lower degree
+    than every x that occurs, and t_k, the first t of least degree, goes
+    first.  A flat key is a t-key and an x-key moved into place, their
+    degree fields added."""
+    unit, origin = tower.unit, tower.origin
+    tkeys: set = set()
+    for p in polys:
+        for c in p.terms.values():
+            num = c.nums.get(origin)
+            if c.den is not unit or num is None or len(c.nums) != 1:
+                return None
+            tkeys.update(num.terms)
+    nt, nx = tower.nvars, polys[0].nvars
+    tdeg = [(d, i) for i, d in enumerate(_field_maxima(nt, tkeys)) if d]
+    xdeg = [d for d in _field_maxima(nx, {k for p in polys for k in p.terms}) if d]
+    if not tdeg or (xdeg and min(tdeg)[0] >= min(xdeg)):
+        return None
+    k = min(tdeg)[1]
+    order = [k] + [i for i in range(nt) if i != k]
+    xbits, tbits = _BITS * nx, _BITS * nt
+    xmask, tmask = (1 << xbits) - 1, (1 << tbits) - 1
+    dshift = xbits + tbits  # the flat degree field
+
+    def moved(fields, src, dst):
+        # the t-field of variable src[i] to the place of variable dst[i]
+        out = 0
+        for i, j in zip(src, dst):
+            out |= (fields >> _BITS * (nt - 1 - i) & _MASK) << _BITS * (nt - 1 - j)
+        return out
+
+    ident = range(nt)
+    to_t = {tk: moved(tk & tmask, order, ident) << xbits for tk in tkeys}
+    to_x: dict = {}
+    from_t: dict = {}
+    flat = []
+    for p in polys:
+        terms = {}
+        for xk, c in p.terms.items():
+            xpart = (xk >> xbits) << dshift | xk & xmask
+            for tk, q in c.nums[origin].terms.items():
+                terms[xpart + ((tk >> tbits) << dshift | to_t[tk])] = q
+        flat.append(_poly(nt + nx, terms))
+
+    def back(f: MPoly) -> MPoly:
+        groups: dict = {}
+        for key, q in f.terms.items():
+            xf, tf = key & xmask, key >> xbits & tmask
+            xk = to_x.get(xf)
+            if xk is None:
+                xk = to_x[xf] = sum(_unpack(nx, xf)) << xbits | xf
+            tk = from_t.get(tf)
+            if tk is None:
+                tk = moved(tf, ident, order)
+                tk = from_t[tf] = sum(_unpack(nt, tk)) << tbits | tk
+            groups.setdefault(xk, {})[tk] = q
+        return _poly(nx, {xk: tower.from_poly(_poly(nt, ts)) for xk, ts in groups.items()})
+
+    return flat, back
 
 
 def _lift_positions(src: TowerField, dst: TowerField):

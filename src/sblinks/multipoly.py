@@ -39,6 +39,15 @@ times faster than the PRS, and in the 6-link and model ops thousands of
 calls per op have a one-term operand.  Every path returns the unique
 monic gcd, so the choice never changes an output.
 
+`gcd_many_homogeneous` sets the last variable to 1 and takes the gcd of
+what is left.  Its core, `_gcd_homogeneous`, needs homogeneity only in the
+last variables, so it also serves triples of the flat ring Q(zeta)[t, x]
+(`field_tower.to_flat`), whose first variable is the t of least degree: the
+remainder sequence runs in it.  Measured in process, the gcd and divisions
+of the models op's `rho o rho` composite took 3.7-5.3 ms there against
+24-25 ms over the tower, and those of the hexagon's degree-8 composites
+1.4-1.5 against 1.9 ms.
+
 A product picks its path by the shape of its operands too.  A one-term
 factor re-keys the other's terms.  A product of more than `_FREE_PAIRS` = 4
 pairs of terms goes to the coefficient type's `free_mul`, as `subst` goes
@@ -783,16 +792,25 @@ def gcd_many(polys) -> MPoly:
 
 
 def gcd_many_homogeneous(polys) -> MPoly:
-    """gcd of homogeneous polynomials in their last variable count, computed
-    by stripping monomial content and dehomogenising the last variable.
-
-    Both steps re-key terms: setting the last variable to 1 drops its field
-    and lowers the degree field by it, and rehomogenising to degree d puts
-    d minus each term's degree back in that field.  A stripped input is
-    homogeneous, so no two of its terms meet on one key."""
+    """gcd of homogeneous polynomials in their last variable count (see
+    `_gcd_homogeneous`)."""
     polys = [p for p in polys if not p.is_zero()]
     if not polys:
         raise ValueError("gcd of no polynomials")
+    return _gcd_homogeneous(polys, polys[0].nvars)
+
+
+def _gcd_homogeneous(polys, nhom: int) -> MPoly:
+    """gcd of nonzero polynomials homogeneous in their last nhom variables,
+    computed by stripping monomial content and dehomogenising the last
+    variable.
+
+    Both steps re-key terms: setting the last variable to 1 drops its field
+    and lowers the degree field by it, and rehomogenising to degree d in the
+    last nhom variables puts d minus each term's degree in them back in
+    that field.  A stripped input is homogeneous in them, so no two of its
+    terms meet on one key, and the gcd is not divisible by the last
+    variable, so d is the largest such degree of its dehomogenised form."""
     nv = polys[0].nvars
     low = _BITS * (nv - 1)
     mins = [_min_key(nv, p.terms) for p in polys]
@@ -806,13 +824,13 @@ def gcd_many_homogeneous(polys) -> MPoly:
         for p, m in zip(polys, mins)
     ]
     g = gcd_many(dehom)
-    # rehomogenise to the gcd's own degree
-    d = g.total_degree()
     fields = (1 << low) - 1
+    degs = {e: sum(e >> _BITS * i & _MASK for i in range(nhom - 1)) for e in g.terms}
+    d = max(degs.values())
     out = _poly(
         nv,
         {
-            d << (low + _BITS) | (e & fields) << _BITS | d - (e >> low): c
+            (e >> low) + d - degs[e] << (low + _BITS) | (e & fields) << _BITS | d - degs[e]: c
             for e, c in g.terms.items()
         },
     )

@@ -27,17 +27,22 @@ from sblinks.birational import (
     _composite,
     _constant_multiple,
     _conic_points,
+    _CREMONA_FREE_PAIRS,
     _cremona,
+    _cremona_free,
     _cremona_scales,
+    _cremona_tower,
     _followed_by_linear,
     _express_in_span,
     _factor_over_base,
+    _free_terms,
     _image_at,
     _independent_subset,
     _inverse_by_values,
     _linear_forms,
     _mat_times,
     _monomials,
+    _normalize_coords,
     _radical_roots,
     _sigma_forms,
     _twisted_action,
@@ -54,7 +59,7 @@ from sblinks.birational import (
     subst_linear,
     transport_point,
 )
-from sblinks.field_tower import CubicExtension, GaloisAction
+from sblinks.field_tower import CubicExtension, GaloisAction, TowerField, to_flat
 from sblinks.linalg import _proportional, adjugate3, det3, inverse3, mat_identity, rank
 from sblinks.multipoly import MPoly, exact_div, gcd_many_homogeneous
 from sblinks.severi_brauer import (
@@ -752,6 +757,91 @@ def test_common_factor_that_folds_to_zero_collapses(L):
         _composes_to(f, h, RationalMap.identity(L).coords)
 
 
+# the projective gcd in the flat ring Q(zeta)[t, x] and over the tower
+
+
+def _tower_route(coords):
+    """The reference reducer: the nonzero coordinates divided by their gcd
+    over the tower, `gcd_many_homogeneous`, with `exact_div`."""
+    g = gcd_many_homogeneous([c for c in coords if not c.is_zero()])
+    return [c if c.is_zero() else exact_div(c, g) for c in coords]
+
+
+def _assert_routes_agree(tower, coords, flat):
+    assert (to_flat(tower, coords) is not None) is flat
+    assert RationalMap(tower, _normalize_coords(coords)) == RationalMap(
+        tower, _tower_route(coords)
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_flat_gcd_matches_the_tower_gcd(K2, data):
+    """Over K = Q(zeta)(t1, t2), triples G . m . s . (A0, A1, A2): G a cubic
+    with x^3, y^3 and z^3 and constant coefficients, m a monomial, s a
+    t-factor, and the A_i of degree 1 or 2 with coefficients of t-degree at
+    most 1, one of them maybe zero.  Every t has degree at most 2 and every
+    x at least 3, so `_normalize_coords` takes the flat ring, and its map is
+    the one that the gcd over the tower gives."""
+    one = K2.one()
+    t1, t2, zeta = K2.t_var(0), K2.t_var(1), K2.zeta()
+    constants = [one, K2.scalar(-2), K2.scalar(Fraction(1, 3)), zeta]
+    linear = constants + [t1, t2, t1 + one, zeta * t2 - K2.scalar(3)]
+    x, y, z = (MPoly.variable(3, i, one) for i in range(3))
+    G = MPoly.zero(3)
+    extra = data.draw(st.lists(st.sampled_from(_monomials(3, 3)), max_size=2, unique=True))
+    for e in [(3, 0, 0), (0, 3, 0), (0, 0, 3)] + extra:
+        G = G + MPoly.monomial(3, e, data.draw(st.sampled_from(constants)))
+    monos = _monomials(3, data.draw(st.integers(1, 2)))
+    cofactors = []
+    for _ in range(3):
+        chosen = data.draw(st.lists(st.sampled_from(monos), min_size=1, max_size=3, unique=True))
+        cofactors.append(MPoly(3, {e: data.draw(st.sampled_from(linear)) for e in chosen}))
+    if data.draw(st.booleans()):
+        cofactors[data.draw(st.integers(0, 2))] = MPoly.zero(3)
+    m = data.draw(st.sampled_from([x, z, x * y]))
+    s = data.draw(st.sampled_from([t1 + one, t2 - zeta, t1 * t2]))
+    coords = [(G * m * a).scale(s) for a in cofactors]
+    _assert_routes_agree(K2, coords, flat=True)
+
+
+def test_flat_route_rule(K2, L):
+    """The rule sends a triple to the tower when an x has the least degree
+    (t1^3 against x of degree 2), or when a coefficient carries a radical;
+    it takes t2 first when t2 has the least degree, and a triple over L
+    whose coefficients lie in K; every answer is the tower gcd's map."""
+    one = K2.one()
+    t1, t2 = K2.t_var(0), K2.t_var(1)
+    x, y, z = (MPoly.variable(3, i, one) for i in range(3))
+    P = x * x + y * y + z * z
+    t1c = t1 * t1 * t1
+    low_x = [(P * x).scale(t1c), (P * y).scale(t1c + one), P * z]
+    _assert_routes_agree(K2, low_x, flat=False)
+    t2_first = [(P * x).scale(t1 * t1 + t2), (P * y).scale(t1 * t1), P * z]
+    _assert_routes_agree(K2, t2_first, flat=True)
+    polys, _ = to_flat(K2, t2_first)
+    # the flat ring is (t2, t1, x, y, z): t2 has degree 1 and goes first
+    assert [p.deg_in(0) for p in polys] == [1, 0, 0]
+    # over K = Q(zeta)(t1, t2, t3) the flat ring is (t3, t1, t2, x, y, z),
+    # whose t-fields are a cycle of K's
+    K3 = TowerField.rational(3)
+    s1, s2, s3 = (K3.t_var(i) for i in range(3))
+    P3 = _monomial_triple(K3, ((2, 1, 0), (0, 2, 1), (1, 0, 2)))
+    G3 = P3[0] + P3[1].scale(s1 * s2) + P3[2]
+    cycled = [(G3 * f).scale(c) for f, c in zip(_monomial_triple(K3, _OUTER["sigma"]), (
+        s1 * s1 * s3 + s2, s2 * s2 - s1 * s3, s1 * s2 * s3 + K3.one()))]
+    _assert_routes_agree(K3, cycled, flat=True)
+    polys, _ = to_flat(K3, cycled)
+    assert [p.deg_in(0) for p in polys] == [1, 1, 1]
+    lone, u = L.one(), L.gen("u")
+    xl, yl, zl = (MPoly.variable(3, i, lone) for i in range(3))
+    Q = xl * xl + yl * yl + zl * zl
+    radical = [(Q * xl).scale(u), Q * yl, (Q * zl).scale(L.t_var(1))]
+    _assert_routes_agree(L, radical, flat=False)
+    in_k = [(Q * xl).scale(L.t_var(0)), Q * yl, Q * zl]
+    _assert_routes_agree(L, in_k, flat=True)
+
+
 @pytest.mark.parametrize("name", ["link_at_coords", "link_at_unit", "six_link"])
 def test_round_trips_take_no_gcd_division_or_fold(monkeypatch, name, request):
     """backward o forward is x^(e_i) . S with one free S: compose and
@@ -1204,6 +1294,78 @@ def test_3link_round_trip_refuses_a_point_off_the_contracted_line(monkeypatch):
     for point in points:
         with pytest.raises(SblinksError, match="backward o forward is not the identity"):
             link_from_3point(work.S, point)
+
+
+@pytest.mark.parametrize("name", ["unit", "random0", "models_chi2"])
+def test_cremona_free_path_matches_tower_path(monkeypatch, name, closed_form_links):
+    """P . D . sigma(adj(Q) x) as one free-ring substitution and by tower
+    products is the link's backward map either way; the free-term rule
+    picks the free ring for chi2 over the two-radical models tower only."""
+    import sblinks.birational as birational
+
+    link = closed_form_links[name]
+    fwd = link.forward.map
+    tower = fwd.tower
+    P = _columns(link.base_point.components)
+    adj_q = adjugate3(_columns(link.inverse_base_point.components))
+    d = _cremona_scales(fwd, P, adj_q)
+    PD = tuple(tuple(x * y for x, y in zip(row, d)) for row in P)
+    free = RationalMap(tower, _cremona_free(tower, PD, adj_q))
+    assert free == RationalMap(tower, _cremona_tower(PD, adj_q)) == link.backward.map
+    taken = []
+
+    def counted(*args):
+        taken.append(args)
+        return _cremona_free(*args)
+
+    monkeypatch.setattr(birational, "_cremona_free", counted)
+    assert _cremona(tower, P, d, adj_q) == link.backward.map
+    assert bool(taken) is (name == "models_chi2")
+    assert (_free_terms(PD) * _free_terms(adj_q) > _CREMONA_FREE_PAIRS) is bool(taken)
+
+
+@pytest.mark.parametrize("name", ["unit", "models_chi2"])
+def test_subst_linear_clears_the_matrix(monkeypatch, name, closed_form_links):
+    """A matrix with t-denominators is cleared by one lcm before the
+    substitution, which then walks the free ring: the stored triple is the
+    one the uncleared substitution gives, over L and the models tower."""
+    import sblinks.field_tower as field_tower
+
+    link = closed_form_links[name]
+    tower = link.forward.map.tower
+    m = _matrix_with_denominators(random.Random(20240615), tower)
+    assert not all(d.is_const() for row in m for d in (c.den for c in row))
+    walked = []
+    real = field_tower._free_subst
+
+    def counted(*args):
+        out = real(*args)
+        walked.append(out is not None)
+        return out
+
+    for f in (link.forward.map, link.backward.map):
+        uncleared = RationalMap(tower, [c.subst(_linear_forms(m)) for c in f.coords])
+        monkeypatch.setattr(field_tower, "_free_subst", counted)
+        assert subst_linear(f, m) == uncleared
+        monkeypatch.setattr(field_tower, "_free_subst", real)
+    assert walked == [True] * 6
+
+
+def test_followed_by_linear_takes_one_determinant(monkeypatch, L, link_at_unit):
+    """Following a link by m checks m once: adj(m) is invertible with it,
+    det(adj m) = det(m)^2.  A scalar matrix leaves the link unchanged."""
+    import sblinks.birational as birational
+
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return det3(m)
+
+    monkeypatch.setattr(birational, "det3", counted)
+    link = link_at_unit
+    assert _followed_by_linear(link, _diag(L, 2, 2, 2), link.forward.target) == link
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("name", ["random0", "random1", "models_chi2"])

@@ -38,26 +38,28 @@ LINK6_COUNTS = {
 }
 
 # hexagon: the merged hexagon at the coordinate and unit points (three
-# links built, the square closed by one span solve) and the bench's check
+# links built, the square closed by one span solve) and the bench's check;
+# four of the check's six composites are reduced in the flat ring
 HEXAGON_COUNTS = {
-    "multipoly.gcd_many_homogeneous": 15,
-    "multipoly.gcd": 1843,
-    "multipoly.exact_div": 1596,
-    "field_tower.mul": 5146,
-    "field_tower.inverse": 237,
-    "scalars.qzeta_mul": 3780,
+    "multipoly.gcd_many_homogeneous": 2,
+    "multipoly.gcd": 1427,
+    "multipoly.exact_div": 1384,
+    "field_tower.mul": 4799,
+    "field_tower.inverse": 214,
+    "scalars.qzeta_mul": 2275,
 }
 
 # models: both cubic models with their checks, and the order-3 map (its
-# second link aligned by one span solve); gcd and inverse keep the counts of
-# the grid-proposed alignment, since the span solve's 4009 and 252 fit them
+# second link aligned by one span solve, its backward map built in the free
+# ring); only the section, whose coefficients carry radicals, takes the
+# gcd over the tower, and rho-hat and the check's composites the flat ring
 MODELS_COUNTS = {
-    "multipoly.gcd_many_homogeneous": 5,
-    "multipoly.gcd": 3903,
-    "multipoly.exact_div": 3103,
-    "field_tower.mul": 10228,
-    "field_tower.inverse": 250,
-    "scalars.qzeta_mul": 17289,
+    "multipoly.gcd_many_homogeneous": 1,
+    "multipoly.gcd": 3587,
+    "multipoly.exact_div": 2679,
+    "field_tower.mul": 8509,
+    "field_tower.inverse": 226,
+    "scalars.qzeta_mul": 9511,
 }
 
 
