@@ -23,10 +23,10 @@ The constructor trusts its input, as `FieldElement` does: the coordinates
 must be coprime, and it does not check this.  `_normalize_coords`, the one
 reducer, runs in `compose` on a composite of no monomial shape (below), for
 rho-hat and on the smooth cubic's section in `cubic_models`.  Its gcd runs
-in the flat ring Q(zeta)[t, x] when every coefficient lies in Q(zeta)[t] and
-some t has lower degree than every x (`field_tower.to_flat`), else over the
-tower.  Every other map is coprime by construction (the linear systems are
-those of Alberich-Carramiñana, LNM 1769):
+in the flat ring Q(zeta)[t, x] when every coefficient lies in Q(zeta)[t]
+(`field_tower.to_flat`), else over the tower.  Every other map is coprime
+by construction (the linear systems are those of Alberich-Carramiñana,
+LNM 1769):
 
 - `identity`, `standard_involution` and sigma o phi, phi invertible, are
   products of pairwise independent linear forms, which share no factor;
@@ -118,7 +118,6 @@ from .linalg import (
     inverse3,
     mat,
     mat_galois,
-    mat_identity,
     mat_mul,
     mat_vec,
     nullspace,
@@ -263,8 +262,10 @@ def _normalize_coords(coords):
     When `field_tower.to_flat` takes the triple, the gcd, of polynomials
     homogeneous in x, and the divisions run in the flat ring Q(zeta)[t, x].
     That gcd may hold a factor in t alone, so the triple is the tower
-    gcd's times a scalar of K: the same map.  Otherwise they run over the
-    tower."""
+    gcd's times a scalar of K: the same map, but not the same raw triple.
+    Otherwise they run over the tower.  A caller that keeps the raw triple
+    fixes the scalar by `_scale_canonical`, as the `RationalMap`
+    constructor does."""
     nonzero = [c for c in coords if not c.is_zero()]
     flat = to_flat(nonzero[0].some_coeff().tower, coords)
     if flat is None:
@@ -272,8 +273,8 @@ def _normalize_coords(coords):
         if g.is_const():
             return coords
         return tuple(c if c.is_zero() else exact_div(c, g) for c in coords)
-    polys, back = flat
-    g = _gcd_homogeneous([p for p in polys if not p.is_zero()], nonzero[0].nvars)
+    polys, hom, back = flat
+    g = _gcd_homogeneous([p for p in polys if not p.is_zero()], hom)
     if g.is_const():
         return coords
     return tuple(c if c.is_zero() else back(exact_div(p, g)) for c, p in zip(coords, polys))
@@ -435,12 +436,7 @@ def compose(f: RationalMap, h: RationalMap) -> RationalMap:
 
 def apply_matrix(m, f: RationalMap) -> RationalMap:
     """The map x -> m . f(x), m invertible."""
-    return _applied(_invertible(m), f)
-
-
-def _applied(m, f: RationalMap) -> RationalMap:
-    """apply_matrix for a matrix known to be invertible."""
-    return RationalMap(f.tower, _mat_times(m, f.coords))
+    return RationalMap(f.tower, _mat_times(_invertible(m), f.coords))
 
 
 def subst_linear(f: RationalMap, m) -> RationalMap:
@@ -552,7 +548,11 @@ def _followed_by_linear(link: Link, m, target: SBSurface) -> Link:
     if not matrix_is_equivariant(m, link.forward.target, target, tower):
         raise NotEquivariant("the linear map is not defined over K")
     # det(adj m) = det(m)^2, so one determinant proves both invertible
-    forward = TwistedMap(_applied(_invertible(m), link.forward.map), link.forward.source, target)
+    forward = TwistedMap(
+        RationalMap(tower, _mat_times(_invertible(m), link.forward.map.coords)),
+        link.forward.source,
+        target,
+    )
     q = link.inverse_base_point
     comps = tuple(normalize_point(mat_vec(m, v)) for v in q.components)
     moved = ClosedPoint(target, q.tower, comps, q.degree, q.descriptor, q.cycle_element)
@@ -1187,7 +1187,7 @@ def _cremona_free(tower: TowerField, PD, adj_q):
     """The raw triple PD . sigma(y), y = adj(Q) x, up to one base-field
     scalar, as one substitution in the free ring: each side is cleared by
     one lcm of its t-denominators, and each coordinate folds once."""
-    sigma = _mat_times(PD, _sigma_forms(mat_identity(tower)))
+    sigma = _mat_times(PD, RationalMap.standard_involution(tower).coords)
     return _subst_cleared(sigma, _linear_forms(adj_q))
 
 

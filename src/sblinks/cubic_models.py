@@ -49,6 +49,7 @@ from .birational import (
     _linear_forms,
     _mat_times,
     _normalize_coords,
+    _scale_canonical,
     _subst_cleared,
     _substituted,
     link_from_3point,
@@ -540,7 +541,10 @@ def section_of_contraction(model: SmoothCubicModel):
     to get A1 B0 u2 (A0 u0 - B1 u1) = 0.  A1 = 0 and B0 = 0 are where the
     fibre meets the auxiliary lines, and the section point lies off both.
     The point is the kernel of the 3x4 matrix of the equations, its four
-    signed 3x3 minors: cubic forms in u, divided by their gcd."""
+    signed 3x3 minors: cubic forms in u, divided by their gcd and scaled so
+    that the grlex-least nonzero coefficient is 1.  The gcd fixes the
+    quotients only up to a scalar of K, which depends on the ring it runs
+    in; the scaling makes the section independent of it."""
     Lh = model.tower
     u0, u1, u2 = (MPoly.variable(3, i, Lh.one()) for i in range(3))
     a0, a1, a2 = _coefficient_rows(Lh, model.A)
@@ -556,7 +560,7 @@ def section_of_contraction(model: SmoothCubicModel):
         minors.append(-m if j % 2 else m)
     if all(m.is_zero() for m in minors):
         raise SectionNotFound("the equations of the fibre have no unique kernel")
-    section = _normalize_coords(minors)
+    section = _scale_canonical(_normalize_coords(minors))
 
     # sanity: the section lands on the cubic and splits the contraction.
     # Neither statement moves when the section, the cubic or the contraction

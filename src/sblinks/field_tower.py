@@ -54,8 +54,8 @@ map as the tower arithmetic it replaces:
 
 - the projective gcd of `_normalize_coords` runs in the flat ring
   Q(zeta)[t, x], the free ring with no radical (`to_flat`), when every
-  coefficient lies in Q(zeta)[t] and some t has lower degree than every x;
-  that t leads the remainder sequence;
+  coefficient lies in Q(zeta)[t]; a variable of least degree, a t or an x,
+  leads the remainder sequence;
 - `subst_linear` clears its matrix by one lcm, a scalar of K, so that the
   substitution walks the free ring;
 - `_cremona` builds a 3-link's backward map as one free-ring substitution
@@ -896,72 +896,66 @@ def _field_maxima(nvars: int, keys) -> list:
 
 
 def to_flat(tower: TowerField, polys):
-    """(flat, back) for polynomials over the tower, or None.  flat lists
-    them in the flat ring Q(zeta)[t_k, t..., x...], and back(p) is the flat
-    polynomial p over the tower.
+    """(flat, hom, back) for polynomials over the tower, homogeneous in x,
+    or None.  flat lists them in the flat ring Q(zeta)[t, x] with one
+    variable moved to the front, hom gives the places of the x's but the
+    last there, and back(p) is the flat polynomial p over the tower.
 
     The flat ring is the free ring with no radical: it takes polynomials
     whose coefficients all lie in K with denominator 1.  `multipoly.gcd`
-    runs its remainder sequence in the first variable, and that pays only in
-    a variable of least degree (W. S. Brown, J. ACM 18, 1971).  So the
-    polynomials are taken only when some t that occurs has lower degree
-    than every x that occurs, and t_k, the first t of least degree, goes
-    first.  A flat key is a t-key and an x-key moved into place, their
-    degree fields added."""
+    runs its remainder sequence in the first variable, which pays in a
+    variable of least degree (W. S. Brown, J. ACM 18, 1971), so the first
+    of least degree among the t's and the x's but the last goes first; the
+    last x is the one that the gcd sets to 1.  A flat key is a t-key and an
+    x-key side by side, their degree fields added, with the leading
+    variable's field rotated to the top."""
     unit, origin = tower.unit, tower.origin
-    tkeys: set = set()
     for p in polys:
         for c in p.terms.values():
-            num = c.nums.get(origin)
-            if c.den is not unit or num is None or len(c.nums) != 1:
+            if c.den is not unit or len(c.nums) != 1 or origin not in c.nums:
                 return None
-            tkeys.update(num.terms)
     nt, nx = tower.nvars, polys[0].nvars
-    tdeg = [(d, i) for i, d in enumerate(_field_maxima(nt, tkeys)) if d]
-    xdeg = [d for d in _field_maxima(nx, {k for p in polys for k in p.terms}) if d]
-    if not tdeg or (xdeg and min(tdeg)[0] >= min(xdeg)):
-        return None
-    k = min(tdeg)[1]
-    order = [k] + [i for i in range(nt) if i != k]
+    nv = nt + nx
     xbits, tbits = _BITS * nx, _BITS * nt
     xmask, tmask = (1 << xbits) - 1, (1 << tbits) - 1
     dshift = xbits + tbits  # the flat degree field
-
-    def moved(fields, src, dst):
-        # the t-field of variable src[i] to the place of variable dst[i]
-        out = 0
-        for i, j in zip(src, dst):
-            out |= (fields >> _BITS * (nt - 1 - i) & _MASK) << _BITS * (nt - 1 - j)
-        return out
-
-    ident = range(nt)
-    to_t = {tk: moved(tk & tmask, order, ident) << xbits for tk in tkeys}
-    to_x: dict = {}
-    from_t: dict = {}
-    flat = []
+    natural = []  # keys in the order (t..., x...)
     for p in polys:
         terms = {}
         for xk, c in p.terms.items():
             xpart = (xk >> xbits) << dshift | xk & xmask
             for tk, q in c.nums[origin].terms.items():
-                terms[xpart + ((tk >> tbits) << dshift | to_t[tk])] = q
-        flat.append(_poly(nt + nx, terms))
+                terms[xpart + ((tk >> tbits) << dshift | (tk & tmask) << xbits)] = q
+        natural.append(terms)
+    degs = _field_maxima(nv, {k for terms in natural for k in terms})
+    lead = min(((d, i) for i, d in enumerate(degs[:-1]) if d), default=(0, 0))[1]
+    # variables 0..lead form a block of fields whose lowest is the lead's
+    low = _BITS * (nv - 1 - lead)
+    block = (1 << _BITS * (lead + 1)) - 1 << low
+    below = (1 << _BITS * lead) - 1  # the block's fields above the lead's
+
+    def rotated(k):
+        b = k >> low
+        return k & ~block | ((b & _MASK) << _BITS * lead | b >> _BITS & below) << low
+
+    def unrotated(k):
+        b = k >> low
+        return k & ~block | ((b & below) << _BITS | b >> _BITS * lead & _MASK) << low
+
+    flat = [_poly(nv, {rotated(k): q for k, q in terms.items()}) for terms in natural]
+    hom = sorted(0 if i == lead else i + (i < lead) for i in range(nt, nv - 1))
 
     def back(f: MPoly) -> MPoly:
         groups: dict = {}
         for key, q in f.terms.items():
+            key = unrotated(key)
             xf, tf = key & xmask, key >> xbits & tmask
-            xk = to_x.get(xf)
-            if xk is None:
-                xk = to_x[xf] = sum(_unpack(nx, xf)) << xbits | xf
-            tk = from_t.get(tf)
-            if tk is None:
-                tk = moved(tf, ident, order)
-                tk = from_t[tf] = sum(_unpack(nt, tk)) << tbits | tk
+            xk = sum(_unpack(nx, xf)) << xbits | xf
+            tk = sum(_unpack(nt, tf)) << tbits | tf
             groups.setdefault(xk, {})[tk] = q
         return _poly(nx, {xk: tower.from_poly(_poly(nt, ts)) for xk, ts in groups.items()})
 
-    return flat, back
+    return flat, hom, back
 
 
 def _lift_positions(src: TowerField, dst: TowerField):

@@ -40,13 +40,17 @@ calls per op have a one-term operand.  Every path returns the unique
 monic gcd, so the choice never changes an output.
 
 `gcd_many_homogeneous` sets the last variable to 1 and takes the gcd of
-what is left.  Its core, `_gcd_homogeneous`, needs homogeneity only in the
-last variables, so it also serves triples of the flat ring Q(zeta)[t, x]
-(`field_tower.to_flat`), whose first variable is the t of least degree: the
-remainder sequence runs in it.  Measured in process, the gcd and divisions
-of the models op's `rho o rho` composite took 3.7-5.3 ms there against
-24-25 ms over the tower, and those of the hexagon's degree-8 composites
-1.4-1.5 against 1.9 ms.
+what is left.  Its core, `_gcd_homogeneous`, needs homogeneity only in some
+of the variables and the last, so it also serves triples of the flat ring
+Q(zeta)[t, x] (`field_tower.to_flat`), whose first variable is one of least
+degree among the t's and the x's but the last: the remainder sequence runs
+in it.  Measured in process (best of five), the gcd and divisions of the
+models op's `rho o rho` composite took 3.2 ms there against 21.6 ms over
+the tower, and those of the hexagon check's degree-8 composites 0.75-1.32
+against 1.58-1.67 ms.  A t first instead of an x of lower degree can run
+away: a degree-4 composite with t2 of degree 8 and x of degree 2 took
+33 ms with x first, 29 ms over the tower and more than 100 s with t2
+first.
 
 A product picks its path by the shape of its operands too.  A one-term
 factor re-keys the other's terms.  A product of more than `_FREE_PAIRS` = 4
@@ -797,17 +801,17 @@ def gcd_many_homogeneous(polys) -> MPoly:
     polys = [p for p in polys if not p.is_zero()]
     if not polys:
         raise ValueError("gcd of no polynomials")
-    return _gcd_homogeneous(polys, polys[0].nvars)
+    return _gcd_homogeneous(polys, range(polys[0].nvars - 1))
 
 
-def _gcd_homogeneous(polys, nhom: int) -> MPoly:
-    """gcd of nonzero polynomials homogeneous in their last nhom variables,
-    computed by stripping monomial content and dehomogenising the last
-    variable.
+def _gcd_homogeneous(polys, hom) -> MPoly:
+    """gcd of nonzero polynomials homogeneous in the variables numbered in
+    hom together with the last one, computed by stripping monomial content
+    and dehomogenising the last variable.
 
     Both steps re-key terms: setting the last variable to 1 drops its field
     and lowers the degree field by it, and rehomogenising to degree d in the
-    last nhom variables puts d minus each term's degree in them back in
+    homogeneous variables puts d minus each term's degree in them back in
     that field.  A stripped input is homogeneous in them, so no two of its
     terms meet on one key, and the gcd is not divisible by the last
     variable, so d is the largest such degree of its dehomogenised form."""
@@ -825,7 +829,8 @@ def _gcd_homogeneous(polys, nhom: int) -> MPoly:
     ]
     g = gcd_many(dehom)
     fields = (1 << low) - 1
-    degs = {e: sum(e >> _BITS * i & _MASK for i in range(nhom - 1)) for e in g.terms}
+    shifts = [_BITS * (nv - 2 - i) for i in hom]
+    degs = {e: sum(e >> s & _MASK for s in shifts) for e in g.terms}
     d = max(degs.values())
     out = _poly(
         nv,

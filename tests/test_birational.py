@@ -780,9 +780,10 @@ def test_flat_gcd_matches_the_tower_gcd(K2, data):
     """Over K = Q(zeta)(t1, t2), triples G . m . s . (A0, A1, A2): G a cubic
     with x^3, y^3 and z^3 and constant coefficients, m a monomial, s a
     t-factor, and the A_i of degree 1 or 2 with coefficients of t-degree at
-    most 1, one of them maybe zero.  Every t has degree at most 2 and every
-    x at least 3, so `_normalize_coords` takes the flat ring, and its map is
-    the one that the gcd over the tower gives."""
+    most 1, one of them maybe zero.  The t-factor's degree may exceed every
+    x's, and then an x leads the flat remainder sequence.
+    `_normalize_coords` takes the flat ring, and its map is the one that the
+    gcd over the tower gives."""
     one = K2.one()
     t1, t2, zeta = K2.t_var(0), K2.t_var(1), K2.zeta()
     constants = [one, K2.scalar(-2), K2.scalar(Fraction(1, 3)), zeta]
@@ -800,28 +801,38 @@ def test_flat_gcd_matches_the_tower_gcd(K2, data):
     if data.draw(st.booleans()):
         cofactors[data.draw(st.integers(0, 2))] = MPoly.zero(3)
     m = data.draw(st.sampled_from([x, z, x * y]))
-    s = data.draw(st.sampled_from([t1 + one, t2 - zeta, t1 * t2]))
+    s = data.draw(st.sampled_from([t1 + one, t2 - zeta, t1 * t2, t1**8 * t2**8 + t2 - one]))
     coords = [(G * m * a).scale(s) for a in cofactors]
     _assert_routes_agree(K2, coords, flat=True)
 
 
 def test_flat_route_rule(K2, L):
-    """The rule sends a triple to the tower when an x has the least degree
-    (t1^3 against x of degree 2), or when a coefficient carries a radical;
-    it takes t2 first when t2 has the least degree, and a triple over L
-    whose coefficients lie in K; every answer is the tower gcd's map."""
+    """The rule sends a triple to the tower when a coefficient has a
+    t-denominator or carries a radical.  Every other triple goes flat with
+    a variable of least degree first: x when every t has a higher degree
+    (t1^4 against x of degree 3), an x when no t occurs, t2 when it has the
+    least degree, and over L a triple whose coefficients lie in K.  Every
+    answer is the tower gcd's map."""
     one = K2.one()
     t1, t2 = K2.t_var(0), K2.t_var(1)
     x, y, z = (MPoly.variable(3, i, one) for i in range(3))
     P = x * x + y * y + z * z
-    t1c = t1 * t1 * t1
-    low_x = [(P * x).scale(t1c), (P * y).scale(t1c + one), P * z]
-    _assert_routes_agree(K2, low_x, flat=False)
+    t_den = [(P * x).scale(t1.inverse()), P * y, P * z]
+    _assert_routes_agree(K2, t_den, flat=False)
+    t14 = t1 * t1 * t1 * t1
+    low_x = [(P * x).scale(t14), (P * y).scale(t14 + one), P * z]
+    _assert_routes_agree(K2, low_x, flat=True)
+    polys, hom, _ = to_flat(K2, low_x)
+    # the flat ring is (x, t1, t2, y, z): x has degree 3 and goes first
+    assert [p.deg_in(0) for p in polys] == [3, 2, 2] and hom == [0, 3]
+    no_t = [(P * x).scale(K2.scalar(2)), P * y, P * z]
+    _assert_routes_agree(K2, no_t, flat=True)
+    assert to_flat(K2, no_t)[1] == [0, 3]
     t2_first = [(P * x).scale(t1 * t1 + t2), (P * y).scale(t1 * t1), P * z]
     _assert_routes_agree(K2, t2_first, flat=True)
-    polys, _ = to_flat(K2, t2_first)
+    polys, hom, _ = to_flat(K2, t2_first)
     # the flat ring is (t2, t1, x, y, z): t2 has degree 1 and goes first
-    assert [p.deg_in(0) for p in polys] == [1, 0, 0]
+    assert [p.deg_in(0) for p in polys] == [1, 0, 0] and hom == [2, 3]
     # over K = Q(zeta)(t1, t2, t3) the flat ring is (t3, t1, t2, x, y, z),
     # whose t-fields are a cycle of K's
     K3 = TowerField.rational(3)
@@ -831,8 +842,8 @@ def test_flat_route_rule(K2, L):
     cycled = [(G3 * f).scale(c) for f, c in zip(_monomial_triple(K3, _OUTER["sigma"]), (
         s1 * s1 * s3 + s2, s2 * s2 - s1 * s3, s1 * s2 * s3 + K3.one()))]
     _assert_routes_agree(K3, cycled, flat=True)
-    polys, _ = to_flat(K3, cycled)
-    assert [p.deg_in(0) for p in polys] == [1, 1, 1]
+    polys, hom, _ = to_flat(K3, cycled)
+    assert [p.deg_in(0) for p in polys] == [1, 1, 1] and hom == [3, 4]
     lone, u = L.one(), L.gen("u")
     xl, yl, zl = (MPoly.variable(3, i, lone) for i in range(3))
     Q = xl * xl + yl * yl + zl * zl

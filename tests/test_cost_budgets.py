@@ -38,15 +38,15 @@ LINK6_COUNTS = {
 }
 
 # hexagon: the merged hexagon at the coordinate and unit points (three
-# links built, the square closed by one span solve) and the bench's check;
-# four of the check's six composites are reduced in the flat ring
+# links built, the square closed by one span solve) and the bench's check,
+# whose six composites are all reduced in the flat ring
 HEXAGON_COUNTS = {
-    "multipoly.gcd_many_homogeneous": 2,
-    "multipoly.gcd": 1427,
-    "multipoly.exact_div": 1384,
-    "field_tower.mul": 4799,
-    "field_tower.inverse": 214,
-    "scalars.qzeta_mul": 2275,
+    "multipoly.gcd_many_homogeneous": 0,
+    "multipoly.gcd": 1419,
+    "multipoly.exact_div": 1327,
+    "field_tower.mul": 4678,
+    "field_tower.inverse": 204,
+    "scalars.qzeta_mul": 2309,
 }
 
 # models: both cubic models with their checks, and the order-3 map (its
@@ -55,11 +55,11 @@ HEXAGON_COUNTS = {
 # gcd over the tower, and rho-hat and the check's composites the flat ring
 MODELS_COUNTS = {
     "multipoly.gcd_many_homogeneous": 1,
-    "multipoly.gcd": 3587,
-    "multipoly.exact_div": 2679,
-    "field_tower.mul": 8509,
-    "field_tower.inverse": 226,
-    "scalars.qzeta_mul": 9511,
+    "multipoly.gcd": 3647,
+    "multipoly.exact_div": 2741,
+    "field_tower.mul": 8528,
+    "field_tower.inverse": 228,
+    "scalars.qzeta_mul": 9515,
 }
 
 

@@ -199,6 +199,20 @@ def test_section(smooth, smooth_plain):
         assert _proportional([f.subst(section) for f in model.contraction], u)
 
 
+def test_section_does_not_depend_on_the_gcd_scalar(monkeypatch, smooth):
+    """The gcd of the minors fixes the section only up to a scalar of K,
+    which depends on the ring the gcd runs in; the section is scaled
+    canonically, so a reducer whose quotients carry another scalar gives
+    the same section."""
+    section = section_of_contraction(smooth)
+    reduce = cubic_models._normalize_coords
+    s = smooth.tower.t_var(0) + smooth.tower.scalar(3)
+    monkeypatch.setattr(
+        cubic_models, "_normalize_coords", lambda c: tuple(p.scale(s) for p in reduce(c))
+    )
+    assert section_of_contraction(smooth) == section
+
+
 def _swapped(triple, i, j):
     out = list(triple)
     out[i], out[j] = out[j], out[i]
