@@ -1195,8 +1195,12 @@ def link_from_3point(surface: SBSurface, point: ClosedPoint) -> Link:
     """The Sarkisov 3-link blowing up p = (v, c v, c^2 v) and blowing down the
     lines through pairs of its components.  Line i misses p_i and is c^i(line
     0), so q is the twisted orbit of the image of line 0, the forward map's
-    value at p_1 + p_2, ordered like p when its cycling element is c.  `_cremona` gives the backward map in closed
-    form; `_certified` checks the round trip."""
+    value at p_1 + p_2, ordered like p when its cycling element is c.  The
+    forward map is sigma o phi, phi from p's normal form, when c is the
+    surface's generator alone (`pure_g`), else the equivariant descent.  c
+    names every radical, so `pure_g` holds only in a tower of height 1: chi1
+    over the models tower, cycled by {u1: 1, m1: 0}, descends.  `_cremona`
+    gives the backward map in closed form; `_certified` checks the round trip."""
     if point.degree != 3:
         raise SblinksError("link_from_3point needs a degree-3 point")
     P = _columns(point.components)

@@ -8,8 +8,10 @@ six named disjoint lines, a contraction to the twisted plane, and an
 order-3 automorphism that descends to a composition of two 3-links.
 
 All identities are verified exactly, reducing modulo the cubic relation
-where a statement only holds on the surface.  No normal form is built only
-to be compared:
+where a statement only holds on the surface, and each once: sigma o psi's
+equivariance is derived from psi's and the involution's twist identity,
+and the lines lie on the cubic by the two product identities (see the
+`verify_*` functions).  No normal form is built only to be compared:
 
 - whether two lines meet is read off the Pluecker pairing of their plane
   pairs, the 4x4 determinant of the four planes; a rank is taken only for
@@ -52,6 +54,7 @@ from .birational import (
     _scale_canonical,
     _subst_cleared,
     _substituted,
+    is_equivariant,
     link_from_3point,
     transport_point,
 )
@@ -195,9 +198,16 @@ def _to4(p3: MPoly) -> MPoly:
 
 def verify_singular_model(model: SingularCubicModel) -> dict:
     """Exact verification of the model's identities; raises IdentityFails on
-    the first failure and returns a per-check report otherwise."""
+    the first failure and returns a per-check report otherwise.
+
+    sigma o psi's equivariance towards S_xi is derived.  With
+    r = nu_{xi^-1} . g(psi), psi's check puts each minor psi_i r_j - psi_j r_i
+    in the ideal of the cubic.  As g fixes sigma and
+    sigma(nu_{xi^-1} v) = xi^-1 nu_xi sigma(v) (checked by `is_equivariant`),
+    the target side nu_xi . g(sigma(psi)) is xi sigma(r), and each minor of
+    (sigma(psi), sigma(r)) is a multiple of one of (psi, r):
+    sigma0(psi) sigma1(r) - sigma1(psi) sigma0(r) = psi2 r2 (psi1 r0 - psi0 r1)."""
     L = model.tower
-    g = model.ext.generator
     one, zero = L.one(), L.zero()
     lam, factors = model.lam, model.factors
     # F0 F1 F2 = lam x^3 + y^3 + lam^-1 z^3 - 3xyz
@@ -226,25 +236,17 @@ def verify_singular_model(model: SingularCubicModel) -> dict:
     _check_equivariant_mod(
         model.psi,
         _nu_matrix(L, model.xi.inverse()),
-        g,
+        model.ext.generator,
         model.equation,
         "psi is not equivariant towards S_{xi^-1}",
     )
     report["psi_equivariant_to_op"] = True
 
-    # the composite sigma o psi is equivariant towards S_xi
-    sig_psi = (
-        model.psi[1] * model.psi[2],
-        model.psi[0] * model.psi[2],
-        model.psi[0] * model.psi[1],
-    )
-    _check_equivariant_mod(
-        sig_psi,
-        _nu_matrix(L, model.xi),
-        g,
-        model.equation,
-        "sigma o psi is not equivariant towards S_xi",
-    )
+    # sigma o psi towards S_xi follows from psi's check and this identity
+    sigma = RationalMap.standard_involution(L)
+    op = SBSurface(model.ext, model.xi.inverse())
+    if not is_equivariant(sigma, op, SBSurface(model.ext, model.xi)):
+        raise IdentityFails("sigma does not carry the twist of S_{xi^-1} to S_xi")
     report["sigma_psi_equivariant"] = True
     report["fibration_specialization"] = model.is_fibration_specialization()
     return report
@@ -382,19 +384,6 @@ def build_smooth_model(
     )
 
 
-def _line_on_cubic(tower, pair, cubic) -> bool:
-    """Whether the line {f1 = f2 = 0} lies on the cubic surface."""
-    basis = nullspace(_coefficient_rows(tower, pair), tower)
-    if len(basis) != 2:
-        return False
-    a, b = basis
-    one = tower.one()
-    s = MPoly.variable(2, 0, one)
-    r = MPoly.variable(2, 1, one)
-    param = [s.scale(x) + r.scale(y) for x, y in zip(a, b)]
-    return cubic.subst(param).is_zero()
-
-
 # index pairs (i, j), i < j, of the Pluecker coordinates p_ij
 _PLUECKER = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
@@ -433,23 +422,26 @@ def _lines_meet(tower, pair1, pair2, p, q):
 
 
 def verify_smooth_model(model: SmoothCubicModel) -> dict:
-    """All identities of the smooth model: the fundamental cubic identity,
-    the six disjoint lines, the incidence table, Galois orbit structure and
-    the equivariance of the contraction."""
+    """All identities of the smooth model: the two product identities
+    xi A0A1A2 - B0B1B2 = xi C0C1C2 - D0D1D2 = cubic, the six disjoint lines,
+    the incidence table, Galois orbit structure and the equivariance of the
+    contraction.  That the lines lie on the cubic is derived: each is cut out
+    by two independent planes, an A and a B or a C and a D, where one of the
+    two identities makes the cubic vanish."""
     Lh = model.tower
-    report = {}
     one = Lh.one()
 
-    # xi A0A1A2 - B0B1B2 = xi w^3 - lam x^3 - mu y^3 - z^3 - nu xyz, exactly
-    aaa = model.A[0] * model.A[1] * model.A[2]
-    bbb = model.B[0] * model.B[1] * model.B[2]
-    lhs = aaa.scale(model.xi) - bbb
-    if lhs != model.cubic:
-        raise IdentityFails(
-            "fundamental identity xi A0A1A2 - B0B1B2 fails",
-            residue=lhs - model.cubic,
-        )
-    report["fundamental_identity"] = True
+    # xi A0A1A2 - B0B1B2 = xi C0C1C2 - D0D1D2 = xi w^3 - lam x^3 - mu y^3
+    # - z^3 - nu xyz, exactly
+    aaa, ccc = (p[0] * p[1] * p[2] for p in (model.A, model.C))
+    identities = {"A0A1A2 - B0B1B2": (aaa, model.B), "C0C1C2 - D0D1D2": (ccc, model.D)}
+    for name, (ppp, q) in identities.items():
+        lhs = ppp.scale(model.xi) - q[0] * q[1] * q[2]
+        if lhs != model.cubic:
+            raise IdentityFails(
+                f"product identity xi {name} fails", residue=lhs - model.cubic
+            )
+    report = {"fundamental_identity": True}
 
     # A0A1A2 = w^3 - y^3 / (27 lam)
     expect = MPoly.monomial(4, (3, 0, 0, 0), one) - MPoly.monomial(
@@ -459,13 +451,15 @@ def verify_smooth_model(model: SmoothCubicModel) -> dict:
         raise IdentityFails("A0A1A2 expansion fails", residue=aaa - expect)
     report["aaa_identity"] = True
 
-    for i, pair in enumerate(model.lines):
-        if not _line_on_cubic(Lh, pair, model.cubic):
-            raise IdentityFails(f"line E_{i} does not lie on the cubic")
-    report["lines_on_cubic"] = True
-
     # each line's Pluecker coordinates, once
     pl = [_pluecker(Lh, e) for e in model.lines]
+    for i, (f, h) in enumerate(model.lines):
+        if not (f in model.A and h in model.B or f in model.C and h in model.D):
+            raise IdentityFails(f"E_{i} breaks the plane-family rule (A, B or C, D)")
+        if all(x.is_zero() for x in pl[i]):
+            raise IdentityFails(f"the planes of E_{i} do not cut out a line")
+    report["lines_on_cubic"] = True
+
     for i in range(6):
         for j in range(i + 1, 6):
             e, f = model.lines[i], model.lines[j]

@@ -57,15 +57,15 @@ factor re-keys the other's terms.  A product of more than `_FREE_PAIRS` = 4
 pairs of terms goes to the coefficient type's `free_mul`, as `subst` goes
 to `free_subst`: over a tower, with no t-denominator in any coefficient,
 it is one integer convolution in the free ring of `field_tower`.  The
-rest, and those `free_mul` declines, multiply pair by pair.  Timed on the
-products of one op of each bench workload whose operands both have
-several terms, the free ring was 4.5 times faster on the square of a
-6-link's Jacobian (784 pairs), 1.5 to 2.7 times faster above 64 pairs and
-1.7 to 2.6 times slower at 4 pairs or fewer; between, the coefficients
-decide (1.8 times faster over the 3-link tower, up to 2.6 times slower
-over the hexagon's).
-A bound of 4 to 32 pairs kept all but 1 ms of the 6-link and models gain,
-and only 4 or 6 kept the 3-link's.  Both paths give the canonical form.
+rest, and those `free_mul` declines, multiply pair by pair.  Both paths
+give the canonical form.  Timed on such products, the free ring was 1.5 to
+2.7 times faster above 64 pairs and up to 2.6 times slower at 4 or fewer;
+between, the coefficients decide.  Few tower products still have two
+multi-term operands, as the large ones now run in `subst`, `compose` and
+the flat ring.  Counted in one seed-1 bench op: 11 in a 3-link op (6 to 9
+pairs, all in the free ring), 3 in the hexagon's (4 pairs each, pair by
+pair), none in the 6-link's, and 32 in the models op, where the free ring
+declines 20 of the 27 above the bound for a t-denominator.
 """
 
 from __future__ import annotations
@@ -404,8 +404,7 @@ class MPoly:
         when it does not apply.  Tower elements do: without t-denominators
         the walk runs on integer pairs with the radicals free, folded once at
         the end (see `field_tower`).  A product alone goes there above 4
-        pairs of terms (`__mul__`): 4.5 times faster at 784 pairs, up to 2.6
-        times slower at 4 or fewer.  A whole walk there folds only once."""
+        pairs of terms (`__mul__`); a whole walk there folds only once."""
         if not self.terms:
             return MPoly.zero(values[0].nvars if values else self.nvars)
         free = getattr(self.some_coeff(), "free_subst", None)

@@ -49,17 +49,18 @@ HEXAGON_COUNTS = {
     "scalars.qzeta_mul": 2309,
 }
 
-# models: both cubic models with their checks, and the order-3 map (its
+# models: both cubic models with their checks (sigma o psi's equivariance
+# and the lines on the cubic derived, not re-checked), and the order-3 map (its
 # second link aligned by one span solve, its backward map built in the free
 # ring); only the section, whose coefficients carry radicals, takes the
 # gcd over the tower, and rho-hat and the check's composites the flat ring
 MODELS_COUNTS = {
     "multipoly.gcd_many_homogeneous": 1,
-    "multipoly.gcd": 3647,
-    "multipoly.exact_div": 2741,
-    "field_tower.mul": 8528,
-    "field_tower.inverse": 228,
-    "scalars.qzeta_mul": 9515,
+    "multipoly.gcd": 2804,
+    "multipoly.exact_div": 2385,
+    "field_tower.mul": 8050,
+    "field_tower.inverse": 221,
+    "scalars.qzeta_mul": 8828,
 }
 
 

@@ -36,9 +36,9 @@ from sblinks.cubic_models import (
     verify_smooth_model,
 )
 from sblinks.field_tower import TowerField
-from sblinks.linalg import _proportional, rank
+from sblinks.linalg import _proportional, nullspace, rank
 from sblinks.multipoly import MPoly
-from sblinks.severi_brauer import radicand_class_string
+from sblinks.severi_brauer import _nu_matrix, radicand_class_string
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +112,108 @@ def test_smooth_negative_control(smooth):
     residue = e.value.residue
     assert not residue.is_zero()
     assert reduce_mod_cubic(residue, smooth.cubic) == residue
+
+
+# ---------------------------------------------------------------------------
+# facts derived from checked identities, not checked again
+
+
+def test_singular_check_reduces_only_psi_minors(monkeypatch, singular):
+    """sigma o psi's equivariance is derived from psi's and the involution's
+    twist identity: only psi's three minors are reduced modulo the cubic."""
+    reduced = []
+    reduce = cubic_models.reduce_mod_cubic
+
+    def counted(p, cubic):
+        reduced.append(p)
+        return reduce(p, cubic)
+
+    monkeypatch.setattr(cubic_models, "reduce_mod_cubic", counted)
+    assert verify_singular_model(singular)["sigma_psi_equivariant"]
+    assert len(reduced) == 3
+
+
+def test_sigma_psi_is_equivariant_modulo_the_cubic(singular):
+    """The derived fact, checked directly: sigma o psi is nu_xi . g(sigma o psi)
+    projectively modulo the cubic."""
+    p = singular.psi
+    sig_psi = (p[1] * p[2], p[0] * p[2], p[0] * p[1])
+    cubic_models._check_equivariant_mod(
+        sig_psi,
+        _nu_matrix(singular.tower, singular.xi),
+        singular.ext.generator,
+        singular.equation,
+        "sigma o psi is not equivariant towards S_xi",
+    )
+
+
+def test_singular_refuses_a_failed_twist_identity(monkeypatch, singular):
+    monkeypatch.setattr(cubic_models, "is_equivariant", lambda *args: False)
+    with pytest.raises(IdentityFails, match="sigma does not carry"):
+        verify_singular_model(singular)
+
+
+def test_smooth_check_substitutes_nothing_into_the_cubic(monkeypatch, smooth):
+    """That the lines lie on the cubic is derived from the two product
+    identities: nothing is substituted into the cubic."""
+    substituted = []
+    subst = MPoly.subst
+
+    def counted(self, values):
+        if self == smooth.cubic:
+            substituted.append(values)
+        return subst(self, values)
+
+    monkeypatch.setattr(MPoly, "subst", counted)
+    assert verify_smooth_model(smooth) == SMOOTH_REPORT
+    assert substituted == []
+
+
+def test_smooth_refuses_a_perturbed_d_plane(smooth):
+    D = smooth.D
+    w = MPoly.variable(4, 0, smooth.tower.one())
+    bad = dataclasses.replace(smooth, D=(D[0], D[1] + w, D[2]))
+    with pytest.raises(IdentityFails, match="xi C0C1C2 - D0D1D2") as e:
+        verify_smooth_model(bad)
+    assert not e.value.residue.is_zero()
+
+
+def test_smooth_refuses_a_line_off_the_plane_families(smooth):
+    lines = ((smooth.A[0], smooth.C[0]),) + smooth.lines[1:]
+    bad = dataclasses.replace(smooth, lines=lines)
+    with pytest.raises(IdentityFails, match="E_0 breaks the plane-family rule"):
+        verify_smooth_model(bad)
+
+
+def test_smooth_refuses_planes_that_cut_out_no_line(monkeypatch, smooth):
+    zero = smooth.tower.zero()
+    monkeypatch.setattr(cubic_models, "_pluecker", lambda tower, pair: (zero,) * 6)
+    with pytest.raises(IdentityFails, match="E_0 do not cut out a line"):
+        verify_smooth_model(smooth)
+
+
+def _line_on_cubic(tower, pair, cubic) -> bool:
+    """The reference: the cubic vanishes on the line {f1 = f2 = 0},
+    parametrised by a basis of the planes' common kernel."""
+    basis = nullspace(_coefficient_rows(tower, pair), tower)
+    if len(basis) != 2:
+        return False
+    s, r = (MPoly.variable(2, i, tower.one()) for i in range(2))
+    return cubic.subst([s.scale(x) + r.scale(y) for x, y in zip(*basis)]).is_zero()
+
+
+@pytest.mark.parametrize("params", ["bench", "t1,t2,1", "t1,t2,t1+2", "3t2,t1,5"])
+def test_lines_lie_on_the_cubic(K2m, smooth, params):
+    """The derived fact, checked directly on four models."""
+    t1, t2, one = K2m.t_var(0), K2m.t_var(1), K2m.one()
+    model = {
+        "bench": lambda: smooth,
+        "t1,t2,1": lambda: build_smooth_model(t1, t2, one),
+        "t1,t2,t1+2": lambda: build_smooth_model(t1, t2, t1 + K2m.scalar(2)),
+        "3t2,t1,5": lambda: build_smooth_model(K2m.scalar(3) * t2, t1, K2m.scalar(5)),
+    }[params]()
+    assert verify_smooth_model(model)["lines_on_cubic"]
+    assert all(_line_on_cubic(model.tower, e, model.cubic) for e in model.lines)
 
 
 def test_singular_rejects_cube_lambda(K2m):
