@@ -45,15 +45,15 @@ LNM 1769):
 
 A link takes its inverse base point q as the twisted orbit of the forward
 map's value at one point of one contracted curve, off the base locus
-(`_image_at`).  No substitution checks that the curve is contracted: the
-round trip proves q.  A 3-link's backward map P . D . sigma(adj(Q) x) has
-exactly the columns of Q as base points, a 6-link's eta^-1 . b0 is double
-at q, and for both backward o forward = id is certified by one rule
-(`_certified`).  That round trip and every other check of a composite
-(`_composes_to`) compare triples by 2x2 cross products, which needs no
-normal form.  `equals` compares stored triples, which are canonical, and
-`is_equivariant` compares two coprime triples, so one constant decides it
-(`_constant_multiple`).
+(`_image_at`); a 3-link's q inherits p's orbit data (`_inherited`).  No
+substitution checks that the curve is contracted: the round trip proves q.
+A 3-link's backward map P . D . sigma(adj(Q) x) has exactly the columns of
+Q as base points, a 6-link's eta^-1 . b0 is double at q, and for both
+backward o forward = id is certified by one rule (`_certified`).  That
+round trip and every other check of a composite (`_composes_to`) compare
+triples by 2x2 cross products, which needs no normal form.  `equals`
+compares stored triples, which are canonical, and `is_equivariant` compares
+two coprime triples, so one constant decides it (`_constant_multiple`).
 
 `compose` and `_composes_to` decide a composite's shape before the fold
 (`_composite`).  `field_tower.substitute_triple` walks each coordinate in
@@ -75,7 +75,7 @@ degenerate for its projection, and takes a squarefree part only when the
 radical formulas find fewer distinct roots than the degree.
 
 `TwistedMap` and `Link` are plain records; `Link` says where each link fact
-is checked, once, and why links derived from certified ones inherit them.
+is established, once, and what derived links and points inherit.
 
 Maps, and the closed points they move, live over one tower: `compose`,
 `equals` and `transport_point` raise `SblinksError` when their arguments do
@@ -84,7 +84,7 @@ not share it, and nothing lifts a map from one tower to another.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 from operator import sub
@@ -94,6 +94,7 @@ from .errors import (
     EquivariantBasisNotFound,
     IdenticallyZero,
     NonFiniteBaseLocus,
+    NotAnOrbit,
     NotEquivariant,
     BaseLocusNotSplit,
     SblinksError,
@@ -499,13 +500,13 @@ class TwistedMap:
 class Link:
     """A Sarkisov link, a birational map with its inverse: a plain record.
 
-    `link_from_3point` and `link_from_6point` certify each fact once: the
+    `link_from_3point` and `link_from_6point` establish each fact once: the
     forward map's equivariance, one splitting field for both base points,
     the forward degree and backward o forward = id, which give the backward
     map's equivariance and forward o backward = id.  `_certified` checks the
-    last two for both link types, on the raw composite.
-    Derived links inherit them: `inverse` checks nothing, and
-    `_followed_by_linear` checks only that its matrix is defined over K."""
+    last two for both link types, on the raw composite.  Derived links and
+    points inherit them: `inverse` checks nothing, `_followed_by_linear` only
+    that its matrix is over K, `_inherited` only that components differ."""
 
     forward: TwistedMap
     backward: TwistedMap
@@ -542,8 +543,8 @@ def _followed_by_linear(link: Link, m, target: SBSurface) -> Link:
     m . f, backward b o adj(m) (m^-1 up to scale, so no inverse is taken),
     and the inverse base point moved by m.  Raises NotEquivariant when m is
     not defined over K; then m carries q's twisted orbit onto the moved one,
-    which keeps q's degree, splitting field, cycle element and component
-    order.  The rest the new link inherits from the certified one."""
+    which inherits q's orbit data in q's order (`_inherited`).  The rest the
+    new link inherits from the certified one."""
     tower = link.forward.map.tower
     if not matrix_is_equivariant(m, link.forward.target, target, tower):
         raise NotEquivariant("the linear map is not defined over K")
@@ -553,9 +554,8 @@ def _followed_by_linear(link: Link, m, target: SBSurface) -> Link:
         link.forward.source,
         target,
     )
-    q = link.inverse_base_point
-    comps = tuple(normalize_point(mat_vec(m, v)) for v in q.components)
-    moved = ClosedPoint(target, q.tower, comps, q.degree, q.descriptor, q.cycle_element)
+    comps = (normalize_point(mat_vec(m, v)) for v in link.inverse_base_point.components)
+    moved = _inherited(link.inverse_base_point, target, comps)
     backward = TwistedMap(
         _after_linear(link.backward.map, adjugate3(m)), target, link.backward.target
     )
@@ -1192,33 +1192,35 @@ def _cremona_free(tower: TowerField, PD, adj_q):
 
 
 def link_from_3point(surface: SBSurface, point: ClosedPoint) -> Link:
-    """The Sarkisov 3-link blowing up p = (v, c v, c^2 v) and blowing down the
-    lines through pairs of its components.  Line i misses p_i and is c^i(line
-    0), so q is the twisted orbit of the image of line 0, the forward map's
-    value at p_1 + p_2, ordered like p when its cycling element is c.  The
-    forward map is sigma o phi, phi from p's normal form, when c is the
-    surface's generator alone (`pure_g`), else the equivariant descent.  c
-    names every radical, so `pure_g` holds only in a tower of height 1: chi1
-    over the models tower, cycled by {u1: 1, m1: 0}, descends.  `_cremona`
-    gives the backward map in closed form; `_certified` checks the round trip."""
+    """The Sarkisov 3-link blowing up p = (p0, c p0, c^2 p0) and blowing down
+    the lines through pairs of its components.  Its forward map is
+    sigma o phi, phi from p's normal form, when c is the surface's generator
+    g alone (`pure_g`: c names every radical, so only in a tower of height
+    1, where g is the only generator), else the checked descent.  There
+    `normalize_3point` checks A_raw = phi0 . A_g . g(M) = [[0, 0, lam],
+    [mu, 0, 0], [0, nu, 0]], and its D = diag(1, mu^-1, (g(mu) nu)^-1) gives
+    D . A_raw . g(D)^-1 = nu_{xi'} entry by entry: phi(nu_xi g v) =
+    nu_{xi'} g(phi v).  sigma is over Q, sigma(nu_{xi'} u) =
+    xi' nu_{xi'^-1} sigma(u), and xi' is in K (checked here), so sigma o phi
+    is equivariant onto S_{xi'^-1}.  Line i misses p_i and is c^i(line 0),
+    so q = (q0, c q0, c^2 q0), q0 the forward value at p1 + p2 on line 0,
+    inherits p's orbit data (`_inherited`).  `_cremona` gives the backward
+    map, and `_certified`'s round trip proves that line 0 goes to q0."""
     if point.degree != 3:
         raise SblinksError("link_from_3point needs a degree-3 point")
     P = _columns(point.components)
     if det3(P).is_zero():
         raise Collinear("the three components are collinear")
-    tower = point.tower
-    g_name = surface.ext.radical_name
-    pure_g = point.cycle_element == {g_name: 1}
+    tower, c = point.tower, point.cycle_element
 
-    if pure_g:
+    if c == {surface.ext.radical_name: 1}:  # pure_g
         phi, xi_p, _ = normalize_3point(surface, point)
         if not xi_p.in_base():
-            raise EquivariantBasisNotFound(
-                "normalized twist parameter leaves the base field"
-            )
+            raise EquivariantBasisNotFound("normalized twist parameter leaves the base field")
         fwd_map = RationalMap(tower, _sigma_forms(phi))
         xi_target = xi_p.to_base().lift_to(surface.tower).inverse()
         target = SBSurface(surface.ext, xi_target, -surface.side)
+        forward = TwistedMap(fwd_map, surface, target)
     else:
         basis, _ = curves_through(tower, point.components, 2)
         if len(basis) != 3:
@@ -1226,21 +1228,13 @@ def link_from_3point(surface: SBSurface, point: ClosedPoint) -> Link:
                 f"conic system through the point has dimension {len(basis)}, not 3"
             )
         target = opposite(surface)
-        triple = equivariant_triple(surface, target, basis, tower)
-        fwd_map = RationalMap(tower, triple)
+        fwd_map = RationalMap(tower, equivariant_triple(surface, target, basis, tower))
+        forward = _checked_forward(fwd_map, surface, target)
 
-    forward = _checked_forward(fwd_map, surface, target)
-
-    c = point.components
-    on_line = tuple(a + b for a, b in zip(c[1], c[2]))
-    image = _image_at(fwd_map.coords, (on_line,), tower)
-    q = closed_point_from_seed(target, image, tower)
-    if q.degree != 3 or q.cycle_element != point.cycle_element:
-        raise SblinksError("line images are not a degree-3 orbit cycled like p")
-    if q.descriptor != point.descriptor:
-        raise SblinksError(
-            "inverse base point has a different splitting field than the base point"
-        )
+    _, p1, p2 = point.components
+    q0 = _image_at(fwd_map.coords, (tuple(a + b for a, b in zip(p1, p2)),), tower)
+    q1 = target.twisted_apply(c, q0, tower)
+    q = _inherited(point, target, (q0, q1, target.twisted_apply(c, q1, tower)))
 
     Q = _columns(q.components)
     if det3(Q).is_zero():
@@ -1252,8 +1246,8 @@ def link_from_3point(surface: SBSurface, point: ClosedPoint) -> Link:
 
 
 def _checked_forward(fwd_map: RationalMap, surface: SBSurface, target: SBSurface):
-    """The forward twisted map of a link; its one equivariance check runs
-    here, before the rest of the link is built."""
+    """The forward twisted map of a descent 3-link or a 6-link; its one
+    equivariance check runs here, before the rest of the link is built."""
     if not is_equivariant(fwd_map, surface, target):
         raise EquivariantBasisNotFound("forward map failed the equivariance check")
     return TwistedMap(fwd_map, surface, target)
@@ -1327,8 +1321,19 @@ def link_from_6point(surface: SBSurface, point: ClosedPoint) -> Link:
 
 
 def transport_point(m: RationalMap, point: ClosedPoint, target: SBSurface) -> ClosedPoint:
-    """Image of a closed point under a map (components evaluated one by one)."""
+    """Image of a closed point under a bare map, its orbit data rebuilt."""
     if m.tower != point.tower:
         raise SblinksError("transport needs a map and a point over the same tower")
     comps = [m.evaluate(v) for v in point.components]
     return make_closed_point(target, comps, point.tower)
+
+
+def _inherited(point: ClosedPoint, target: SBSurface, comps) -> ClosedPoint:
+    """point's orbit data on target's normalised comps, where g comps[i] =
+    comps[j] whenever g p_i = p_j, as for an equivariant map's values.  Then
+    distinct comps give Stab(comps[0]) = Stab(p0), so the splitting field
+    and `_closed_point`'s cycling element agree; else NotAnOrbit."""
+    comps = tuple(comps)
+    if len(set(comps)) != len(comps):
+        raise NotAnOrbit("carried components are not pairwise distinct")
+    return replace(point, surface=target, components=comps)

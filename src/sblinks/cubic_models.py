@@ -48,6 +48,7 @@ from .birational import (
     _express_in_span,
     _followed_by_linear,
     _image_at,
+    _inherited,
     _linear_forms,
     _mat_times,
     _normalize_coords,
@@ -56,7 +57,6 @@ from .birational import (
     _substituted,
     is_equivariant,
     link_from_3point,
-    transport_point,
 )
 from .errors import (
     DegenerateTower,
@@ -608,14 +608,15 @@ def order3_selfmap(model: SmoothCubicModel):
 def _two_links(model: SmoothCubicModel, surface):
     """The two 3-links of the factorization, before the second is aligned:
     chi1 at the images of E0, E1, E2, which are the coordinate points, and
-    chi2 at the images of E3, E4, E5, transported by chi1.  Each image is
-    the contraction's value at one point of the line, not a substitution of
-    the whole line."""
+    chi2 at the images of E3, E4, E5, carried by chi1 with their orbit data
+    (`_inherited`).  Each image is the contraction's value at one point of
+    the line, not a substitution of the whole line."""
     chi1 = link_from_3point(surface, coordinate_3point(surface))
     q_comps = [_image_of_contracted_line(model, model.lines[i]) for i in range(3, 6)]
     q0 = make_closed_point(surface, q_comps, model.tower)
-    q1 = transport_point(chi1.forward.map, q0, chi1.forward.target)
-    return chi1, link_from_3point(chi1.forward.target, q1)
+    f1 = chi1.forward
+    q1 = _inherited(q0, f1.target, map(f1.map.evaluate, q0.components))
+    return chi1, link_from_3point(f1.target, q1)
 
 
 def _squares_to(rho: RationalMap, f: RationalMap, h: RationalMap) -> bool:

@@ -6,7 +6,7 @@ Galois group acts through the twisted action v -> A_sigma . sigma(v), where
 A_sigma is the cocycle matrix nu_xi raised to the exponent with which sigma
 moves the distinguished cube root.
 
-A closed point is built from one table, g -> g . v0 over
+A fresh closed point is built from one table, g -> g . v0 over
 tower.group_elements(), for its first component v0.  The twisted action is
 a projective group action, since nu_xi has entries in K and nu_xi^3 = xi I,
 and the Galois group is abelian, since every radicand of a tower lies in K.
@@ -15,6 +15,7 @@ components come from adding exponents (v0, c v0, 2c v0, then f v0,
 (f + c) v0, (f + 2c) v0 for a degree-6 point), and Stab(v0) is the
 pointwise stabiliser of the whole orbit: if g v0 = v0 then
 g (h v0) = h (g v0) = h v0.  Its fixed field is the splitting field.
+Derived points inherit their orbit data (`birational._inherited`).
 """
 
 from __future__ import annotations
@@ -504,8 +505,8 @@ def normalize_3point(surface: SBSurface, point: ClosedPoint):
     points, with the conjugated twist in the standard shape nu_{xi'};
     returns (phi, xi', tower).  Checked here: the cyclic shape (lam, mu, nu)
     of M^-1 . A_tau . tau(M), M the components' matrix, and that
-    xi' = lam tau^2(mu) tau(nu) is fixed by tau.  The callers certify phi
-    (`_checked_forward`, and `_auto_directed`'s equivariance and image)."""
+    xi' = lam tau^2(mu) tau(nu) is fixed by tau.  `link_from_3point` derives
+    phi's equivariance from this shape; `_auto_directed` checks its matrix."""
     if point.degree != 3:
         raise BadDegree("normal form requires a degree-3 point")
     tower = point.tower
@@ -575,15 +576,7 @@ def _auto_directed(surface, p, q) -> TwistedAutomorphism:
     act = GaloisAction(tower, tau)
     A = _nu_matrix(tower, xi_p)
     # align q's orbit to the same cycling element
-    q1 = q.components[0]
-    q_tilde = normalize_point(mat_vec(phi, q1))
-    w = normalize_point(
-        mat_vec(phi, surface.twisted_apply(tau, q1, tower))
-    )
-    expect = normalize_point(mat_vec(A, tuple(act.apply(x) for x in q_tilde)))
-    if w != expect:  # pragma: no cover - both are the conjugated twisted action
-        raise SblinksError("chart conjugation is inconsistent")
-    cycle = [q_tilde]
+    cycle = [normalize_point(mat_vec(phi, q.components[0]))]
     for _ in range(2):
         prev = cycle[-1]
         cycle.append(normalize_point(mat_vec(A, tuple(act.apply(x) for x in prev))))

@@ -21,13 +21,13 @@ from .birational import (
     _columns,
     _express_in_span,
     _followed_by_linear,
+    _inherited,
     _linear_forms,
     _raw_composite,
     _scale_canonical,
     compose,
     equals,
     link_from_3point,
-    transport_point,
 )
 from .errors import (
     DegeneratePair,
@@ -228,13 +228,13 @@ def hexagon(surface: SBSurface, p: ClosedPoint, p_prime: ClosedPoint):
     """The six alternating 3-links through the blow-up of p and p'.
 
     In general position the walk follows the curve-orbit bookkeeping of the
-    elementary relation: each step blows up the transported image of the
-    orbit untouched so far and blows down the next one.  When a component of
-    one point is collinear with two components of the other, two opposite
-    vertices merge: the third link undoes the second up to a linear map M,
-    read off the third forward map's coefficients over the second backward
-    map's by one span solve, and the first link followed by M closes the
-    square (`_close_merged_square`).
+    elementary relation: each step blows up the image of the orbit untouched
+    so far, carried with its orbit data (`_inherited`), and blows down the
+    next one.  When a component of one point is collinear with two
+    components of the other, two opposite vertices merge: the third link
+    undoes the second up to a linear map M, read off the third forward map's
+    coefficients over the second backward map's by one span solve, and the
+    first link followed by M closes the square (`_close_merged_square`).
     Otherwise M = F6 o ... o F1 is read off p', the sixth link's inverse
     base point and one grid value, and one raw identity of the two half
     chains proves the six links closed (`_close_in_the_middle`).  Neither
@@ -265,8 +265,9 @@ def hexagon(surface: SBSurface, p: ClosedPoint, p_prime: ClosedPoint):
         if carry.component_set() == link.base_point.component_set():
             merged = True
             break
+        fwd = link.forward
         try:
-            nxt = transport_point(link.forward.map, carry, link.forward.target)
+            nxt = _inherited(carry, fwd.target, map(fwd.map.evaluate, carry.components))
         except SblinksError:
             raise DegeneratePair(
                 "transported orbit hits the base locus in an unexpected way"

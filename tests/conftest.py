@@ -133,6 +133,31 @@ def assert_link_facts():
 
 
 @pytest.fixture(scope="session")
+def assert_orbit_data_rebuilt():
+    """Assert the orbit data that a 3-link derives against the references
+    that prove them: its forward map is equivariant, its inverse base point
+    is the orbit table's point on its first component, and each point it
+    carries, given as (point, carried), is `transport_point`'s rebuild.
+    Cycle elements are compared too, since `ClosedPoint.__eq__` skips them."""
+    from sblinks.birational import is_equivariant, transport_point
+    from sblinks.severi_brauer import closed_point_from_seed
+
+    def same(point, ref):
+        assert point == ref
+        assert point.cycle_element == ref.cycle_element
+
+    def check(link, carried=()):
+        fwd = link.forward
+        assert is_equivariant(fwd.map, fwd.source, fwd.target)
+        q = link.inverse_base_point
+        same(q, closed_point_from_seed(fwd.target, q.components[0], q.tower))
+        for point, moved in carried:
+            same(moved, transport_point(fwd.map, point, fwd.target))
+
+    return check
+
+
+@pytest.fixture(scope="session")
 def assert_coprime():
     """Assert that the coordinates of each map share no common factor: the
     constructor trusts them to, and does not check.  A certificate by one

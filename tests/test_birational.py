@@ -13,6 +13,7 @@ from sblinks.errors import (
     Collinear,
     IdenticallyZero,
     NonFiniteBaseLocus,
+    NotAnOrbit,
     NotEquivariant,
     SblinksError,
     SpecialPosition,
@@ -38,6 +39,7 @@ from sblinks.birational import (
     _free_terms,
     _image_at,
     _independent_subset,
+    _inherited,
     _inverse_by_values,
     _linear_forms,
     _mat_times,
@@ -60,10 +62,20 @@ from sblinks.birational import (
     transport_point,
 )
 from sblinks.field_tower import CubicExtension, GaloisAction, TowerField, to_flat
-from sblinks.linalg import _proportional, adjugate3, det3, inverse3, mat_identity, rank
+from sblinks.linalg import (
+    _proportional,
+    adjugate3,
+    det3,
+    inverse3,
+    mat_galois,
+    mat_identity,
+    mat_mul,
+    rank,
+)
 from sblinks.multipoly import MPoly, exact_div, gcd_many_homogeneous
 from sblinks.severi_brauer import (
     ClosedPoint,
+    _nu_matrix,
     auto_between_3points,
     closed_point_from_seed,
     make_surface,
@@ -1307,6 +1319,97 @@ def test_3link_round_trip_refuses_a_point_off_the_contracted_line(monkeypatch):
             link_from_3point(work.S, point)
 
 
+def _bench_3points(seed, n=4):
+    """The surface of the link3 bench workload and its first n points at a
+    seed, as a run draws them."""
+    from perfbench.workloads import Link3
+
+    work = Link3()
+    points, _ = work.setup(seed, n)
+    return work.S, points
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_3link_orbit_data_match_the_references(seed, assert_orbit_data_rebuilt):
+    """On the link3 bench points of a seed, each normal-form forward map is
+    equivariant and each inverse base point, derived as (q0, c q0, c^2 q0)
+    with p's orbit data, is the orbit table's point on q0."""
+    surface, points = _bench_3points(seed)
+    for point in points:
+        assert point.cycle_element == {"u": 1}  # the normal-form path
+        assert_orbit_data_rebuilt(link_from_3point(surface, point))
+
+
+def test_models_links_orbit_data_match_the_references(
+    monkeypatch, assert_orbit_data_rebuilt
+):
+    """chi1 and chi2 of the order-3 map descend over the models tower; their
+    inverse base points and the images of E3, E4, E5 that chi1 carries keep
+    the orbit data that the orbit table and `transport_point` rebuild."""
+    import sblinks.cubic_models as cubic_models
+
+    carried = []
+    real = cubic_models._inherited
+
+    def recorded(point, target, comps):
+        out = real(point, target, comps)
+        carried.append((point, out))
+        return out
+
+    monkeypatch.setattr(cubic_models, "_inherited", recorded)
+    chi1, chi2 = _models_two_links(_models_model())
+    assert len(carried) == 1 and carried[0][1] == chi2.base_point
+    assert_orbit_data_rebuilt(chi1, carried)
+    assert_orbit_data_rebuilt(chi2)
+
+
+def test_inherited_refuses_colliding_components(coord_point, link_at_coords):
+    """Distinct images are what make the stabilisers equal: a carried point
+    whose images coincide is refused."""
+    target = link_at_coords.forward.target
+    v0, v1, _ = coord_point.components
+    with pytest.raises(NotAnOrbit, match="not pairwise distinct"):
+        _inherited(coord_point, target, (v0, v1, v0))
+
+
+@pytest.mark.parametrize("mutant", ["shear", "diagonal"])
+def test_3link_trusts_only_the_scaling_of_the_normal_form(
+    monkeypatch, mutant, surface, coord_point, unit_point
+):
+    """The normal-form path derives sigma o phi's equivariance from
+    `normalize_3point`, and checks only p's shape, xi' in K and the round
+    trip.  A phi moved by a shear no longer sends p to the coordinate points,
+    and the link is refused.  A phi moved by a diagonal matrix, here
+    diag(1, 2, 1), still does: the line images stay the coordinate points,
+    and the round trip holds, so only phi's twist, the identity
+    `test_normalize_3point_gives_the_standard_twist` pins, tells it apart.
+    The reference `is_equivariant` refuses that forward map."""
+    import sblinks.birational as birational
+
+    real = birational.normalize_3point
+
+    def moved(surface, point):
+        phi, xi_p, tower = real(surface, point)
+        o, z = tower.one(), tower.zero()
+        shear = ((o, o, z), (z, o, z), (z, z, o))
+        e = shear if mutant == "shear" else _diag(tower, 1, 2, 1)
+        return mat_mul(e, phi), xi_p, tower
+
+    monkeypatch.setattr(birational, "normalize_3point", moved)
+    for point in (coord_point, unit_point):
+        if mutant == "shear":
+            with pytest.raises(SblinksError):
+                link_from_3point(surface, point)
+            continue
+        phi, xi_p, tower = moved(surface, point)
+        act = GaloisAction(tower, point.cycle_element)
+        twist = surface.twist_matrix(point.cycle_element, tower)
+        conjugated = mat_mul(phi, mat_mul(twist, mat_galois(inverse3(phi), act)))
+        assert conjugated != _nu_matrix(tower, xi_p)
+        fwd = link_from_3point(surface, point).forward
+        assert not is_equivariant(fwd.map, fwd.source, fwd.target)
+
+
 @pytest.mark.parametrize("name", ["unit", "random0", "models_chi2"])
 def test_cremona_free_path_matches_tower_path(monkeypatch, name, closed_form_links):
     """P . D . sigma(adj(Q) x) as one free-ring substitution and by tower
@@ -1516,30 +1619,47 @@ def test_6link_at_a_non_monomial_radicand(surface, t_vars, assert_link_facts, li
 
 
 def test_each_link_fact_is_checked_once(
-    monkeypatch, surface, coord_point, unit_point, six_point, assert_link_facts
+    monkeypatch,
+    surface,
+    coord_point,
+    unit_point,
+    six_point,
+    two_radical_surface,
+    assert_link_facts,
 ):
-    """A constructed link checks its forward map's equivariance once; a link
-    derived from a certified one (its inverse, or it followed by a linear map
-    over K) checks no map and substitutes nothing, yet keeps every fact."""
+    """A normal-form 3-link derives its forward map's equivariance and its
+    inverse base point's orbit data, and checks neither.  The descent
+    3-link checks its forward map once and derives q; the 6-link checks
+    its forward map once and reads q off one orbit table.  The normal form
+    needs a tower of height 1: over the two-radical tower the 3-link does
+    not reach `normalize_3point`.  A link derived from a certified one (its
+    inverse, or it followed by a linear map over K) checks no map and
+    substitutes nothing, yet keeps every fact."""
     import sblinks.birational as birational
 
-    calls = []
-    real = birational.is_equivariant
+    names = ("is_equivariant", "closed_point_from_seed", "normalize_3point")
+    calls = {name: 0 for name in names}
 
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
+    def counted(name, real):
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
 
-    monkeypatch.setattr(birational, "is_equivariant", counted)
+        return call
+
+    for name in names:
+        monkeypatch.setattr(birational, name, counted(name, getattr(birational, name)))
+    S2, p2 = two_radical_surface
     links = []
-    for build, pt in (
-        (link_from_3point, coord_point),
-        (link_from_3point, unit_point),
-        (link_from_6point, six_point),
+    for build, src, pt, expected in (
+        (link_from_3point, surface, coord_point, (0, 0, 1)),
+        (link_from_3point, surface, unit_point, (0, 0, 1)),
+        (link_from_3point, S2, p2, (1, 0, 0)),
+        (link_from_6point, surface, six_point, (1, 1, 0)),
     ):
-        calls.clear()
-        links.append(build(surface, pt))
-        assert len(calls) == 1
+        calls.update(dict.fromkeys(names, 0))
+        links.append(build(src, pt))
+        assert tuple(calls[name] for name in names) == expected
     alpha = auto_between_3points(surface, coord_point, unit_point)
 
     def forbidden(*args):
@@ -1552,8 +1672,8 @@ def test_each_link_fact_is_checked_once(
     moved = _followed_by_linear(back, alpha.matrix, surface)
     monkeypatch.undo()
     assert moved.forward.map != back.forward.map
-    for derived in (back, moved):
-        assert_link_facts(derived)
+    for link in links + [back, moved]:
+        assert_link_facts(link)
 
 
 @pytest.mark.parametrize("cycle", [{}, {"u": 1}])

@@ -19,11 +19,11 @@ ROOT = Path(__file__).resolve().parents[1]
 # `field_tower.substitute_triple`, with no projective gcd
 LINK3_COUNTS = {
     "multipoly.gcd_many_homogeneous": 0,
-    "multipoly.gcd": 185,
-    "multipoly.subst": 13,
-    "field_tower.mul": 620,
-    "field_tower.inverse": 36,
-    "scalars.qzeta_mul": 2080,
+    "multipoly.gcd": 171,
+    "multipoly.subst": 10,
+    "field_tower.mul": 560,
+    "field_tower.inverse": 34,
+    "scalars.qzeta_mul": 1884,
 }
 
 # link6: one link, its round trip and the bench's check, whose round trips
@@ -42,11 +42,11 @@ LINK6_COUNTS = {
 # whose six composites are all reduced in the flat ring
 HEXAGON_COUNTS = {
     "multipoly.gcd_many_homogeneous": 0,
-    "multipoly.gcd": 1419,
-    "multipoly.exact_div": 1327,
-    "field_tower.mul": 4678,
-    "field_tower.inverse": 204,
-    "scalars.qzeta_mul": 2309,
+    "multipoly.gcd": 1284,
+    "multipoly.exact_div": 1093,
+    "field_tower.mul": 4060,
+    "field_tower.inverse": 150,
+    "scalars.qzeta_mul": 2089,
 }
 
 # models: both cubic models with their checks (sigma o psi's equivariance
@@ -56,12 +56,29 @@ HEXAGON_COUNTS = {
 # gcd over the tower, and rho-hat and the check's composites the flat ring
 MODELS_COUNTS = {
     "multipoly.gcd_many_homogeneous": 1,
-    "multipoly.gcd": 2804,
-    "multipoly.exact_div": 2385,
-    "field_tower.mul": 8050,
-    "field_tower.inverse": 221,
-    "scalars.qzeta_mul": 8828,
+    "multipoly.gcd": 2639,
+    "multipoly.exact_div": 2172,
+    "field_tower.mul": 7750,
+    "field_tower.inverse": 193,
+    "scalars.qzeta_mul": 7456,
 }
+
+# Exact counts of the calls that prove a link's or a point's facts: the
+# forward map's equivariance, the orbit table of a seed, the orbit of given
+# components and the splitting field read off a stabiliser.  A normal-form
+# 3-link derives its equivariance, and every 3-link's inverse base point and
+# every point a certified link carries inherit their orbit data, so only
+# fresh points and the descent or 6-link forward maps reach these.
+PROOFS = (
+    "birational.is_equivariant",
+    "severi_brauer.closed_point_from_seed",
+    "severi_brauer.make_closed_point",
+    "severi_brauer.splitting_descriptor",
+)
+
+
+def _proofs(calls: dict) -> tuple:
+    return tuple(calls.get(name, 0) for name in PROOFS)
 
 
 def _traced_calls(workload: str, seed: int) -> dict:
@@ -87,6 +104,7 @@ def test_link3_op_stays_within_its_budget():
     calls = _traced_calls("link3", 1)
     assert _over_budget(calls, LINK3_COUNTS) == {}
     assert calls["birational.base_points"] == 1
+    assert _proofs(calls) == (0, 0, 0, 0)
     # the link's round trip and the check's compose, one free walk each
     assert calls["field_tower.substitute_triple"] == 2
 
@@ -97,6 +115,8 @@ def test_link6_op_stays_within_its_budget():
     # conics through five components of p and of q, quintics double at
     # p and at q, and the check's quintics at p: one elimination each
     assert calls["birational.curves_through"] == 5
+    # the descent's forward map, and q read off one orbit table
+    assert _proofs(calls) == (1, 1, 0, 1)
     assert calls["field_tower.substitute_triple"] == 2
 
 
@@ -105,9 +125,13 @@ def test_hexagon_op_stays_within_its_budget():
     assert _over_budget(calls, HEXAGON_COUNTS) == {}
     # the hexagon solves no base locus
     assert calls.get("birational.base_points", 0) == 0
+    assert _proofs(calls) == (0, 0, 0, 0)
 
 
 def test_models_op_stays_within_its_budget():
     calls = _traced_calls("models", 1)
     assert _over_budget(calls, MODELS_COUNTS) == {}
     assert calls["cubic_models.section_of_contraction"] == 1
+    # sigma o psi and the two links' descents; the coordinate point and
+    # the images of E3, E4, E5 are fresh points
+    assert _proofs(calls) == (3, 0, 2, 2)

@@ -471,6 +471,49 @@ def test_moved_inverse_base_point_is_the_rebuilt_orbit(
     assert len(moved) == 1
 
 
+@pytest.mark.parametrize("pair", ["merged", "general_position"])
+def test_hexagon_orbit_data_match_the_references(
+    monkeypatch, pair, surface, coord_point, unit_point, gp_point, assert_orbit_data_rebuilt
+):
+    """Each link of the walk derives its inverse base point, and each point
+    it carries to the next step inherits its orbit data: both equal what the
+    orbit table and `transport_point` rebuild, and every forward map is
+    equivariant."""
+    built, carried = [], []
+    real_link, real_inherited = word_algebra.link_from_3point, word_algebra._inherited
+
+    def link(surface, point):
+        built.append(real_link(surface, point))
+        return built[-1]
+
+    def inherited(point, target, comps):
+        carried.append((point, real_inherited(point, target, comps)))
+        return carried[-1][1]
+
+    monkeypatch.setattr(word_algebra, "link_from_3point", link)
+    monkeypatch.setattr(word_algebra, "_inherited", inherited)
+    hexagon(surface, coord_point, unit_point if pair == "merged" else gp_point)
+    assert len(carried) == len(built) - 1 == (2 if pair == "merged" else 5)
+    for k, lk in enumerate(built):
+        assert_orbit_data_rebuilt(lk, carried[k : k + 1])
+
+
+def test_hexagon_refuses_a_carried_point_whose_images_collide(
+    monkeypatch, surface, coord_point, unit_point
+):
+    """Only distinct images give the carried point its orbit data: when they
+    collide, the walk is refused as a degenerate pair."""
+    real = word_algebra._inherited
+
+    def collided(point, target, comps):
+        first = next(iter(comps))
+        return real(point, target, (first,) * point.degree)
+
+    monkeypatch.setattr(word_algebra, "_inherited", collided)
+    with pytest.raises(DegeneratePair, match="transported orbit"):
+        hexagon(surface, coord_point, unit_point)
+
+
 def test_recheck_hexagon(surface, coord_point, unit_point, mixed_pair):
     """The left-to-right compose accepts both closed chains and refuses the
     merged chain with its fourth link replaced by the inverse of the first."""
